@@ -5,12 +5,24 @@ Strang splitting per step: exact diffusion half-steps in Fourier space
 reaction terms in physical space.  The cubic product is dealiased with the
 2/3 rule by default.  The scheme is second order in dt and bitwise
 deterministic for a fixed seed and configuration.
+
+One engine integrates a batch of B runs of the same model, held as a float
+array of shape (B, 2, N): member b, species s, grid point j.  Both species
+of every member diffuse with one stacked rfft/irfft pair.  The trailing
+half-step of one step and the leading half-step of the next compose into
+one full step, so the engine splits them only where the fields are read:
+at sample points and at a member's last step.  Members may take different
+numbers of steps; each leaves the batch at its own last step.  Every
+operation acts on one member at a time, so a member of a batch is bitwise
+equal to the same run alone.  ``Simulator`` drives the engine with B = 1;
+``amplitude_scaling_experiment`` and ``equivariance_test`` run their
+integrations as one batch.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -90,6 +102,135 @@ def initialize(params: ModelParams, config: SimConfig,
     return FieldState(u1=u1, u2=u2, time=0.0)
 
 
+def _wavenumbers(params: ModelParams, n_grid: int) -> np.ndarray:
+    """Angular wave numbers of the rfft coefficients on [-L, L)."""
+    return 2.0 * np.pi * np.fft.rfftfreq(n_grid, d=2.0 * params.half_length / n_grid)
+
+
+class _Engine:
+    """Strang-split stepper over a (B, 2, N) batch of one params/config pair.
+
+    Members share the grid, dt, dealiasing, mean pinning and blow-up bound;
+    each has its own beta and step count.
+    """
+
+    def __init__(self, params: ModelParams, config: SimConfig):
+        self.params = params
+        self.config = config
+        n = config.n_grid
+        k = _wavenumbers(params, n)
+        delta = np.array([[params.delta1], [params.delta2]])
+        self._half = np.exp(-delta * k ** 2 * (config.dt / 2.0))   # (2, n//2 + 1)
+        self._full = np.exp(-delta * k ** 2 * config.dt)
+        # 2/3 rule; the rfft wave numbers increase, so the kept ones are a prefix
+        cutoff = (2.0 / 3.0) * np.max(k) if n > 2 else np.inf
+        self._keep = int(np.count_nonzero(k <= cutoff))
+        # the reaction is F = const + lin * u1 + sign * u1^2 u2
+        self._const = np.array([[params.alpha], [0.0]])
+        self._sign = np.array([[1.0], [-1.0]])
+
+    def _coefficients(self, betas: np.ndarray):
+        """Per-member lin = (-(beta + 1), beta), (B, 2, 1), and pinned k = 0 values.
+
+        The pinned values are the uniform state (alpha, beta/alpha) times N,
+        shaped (B, 2).
+        """
+        alpha = self.params.alpha
+        lin = np.stack([-(betas + 1.0), betas], axis=-1)[:, :, None]
+        mean = self.config.n_grid * np.stack([np.full_like(betas, alpha), betas / alpha],
+                                             axis=-1)
+        return lin, mean
+
+    def _diffuse(self, U, mult, mean=None):
+        spec = np.fft.rfft(U)
+        spec *= mult
+        if mean is not None and self.config.pin_mean:
+            # The diffusionless (spatially uniform) dynamics is linearly
+            # unstable at onset, so the uniform deviation swamps the pattern
+            # on long horizons.  Pinning resets only the k = 0 coefficients
+            # to the uniform state; every k != 0 mode evolves under the
+            # unmodified equations.
+            spec[..., 0] = mean
+        return np.fft.irfft(spec, n=self.config.n_grid)
+
+    def _rhs(self, U, lin):
+        u1 = U[:, 0]
+        nl = u1 * u1 * U[:, 1]
+        if self.config.dealias:
+            spec = np.fft.rfft(nl)
+            spec[..., self._keep:] = 0.0
+            nl = np.fft.irfft(spec, n=self.config.n_grid)
+        F = lin * u1[:, None]
+        F += self._const
+        F += self._sign * nl[:, None]
+        return F
+
+    def _react(self, U, lin):
+        dt = self.config.dt
+        mid = U + (0.5 * dt) * self._rhs(U, lin)
+        return U + dt * self._rhs(mid, lin)
+
+    def _end_step(self, U, mult, mean, t):
+        """The diffusion that completes the step to time t, then the blow-up check."""
+        U = self._diffuse(U, mult, mean)
+        bound = self.config.blowup_norm
+        # one comparison that is also False when any value is NaN
+        if not np.abs(U).max() <= bound:
+            raise NumericalBlowup(f"field norm exceeded {bound:g} at t = {t:g}")
+        return U
+
+    def advance(self, U, betas, n_steps, t0=0.0, sample_every=0, observe=None):
+        """Advance member b of U (B, 2, N) by n_steps[b] steps of dt from t0.
+
+        When sample_every > 0, observe(i, members, fields) is called after
+        every step i that is a multiple of it, with the indices of the
+        members still running and their fields (len(members), 2, N) at time
+        t0 + i * dt.  Returns the final fields of every member.  Raises
+        NumericalBlowup when a field of any member leaves the bound or turns
+        non-finite.
+
+        A step ends with a full diffusion step, which is also the leading
+        half-step of the next one, except where the fields are read: after a
+        sample step every member, and after its last step a leaving member,
+        ends with a half-step.  So what a member computes does not depend on
+        the rest of the batch.
+        """
+        dt = self.config.dt
+        betas = np.asarray(betas, dtype=float)
+        n_steps = np.asarray(n_steps, dtype=int)
+        out = np.array(U, dtype=float)
+        live = np.flatnonzero(n_steps > 0)
+        if not live.size:
+            return out
+        ends = set(n_steps[live].tolist())
+        lin, mean = self._coefficients(betas[live])
+        U = self._diffuse(out[live], self._half)
+        for i in range(1, int(n_steps.max()) + 1):
+            t = t0 + i * dt
+            U = self._react(U, lin)
+            sampled = sample_every and i % sample_every == 0
+            if sampled:
+                U = self._end_step(U, self._half, mean, t)
+                observe(i, live, U)
+            if i in ends:
+                done = n_steps[live] == i
+                out[live[done]] = (U[done] if sampled else
+                                   self._end_step(U[done], self._half, mean[done], t))
+                live, U = live[~done], U[~done]
+                if not live.size:
+                    break
+                lin, mean = lin[~done], mean[~done]
+            if sampled:
+                U = self._diffuse(U, self._half)
+            else:
+                U = self._end_step(U, self._full, mean, t)
+        return out
+
+
+def _stack(state: FieldState) -> np.ndarray:
+    return np.stack([state.u1, state.u2])
+
+
 class Simulator:
     """Strang-split pseudospectral stepper for a fixed params/config pair."""
 
@@ -98,69 +239,39 @@ class Simulator:
         self.params = params
         self.config = config
         self.beta = params.beta if beta is None else beta
-        n = config.n_grid
-        L = params.half_length
-        k = 2.0 * np.pi * np.fft.rfftfreq(n, d=2.0 * L / n)
-        self._k = k
-        self._half1 = np.exp(-params.delta1 * k ** 2 * config.dt / 2.0)
-        self._half2 = np.exp(-params.delta2 * k ** 2 * config.dt / 2.0)
-        cutoff = (2.0 / 3.0) * np.max(np.abs(k)) if n > 2 else np.inf
-        self._mask = (np.abs(k) <= cutoff).astype(float)
+        self._engine = _Engine(params, config)
 
-    def _nonlinear(self, u1: np.ndarray, u2: np.ndarray) -> np.ndarray:
-        n = u1 * u1 * u2
-        if self.config.dealias:
-            n = np.fft.irfft(np.fft.rfft(n) * self._mask, n=u1.shape[0])
-        return n
-
-    def _reaction_rhs(self, u1: np.ndarray, u2: np.ndarray):
-        nl = self._nonlinear(u1, u2)
-        f1 = self.params.alpha - (self.beta + 1.0) * u1 + nl
-        f2 = self.beta * u1 - nl
-        return f1, f2
-
-    def _diffuse_half(self, u1: np.ndarray, u2: np.ndarray):
-        n = u1.shape[0]
-        return (np.fft.irfft(np.fft.rfft(u1) * self._half1, n=n),
-                np.fft.irfft(np.fft.rfft(u2) * self._half2, n=n))
+    def _advance(self, state: FieldState, n_steps: int, sample_every=0, observe=None):
+        n_steps = max(n_steps, 0)
+        U = self._engine.advance(_stack(state)[None], [self.beta], [n_steps],
+                                 state.time, sample_every, observe)
+        return FieldState(u1=U[0, 0], u2=U[0, 1],
+                          time=state.time + n_steps * self.config.dt)
 
     def step(self, state: FieldState) -> FieldState:
-        dt = self.config.dt
-        u1, u2 = self._diffuse_half(state.u1, state.u2)
-        f1, f2 = self._reaction_rhs(u1, u2)
-        m1 = u1 + 0.5 * dt * f1
-        m2 = u2 + 0.5 * dt * f2
-        g1, g2 = self._reaction_rhs(m1, m2)
-        u1 = u1 + dt * g1
-        u2 = u2 + dt * g2
-        u1, u2 = self._diffuse_half(u1, u2)
-        if self.config.pin_mean:
-            # The diffusionless (spatially uniform) dynamics is linearly
-            # unstable at onset, so the uniform deviation swamps the pattern
-            # on long horizons.  Pinning resets only the spatial means to the
-            # uniform state; every k != 0 mode evolves under the unmodified
-            # equations.
-            u1 = u1 - np.mean(u1) + self.params.alpha
-            u2 = u2 - np.mean(u2) + self.beta / self.params.alpha
-        bound = self.config.blowup_norm
-        if not np.isfinite(u1).all() or np.max(np.abs(u1)) > bound \
-                or np.max(np.abs(u2)) > bound:
-            raise NumericalBlowup(f"field norm exceeded {bound:g} at t = {state.time:g}")
-        return FieldState(u1=u1, u2=u2, time=state.time + dt)
+        return self._advance(state, 1)
 
     def run(self, state: FieldState, t_end: float, sample_every: int = 0,
             observer=None):
-        """Advance to t_end; optionally collect (t, observer(state)) samples."""
-        n_steps = int(round((t_end - state.time) / self.config.dt))
+        """Advance to t_end; optionally collect (t, observer(state)) samples.
+
+        Sample i (counting steps from 1) is taken at time t0 + i * dt.
+        """
+        dt = self.config.dt
+        n_steps = int(round((t_end - state.time) / dt))
+        if not sample_every:
+            return self._advance(state, n_steps)
+        t0 = state.time
         times, samples = [], []
-        for i in range(n_steps):
-            state = self.step(state)
-            if sample_every and (i + 1) % sample_every == 0:
-                times.append(state.time)
-                samples.append(observer(state) if observer else None)
-        if sample_every:
-            return state, np.asarray(times), samples
-        return state
+
+        def observe(i, _members, U):
+            t = t0 + i * dt
+            times.append(t)
+            samples.append(observer(FieldState(u1=U[0, 0], u2=U[0, 1], time=t))
+                           if observer else None)
+
+        state = self._advance(state, n_steps, sample_every, observe)
+        return state, np.asarray(times), samples
 
 
 def mode_amplitude(state: FieldState, k: int) -> complex:
@@ -168,8 +279,13 @@ def mode_amplitude(state: FieldState, k: int) -> complex:
     n = state.n_grid
     if abs(k) > n // 2:
         raise ValueError(f"wave index {k} exceeds Nyquist {n // 2}")
-    spec = np.fft.fft(state.u1) / n
-    return complex(spec[k % n])
+    return complex(_mode_coefficients(state.u1, k))
+
+
+def _mode_coefficients(u1: np.ndarray, k: int) -> np.ndarray:
+    """Coefficient k of the unit-mean DFT along the last axis of u1 (..., N)."""
+    n = u1.shape[-1]
+    return np.fft.fft(u1)[..., k % n] / n
 
 
 def oscillation_frequency(times: np.ndarray, series: np.ndarray,
@@ -221,47 +337,47 @@ def measure_growth_rate(params: ModelParams, beta: float, k: int,
     state, times, amps = sim.run(state, t_end, sample_every=5,
                                  observer=lambda s: abs(mode_amplitude(s, k) - base))
     amps = np.asarray(amps, dtype=float)
-    keep = times >= settle_fraction * t_end
-    keep &= amps > 1e-14
+    window = settle_fraction * t_end
+    keep = (times >= window) & (amps > 1e-14)
+    if np.count_nonzero(keep) < 2:
+        raise WindowTooShort(
+            f"growth fit window [{window:g}, {t_end:g}] keeps "
+            f"{np.count_nonzero(keep)} samples with amplitude > 1e-14; need 2")
     slope = np.polyfit(times[keep], np.log(amps[keep]), 1)[0]
     return float(slope), lead
 
 
-def _translate(state: FieldState, params: ModelParams, phi: float) -> FieldState:
-    """R(phi): v(x) -> v(x - phi), via a spectral phase shift."""
-    n = state.n_grid
-    k = 2.0 * np.pi * np.fft.rfftfreq(n, d=2.0 * params.half_length / n)
-    shift = np.exp(-1j * k * phi)
-    return FieldState(
-        u1=np.fft.irfft(np.fft.rfft(state.u1) * shift, n=n),
-        u2=np.fft.irfft(np.fft.rfft(state.u2) * shift, n=n),
-        time=state.time)
+def _translate(U: np.ndarray, params: ModelParams, phi: float) -> np.ndarray:
+    """R(phi): v(x) -> v(x - phi) on fields (..., N), via a spectral phase shift."""
+    n = U.shape[-1]
+    shift = np.exp(-1j * _wavenumbers(params, n) * phi)
+    return np.fft.irfft(np.fft.rfft(U) * shift, n=n)
 
 
-def _reflect(state: FieldState) -> FieldState:
-    """S: v(x) -> v(-x); exact grid permutation."""
-    n = state.n_grid
-    idx = (-np.arange(n)) % n
-    return FieldState(u1=state.u1[idx], u2=state.u2[idx], time=state.time)
+def _reflect(U: np.ndarray) -> np.ndarray:
+    """S: v(x) -> v(-x) on fields (..., N); exact grid permutation."""
+    n = U.shape[-1]
+    return U[..., (-np.arange(n)) % n]
 
 
 def equivariance_test(params: ModelParams, config: SimConfig, phi: float,
                       t_end: float = 1.0) -> dict:
-    """Commutator of the flow with translation R(phi) and reflection S."""
-    sim = Simulator(params, config)
-    start = initialize(params, config)
+    """Commutator of the flow with translation R(phi) and reflection S.
 
-    evolved = sim.run(start, t_end)
+    The start and its two images are integrated as one batch of three.
+    """
     ops = {
-        "translation": lambda s: _translate(s, params, phi),
+        "translation": lambda U: _translate(U, params, phi),
         "reflection": _reflect,
     }
+    start = _stack(initialize(params, config))
+    batch = np.stack([start] + [op(start) for op in ops.values()])
+    n_steps = int(round(t_end / config.dt))
+    final = _Engine(params, config).advance(batch, [params.beta] * len(batch),
+                                            [n_steps] * len(batch))
     report = {"phi": phi, "t_end": t_end}
-    for name, op in ops.items():
-        a = op(evolved)
-        b = sim.run(op(start), t_end)
-        report[name] = float(max(np.max(np.abs(a.u1 - b.u1)),
-                                 np.max(np.abs(a.u2 - b.u2))))
+    for j, (name, op) in enumerate(ops.items(), start=1):
+        report[name] = float(np.max(np.abs(op(final[0]) - final[j])))
     return report
 
 
@@ -292,28 +408,39 @@ def amplitude_scaling_experiment(params: ModelParams, mus, config: SimConfig | N
     constant reflects the pinned cubic coefficients.
     """
     base = onset(params)
+    mus = list(mus)
+    betas = [base.beta1 + mu for mu in mus]
+    if config is None:
+        config = SimConfig(dt=0.02, eps=eps, perturb_kind="traveling", perturb_mode=1,
+                           pin_mean=True)
+        cfgs = [replace(config, t_max=max(400.0, 16.0 / abs(mu)) if mu != 0 else 400.0)
+                for mu in mus]
+    else:
+        cfgs = [config] * len(mus)
+    dt = config.dt
+    n_steps = [int(round(cfg.t_max / dt)) for cfg in cfgs]
+    sample_every = max(int(0.1 / dt), 1)
+    series = [[] for _ in mus]
+
+    def observe(_i, members, U):
+        for b, z in zip(members, _mode_coefficients(U[:, 0], 1)):
+            series[b].append(z)
+
+    starts = [_stack(initialize(params, cfg, beta=beta)) for cfg, beta in zip(cfgs, betas)]
+    if starts:
+        _Engine(params, config).advance(np.stack(starts), betas, n_steps,
+                                        sample_every=sample_every, observe=observe)
     rows = []
-    for mu in mus:
-        beta = base.beta1 + mu
-        if config is None:
-            horizon = max(400.0, 16.0 / abs(mu)) if mu != 0 else 400.0
-            cfg = SimConfig(dt=0.02, t_max=horizon, eps=eps,
-                            perturb_kind="traveling", perturb_mode=1,
-                            pin_mean=True)
-        else:
-            cfg = config
-        sim = Simulator(params, cfg, beta=beta)
-        state = initialize(params, cfg, beta=beta)
-        sample_every = max(int(0.1 / cfg.dt), 1)
-        state, times, amps = sim.run(state, cfg.t_max, sample_every=sample_every,
-                                     observer=lambda s: mode_amplitude(s, 1))
+    for mu, cfg, steps, amps in zip(mus, cfgs, n_steps, series):
+        times = dt * np.arange(sample_every, steps + 1, sample_every)
+        amps = np.asarray(amps)
         mags = np.abs(amps)
         n_tail = max(int(len(mags) * 0.2), 8)
         tail_amp = float(np.max(mags[-n_tail:]))
         if mu > 0:
             if not _saturated_tail(times, mags):
                 raise NoSaturation(f"mu = {mu}: amplitude not settled by t = {cfg.t_max}")
-            freq = oscillation_frequency(times[-n_tail:], np.asarray(amps)[-n_tail:])
+            freq = oscillation_frequency(times[-n_tail:], amps[-n_tail:])
             rows.append({"mu": mu, "amplitude": tail_amp, "frequency": freq})
         else:
             rows.append({"mu": mu, "amplitude": tail_amp, "frequency": None,
@@ -359,8 +486,7 @@ def rhs_norm(params: ModelParams, state: FieldState, beta: float | None = None) 
     if beta is None:
         beta = params.beta
     n = state.n_grid
-    L = params.half_length
-    k = 2.0 * np.pi * np.fft.rfftfreq(n, d=2.0 * L / n)
+    k = _wavenumbers(params, n)
     lap1 = np.fft.irfft(-k ** 2 * np.fft.rfft(state.u1), n=n)
     lap2 = np.fft.irfft(-k ** 2 * np.fft.rfft(state.u2), n=n)
     nl = state.u1 ** 2 * state.u2

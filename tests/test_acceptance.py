@@ -1,7 +1,7 @@
 """Acceptance suite: the eight headline criteria, one pass/fail line each.
 
 Run with `pytest -s tests/test_acceptance.py` to see the lines as they
-complete.  Criteria 6 and 7 integrate the PDE and take a few minutes.
+complete.  Criteria 6 and 7 integrate the PDE and take the longest.
 """
 
 import math

@@ -1,14 +1,15 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from o2hopf import (FieldState, NumericalBlowup, SimConfig, Simulator,
-                    WindowTooShort, equivariance_test, initialize,
+from o2hopf import (FieldState, NoSaturation, NumericalBlowup, SimConfig,
+                    Simulator, WindowTooShort, equivariance_test, initialize,
                     measure_growth_rate, mode_amplitude,
                     oscillation_frequency, onset, rhs_norm,
                     timestep_convergence_order, validate)
-from o2hopf.pdesim import amplitude_scaling_experiment
+from o2hopf.pdesim import _Engine, amplitude_scaling_experiment
 
 CANON = validate({"alpha": 2.0, "beta": 7.0})
 RT3 = math.sqrt(3.0)
@@ -84,6 +85,71 @@ class TestDeterminismAndSafety:
         with pytest.raises(NumericalBlowup):
             sim.step(bad)
 
+    def test_nan_in_u2_is_a_blowup(self):
+        config = SimConfig(n_grid=64, dt=1e-2)
+        sim = Simulator(CANON, config)
+        u2 = np.full(64, 3.5)
+        u2[10] = np.nan
+        bad = FieldState(u1=np.full(64, 2.0), u2=u2, time=2.5)
+        with pytest.raises(NumericalBlowup, match=r"at t = 2\.51$"):
+            sim.step(bad)
+
+
+class TestEngine:
+    CONFIG = SimConfig(n_grid=64, dt=1e-2, perturb_kind="random", seed=4,
+                       eps=1e-2, pin_mean=True)
+
+    def test_batch_members_equal_solo_runs(self):
+        # members leave at different horizons, one between two sample points
+        betas, n_steps = [6.9, 7.05, 7.1], [40, 23, 60]
+        start = initialize(CANON, self.CONFIG)
+        starts = np.stack([np.stack([start.u1, start.u2 + 0.01 * j]) for j in range(3)])
+        engine = _Engine(CANON, self.CONFIG)
+
+        def collect(store):
+            def observe(i, members, U):
+                for b, fields in zip(members, U):
+                    store.setdefault(int(b), []).append((i, fields.copy()))
+            return observe
+
+        batch_samples = {}
+        batch = engine.advance(starts, betas, n_steps, sample_every=5,
+                               observe=collect(batch_samples))
+        for b in range(3):
+            solo_samples = {}
+            solo = engine.advance(starts[b:b + 1], betas[b:b + 1], n_steps[b:b + 1],
+                                  sample_every=5, observe=collect(solo_samples))
+            assert np.array_equal(batch[b], solo[0])
+            assert ([i for i, _ in batch_samples[b]] == [i for i, _ in solo_samples[0]]
+                    == list(range(5, n_steps[b] + 1, 5)))
+            assert all(np.array_equal(a, c) for (_, a), (_, c)
+                       in zip(batch_samples[b], solo_samples[0]))
+            state = FieldState(u1=starts[b, 0], u2=starts[b, 1], time=0.0)
+            sim = Simulator(CANON, self.CONFIG, beta=betas[b])
+            out, _, _ = sim.run(state, n_steps[b] * self.CONFIG.dt, sample_every=5)
+            assert np.array_equal(out.u1, batch[b, 0])
+            assert np.array_equal(out.u2, batch[b, 1])
+
+    def test_run_matches_repeated_steps(self):
+        sim = Simulator(CANON, self.CONFIG, beta=7.05)
+        state = initialize(CANON, self.CONFIG)
+        stepped = state
+        for _ in range(50):
+            stepped = sim.step(stepped)
+        ran = sim.run(state, 50 * self.CONFIG.dt)
+        assert np.max(np.abs(ran.u1 - stepped.u1)) <= 1e-12
+        assert np.max(np.abs(ran.u2 - stepped.u2)) <= 1e-12
+
+    def test_sample_times(self):
+        dt, t0 = self.CONFIG.dt, 0.37
+        sim = Simulator(CANON, self.CONFIG)
+        start = replace(initialize(CANON, self.CONFIG), time=t0)
+        state, times, seen = sim.run(start, t0 + 50 * dt,
+                                     sample_every=7, observer=lambda s: s.time)
+        expected = [t0 + i * dt for i in range(7, 51, 7)]
+        assert times.tolist() == expected and seen == expected
+        assert state.time == t0 + 50 * dt
+
 
 class TestLinearRegime:
     def test_mode1_growth_and_decay(self):
@@ -91,6 +157,14 @@ class TestLinearRegime:
             rate, predicted = measure_growth_rate(CANON, 7.0 + mu, 1)
             assert abs(predicted - mu / 2.0) < 1e-12
             assert abs(rate - predicted) <= 0.05 * abs(predicted)
+
+    def test_growth_window_without_samples(self):
+        # no perturbation: every amplitude is at round-off level
+        with pytest.raises(WindowTooShort, match="keeps 0 samples"):
+            measure_growth_rate(CANON, 7.05, 1, eps=0.0, t_end=1.0)
+        # one sample (t = 0.01) survives settling
+        with pytest.raises(WindowTooShort, match=r"window \[0\.001, 0\.01\] keeps 1 "):
+            measure_growth_rate(CANON, 7.05, 1, t_end=0.01)
 
     def test_damped_mode_rate(self):
         rate, predicted = measure_growth_rate(CANON, 7.0, 2)
@@ -149,3 +223,19 @@ def test_subcritical_scaling_reports_decay():
     result = amplitude_scaling_experiment(CANON, [-0.05], config=config)
     assert result["verdict"] == "decay"
     assert result["rows"][0]["decayed"]
+
+
+def test_scaling_batch_equals_single_runs():
+    config = SimConfig(n_grid=32, dt=0.05, t_max=20.0, eps=1e-3,
+                       perturb_kind="traveling", pin_mean=True)
+    mus = [-0.05, -0.1]
+    batch = amplitude_scaling_experiment(CANON, mus, config=config)["rows"]
+    for mu, row in zip(mus, batch):
+        assert amplitude_scaling_experiment(CANON, [mu], config=config)["rows"] == [row]
+
+
+def test_no_saturation_names_first_failing_mu():
+    config = SimConfig(n_grid=32, dt=0.05, t_max=10.0, eps=1e-2,
+                       perturb_kind="traveling", pin_mean=True)
+    with pytest.raises(NoSaturation, match=r"mu = 0\.3:"):
+        amplitude_scaling_experiment(CANON, [-0.05, 0.3, 0.2], config=config)
