@@ -29,4 +29,29 @@ from .spectral import (ModeRecord, ScanResult, TuringReport, dispersion_curve,
                        inner_product, mode_eigenvalues, mode_matrix,
                        onset_scan, turing_check, xi1, xi1_star, xi2)
 
-__all__ = [name for name in dir() if not name.startswith("_")]
+__all__ = [
+    # errors
+    "DomainMismatch", "InadmissibleRegime", "NonPositiveParameter", "NoSaturation",
+    "NumericalBlowup", "O2HopfError", "SingularSystem", "StepSizeUnderflow",
+    "WindowTooShort",
+    # parameters and onset
+    "ModelParams", "OnsetData", "load_config", "onset", "validate",
+    # spectrum and critical eigenfunctions
+    "ModeRecord", "ScanResult", "TuringReport", "dispersion_curve", "inner_product",
+    "mode_eigenvalues", "mode_matrix", "onset_scan", "turing_check", "xi1",
+    "xi1_star", "xi2",
+    # mode sums and the nonlinearity
+    "ModeSum", "R01", "R20", "R21", "R30",
+    # normal-form coefficients
+    "NormalFormCoeffs", "PsiTable", "closed_form_constants", "coeff_a", "coeff_b",
+    "coeff_c", "coeffs", "coeffs_report", "solve_psi", "zero_mode_content",
+    # reduced dynamics
+    "BranchPoint", "ReducedSystem", "branch_frequency", "branches",
+    "classify_regime", "integrate_truncated", "polar_vector_field",
+    "reconstruct_wave",
+    # PDE simulation
+    "FieldState", "SimConfig", "Simulator", "amplitude_scaling_experiment",
+    "equivariance_test", "grid", "initialize", "measure_growth_rate",
+    "mode_amplitude", "oscillation_frequency", "rhs_norm",
+    "timestep_convergence_order",
+]

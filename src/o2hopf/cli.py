@@ -16,18 +16,19 @@ import math
 import os
 import sys
 import time
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
 from . import __version__
 from .errors import (InadmissibleRegime, NonPositiveParameter, NoSaturation,
                      NumericalBlowup, O2HopfError, SingularSystem)
-from .normalform import ROUTES, closed_form_constants, coeffs, coeffs_report
-from .params import ModelParams, load_config, onset, validate
+from .normalform import (ROUTES, closed_form_constants, coeffs, coeffs_batch,
+                         coeffs_report)
+from .params import (ModelParams, check_positive, is_positive, load_config, onset,
+                     onset_terms, validate)
 from .pdesim import (SimConfig, Simulator, initialize, mode_amplitude,
                      oscillation_frequency)
-from .reduced import ReducedSystem, branches, classify_regime
+from .reduced import ReducedSystem, branches, classify_regime, regime_batch
 from .spectral import dispersion_curve, onset_scan, turing_check
 
 
@@ -88,7 +89,7 @@ def _digest(ns) -> str:
     return hashlib.sha256(payload.encode()).hexdigest()[:16]
 
 
-def _add_param_flags(p, need_beta=True):
+def _add_param_flags(p):
     p.add_argument("--config", help="key = value parameter file")
     p.add_argument("--alpha", type=float)
     p.add_argument("--beta", type=float)
@@ -96,7 +97,6 @@ def _add_param_flags(p, need_beta=True):
     p.add_argument("--d2", "--delta2", dest="delta2", type=float)
     p.add_argument("--half-length", dest="half_length", type=float)
     p.add_argument("--out", help="write the JSON report here instead of stdout")
-    p.need_beta = need_beta
 
 
 def _params_from(ns, default_beta_to_beta1=False) -> ModelParams:
@@ -116,7 +116,7 @@ def _params_from(ns, default_beta_to_beta1=False) -> ModelParams:
         if not default_beta_to_beta1:
             raise BadFlag("--beta (or --config) is required")
         probe = ModelParams(beta=1.0, **{k: v for k, v in raw.items() if k != "beta"})
-        raw["beta"] = onset(probe).beta1
+        raw["beta"] = onset(check_positive(probe)).beta1
     return validate(raw)
 
 
@@ -266,7 +266,7 @@ def _parse_grid(spec: str):
         raise BadFlag("--grid expects name=lo:hi:count with name in "
                       "{alpha, delta1, delta2, mu}")
     lo, hi, count = float(parts[0]), float(parts[1]), int(parts[2])
-    return name, list(np.linspace(lo, hi, count))
+    return name, np.linspace(lo, hi, count)
 
 
 _SWEEP_FIELDS = [
@@ -279,33 +279,82 @@ _SWEEP_FIELDS = [
 ]
 
 
-def _sweep_point(index, values):
-    row = {"index": index, "error": ""}
-    row.update({k: values[k] for k in ("alpha", "delta1", "delta2", "half_length", "mu")})
-    try:
-        probe = ModelParams(alpha=values["alpha"], beta=1.0, delta1=values["delta1"],
-                            delta2=values["delta2"], half_length=values["half_length"])
-        data = onset(probe)
-        row["beta1"], row["omega"] = data.beta1, data.omega
-        row["admissible"] = data.admissible
-        if not data.admissible:
-            return row
-        params = validate(probe.with_beta(data.beta1 + values["mu"]))
-        nf = coeffs(params, "projection")
-        cf = closed_form_constants(params)
-        row.update(re_a=nf.a.real, im_a=nf.a.imag,
-                   re_b_projection=nf.b.real, im_b_projection=nf.b.imag,
-                   re_c_projection=nf.c.real, im_c_projection=nf.c.imag,
-                   re_b_closed_form=cf["b"].real, im_b_closed_form=cf["b"].imag,
-                   re_c_closed_form=cf["c"].real, im_c_closed_form=cf["c"].imag)
-        sys_ = ReducedSystem.from_coeffs(nf, values["mu"])
-        kinds = {b.kind for b in branches(sys_) if b.stability != "degenerate"}
-        row["tw_exists"] = "rotating_wave_1" in kinds
-        row["sw_exists"] = "standing_wave" in kinds
-        row["stable_families"] = "|".join(classify_regime(sys_)["stable_families"])
-    except O2HopfError as exc:
-        row["error"] = f"{type(exc).__name__}: {exc}"
-    return row
+_GRID_FIELDS = ("alpha", "delta1", "delta2", "half_length", "mu")
+
+
+def _grid_columns(fixed: dict, axes) -> dict:
+    """Field -> (P,) float array over the grid; the first axis varies fastest."""
+    cols = {k: np.array([float(fixed[k])]) for k in _GRID_FIELDS}
+    for name, vals in axes:
+        size = len(cols[name])
+        cols = {k: np.tile(v, len(vals)) for k, v in cols.items()}
+        cols[name] = np.repeat(vals, size)
+    return cols
+
+
+def _error_text(exc: O2HopfError) -> str:
+    return f"{type(exc).__name__}: {exc}"
+
+
+def _sweep_columns(cols: dict) -> dict:
+    """Every CSV column of the sweep, computed for the whole grid at once.
+
+    Each point meets the checks of the single-point pipeline in its order
+    and stops at the first that fails: a constant that is not finite and
+    positive, inadmissibility (no error), beta = beta1 + mu not finite and
+    positive, a singular resolvent system, then P_2(0) = 0.  The error
+    column gets the failure as "<ErrorType>: <message>"; cells a point
+    never reaches stay blank.
+    """
+    n = len(cols["alpha"])
+    out = {name: [""] * n for name in _SWEEP_FIELDS}
+    out["index"] = list(range(n))
+    for name in _GRID_FIELDS:
+        out[name] = cols[name].tolist()
+
+    def put(name, points, values):
+        for i, v in zip(points.tolist(), values):
+            out[name][i] = v
+
+    def fail(points, errors):
+        put("error", points, [_error_text(exc) for exc in errors])
+
+    live = np.arange(n)
+    for name in ("alpha", "delta1", "delta2", "half_length"):
+        bad = ~is_positive(cols[name][live])
+        fail(live[bad], [NonPositiveParameter(name, v) for v in cols[name][live[bad]].tolist()])
+        live = live[~bad]
+
+    alpha, delta1, delta2, length, mu = (cols[k][live] for k in _GRID_FIELDS)
+    d1e, d2e, beta1, omega_sq, admissible = onset_terms(alpha, delta1, delta2, length,
+                                                        sqrt=np.sqrt)
+    put("beta1", live, beta1.tolist())
+    put("omega", live, np.sqrt(np.where(omega_sq > 0.0, omega_sq, 0.0)).tolist())
+    put("admissible", live, admissible.tolist())
+    beta = beta1 + mu
+    bad = admissible & ~is_positive(beta)
+    fail(live[bad], [NonPositiveParameter("beta", v) for v in beta[bad].tolist()])
+    keep = admissible & ~bad
+    live, mu = live[keep], mu[keep]
+
+    values, errors = coeffs_batch(alpha[keep], d1e[keep], d2e[keep], length[keep])
+    bad = np.array([e is not None for e in errors], dtype=bool)
+    fail(live[bad], [e for e in errors if e is not None])
+    live, mu = live[~bad], mu[~bad]
+    values = {k: v[~bad] for k, v in values.items()}
+    for name, v in values.items():
+        put(f"re_{name}", live, v.real.tolist())
+        put(f"im_{name}", live, v.imag.tolist())
+
+    regime = regime_batch(values["a"], values["b_projection"], values["c_projection"], mu)
+    put("tw_exists", live, regime["rotating_exists"].tolist())
+    put("sw_exists", live, regime["standing_exists"].tolist())
+    put("stable_families", live, [
+        "|".join(family for family, stable in (("rotating_wave", rw), ("standing_wave", sw))
+                 if stable)
+        for rw, sw in zip(regime["rotating_stable"].tolist(),
+                          regime["standing_stable"].tolist())])
+    return out
 
 
 def cmd_sweep(ns) -> int:
@@ -315,23 +364,16 @@ def cmd_sweep(ns) -> int:
              "half_length": ns.half_length if ns.half_length is not None else math.pi,
              "mu": ns.mu}
     axes = [_parse_grid(spec) for spec in ns.grid]
-    points = [dict(fixed)]
-    for name, vals in axes:
-        points = [dict(p, **{name: v}) for v in vals for p in points]
-
-    workers = max(int(os.environ.get("O2HOPF_THREADS", "4")), 1)
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        rows = list(pool.map(lambda iv: _sweep_point(*iv), enumerate(points)))
-    rows.sort(key=lambda r: r["index"])
+    columns = _sweep_columns(_grid_columns(fixed, axes))
 
     out = ns.out or "sweep.csv"
     with open(out, "w", newline="") as fh:
-        writer = csv.DictWriter(fh, fieldnames=_SWEEP_FIELDS, restval="")
-        writer.writeheader()
-        writer.writerows(rows)
+        writer = csv.writer(fh)
+        writer.writerow(_SWEEP_FIELDS)
+        writer.writerows(zip(*(columns[name] for name in _SWEEP_FIELDS)))
     _write_manifest(out, [out], "sweep", _digest(ns))
-    n_err = sum(1 for r in rows if r["error"])
-    print(f"wrote {len(rows)} rows to {out} ({n_err} with per-point errors)")
+    n_err = sum(1 for e in columns["error"] if e)
+    print(f"wrote {len(columns['index'])} rows to {out} ({n_err} with per-point errors)")
     return 0
 
 

@@ -16,26 +16,48 @@ Three routes are provided:
   rather than reconciled; the discrepancy against the other two routes is
   part of the coefficient report.
 
+The projection route is one array kernel over a batch of B parameter
+points.  Every function it touches sits at a single wave index: xi1 at 1
+and its conjugate at -1, psi_11000 and psi_10100 at 0, psi_20000 and
+psi_10010 at 2, while psi_00001 vanishes.  Every value of R20 and R30 is a
+multiple of (1, -1).  So each function is held as a (B, 2) complex
+amplitude at its fixed index, the multilinear maps become elementwise
+products, and the four resolvent systems are solved for all points at once
+by the adjugate.  A point whose system is singular is flagged in a mask,
+not raised.  ``coeffs``, ``solve_psi`` and ``coeffs_report`` run the kernel
+with B = 1; the ModeSum algebra of ``modes`` stays the independent
+reference with which ``PsiTable.residuals`` and
+``projection_residual_orthogonality`` rebuild the vectors.
+
 All coefficients depend only on alpha, delta1, delta2 and the domain
 length, never on mu.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
-from .errors import SingularSystem
+from .errors import InadmissibleRegime, SingularSystem
 from .modes import ModeSum, R01, R20, R30
-from .params import ModelParams, onset
-from .spectral import inner_product, mode_matrix, xi1, xi1_star, xi2
+from .params import ModelParams, critical_values, onset
+from .spectral import (char_poly, inner_product, mode_entries, mode_matrix,
+                       xi1, xi1_amp, xi1_star, xi1_star_amp, xi2)
 
 ROUTES = ("projection", "direct", "closed_form")
 A_ROUTES = ("projection", "asymptotic")
 
 _DET_GUARD = 1e-13
+_PM = np.array([1.0, -1.0])
+
+# The kernel's checks after the zero-mode determinant, in the order the
+# scalar route has always made them: (reduction function, whether the
+# resolvent value is 2i omega rather than 0, wave index of the system).
+_SYSTEMS = (("psi_11000", False, 0), ("psi_20000", True, 2),
+            ("psi_10100", True, 0), ("psi_10010", False, 2))
+_ZERO_MODE_MESSAGE = "zero-mode matrix for psi_00001 lost its alpha^2 determinant"
 
 
 @dataclass(frozen=True)
@@ -90,94 +112,178 @@ def _apply_resolvent(params: ModelParams, z: complex, psi: ModeSum) -> ModeSum:
     return ModeSum(out)
 
 
+def _cmul(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """Elementwise product of two complex arrays of one shape, from real parts.
+
+    numpy's array loops may fuse the multiply-adds of a complex product
+    where its scalar arithmetic does not.  Forming the product from the
+    real and imaginary parts rounds it as the scalar arithmetic does, so a
+    kernel point carries the same bits as the ModeSum route run on numpy
+    floats.
+    """
+    xr, xi, yr, yi = x.real, x.imag, y.real, y.imag
+    out = np.empty_like(x)
+    out.real = xr * yr - xi * yi
+    out.imag = xr * yi + xi * yr
+    return out
+
+
+def _spectrum_message(label: str, z: complex, n: int) -> str:
+    return f"{label}: value {z} is in the spectrum of M_{n}"
+
+
+def _solve_batch(m: np.ndarray, rhs: np.ndarray):
+    """Solve m V = rhs by the adjugate for every point of a batch.
+
+    m is (B, 2, 2) and rhs (B, 2).  Returns (V, singular): a point whose
+    determinant is within _DET_GUARD of zero, relative to its largest entry
+    squared (at least 1), is flagged and its V is meaningless.
+    """
+    m00, m01, m10, m11 = m[:, 0, 0], m[:, 0, 1], m[:, 1, 0], m[:, 1, 1]
+    det = _cmul(m00, m11) - _cmul(m01, m10)
+    scale = np.maximum(np.abs(m).max(axis=(1, 2)) ** 2, 1.0)
+    singular = np.abs(det) <= _DET_GUARD * scale
+    adj = np.empty_like(m)
+    adj[:, 0, 0], adj[:, 0, 1], adj[:, 1, 0], adj[:, 1, 1] = m11, -m01, -m10, m00
+    adj_rhs = (adj @ rhs[:, :, None])[:, :, 0]
+    return adj_rhs / np.where(singular, 1.0, det)[:, None], singular
+
+
 def _solve_2x2(params: ModelParams, z: complex, n: int, rhs: np.ndarray,
                label: str) -> np.ndarray:
-    """Solve (z I - M_n) V = rhs by adjugate, guarding against degeneracy."""
+    """Solve (z I - M_n) V = rhs for one parameter set, raising SingularSystem."""
     m = z * np.eye(2, dtype=complex) - mode_matrix(params, n, onset(params).beta1)
-    det = m[0, 0] * m[1, 1] - m[0, 1] * m[1, 0]
-    scale = max(np.max(np.abs(m)) ** 2, 1.0)
-    if abs(det) <= _DET_GUARD * scale:
-        raise SingularSystem(f"{label}: value {z} is in the spectrum of M_{n}")
-    adj = np.array([[m[1, 1], -m[0, 1]], [-m[1, 0], m[0, 0]]], dtype=complex)
-    return (adj @ rhs) / det
+    v, singular = _solve_batch(m[None], np.asarray(rhs, dtype=complex)[None])
+    if singular[0]:
+        raise SingularSystem(_spectrum_message(label, z, n))
+    return v[0]
+
+
+def _resolvent(z, n: int, alpha, d1, d2, beta1) -> np.ndarray:
+    """z I - M_n(beta1) for every point, (B, 2, 2), unit wave number."""
+    (m00, m01), (m10, m11) = mode_entries(alpha, d1, d2, float(n * n), beta1)
+    m = np.empty((len(beta1), 2, 2), dtype=complex)
+    m[:, 0, 0] = z - m00
+    m[:, 0, 1] = -m01
+    m[:, 1, 0] = -m10
+    m[:, 1, 1] = z - m11
+    return m
+
+
+class _Batch(NamedTuple):
+    """Projection-route results for B parameter points."""
+    a: np.ndarray          # (B,) complex
+    b: np.ndarray
+    c: np.ndarray
+    psi: dict              # name -> (B, 2) amplitude at its wave index (_SYSTEMS)
+    beta1: np.ndarray
+    omega: np.ndarray
+    singular: np.ndarray   # (B,) int: 0, else 1 + index of the first failing check
+
+    def message(self, i: int) -> str:
+        """The SingularSystem text of masked point i."""
+        code = int(self.singular[i])
+        if code == 1:
+            return _ZERO_MODE_MESSAGE
+        label, at_2iw, n = _SYSTEMS[code - 2]
+        return _spectrum_message(label, 2j * float(self.omega[i]) if at_2iw else 0.0, n)
+
+
+def _projection_kernel(alpha, d1, d2, half_length) -> _Batch:
+    """Projection-route a, b and c for a batch of parameter points.
+
+    alpha, the rescaled diffusion rates d1, d2 and half_length are (B,)
+    float arrays of points with omega^2 > 0.  The checks of the scalar
+    route become a mask: singular[i] names the first one point i fails,
+    and its a, b, c and psi are then meaningless.
+    """
+    beta1, omega_sq = critical_values(alpha, d1, d2)
+    w = np.sqrt(omega_sq)
+    a2 = alpha ** 2
+    ratio = beta1 / alpha
+    x1 = xi1_amp(alpha, d2, w)          # at 1
+    x1c = x1.conj()                     # conj xi1 at -1; conj xi2 at 1
+    star = xi1_star_amp(alpha, d2, w, half_length).conj()
+
+    def r20(u, v):
+        s = (alpha * (_cmul(u[:, 0], v[:, 1]) + _cmul(u[:, 1], v[:, 0]))
+             + _cmul(ratio * u[:, 0], v[:, 0]))
+        return s[:, None] * _PM
+
+    def project(vec):
+        """<vec, xi1*> of a vector at wave index 1."""
+        return 2.0 * half_length * (vec[:, None, :] @ star[:, :, None])[:, 0, 0]
+
+    # (L + R01) psi_00001 = 0 has only the zero solution while the
+    # zero-mode matrix keeps its determinant alpha^2.
+    (m00, m01), (m10, m11) = mode_entries(alpha, d1, d2, 0.0, beta1)
+    det0 = (m00 + 1.0) * m11 - m01 * (m10 - 1.0)
+    singular = np.where(np.abs(det0 - a2) > 1e-9 * np.maximum(a2, 1.0), 1, 0)
+
+    rhs_11 = 2.0 * r20(x1, x1c)         # = 2 R20(xi1, conj xi2)
+    rhs_20 = r20(x1, x1)                # = R20(xi1, xi2)
+    rhs = {"psi_11000": rhs_11, "psi_20000": rhs_20,
+           "psi_10100": 2.0 * rhs_20, "psi_10010": rhs_11}
+    psi = {}
+    for code, (name, at_2iw, n) in enumerate(_SYSTEMS, start=2):
+        m = _resolvent(2j * w if at_2iw else 0.0, n, alpha, d1, d2, beta1)
+        psi[name], bad = _solve_batch(m, rhs[name])
+        singular = np.where((singular == 0) & bad, code, singular)
+
+    # cubic = R30(xi1, xi1, conj xi1) = R30(xi1, xi2, conj xi2)
+    u, v, cv = x1[:, 0], x1[:, 1], x1c
+    cubic = ((_cmul(_cmul(u, u), cv[:, 1]) + _cmul(_cmul(u, v), cv[:, 0])
+              + _cmul(_cmul(v, u), cv[:, 0])) / 3.0)[:, None] * _PM
+    p11 = psi["psi_11000"]              # psi_00110 = S psi_11000: same amplitude at 0
+    a = project(x1[:, :1] * _PM)        # R01(xi1); the psi_00001 term vanishes
+    b = project(2.0 * r20(x1, p11) + 2.0 * r20(x1c, psi["psi_20000"]) + 3.0 * cubic)
+    c = project(2.0 * r20(x1, p11) + 2.0 * r20(x1, psi["psi_10010"])
+                + 2.0 * r20(x1c, psi["psi_10100"]) + 6.0 * cubic)
+    return _Batch(a=a, b=b, c=c, psi=psi, beta1=beta1, omega=w, singular=singular)
+
+
+class _Projection(NamedTuple):
+    a: complex
+    b: complex
+    c: complex
+    psi: PsiTable
+
+
+def _project(params: ModelParams) -> _Projection:
+    """The projection kernel at B = 1; raises SingularSystem on a masked point."""
+    d1, d2 = params.effective_diffusion()
+    if not critical_values(params.alpha, d1, d2)[1] > 0.0:
+        raise InadmissibleRegime("the projection route needs omega^2 > 0")
+    k = _projection_kernel(*(np.array([v], dtype=float)
+                             for v in (params.alpha, d1, d2, params.half_length)))
+    if k.singular[0]:
+        raise SingularSystem(k.message(0))
+    amps = {name: ModeSum.single(n, k.psi[name][0]) for name, _, n in _SYSTEMS}
+    psi = PsiTable(psi_00001=ModeSum.zero(), psi_00110=amps["psi_11000"].reflect(),
+                   **amps)
+    return _Projection(complex(k.a[0]), complex(k.b[0]), complex(k.c[0]), psi)
 
 
 def solve_psi(params: ModelParams) -> PsiTable:
     """Quadratic-order reduction functions from the four resolvent systems."""
-    beta1 = onset(params).beta1
-    w = onset(params).omega
-    x1, x2 = xi1(params), xi2(params)
-    a2 = params.alpha ** 2
-
-    # (L + R01) psi_00001 = 0; the zero-mode matrix has determinant alpha^2.
-    m0 = mode_matrix(params, 0, beta1) + np.array([[1.0, 0.0], [-1.0, 0.0]])
-    det0 = m0[0, 0] * m0[1, 1] - m0[0, 1] * m0[1, 0]
-    if abs(det0 - a2) > 1e-9 * max(a2, 1.0):
-        raise SingularSystem("zero-mode matrix for psi_00001 lost its alpha^2 determinant")
-    psi_00001 = ModeSum.zero()
-
-    # L psi_11000 = -2 R20(xi1, conj xi1)  <=>  (0 I - M_0) V = 2 R20(...)
-    rhs = 2.0 * R20(params, x1, x1.conj())
-    psi_11000 = ModeSum.single(0, _solve_2x2(params, 0.0, 0, rhs.amp(0), "psi_11000"))
-
-    # (2i omega - L) psi_20000 = R20(xi1, xi1), mode 2
-    rhs = R20(params, x1, x1)
-    psi_20000 = ModeSum.single(2, _solve_2x2(params, 2j * w, 2, rhs.amp(2), "psi_20000"))
-
-    # (2i omega - L) psi_10100 = 2 R20(xi1, xi2), mode 0
-    rhs = 2.0 * R20(params, x1, x2)
-    psi_10100 = ModeSum.single(0, _solve_2x2(params, 2j * w, 0, rhs.amp(0), "psi_10100"))
-
-    # L psi_10010 = -2 R20(xi1, conj xi2)  <=>  (0 I - M_2) V = 2 R20(...), mode 2
-    rhs = 2.0 * R20(params, x1, x2.conj())
-    psi_10010 = ModeSum.single(2, _solve_2x2(params, 0.0, 2, rhs.amp(2), "psi_10010"))
-
-    return PsiTable(psi_00001=psi_00001,
-                    psi_11000=psi_11000,
-                    psi_00110=psi_11000.reflect(),
-                    psi_20000=psi_20000,
-                    psi_10100=psi_10100,
-                    psi_10010=psi_10010)
-
-
-def _char_poly(params: ModelParams, n: int, lam: complex) -> complex:
-    """P_n(lambda, beta1) in the unit-wave-number normalization."""
-    alpha, (d1, d2) = params.alpha, params.effective_diffusion()
-    a2 = alpha ** 2
-    beta1 = 1.0 + a2 + d1 + d2
-    bn = 1.0 + a2 + n ** 2 * (d1 + d2)
-    gn = n ** 2 * d2 + n ** 2 * d1 * a2 + n ** 4 * d1 * d2 + a2
-    return lam ** 2 + (bn - beta1) * lam + gn - n ** 2 * d2 * beta1
+    return _project(params).psi
 
 
 def coeff_a(params: ModelParams, route: str = "projection") -> complex:
-    d1, d2 = params.effective_diffusion()
-    w = onset(params).omega
     if route == "projection":
-        psi = solve_psi(params)
-        vec = R01(xi1(params)) + 2.0 * R20(params, xi1(params), psi.psi_00001)
-        return inner_product(params, vec, xi1_star(params))
+        return _project(params).a
     if route == "asymptotic":
         # d/dmu of lambda_+(mu) = mu/2 + i sqrt(omega^2 - d2 mu - mu^2/4) at mu = 0
-        return 0.5 - 1j * d2 / (2.0 * w)
+        d2 = params.effective_diffusion()[1]
+        return 0.5 - 1j * d2 / (2.0 * onset(params).omega)
     raise ValueError(f"unknown a-route {route!r}; expected one of {A_ROUTES}")
 
 
-def _b_projection(params: ModelParams, psi: PsiTable) -> complex:
-    x1 = xi1(params)
-    vec = (2.0 * R20(params, x1, psi.psi_11000)
-           + 2.0 * R20(params, x1.conj(), psi.psi_20000)
-           + 3.0 * R30(params, x1, x1, x1.conj()))
-    return inner_product(params, vec, xi1_star(params))
-
-
-def _c_projection(params: ModelParams, psi: PsiTable) -> complex:
-    x1, x2 = xi1(params), xi2(params)
-    vec = (2.0 * R20(params, x1, psi.psi_00110)
-           + 2.0 * R20(params, x2, psi.psi_10010)
-           + 2.0 * R20(params, x2.conj(), psi.psi_10100)
-           + 6.0 * R30(params, x1, x2, x2.conj()))
-    return inner_product(params, vec, xi1_star(params))
+def _c1(alpha, d1, d2, beta1, w, p20):
+    """The P_2(0) term of c, shared by the direct route and the constant C_1."""
+    a2 = alpha ** 2
+    return (4.0 / p20) * ((2.0 * (a2 + d2) - beta1) / alpha) \
+        * (alpha * (4.0 * d1 + 1.0) - (4.0 * d2 / alpha) * (1j * w + 1.0 + d1))
 
 
 def _b_direct(params: ModelParams) -> complex:
@@ -185,7 +291,7 @@ def _b_direct(params: ModelParams) -> complex:
     a2 = alpha ** 2
     data = onset(params)
     beta1, w = data.beta1, data.omega
-    p2w = _char_poly(params, 2, 2j * w)
+    p2w = char_poly(alpha, d1, d2, 4.0, 2j * w, beta1)
     if p2w == 0:
         raise SingularSystem("P_2(2i omega) vanishes")
     pref = (w - 1j * d2) / (2.0 * w * a2)
@@ -200,24 +306,29 @@ def _c_direct(params: ModelParams) -> complex:
     a2 = alpha ** 2
     data = onset(params)
     beta1, w = data.beta1, data.omega
-    p20 = _char_poly(params, 2, 0.0)
-    p02w = _char_poly(params, 0, 2j * w)
+    p20 = char_poly(alpha, d1, d2, 4.0, 0.0, beta1)
+    p02w = char_poly(alpha, d1, d2, 0.0, 2j * w, beta1)
     if p20 == 0 or p02w == 0:
         raise SingularSystem("P_2(0) or P_0(2i omega) vanishes")
-    c1 = (4.0 / p20) * ((2.0 * (a2 + d2) - beta1) / alpha) \
-        * (alpha * (4.0 * d1 + 1.0) - (4.0 * d2 / alpha) * (1j * w + 1.0 + d1))
+    c1 = _c1(alpha, d1, d2, beta1, w, p20)
     c2 = (4.0 / p02w) * ((beta1 - 2.0 * (a2 + d2) + 2j * w) / alpha) \
         * (-alpha * (2j * w + 1.0) + (2j * w / alpha) * (-1j * w + 1.0 + d1))
     pref = -1j * (d2 + 1j * w) / (2.0 * w)
     return pref * ((2.0 * (a2 + d2) - 4.0 * beta1 + 2j * w) / a2 + c1 + c2)
 
 
-def closed_form_constants(params: ModelParams) -> dict:
-    """The published intermediate constants, evaluated literally."""
-    alpha, (d1, d2) = params.alpha, params.effective_diffusion()
+def _p2_zero(alpha, d1, d2):
+    """P_2(0) as the closed form writes it; floats or arrays."""
     a2 = alpha ** 2
-    data = onset(params)
-    beta1, w = data.beta1, data.omega
+    return a2 * (4.0 * d1 - 4.0 * d2 + 1.0) + 12.0 * d1 * d2 - 4.0 * d2 ** 2
+
+
+def _closed_form(alpha, d1, d2, beta1, w, p20) -> dict:
+    """The published constants from rescaled parameters; floats or arrays.
+
+    p20 = _p2_zero(alpha, d1, d2) must be nonzero.
+    """
+    a2 = alpha ** 2
     w2 = w * w
 
     n_common = 2.0 * w2 + 4.0 * d2 + 4.0 * d1 * d2 - a2 - 4.0 * a2 * d1
@@ -238,9 +349,6 @@ def closed_form_constants(params: ModelParams) -> dict:
     c2r = (a2 - 4.0 * d1 * d2) * inner1 - 4.0 * w2 * (d1 + d2) * inner2
     c2i = 2.0 * w * ((d1 + d2) * inner1 + (a2 - 4.0 * d1 * d2) * inner2)
 
-    p20 = a2 * (4.0 * d1 - 4.0 * d2 + 1.0) + 12.0 * d1 * d2 - 4.0 * d2 ** 2
-    if p20 == 0:
-        raise SingularSystem("P_2(0) vanishes")
     qr = (2.0 * (a2 + d2) - 4.0 * beta1
           + (4.0 / p20) * (2.0 * a2 + 2.0 * d2 - beta1)
           * (4.0 * a2 * d1 + a2 - 4.0 * d2 - 4.0 * d1 * d2)
@@ -255,62 +363,86 @@ def closed_form_constants(params: ModelParams) -> dict:
         "N_r": nr, "N_i": ni, "B_r": br, "B_i": bi,
         "C_2r": c2r, "C_2i": c2i, "Q_r": qr, "Q_i": qi,
         "P2_0": p20,
-        "P2_2iw": _char_poly(params, 2, 2j * w),
-        "P0_2iw": _char_poly(params, 0, 2j * w),
-        "b": complex(re_b, im_b),
-        "c": complex(re_c, im_c),
-        "C_1": (4.0 / p20) * ((2.0 * (a2 + d2) - beta1) / alpha)
-               * (alpha * (4.0 * d1 + 1.0) - (4.0 * d2 / alpha) * (1j * w + 1.0 + d1)),
-        "C_2": -12.0 * complex(c2r, c2i) / (a2 * denom),
+        "P2_2iw": char_poly(alpha, d1, d2, 4.0, 2j * w, beta1),
+        "P0_2iw": char_poly(alpha, d1, d2, 0.0, 2j * w, beta1),
+        "b": re_b + 1j * im_b,
+        "c": re_c + 1j * im_c,
+        "C_1": _c1(alpha, d1, d2, beta1, w, p20),
+        "C_2": -12.0 * (c2r + 1j * c2i) / (a2 * denom),
     }
 
 
+def closed_form_constants(params: ModelParams) -> dict:
+    """The published intermediate constants, evaluated literally."""
+    alpha, (d1, d2) = params.alpha, params.effective_diffusion()
+    p20 = _p2_zero(alpha, d1, d2)
+    if p20 == 0:
+        raise SingularSystem("P_2(0) vanishes")
+    data = onset(params)
+    return _closed_form(alpha, d1, d2, data.beta1, data.omega, p20)
+
+
+def coeffs_batch(alpha, d1, d2, half_length):
+    """Projection a, b, c and closed-form b, c for arrays of points.
+
+    alpha, the rescaled diffusion rates d1, d2 and half_length are (P,)
+    arrays of points with omega^2 > 0.  Returns (values, errors): values
+    maps "a", "b_projection", "c_projection", "b_closed_form" and
+    "c_closed_form" to (P,) complex
+    arrays; errors[i] is the SingularSystem that ``coeffs`` and then
+    ``closed_form_constants`` raise for point i, else None, and the values
+    of such a point are meaningless.
+    """
+    k = _projection_kernel(alpha, d1, d2, half_length)
+    p20 = _p2_zero(alpha, d1, d2)
+    errors = [SingularSystem(k.message(i)) if code else
+              SingularSystem("P_2(0) vanishes") if p0 == 0 else None
+              for i, (code, p0) in enumerate(zip(k.singular.tolist(), p20.tolist()))]
+    closed = _closed_form(alpha, d1, d2, k.beta1, k.omega, np.where(p20 == 0, 1.0, p20))
+    return {"a": k.a, "b_projection": k.b, "c_projection": k.c,
+            "b_closed_form": closed["b"], "c_closed_form": closed["c"]}, errors
+
+
+_B_ROUTES = {"projection": lambda p: _project(p).b, "direct": _b_direct,
+             "closed_form": lambda p: closed_form_constants(p)["b"]}
+_C_ROUTES = {"projection": lambda p: _project(p).c, "direct": _c_direct,
+             "closed_form": lambda p: closed_form_constants(p)["c"]}
+
+
+def _by_route(table: dict, params: ModelParams, route: str) -> complex:
+    if route not in table:
+        raise ValueError(f"unknown route {route!r}; expected one of {ROUTES}")
+    return table[route](params)
+
+
 def coeff_b(params: ModelParams, route: str = "projection") -> complex:
-    if route == "projection":
-        return _b_projection(params, solve_psi(params))
-    if route == "direct":
-        return _b_direct(params)
-    if route == "closed_form":
-        return closed_form_constants(params)["b"]
-    raise ValueError(f"unknown route {route!r}; expected one of {ROUTES}")
+    return _by_route(_B_ROUTES, params, route)
 
 
 def coeff_c(params: ModelParams, route: str = "projection") -> complex:
-    if route == "projection":
-        return _c_projection(params, solve_psi(params))
-    if route == "direct":
-        return _c_direct(params)
-    if route == "closed_form":
-        return closed_form_constants(params)["c"]
-    raise ValueError(f"unknown route {route!r}; expected one of {ROUTES}")
+    return _by_route(_C_ROUTES, params, route)
 
 
 def coeffs(params: ModelParams, route: str = "projection") -> NormalFormCoeffs:
     data = onset(params)
-    a_route = "asymptotic" if route != "projection" else "projection"
-    return NormalFormCoeffs(a=coeff_a(params, a_route),
-                            b=coeff_b(params, route),
-                            c=coeff_c(params, route),
-                            route=route, omega=data.omega, beta1=data.beta1)
+    if route == "projection":
+        a, b, c, _ = _project(params)
+    else:
+        a = coeff_a(params, "asymptotic")
+        b, c = coeff_b(params, route), coeff_c(params, route)
+    return NormalFormCoeffs(a=a, b=b, c=c, route=route,
+                            omega=data.omega, beta1=data.beta1)
 
 
-def projection_residual_orthogonality(params: ModelParams) -> dict:
-    """|<residual, xi1*>| for the three projected residual vectors.
-
-    Each residual (the assembled sum minus its coefficient times xi1) must
-    lie in the range of (i omega - L), hence be orthogonal to xi1*.
-    """
-    psi = solve_psi(params)
+def _orthogonality(params: ModelParams, proj: _Projection) -> dict:
     x1, x2 = xi1(params), xi2(params)
     star = xi1_star(params)
-    a = coeff_a(params, "projection")
-    b = _b_projection(params, psi)
-    c = _c_projection(params, psi)
-    vec_a = -a * x1 + R01(x1) + 2.0 * R20(params, x1, psi.psi_00001)
-    vec_b = (-b * x1 + 2.0 * R20(params, x1, psi.psi_11000)
+    psi = proj.psi
+    vec_a = -proj.a * x1 + R01(x1) + 2.0 * R20(params, x1, psi.psi_00001)
+    vec_b = (-proj.b * x1 + 2.0 * R20(params, x1, psi.psi_11000)
              + 2.0 * R20(params, x1.conj(), psi.psi_20000)
              + 3.0 * R30(params, x1, x1, x1.conj()))
-    vec_c = (-c * x1 + 2.0 * R20(params, x1, psi.psi_00110)
+    vec_c = (-proj.c * x1 + 2.0 * R20(params, x1, psi.psi_00110)
              + 2.0 * R20(params, x2, psi.psi_10010)
              + 2.0 * R20(params, x2.conj(), psi.psi_10100)
              + 6.0 * R30(params, x1, x2, x2.conj()))
@@ -318,23 +450,29 @@ def projection_residual_orthogonality(params: ModelParams) -> dict:
             for name, vec in (("a", vec_a), ("b", vec_b), ("c", vec_c))}
 
 
+def projection_residual_orthogonality(params: ModelParams) -> dict:
+    """|<residual, xi1*>| for the three projected residual vectors.
+
+    Each residual (the assembled sum minus its coefficient times xi1) must
+    lie in the range of (i omega - L), hence be orthogonal to xi1*.  The
+    sums are rebuilt with the ModeSum algebra, independently of the kernel.
+    """
+    return _orthogonality(params, _project(params))
+
+
 def coeffs_report(params: ModelParams, consistency_tol: float = 1e-8) -> dict:
     """All routes, all intermediate constants, and pairwise discrepancies."""
     from .meanzero import zero_mode_content  # local import to avoid a cycle
 
     data = onset(params)
-    psi = solve_psi(params)
+    proj = _project(params)
     constants = closed_form_constants(params)
-
-    per_route = {}
-    for route in ROUTES:
-        per_route[route] = {
-            "a": coeff_a(params, "projection" if route == "projection" else "asymptotic"),
-            "b": _b_projection(params, psi) if route == "projection"
-                 else (_b_direct(params) if route == "direct" else constants["b"]),
-            "c": _c_projection(params, psi) if route == "projection"
-                 else (_c_direct(params) if route == "direct" else constants["c"]),
-        }
+    a_asymptotic = coeff_a(params, "asymptotic")
+    per_route = {
+        "projection": {"a": proj.a, "b": proj.b, "c": proj.c},
+        "direct": {"a": a_asymptotic, "b": _b_direct(params), "c": _c_direct(params)},
+        "closed_form": {"a": a_asymptotic, "b": constants["b"], "c": constants["c"]},
+    }
 
     discrepancies = {}
     consistent = {}
@@ -354,9 +492,9 @@ def coeffs_report(params: ModelParams, consistency_tol: float = 1e-8) -> dict:
         "mu": data.mu,
         "routes": per_route,
         "constants": {k: v for k, v in constants.items() if k not in ("b", "c")},
-        "psi_residuals": psi.residuals(params),
-        "residual_orthogonality": projection_residual_orthogonality(params),
+        "psi_residuals": proj.psi.residuals(params),
+        "residual_orthogonality": _orthogonality(params, proj),
         "discrepancies": discrepancies,
         "consistent": consistent,
-        "mean_zero_obstruction": zero_mode_content(params, psi),
+        "mean_zero_obstruction": zero_mode_content(params, proj.psi),
     }

@@ -16,6 +16,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, replace
 
+import numpy as np
+
 from .errors import InadmissibleRegime, NonPositiveParameter
 
 _POSITIVE_FIELDS = ("alpha", "beta", "delta1", "delta2", "half_length")
@@ -36,8 +38,7 @@ class ModelParams:
 
     def effective_diffusion(self):
         """Diffusion rates rescaled so the critical mode has unit wave number."""
-        s = self.k1 ** 2
-        return self.delta1 * s, self.delta2 * s
+        return _rescaled(self.delta1, self.delta2, self.half_length)
 
     def with_beta(self, beta: float) -> "ModelParams":
         return replace(self, beta=float(beta))
@@ -51,6 +52,47 @@ class OnsetData:
     admissible: bool
 
 
+def _rescaled(delta1, delta2, half_length):
+    """(delta1, delta2) * k1^2; floats or numpy arrays."""
+    s = (math.pi / half_length) ** 2
+    return delta1 * s, delta2 * s
+
+
+def critical_values(alpha, d1e, d2e):
+    """beta1 and omega^2 from alpha and the rescaled diffusion rates.
+
+    Pure arithmetic, so it takes floats or numpy arrays alike.
+    """
+    alpha2 = alpha ** 2
+    return 1.0 + alpha2 + d1e + d2e, alpha2 * (1.0 + d1e - d2e) - d2e ** 2
+
+
+def onset_terms(alpha, delta1, delta2, half_length, sqrt=math.sqrt):
+    """(d1e, d2e, beta1, omega^2, admissible) of positive model constants.
+
+    With ``sqrt=np.sqrt`` the constants may be numpy arrays; ``onset`` and
+    the vectorised sweep share this one definition of admissibility.
+    """
+    d1e, d2e = _rescaled(delta1, delta2, half_length)
+    beta1, omega_sq = critical_values(alpha, d1e, d2e)
+    bound = (1.0 + alpha * sqrt(delta1 / delta2)) ** 2
+    return d1e, d2e, beta1, omega_sq, (omega_sq > 0.0) & (beta1 < bound)
+
+
+def is_positive(value):
+    """Whether a model constant is finite and strictly positive (elementwise on arrays)."""
+    return np.isfinite(value) & (value > 0.0)
+
+
+def check_positive(params: ModelParams) -> ModelParams:
+    """Raise NonPositiveParameter for the first constant that is not finite and > 0."""
+    for name in _POSITIVE_FIELDS:
+        value = getattr(params, name)
+        if not is_positive(value):
+            raise NonPositiveParameter(name, value)
+    return params
+
+
 def validate(raw) -> ModelParams:
     """Build a validated ModelParams from a mapping or a ModelParams.
 
@@ -62,14 +104,10 @@ def validate(raw) -> ModelParams:
         params = raw
     else:
         params = ModelParams(**{k: float(v) for k, v in dict(raw).items()})
-    for name in _POSITIVE_FIELDS:
-        value = getattr(params, name)
-        if not (value > 0.0) or not math.isfinite(value):
-            raise NonPositiveParameter(name, value)
+    check_positive(params)
     data = onset(params)
     if not data.admissible:
-        d1e, d2e = params.effective_diffusion()
-        w2 = params.alpha ** 2 * (1.0 + d1e - d2e) - d2e ** 2
+        w2 = critical_values(params.alpha, *params.effective_diffusion())[1]
         raise InadmissibleRegime(
             f"O(2)-Hopf analysis does not apply: omega^2 = {w2:.6g}, "
             f"beta1 = {data.beta1:.6g}, bound = "
@@ -84,15 +122,11 @@ def onset(params: ModelParams) -> OnsetData:
     Inadmissibility is reported through the flag, never raised, so that
     parameter sweeps can chart the admissibility boundary.
     """
-    d1e, d2e = params.effective_diffusion()
-    alpha2 = params.alpha ** 2
-    beta1 = 1.0 + alpha2 + d1e + d2e
-    omega_sq = alpha2 * (1.0 + d1e - d2e) - d2e ** 2
-    bound = (1.0 + params.alpha * math.sqrt(params.delta1 / params.delta2)) ** 2
-    admissible = omega_sq > 0.0 and beta1 < bound
+    _, _, beta1, omega_sq, admissible = onset_terms(
+        params.alpha, params.delta1, params.delta2, params.half_length)
     omega = math.sqrt(omega_sq) if omega_sq > 0.0 else 0.0
     return OnsetData(beta1=beta1, omega=omega, mu=params.beta - beta1,
-                     admissible=admissible)
+                     admissible=bool(admissible))
 
 
 def load_config(path) -> ModelParams:

@@ -62,20 +62,38 @@ def polar_vector_field(sys: ReducedSystem, r1: float, r2: float,
     return dr1, dr2, dth1, dth2
 
 
-def _radial_jacobian(sys: ReducedSystem, r1: float, r2: float) -> np.ndarray:
-    aR, bR, cR = sys.a.real, sys.b.real, sys.c.real
-    return np.array([
-        [aR * sys.mu + 3.0 * bR * r1 ** 2 + cR * r2 ** 2, 2.0 * cR * r1 * r2],
-        [2.0 * cR * r1 * r2, aR * sys.mu + 3.0 * bR * r2 ** 2 + cR * r1 ** 2],
-    ])
+def _tolerance(b, c):
+    """Degeneracy threshold of a coefficient pair; floats or arrays."""
+    return DEGENERACY_TOL * (1.0 + abs(b) + abs(c))
+
+
+def _radial_eigenvalues(aR, bR, cR, mu, r1, r2):
+    """Eigenvalues of the radial Jacobian at an equilibrium, in closed form.
+
+    The Jacobian is [[p1, q], [q, p2]] with q = 2 Re c r1 r2.  On the
+    trivial and rotating waves q = 0 and the eigenvalues are p1 and p2; on
+    the standing waves p1 = p2 = p and they are p + q and p - q.  Both cases
+    are p1 + q and p2 - q.  Floats or arrays.
+    """
+    s1, s2 = r1 * r1, r2 * r2
+    q = 2.0 * cR * r1 * r2
+    return (aR * mu + 3.0 * bR * s1 + cR * s2 + q,
+            aR * mu + 3.0 * bR * s2 + cR * s1 - q)
+
+
+def _stability_flags(eigs, scale):
+    """(degenerate, stable) of two real eigenvalues; floats or arrays."""
+    e1, e2 = eigs
+    return ((abs(e1) <= scale) | (abs(e2) <= scale)), ((e1 < 0.0) & (e2 < 0.0))
 
 
 def _stability(sys: ReducedSystem, r1: float, r2: float) -> str:
-    eigs = np.linalg.eigvals(_radial_jacobian(sys, r1, r2))
-    scale = DEGENERACY_TOL * (1.0 + abs(sys.b) + abs(sys.c))
-    if np.any(np.abs(eigs.real) <= scale):
+    degenerate, stable = _stability_flags(
+        _radial_eigenvalues(sys.a.real, sys.b.real, sys.c.real, sys.mu, r1, r2),
+        _tolerance(sys.b, sys.c))
+    if degenerate:
         return "degenerate"
-    return "stable" if np.all(eigs.real < 0.0) else "unstable"
+    return "stable" if stable else "unstable"
 
 
 def _branch(sys: ReducedSystem, kind: str, r1: float, r2: float,
@@ -89,7 +107,7 @@ def _branch(sys: ReducedSystem, kind: str, r1: float, r2: float,
 def branches(sys: ReducedSystem) -> list:
     """Trivial branch plus every nontrivial family existing at this mu."""
     aR, bR, cR = sys.a.real, sys.b.real, sys.c.real
-    tol = DEGENERACY_TOL * (1.0 + abs(sys.b) + abs(sys.c))
+    tol = _tolerance(sys.b, sys.c)
     out = [_branch(sys, "trivial", 0.0, 0.0)]
 
     if abs(bR) <= tol:
@@ -116,7 +134,7 @@ def classify_regime(sys: ReducedSystem) -> dict:
     derives stability from the radial Jacobian, not from a diagram.
     """
     bR, cR = sys.b.real, sys.c.real
-    tol = DEGENERACY_TOL * (1.0 + abs(sys.b) + abs(sys.c))
+    tol = _tolerance(sys.b, sys.c)
     A = sys.c
     B = sys.b - sys.c
     relations = {
@@ -144,6 +162,41 @@ def classify_regime(sys: ReducedSystem) -> dict:
             "rotating_wave" if k.startswith("rotating") else "standing_wave"
             for k in stable_kinds)),
     }
+
+
+def regime_batch(a, b, c, mu) -> dict:
+    """Existence, stability and regime of the wave families for arrays of points.
+
+    a, b, c (complex) and mu (real) are (P,) arrays.  Per point this is
+    what ``branches`` and ``classify_regime`` report, with the same
+    tolerance, the same eigenvalues and the same mu = 0 probe:
+    rotating_exists/standing_exists say that the family exists at mu with a
+    nondegenerate stability, rotating_stable/standing_stable that it is in
+    classify_regime's stable_families.  Returns bool arrays under those keys.
+    """
+    aR, bR, cR = a.real, b.real, c.real
+    tol = _tolerance(b, c)
+    bc = bR + cR
+    degenerate = (np.abs(bR - cR) <= tol) | (np.abs(bR) <= tol) | (np.abs(bc) <= tol)
+    probe = np.where(mu != 0.0, mu, -np.copysign(1e-3, bR))
+
+    def family(at_mu, coef, standing):
+        """Whether the family exists at at_mu with a nondegenerate stability, and is stable."""
+        with np.errstate(divide="ignore", invalid="ignore"):
+            r_sq = -aR * at_mu / coef
+        exists = (np.abs(coef) > tol) & (r_sq > 0.0)
+        r = np.sqrt(np.where(exists, r_sq, 0.0))
+        flat, stable = _stability_flags(
+            _radial_eigenvalues(aR, bR, cR, at_mu, r, r if standing else 0.0), tol)
+        return exists & ~flat, exists & ~flat & stable
+
+    rotating_exists, _ = family(mu, bR, False)
+    standing_exists, _ = family(mu, bc, True)
+    _, rotating_stable = family(probe, bR, False)
+    _, standing_stable = family(probe, bc, True)
+    return {"rotating_exists": rotating_exists, "standing_exists": standing_exists,
+            "rotating_stable": rotating_stable & ~degenerate,
+            "standing_stable": standing_stable & ~degenerate}
 
 
 def integrate_truncated(sys: ReducedSystem, z1_0: complex, z2_0: complex,

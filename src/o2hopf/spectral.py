@@ -48,23 +48,45 @@ class TuringReport:
     both_positive_real_part: bool
 
 
+def _beta_gamma(alpha, d1, d2, k2):
+    """beta(k) and gamma(k) at wave number squared k2; floats or arrays."""
+    a2 = alpha ** 2
+    return (1.0 + a2 + k2 * (d1 + d2),
+            k2 * d2 + k2 * d1 * a2 + k2 ** 2 * d1 * d2 + a2)
+
+
 def beta_n(params: ModelParams, n: int) -> float:
-    k = n * params.k1
-    return 1.0 + params.alpha ** 2 + k ** 2 * (params.delta1 + params.delta2)
+    return _beta_gamma(params.alpha, params.delta1, params.delta2,
+                       (n * params.k1) ** 2)[0]
 
 
 def gamma_n(params: ModelParams, n: int) -> float:
-    k2 = (n * params.k1) ** 2
-    a2 = params.alpha ** 2
-    return k2 * params.delta2 + k2 * params.delta1 * a2 \
-        + k2 ** 2 * params.delta1 * params.delta2 + a2
+    return _beta_gamma(params.alpha, params.delta1, params.delta2,
+                       (n * params.k1) ** 2)[1]
+
+
+def char_poly(alpha, d1, d2, k2, lam, beta):
+    """P(lambda, beta) = lambda^2 + (beta(k) - beta) lambda + gamma(k) - k^2 d2 beta.
+
+    The characteristic polynomial of the mode matrix at wave number squared
+    k2; pure arithmetic, so any argument may be a numpy array.  With the
+    rescaled diffusion rates and k2 = n^2 it is P_n in the unit-wave-number
+    normalization.
+    """
+    bk, gk = _beta_gamma(alpha, d1, d2, k2)
+    return lam ** 2 + (bk - beta) * lam + gk - k2 * d2 * beta
+
+
+def mode_entries(alpha, d1, d2, k2, beta):
+    """((m00, m01), (m10, m11)) of the mode matrix; floats or arrays."""
+    a2 = alpha ** 2
+    return ((-k2 * d1 + beta - 1.0, a2),
+            (-beta, -k2 * d2 - a2))
 
 
 def mode_matrix(params: ModelParams, n: int, beta: float) -> np.ndarray:
-    k2 = (n * params.k1) ** 2
-    a2 = params.alpha ** 2
-    return np.array([[-k2 * params.delta1 + beta - 1.0, a2],
-                     [-beta, -k2 * params.delta2 - a2]], dtype=complex)
+    return np.array(mode_entries(params.alpha, params.delta1, params.delta2,
+                                 (n * params.k1) ** 2, beta), dtype=complex)
 
 
 def _quadratic_roots(b: float, c: float):
@@ -86,8 +108,9 @@ def mode_eigenvalues(params: ModelParams, n: int, beta: float | None = None) -> 
     if beta is None:
         beta = params.beta
     k2 = (n * params.k1) ** 2
-    b = beta_n(params, n) - beta
-    c = gamma_n(params, n) - k2 * params.delta2 * beta
+    bk, gk = _beta_gamma(params.alpha, params.delta1, params.delta2, k2)
+    b = bk - beta
+    c = gk - k2 * params.delta2 * beta
     roots = _quadratic_roots(b, c)
     return ModeRecord(n=n, k=n * params.k1, roots=roots,
                       max_real_part=max(r.real for r in roots))
@@ -134,16 +157,25 @@ def turing_check(params: ModelParams) -> TuringReport:
                         both_positive_real_part=all(r.real > 0 for r in rec.roots))
 
 
-def _critical_amp(params: ModelParams) -> np.ndarray:
-    d1e, d2e = params.effective_diffusion()
-    a2 = params.alpha ** 2
-    w = onset(params).omega
-    return np.array([1.0, (-a2 - d2e + 1j * w) / a2], dtype=complex)
+def xi1_amp(alpha, d2e, omega):
+    """Amplitude of xi1 at wave index 1; floats or (B,) arrays -> (..., 2)."""
+    a2 = alpha ** 2
+    second = (-a2 - d2e + 1j * omega) / a2
+    return np.stack(np.broadcast_arrays(1.0 + 0.0j, second), axis=-1)
+
+
+def xi1_star_amp(alpha, d2e, omega, half_length):
+    """Amplitude of the dual xi1* at wave index 1, normalized so <xi1, xi1*> = 1."""
+    a2 = alpha ** 2
+    pref = 1j * (a2 / (4.0 * half_length * omega))
+    first = pref * ((d2e + a2 - 1j * omega) / a2)
+    return np.stack(np.broadcast_arrays(first, pref * 1.0), axis=-1)
 
 
 def xi1(params: ModelParams) -> ModeSum:
     """Eigenfunction of the critical mode n = 1 for eigenvalue +i omega."""
-    return ModeSum.single(1, _critical_amp(params))
+    return ModeSum.single(1, xi1_amp(params.alpha, params.effective_diffusion()[1],
+                                     onset(params).omega))
 
 
 def xi2(params: ModelParams) -> ModeSum:
@@ -153,12 +185,8 @@ def xi2(params: ModelParams) -> ModeSum:
 
 def xi1_star(params: ModelParams) -> ModeSum:
     """Dual eigenfunction, normalized so <xi1, xi1*> = 1."""
-    d1e, d2e = params.effective_diffusion()
-    a2 = params.alpha ** 2
-    w = onset(params).omega
-    pref = 1j * a2 / (4.0 * params.half_length * w)
-    amp = pref * np.array([(d2e + a2 - 1j * w) / a2, 1.0], dtype=complex)
-    return ModeSum.single(1, amp)
+    return ModeSum.single(1, xi1_star_amp(params.alpha, params.effective_diffusion()[1],
+                                          onset(params).omega, params.half_length))
 
 
 def inner_product(params: ModelParams, f: ModeSum, g: ModeSum) -> complex:

@@ -1,7 +1,14 @@
 import csv
 import json
 import math
+import warnings
 
+import numpy as np
+import pytest
+
+from o2hopf import (ModelParams, O2HopfError, ReducedSystem, branches,
+                    classify_regime, closed_form_constants, coeffs, onset,
+                    validate)
 from o2hopf.cli import dispatch
 
 
@@ -68,6 +75,18 @@ def test_validation_errors_exit_1(capsys):
     assert run(capsys, "onset", "--alpha", "2", "--bogus", "1")[0] == 1
     assert run(capsys, "frobnicate")[0] == 1                  # unknown command
     assert run(capsys)[0] == 1                                # no command
+
+
+@pytest.mark.parametrize("argv, name", [
+    (("onset", "--alpha", "2", "--d2", "0"), "delta2"),
+    (("coeffs", "--alpha", "2", "--d1", "-1"), "delta1"),
+])
+def test_nonpositive_parameter_with_default_beta(capsys, argv, name):
+    code, _, err = run(capsys, *argv)
+    assert code == 1
+    assert len(err.strip().splitlines()) == 1
+    assert "Traceback" not in err
+    assert f"parameter '{name}' must be strictly positive" in err
 
 
 def test_config_file_and_out(capsys, tmp_path):
@@ -147,3 +166,79 @@ def test_simulate_short_run(capsys, tmp_path):
     series = list(csv.DictReader((tmp_path / "sim.json.series.csv").open()))
     assert len(series) > 10
     assert "re_mode1" in series[0]
+
+
+def test_sweep_nonpositive_axes_are_point_errors(capsys, tmp_path):
+    cases = [("delta1=-1:1:3", "delta1", [-1.0, 0.0]),
+             ("delta2=0:1:3", "delta2", [0.0]),
+             ("alpha=0:2:3", "alpha", [0.0])]
+    for grid, name, bad in cases:
+        out_csv = tmp_path / f"{name}.csv"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, _, err = run(capsys, "sweep", "--grid", grid, "--out", str(out_csv))
+        assert code == 0 and err == ""
+        rows = list(csv.DictReader(out_csv.open()))
+        errors = [r["error"] for r in rows if r["error"]]
+        assert errors == [f"NonPositiveParameter: parameter '{name}' must be strictly "
+                          f"positive, got {v!r}" for v in bad]
+        assert rows[-1]["error"] == "" and rows[-1]["admissible"] == "True"
+
+
+def _reference_row(values):
+    """One sweep point through the single-point APIs."""
+    row = {"error": ""}
+    try:
+        probe = ModelParams(beta=1.0, **{k: values[k] for k in
+                                         ("alpha", "delta1", "delta2", "half_length")})
+        data = onset(probe)
+        row.update(admissible=str(data.admissible), beta1=data.beta1, omega=data.omega)
+        if not data.admissible:
+            return row
+        params = validate(probe.with_beta(data.beta1 + values["mu"]))
+        nf = coeffs(params, "projection")
+        cf = closed_form_constants(params)
+        for name, v in (("a", nf.a), ("b_projection", nf.b), ("c_projection", nf.c),
+                        ("b_closed_form", cf["b"]), ("c_closed_form", cf["c"])):
+            row[f"re_{name}"], row[f"im_{name}"] = v.real, v.imag
+        sys_ = ReducedSystem.from_coeffs(nf, values["mu"])
+        kinds = {b.kind for b in branches(sys_) if b.stability != "degenerate"}
+        row["tw_exists"] = str("rotating_wave_1" in kinds)
+        row["sw_exists"] = str("standing_wave" in kinds)
+        row["stable_families"] = "|".join(classify_regime(sys_)["stable_families"])
+    except O2HopfError as exc:
+        row["error"] = f"{type(exc).__name__}: {exc}"
+    return row
+
+
+def test_sweep_matches_single_point_apis(capsys, tmp_path):
+    rng = np.random.default_rng(11)
+    exact = ("admissible", "tw_exists", "sw_exists", "stable_families", "error")
+    seen = set()
+    for length in ("3.141592653589793", "1.5707963267948966", "2", "5"):
+        lo = rng.uniform([0.4, 0.15, 0.08], [1.2, 0.8, 0.5])
+        hi = rng.uniform([2.0, 1.2, 0.9], [3.5, 2.5, 1.8])
+        out_csv = tmp_path / f"grid{length}.csv"
+        argv = ["sweep", "--half-length", length, "--grid", "mu=-0.2:0.2:5",
+                "--out", str(out_csv)]
+        for name, a, b in zip(("alpha", "delta1", "delta2"), lo, hi):
+            argv += ["--grid", f"{name}={float(a)!r}:{float(b)!r}:4"]
+        assert run(capsys, *argv)[0] == 0
+        rows = list(csv.DictReader(out_csv.open()))
+        assert len(rows) == 320
+        for i, row in enumerate(rows):
+            assert row["index"] == str(i)
+            values = {k: float(row[k]) for k in
+                      ("alpha", "delta1", "delta2", "half_length", "mu")}
+            want = _reference_row(values)
+            for key in exact:
+                assert row[key] == want.get(key, ""), (i, key)
+            for key, ref in want.items():
+                if key not in exact:
+                    assert abs(float(row[key]) - ref) <= 1e-12 * (1.0 + abs(ref)), (i, key)
+            seen.add((row["admissible"], row["tw_exists"], row["sw_exists"],
+                      row["stable_families"]))
+    # the grids reach both admissibility outcomes and both sides of mu = 0
+    assert ("False", "", "", "") in seen
+    assert ("True", "False", "False", "") in seen
+    assert any(s[1] == "True" and s[3] for s in seen)

@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 from conftest import random_admissible
 
-from o2hopf import SingularSystem, onset, validate
-from o2hopf.normalform import (A_ROUTES, ROUTES, _solve_2x2,
+from o2hopf import ModelParams, SingularSystem, onset, validate
+from o2hopf.normalform import (A_ROUTES, ROUTES, _projection_kernel, _solve_2x2,
                                closed_form_constants, coeff_a, coeff_b,
                                coeff_c, coeffs, coeffs_report,
                                projection_residual_orthogonality, solve_psi)
@@ -18,6 +18,11 @@ RT3 = math.sqrt(3.0)
 # written; exact forms b = -11/24 - 7i/(8 sqrt 3), c = -11/4 + i sqrt(3)/4.
 GOLDEN_B = complex(-11.0 / 24.0, -7.0 / (8.0 * RT3))
 GOLDEN_C = complex(-11.0 / 4.0, RT3 / 4.0)
+
+
+def _kernel(sets):
+    return _projection_kernel(*(np.array(v) for v in zip(*[
+        (p.alpha, *p.effective_diffusion(), p.half_length) for p in sets])))
 
 
 class TestPsi:
@@ -48,6 +53,20 @@ class TestPsi:
         w = onset(CANON).omega
         with pytest.raises(SingularSystem):
             _solve_2x2(CANON, 1j * w, 1, np.array([1.0, 0.0]), "probe")
+
+    def test_batched_singular_mask(self):
+        # delta1 = 4/7 at alpha = 2, delta2 = 1 makes P_2(0) = det M_2 vanish
+        # (omega^2 = 9/7 > 0, though beta1 is past the admissibility bound):
+        # the psi_10010 system is singular there and nowhere else in the batch
+        singular_p = ModelParams(alpha=2.0, beta=1.0, delta1=4.0 / 7.0, delta2=1.0)
+        k = _kernel([CANON, singular_p, CANON])
+        assert k.singular.tolist() == [0, 5, 0]
+        assert k.message(1) == "psi_10010: value 0.0 is in the spectrum of M_2"
+        for i in (0, 2):
+            assert abs(k.b[i] - GOLDEN_B) < 1e-12 and abs(k.c[i] - GOLDEN_C) < 1e-12
+        # the single-point route raises the same text
+        with pytest.raises(SingularSystem, match=r"^psi_10010: value 0\.0 is in"):
+            coeffs(singular_p.with_beta(onset(singular_p).beta1))
 
 
 class TestCoeffA:
@@ -144,3 +163,36 @@ def test_coeffs_report_structure():
     assert rep["mean_zero_obstruction"]["verdict"] == "present"
     for key in ("N_r", "C_1", "C_2", "P2_2iw"):
         assert key in rep["constants"]
+
+
+def _random_sets(seed, count=120):
+    rng = np.random.default_rng(seed)
+    return [random_admissible(rng, vary_domain=True) for _ in range(count)]
+
+
+class TestKernel:
+    def test_matches_direct_on_random_sets(self):
+        sets = _random_sets(30)
+        assert {p.half_length for p in sets} == {math.pi, math.pi / 2, 2.0, 5.0}
+        k = _kernel(sets)
+        assert not k.singular.any()
+        for i, p in enumerate(sets):
+            direct = coeffs(p, "direct")
+            for got, want in ((k.a[i], direct.a), (k.b[i], direct.b), (k.c[i], direct.c)):
+                assert abs(got - want) <= 1e-10 * abs(want)
+
+    def test_residuals_on_random_sets(self):
+        for p in _random_sets(30):
+            assert max(projection_residual_orthogonality(p).values()) <= 1e-12
+            assert max(solve_psi(p).residuals(p).values()) <= 1e-12
+
+    def test_batch_point_equals_single_point(self):
+        sets = _random_sets(31, count=40)
+        k = _kernel(sets)
+        for i, p in enumerate(sets):
+            nf = coeffs(p, "projection")
+            psi = solve_psi(p)
+            for got, want in ((k.a[i], nf.a), (k.b[i], nf.b), (k.c[i], nf.c)):
+                assert abs(got - want) <= 1e-14 * abs(want)
+            assert np.allclose(k.psi["psi_20000"][i], psi.psi_20000.amp(2),
+                               rtol=1e-14, atol=0.0)

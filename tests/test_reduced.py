@@ -8,7 +8,7 @@ from o2hopf import ReducedSystem, onset, validate
 from o2hopf.normalform import coeffs
 from o2hopf.reduced import (branch_frequency, branches, classify_regime,
                             integrate_truncated, polar_vector_field,
-                            reconstruct_wave)
+                            reconstruct_wave, regime_batch)
 
 CANON = validate({"alpha": 2.0, "beta": 7.0})
 RT3 = math.sqrt(3.0)
@@ -148,6 +148,29 @@ class TestClassification:
                       for bp in branches(probe)
                       if bp.kind != "trivial" and bp.stability == "stable"}
             assert set(reg["stable_families"]) == stable
+
+
+    def test_batch_matches_branches_and_classification(self):
+        rng = np.random.default_rng(8)
+        n = 400
+        a = rng.uniform(-1, 1, n) + 1j * rng.uniform(-1, 1, n)
+        b = rng.uniform(-3, 3, n) + 1j * rng.uniform(-1, 1, n)
+        c = rng.uniform(-3, 3, n) + 1j * rng.uniform(-1, 1, n)
+        mu = rng.choice([-0.1, 0.0, 0.05, 0.2], n)
+        # degenerate coefficient pairs: Re b = 0, Re b + Re c = 0, Re b = Re c
+        b[:20] = 1j * b[:20].imag
+        c[20:40] = -b[20:40].real + 1j * c[20:40].imag
+        c[40:60] = b[40:60].real + 1j * c[40:60].imag
+        got = regime_batch(a, b, c, mu)
+        for i in range(n):
+            sys = ReducedSystem(mu=float(mu[i]), omega=1.0, a=complex(a[i]),
+                                b=complex(b[i]), c=complex(c[i]))
+            kinds = {bp.kind for bp in branches(sys) if bp.stability != "degenerate"}
+            stable = classify_regime(sys)["stable_families"]
+            assert got["rotating_exists"][i] == ("rotating_wave_1" in kinds)
+            assert got["standing_exists"][i] == ("standing_wave" in kinds)
+            assert got["rotating_stable"][i] == ("rotating_wave" in stable)
+            assert got["standing_stable"][i] == ("standing_wave" in stable)
 
 
 class TestTrajectories:
