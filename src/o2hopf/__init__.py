@@ -8,9 +8,10 @@ bifurcated waves in the full PDE.
 
 __version__ = "0.1.0"
 
-from .errors import (DomainMismatch, InadmissibleRegime, NonPositiveParameter,
-                     NoSaturation, NumericalBlowup, O2HopfError, SingularSystem,
-                     StepSizeUnderflow, WindowTooShort)
+from .errors import (DomainMismatch, InadmissibleRegime, InvalidConfig,
+                     NonPositiveParameter, NoSaturation, NumericalBlowup,
+                     O2HopfError, SingularSystem, StepSizeUnderflow,
+                     WindowTooShort)
 from .meanzero import zero_mode_content
 from .modes import ModeSum, R01, R20, R21, R30
 from .normalform import (NormalFormCoeffs, PsiTable, closed_form_constants,
@@ -31,9 +32,9 @@ from .spectral import (ModeRecord, ScanResult, TuringReport, dispersion_curve,
 
 __all__ = [
     # errors
-    "DomainMismatch", "InadmissibleRegime", "NonPositiveParameter", "NoSaturation",
-    "NumericalBlowup", "O2HopfError", "SingularSystem", "StepSizeUnderflow",
-    "WindowTooShort",
+    "DomainMismatch", "InadmissibleRegime", "InvalidConfig", "NonPositiveParameter",
+    "NoSaturation", "NumericalBlowup", "O2HopfError", "SingularSystem",
+    "StepSizeUnderflow", "WindowTooShort",
     # parameters and onset
     "ModelParams", "OnsetData", "load_config", "onset", "validate",
     # spectrum and critical eigenfunctions

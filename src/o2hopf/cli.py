@@ -20,12 +20,12 @@ import time
 import numpy as np
 
 from . import __version__
-from .errors import (InadmissibleRegime, NonPositiveParameter, NoSaturation,
-                     NumericalBlowup, O2HopfError, SingularSystem)
+from .errors import (InadmissibleRegime, InvalidConfig, NonPositiveParameter,
+                     NoSaturation, NumericalBlowup, O2HopfError, SingularSystem)
 from .normalform import (ROUTES, closed_form_constants, coeffs, coeffs_batch,
                          coeffs_report)
-from .params import (ModelParams, check_positive, is_positive, load_config, onset,
-                     onset_terms, validate)
+from .params import (ModelParams, is_positive, onset, onset_terms, read_config,
+                     validate)
 from .pdesim import (SimConfig, Simulator, initialize, mode_amplitude,
                      oscillation_frequency)
 from .reduced import ReducedSystem, branches, classify_regime, regime_batch
@@ -99,29 +99,28 @@ def _add_param_flags(p):
     p.add_argument("--out", help="write the JSON report here instead of stdout")
 
 
-def _params_from(ns, default_beta_to_beta1=False) -> ModelParams:
-    if ns.config:
-        base = load_config(ns.config)
-        overrides = {k: getattr(ns, k) for k in
-                     ("alpha", "beta", "delta1", "delta2", "half_length")
-                     if getattr(ns, k) is not None}
-        raw = {**_jsonify(base), **overrides}
-    else:
-        raw = {k: getattr(ns, k) for k in
-               ("alpha", "beta", "delta1", "delta2", "half_length")
-               if getattr(ns, k) is not None}
-        if "alpha" not in raw:
-            raise BadFlag("--alpha (or --config) is required")
+_PARAM_FIELDS = ("alpha", "beta", "delta1", "delta2", "half_length")
+
+
+def _raw_params(ns) -> dict:
+    """Constants from --config, overridden by the flags given; unvalidated."""
+    raw = read_config(ns.config) if ns.config else {}
+    raw.update({k: getattr(ns, k) for k in _PARAM_FIELDS if getattr(ns, k) is not None})
+    return raw
+
+
+def _params_from(ns) -> ModelParams:
+    """Validated parameters; beta defaults to the critical value beta1."""
+    raw = _raw_params(ns)
+    if "alpha" not in raw:
+        raise BadFlag("--alpha (or --config) is required")
     if "beta" not in raw:
-        if not default_beta_to_beta1:
-            raise BadFlag("--beta (or --config) is required")
-        probe = ModelParams(beta=1.0, **{k: v for k, v in raw.items() if k != "beta"})
-        raw["beta"] = onset(check_positive(probe)).beta1
+        raw["beta"] = onset(ModelParams(beta=1.0, **raw)).beta1
     return validate(raw)
 
 
 def cmd_onset(ns) -> int:
-    params = _params_from(ns, default_beta_to_beta1=True)
+    params = _params_from(ns)
     scan = onset_scan(params, beta=ns.scan_beta or params.beta, n_max=ns.n_max)
     record = {
         "params": params,
@@ -147,7 +146,7 @@ def cmd_onset(ns) -> int:
 
 
 def cmd_coeffs(ns) -> int:
-    params = _params_from(ns, default_beta_to_beta1=True)
+    params = _params_from(ns)
     if ns.route:
         if ns.route not in ROUTES:
             raise BadFlag(f"--route must be one of {ROUTES}")
@@ -177,7 +176,7 @@ def _reduced_system(params: ModelParams, route: str, mu: float) -> ReducedSystem
 
 
 def cmd_classify(ns) -> int:
-    params = _params_from(ns, default_beta_to_beta1=True)
+    params = _params_from(ns)
     sys_ = _reduced_system(params, ns.route, ns.mu)
     record = {"params": params, "mu": ns.mu, "route": ns.route,
               "coefficients": {"a": sys_.a, "b": sys_.b, "c": sys_.c},
@@ -187,7 +186,7 @@ def cmd_classify(ns) -> int:
 
 
 def cmd_branch(ns) -> int:
-    params = _params_from(ns, default_beta_to_beta1=True)
+    params = _params_from(ns)
     sys_ = _reduced_system(params, ns.route, ns.mu)
     record = {"params": params, "mu": ns.mu, "route": ns.route,
               "branches": branches(sys_)}
@@ -205,22 +204,28 @@ def _parse_perturb(spec: str):
 
 
 def cmd_simulate(ns) -> int:
-    params = _params_from(ns, default_beta_to_beta1=True)
+    params = _params_from(ns)
     base = onset(params)
     beta = base.beta1 + ns.mu if ns.mu is not None else params.beta
     kind, mode, eps = _parse_perturb(ns.perturb)
     config = SimConfig(n_grid=ns.n_grid, dt=ns.dt, t_max=ns.tmax, seed=ns.seed,
                        perturb_kind=kind, perturb_mode=mode, eps=eps,
                        pin_mean=ns.pin_mean)
+    tracked = [0, 1, 2, 3]
+    if config.n_grid // 2 < tracked[-1]:
+        raise InvalidConfig(f"n_grid = {config.n_grid} cannot resolve the tracked mode "
+                            f"{tracked[-1]}; need n_grid >= {2 * tracked[-1]}")
+    sample_every = max(int(round(0.1 / config.dt)), 1)
+    if round(config.t_max / config.dt) < sample_every:
+        raise InvalidConfig(f"tmax = {config.t_max:g} is shorter than one sample "
+                            f"interval ({sample_every * config.dt:g})")
     sim = Simulator(params, config, beta=beta)
     state = initialize(params, config, beta=beta)
-    tracked = [0, 1, 2, 3]
 
     def observe(s):
         amps = [mode_amplitude(s, k) for k in tracked]
         return amps + [float(np.mean(s.u1)), float(np.mean(s.u2))]
 
-    sample_every = max(int(round(0.1 / config.dt)), 1)
     state, times, samples = sim.run(state, config.t_max,
                                     sample_every=sample_every, observer=observe)
 
@@ -357,12 +362,21 @@ def _sweep_columns(cols: dict) -> dict:
     return out
 
 
+_SWEEP_DEFAULTS = {"alpha": 2.0, "delta1": 1.0, "delta2": 1.0, "half_length": math.pi}
+
+
 def cmd_sweep(ns) -> int:
-    fixed = {"alpha": ns.alpha if ns.alpha is not None else 2.0,
-             "delta1": ns.delta1 if ns.delta1 is not None else 1.0,
-             "delta2": ns.delta2 if ns.delta2 is not None else 1.0,
-             "half_length": ns.half_length if ns.half_length is not None else math.pi,
-             "mu": ns.mu}
+    """Grid CSV; fixed constants from --config, overridden by flags, else defaults.
+
+    Every point sets beta = beta1 + mu, so --beta is rejected and a beta in
+    the config file is not used.  The constants are not validated here: a
+    nonpositive one becomes a per-point error.
+    """
+    if ns.beta is not None:
+        raise BadFlag("sweep sets beta = beta1 + mu at each point; "
+                      "give --mu or a mu grid instead of --beta")
+    raw = _raw_params(ns)
+    fixed = {**{k: raw.get(k, v) for k, v in _SWEEP_DEFAULTS.items()}, "mu": ns.mu}
     axes = [_parse_grid(spec) for spec in ns.grid]
     columns = _sweep_columns(_grid_columns(fixed, axes))
 
@@ -501,8 +515,11 @@ def dispatch(argv) -> int:
     except BadFlag as exc:
         print(str(exc), file=sys.stderr)
         return 1
-    except (NonPositiveParameter, InadmissibleRegime, ValueError) as exc:
+    except (NonPositiveParameter, InadmissibleRegime, InvalidConfig, ValueError) as exc:
         print(f"validation error: {exc}", file=sys.stderr)
+        return 1
+    except OSError as exc:   # an unreadable --config or unwritable --out
+        print(f"file error: {exc}", file=sys.stderr)
         return 1
     except (NumericalBlowup, SingularSystem, NoSaturation) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)

@@ -18,6 +18,10 @@ class InadmissibleRegime(O2HopfError):
     """Parameters outside the regime where the O(2)-Hopf analysis applies."""
 
 
+class InvalidConfig(O2HopfError, ValueError):
+    """A simulation setting outside what the integrator can run."""
+
+
 class DomainMismatch(O2HopfError):
     """Two spatial objects defined over different periodic domains."""
 

@@ -88,7 +88,7 @@ def check_positive(params: ModelParams) -> ModelParams:
     """Raise NonPositiveParameter for the first constant that is not finite and > 0."""
     for name in _POSITIVE_FIELDS:
         value = getattr(params, name)
-        if not is_positive(value):
+        if not (math.isfinite(value) and value > 0.0):
             raise NonPositiveParameter(name, value)
     return params
 
@@ -96,15 +96,14 @@ def check_positive(params: ModelParams) -> ModelParams:
 def validate(raw) -> ModelParams:
     """Build a validated ModelParams from a mapping or a ModelParams.
 
-    Raises NonPositiveParameter for any nonpositive constant and
-    InadmissibleRegime when the Hopf assumption fails (omega^2 <= 0 or
-    beta1 >= (1 + alpha sqrt(delta1/delta2))^2).
+    Raises NonPositiveParameter for any nonpositive constant (through
+    ``onset``) and InadmissibleRegime when the Hopf assumption fails
+    (omega^2 <= 0 or beta1 >= (1 + alpha sqrt(delta1/delta2))^2).
     """
     if isinstance(raw, ModelParams):
         params = raw
     else:
         params = ModelParams(**{k: float(v) for k, v in dict(raw).items()})
-    check_positive(params)
     data = onset(params)
     if not data.admissible:
         w2 = critical_values(params.alpha, *params.effective_diffusion())[1]
@@ -120,8 +119,10 @@ def onset(params: ModelParams) -> OnsetData:
     """Critical value beta1, Hopf frequency omega, and offset mu = beta - beta1.
 
     Inadmissibility is reported through the flag, never raised, so that
-    parameter sweeps can chart the admissibility boundary.
+    parameter sweeps can chart the admissibility boundary.  A constant that
+    is not finite and positive raises NonPositiveParameter.
     """
+    check_positive(params)
     _, _, beta1, omega_sq, admissible = onset_terms(
         params.alpha, params.delta1, params.delta2, params.half_length)
     omega = math.sqrt(omega_sq) if omega_sq > 0.0 else 0.0
@@ -129,8 +130,8 @@ def onset(params: ModelParams) -> OnsetData:
                      admissible=bool(admissible))
 
 
-def load_config(path) -> ModelParams:
-    """Read ``key = value`` lines (alpha, beta, delta1, delta2, half_length)."""
+def read_config(path) -> dict:
+    """The ``key = value`` lines of a parameter file, as floats, unvalidated."""
     raw = {}
     with open(path) as fh:
         for lineno, line in enumerate(fh, start=1):
@@ -143,4 +144,9 @@ def load_config(path) -> ModelParams:
             if key not in _POSITIVE_FIELDS:
                 raise ValueError(f"{path}:{lineno}: unknown key {key!r}")
             raw[key] = float(value)
-    return validate(raw)
+    return raw
+
+
+def load_config(path) -> ModelParams:
+    """Read ``key = value`` lines (alpha, beta, delta1, delta2, half_length)."""
+    return validate(read_config(path))

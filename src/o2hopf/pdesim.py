@@ -26,7 +26,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .errors import NoSaturation, NumericalBlowup, WindowTooShort
+from .errors import InvalidConfig, NoSaturation, NumericalBlowup, WindowTooShort
 from .params import ModelParams, onset
 from .spectral import mode_matrix
 
@@ -42,6 +42,9 @@ class FieldState:
         return self.u1.shape[0]
 
 
+_PERTURB_KINDS = ("none", "cosine", "traveling", "random")
+
+
 @dataclass(frozen=True)
 class SimConfig:
     n_grid: int = 128
@@ -54,6 +57,27 @@ class SimConfig:
     seed: int = 0
     blowup_norm: float = 1e6
     pin_mean: bool = False
+
+    def __post_init__(self):
+        """Raise InvalidConfig for a setting the integrator cannot run."""
+        if not (math.isfinite(self.dt) and self.dt > 0.0):
+            raise InvalidConfig(f"dt must be finite and > 0, got {self.dt!r}")
+        if not (math.isfinite(self.t_max) and self.t_max >= self.dt):
+            raise InvalidConfig(f"t_max must be finite and at least one step "
+                                f"(dt = {self.dt:g}), got {self.t_max!r}")
+        if not math.isfinite(self.eps):
+            raise InvalidConfig(f"eps must be finite, got {self.eps!r}")
+        if self.n_grid < 2:
+            raise InvalidConfig(f"n_grid must be at least 2, got {self.n_grid!r}")
+        if self.perturb_kind not in _PERTURB_KINDS:
+            raise InvalidConfig(f"unknown perturbation kind {self.perturb_kind!r}; "
+                                f"expected one of {_PERTURB_KINDS}")
+        # the highest wave index the perturbation excites ("random": 1..4)
+        mode = {"none": 0, "random": 4}.get(self.perturb_kind, abs(self.perturb_mode))
+        cutoff = 2 * (self.n_grid // 2) // 3
+        if self.eps != 0.0 and mode > cutoff:
+            raise InvalidConfig(f"perturbed mode {mode} lies above the 2/3 cutoff "
+                                f"(mode {cutoff}) of n_grid = {self.n_grid}")
 
 
 def grid(params: ModelParams, n_grid: int) -> np.ndarray:
@@ -88,15 +112,13 @@ def initialize(params: ModelParams, config: SimConfig,
             # the tracked mode amplitude evolves as one clean exponential
             v = _dominant_eigvec(params, config.perturb_mode, beta)
             wave = config.eps * np.real(np.exp(1j * k * x)[None, :] * v[:, None])
-        elif kind == "random":
+        else:   # "random"
             rng = np.random.default_rng(config.seed)
             coeffs = rng.standard_normal((2, 4)) + 1j * rng.standard_normal((2, 4))
             wave = np.zeros((2, config.n_grid))
             for j in range(1, 5):
                 wave += np.real(coeffs[:, j - 1:j] * np.exp(1j * j * params.k1 * x)[None, :])
             wave *= config.eps / max(np.max(np.abs(wave)), 1e-300)
-        else:
-            raise ValueError(f"unknown perturbation kind {kind!r}")
         u1 = u1 + wave[0]
         u2 = u2 + wave[1]
     return FieldState(u1=u1, u2=u2, time=0.0)

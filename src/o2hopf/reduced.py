@@ -19,7 +19,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import solve_ivp
 
 from .errors import StepSizeUnderflow
 from .params import ModelParams, onset
@@ -204,32 +203,39 @@ def integrate_truncated(sys: ReducedSystem, z1_0: complex, z2_0: complex,
                         atol: float = 1e-12):
     """Trajectory of the four-real-dimensional truncation, sampled every dt.
 
+    Integrates the polar system of the module docstring in the state
+    (r1, r2, th1, th2), which carries no fast rotation: the radii follow
+    the planar radial system and the phases are a quadrature of it.  Each
+    z_j = 0 is invariant (r_j' is a multiple of r_j), so a zero start stays
+    exactly zero.  scipy is imported here, on the first call, so that the
+    rest of the package loads with numpy alone.
+
     Returns (t, z1, z2) arrays; deterministic for fixed inputs.
     """
     if t_max <= 0.0 or dt <= 0.0:
         raise ValueError("t_max and dt must be positive")
+    from scipy.integrate import solve_ivp
 
     def rhs(_, y):
-        z1 = y[0] + 1j * y[1]
-        z2 = y[2] + 1j * y[3]
-        f1 = (1j * sys.omega + sys.a * sys.mu + sys.b * abs(z1) ** 2
-              + sys.c * abs(z2) ** 2) * z1
-        f2 = (1j * sys.omega + sys.a * sys.mu + sys.b * abs(z2) ** 2
-              + sys.c * abs(z1) ** 2) * z2
-        return [f1.real, f1.imag, f2.real, f2.imag]
+        return polar_vector_field(sys, y[0], y[1])
 
     t_eval = np.arange(0.0, t_max + 0.5 * dt, dt)
-    y0 = [z1_0.real, z1_0.imag, z2_0.real, z2_0.imag]
+    y0 = [abs(z1_0), abs(z2_0), np.angle(z1_0), np.angle(z2_0)]
     sol = solve_ivp(rhs, (0.0, t_max), y0, t_eval=t_eval, rtol=rtol, atol=atol,
                     method="RK45")
     if not sol.success:
         raise StepSizeUnderflow(sol.message)
-    return sol.t, sol.y[0] + 1j * sol.y[1], sol.y[2] + 1j * sol.y[3]
+    r1, r2, th1, th2 = sol.y
+    return sol.t, r1 * np.exp(1j * th1), r2 * np.exp(1j * th2)
 
 
 def branch_frequency(sys: ReducedSystem, branch: BranchPoint) -> float:
-    """Common rotation rate omega*(mu) at a branch point."""
-    return branch.frequencies[0]
+    """Common rotation rate omega*(mu) of the nonzero components at a branch point.
+
+    On rotating_wave_2 only z2 is nonzero, so its rate is th2'; th1' there
+    is the rate of a vanishing component and differs.
+    """
+    return branch.frequencies[1] if branch.r1 == 0.0 else branch.frequencies[0]
 
 
 def reconstruct_wave(params: ModelParams, sys: ReducedSystem, branch: BranchPoint,

@@ -168,6 +168,55 @@ def test_simulate_short_run(capsys, tmp_path):
     assert "re_mode1" in series[0]
 
 
+def test_sweep_reads_config_and_flags_override_it(capsys, tmp_path):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("alpha = 3.0\nbeta = 99.0\ndelta1 = 2.0\n")
+    out_csv = tmp_path / "cfg.csv"
+    code, _, _ = run(capsys, "sweep", "--config", str(cfg), "--d1", "1.5",
+                     "--grid", "mu=0.1:0.2:2", "--out", str(out_csv))
+    assert code == 0
+    rows = list(csv.DictReader(out_csv.open()))
+    assert [(r["alpha"], r["delta1"], r["delta2"], r["mu"]) for r in rows] == [
+        ("3.0", "1.5", "1.0", "0.1"), ("3.0", "1.5", "1.0", "0.2")]
+    # beta = beta1 + mu at every point; the file's beta is not used
+    assert {r["beta1"] for r in rows} == {str(1.0 + 9.0 + 1.5 + 1.0)}
+    assert all(r["error"] == "" for r in rows)
+
+
+def test_sweep_rejects_beta(capsys, tmp_path):
+    out_csv = tmp_path / "beta.csv"
+    code, _, err = run(capsys, "sweep", "--beta", "99", "--grid", "mu=0.1:0.2:2",
+                       "--out", str(out_csv))
+    assert code == 1
+    assert err.strip().splitlines() == [
+        "sweep sets beta = beta1 + mu at each point; give --mu or a mu grid "
+        "instead of --beta"]
+    assert not out_csv.exists()
+
+
+_SIMULATE = ("simulate", "--alpha", "2", "--mu", "0.05", "--tmax", "1")
+
+
+@pytest.mark.parametrize("argv, message", [
+    (_SIMULATE + ("--dt", "0"), "dt must be finite and > 0"),
+    (_SIMULATE + ("--dt", "-0.01"), "dt must be finite and > 0"),
+    (_SIMULATE + ("--n-grid", "0"), "n_grid must be at least 2"),
+    (_SIMULATE + ("--n-grid", "4"), "cannot resolve the tracked mode 3"),
+    (_SIMULATE + ("--tmax", "0.05"), "shorter than one sample interval"),
+    (_SIMULATE + ("--tmax", "inf"), "t_max must be finite"),
+    (_SIMULATE + ("--perturb", "200:1e-3", "--n-grid", "64"),
+     "perturbed mode 200 lies above the 2/3 cutoff (mode 21)"),
+    (_SIMULATE + ("--perturb", "1:nan"), "eps must be finite"),
+    (("onset", "--config", "{tmp}/missing.cfg"), "No such file"),
+])
+def test_bad_invocation_fails_in_one_line(capsys, tmp_path, argv, message):
+    code, _, err = run(capsys, *(a.format(tmp=tmp_path) for a in argv))
+    assert code == 1
+    assert len(err.strip().splitlines()) == 1
+    assert "Traceback" not in err
+    assert message in err
+
+
 def test_sweep_nonpositive_axes_are_point_errors(capsys, tmp_path):
     cases = [("delta1=-1:1:3", "delta1", [-1.0, 0.0]),
              ("delta2=0:1:3", "delta2", [0.0]),

@@ -3,7 +3,7 @@ import math
 import pytest
 
 from o2hopf import (InadmissibleRegime, ModelParams, NonPositiveParameter,
-                    load_config, onset, validate)
+                    closed_form_constants, load_config, onset, validate)
 
 
 def test_canonical_onset():
@@ -43,6 +43,17 @@ def test_nonpositive_parameter_named():
         validate({"alpha": -2.0, "beta": 7.0})
     with pytest.raises(NonPositiveParameter):
         validate({"alpha": 2.0, "beta": float("nan")})
+
+
+@pytest.mark.parametrize("field, value", [("delta2", 0.0), ("delta1", -1.0)])
+def test_onset_rejects_nonpositive_constant(field, value):
+    # these reached a ZeroDivisionError and a math domain error
+    p = ModelParams(alpha=2.0, beta=1.0, **{field: value})
+    with pytest.raises(NonPositiveParameter) as exc:
+        onset(p)
+    assert exc.value.name == field
+    with pytest.raises(NonPositiveParameter):
+        closed_form_constants(p)
 
 
 def test_onset_reports_inadmissible_without_raising():

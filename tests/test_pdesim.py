@@ -4,7 +4,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from o2hopf import (FieldState, NoSaturation, NumericalBlowup, SimConfig,
+from o2hopf import (FieldState, InvalidConfig, NoSaturation, NumericalBlowup, SimConfig,
                     Simulator, WindowTooShort, equivariance_test, initialize,
                     measure_growth_rate, mode_amplitude,
                     oscillation_frequency, onset, rhs_norm,
@@ -40,6 +40,32 @@ class TestInitialize:
     def test_unknown_kind(self):
         with pytest.raises(ValueError):
             initialize(CANON, SimConfig(perturb_kind="bogus"))
+
+
+@pytest.mark.parametrize("settings, message", [
+    ({"dt": 0.0}, "dt must be finite and > 0"),
+    ({"dt": -0.01}, "dt must be finite and > 0"),
+    ({"dt": math.nan}, "dt must be finite and > 0"),
+    ({"t_max": 5e-4}, "t_max must be finite and at least one step"),
+    ({"t_max": math.inf}, "t_max must be finite and at least one step"),
+    ({"eps": math.nan}, "eps must be finite"),
+    ({"n_grid": 0}, "n_grid must be at least 2"),
+    ({"n_grid": 64, "perturb_mode": 22}, "perturbed mode 22 lies above the 2/3 cutoff"),
+    ({"n_grid": 64, "perturb_mode": -22}, "perturbed mode 22 lies above the 2/3 cutoff"),
+    ({"n_grid": 10, "perturb_kind": "random"}, "perturbed mode 4 lies above"),
+])
+def test_config_validation(settings, message):
+    with pytest.raises(InvalidConfig, match=message):
+        SimConfig(**settings)
+
+
+def test_config_limits_that_pass():
+    SimConfig(n_grid=64, perturb_mode=21)                      # 21 = 2/3 of 32
+    SimConfig(n_grid=12, perturb_kind="random")
+    SimConfig(n_grid=8, perturb_mode=200, eps=0.0)              # nothing perturbed
+    SimConfig(n_grid=2, perturb_kind="none", t_max=1e-3)
+    with pytest.raises(InvalidConfig):
+        replace(SimConfig(), dt=0.0)
 
 
 class TestObservables:

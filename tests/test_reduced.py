@@ -2,7 +2,8 @@ import math
 
 import numpy as np
 import pytest
-from conftest import evaluate_on_grid
+from conftest import evaluate_on_grid, random_admissible
+from scipy.integrate import solve_ivp
 
 from o2hopf import ReducedSystem, onset, validate
 from o2hopf.normalform import coeffs
@@ -193,10 +194,65 @@ class TestTrajectories:
         mu = 0.05
         sys = projection_system(mu)
         out = {b.kind: b for b in branches(sys)}
-        bp = out["rotating_wave_1"]
-        t, z1, _ = integrate_truncated(sys, bp.r1 + 0j, 0.0, t_max=10.0, dt=0.01)
-        winding = np.unwrap(np.angle(z1))[-1] - np.angle(z1[0])
-        assert abs(winding - branch_frequency(sys, bp) * 10.0) < 1e-6
+        for bp in (out["rotating_wave_1"], out["rotating_wave_2"]):
+            _, z1, z2 = integrate_truncated(sys, bp.r1 + 0j, bp.r2 + 0j,
+                                            t_max=10.0, dt=0.01)
+            z = z1 if bp.r1 else z2
+            winding = np.unwrap(np.angle(z))[-1] - np.angle(z[0])
+            assert abs(winding - branch_frequency(sys, bp) * 10.0) < 1e-6, bp.kind
+
+    @pytest.mark.parametrize("mu", [0.05, 0.1])
+    def test_rotating_waves_share_frequency(self, mu):
+        sys = projection_system(mu)
+        out = {b.kind: b for b in branches(sys)}
+        w1 = branch_frequency(sys, out["rotating_wave_1"])
+        assert branch_frequency(sys, out["rotating_wave_2"]) == w1
+        assert w1 == out["rotating_wave_1"].frequencies[0]
+
+    @pytest.mark.parametrize("mu", [0.05, 0.1])
+    def test_stays_on_each_branch(self, mu):
+        # z_j(t) = r_j e^{i(w* t + phi_j)} on every nontrivial family
+        sys = projection_system(mu)
+        phi = np.array([0.3, -1.1])
+        for bp in branches(sys)[1:]:
+            r = np.array([bp.r1, bp.r2])
+            t, z1, z2 = integrate_truncated(sys, *(r * np.exp(1j * phi)),
+                                            t_max=300.0, dt=1.0)
+            exact = r[:, None] * np.exp(1j * (branch_frequency(sys, bp) * t + phi[:, None]))
+            assert np.max(np.abs(np.stack([z1, z2]) - exact)) <= 1e-9, bp.kind
+
+    def test_agrees_with_cartesian_reference(self):
+        def cartesian(sys, z0, t):
+            def rhs(_, y):
+                z = y[:2] + 1j * y[2:]
+                s = np.abs(z) ** 2
+                f = (1j * sys.omega + sys.a * sys.mu + sys.b * s + sys.c * s[::-1]) * z
+                return np.concatenate([f.real, f.imag])
+            sol = solve_ivp(rhs, (0.0, t[-1]), np.concatenate([z0.real, z0.imag]),
+                            t_eval=t, method="DOP853", rtol=1e-13, atol=1e-15)
+            return sol.y[:2] + 1j * sol.y[2:]
+
+        rng = np.random.default_rng(12)
+        for _ in range(12):
+            nf = coeffs(random_admissible(rng, vary_domain=True), "projection")
+            bR, cR = nf.b.real, nf.c.real
+            # mu > 0 only where the cubic terms bound the radii (Re b < 0 and
+            # Re b + Re c < 0); elsewhere a decaying start
+            mu = 0.08 if bR < 0.0 and bR + cR < 0.0 else -0.08
+            scale = math.sqrt(abs(nf.a.real * mu) / (abs(bR) + abs(cR)))
+            z0 = (scale * rng.uniform(0.2, 0.8, 2)
+                  * np.exp(1j * rng.uniform(-math.pi, math.pi, 2)))
+            sys = ReducedSystem.from_coeffs(nf, mu)
+            t, z1, z2 = integrate_truncated(sys, complex(z0[0]), complex(z0[1]),
+                                            t_max=60.0, dt=0.5)
+            ref = cartesian(sys, z0, t)
+            assert np.max(np.abs(np.stack([z1, z2]) - ref)) <= 1e-7 * np.max(np.abs(ref))
+
+    def test_zero_component_stays_zero(self):
+        sys = projection_system(0.1)
+        _, z1, z2 = integrate_truncated(sys, 0.1 + 0.05j, 0.0, t_max=50.0, dt=0.5)
+        assert np.all(z2 == 0.0)
+        assert np.min(np.abs(z1)) > 0.0
 
     def test_bad_arguments(self):
         with pytest.raises(ValueError):
