@@ -13,7 +13,7 @@ from .errors import (DomainMismatch, InadmissibleRegime, InvalidConfig,
                      O2HopfError, SingularSystem, StepSizeUnderflow,
                      WindowTooShort)
 from .meanzero import zero_mode_content
-from .modes import ModeSum, R01, R20, R21, R30
+from .modes import ModeSum, R01, R20, R30
 from .normalform import (NormalFormCoeffs, PsiTable, closed_form_constants,
                          coeff_a, coeff_b, coeff_c, coeffs, coeffs_report,
                          solve_psi)
@@ -42,7 +42,7 @@ __all__ = [
     "mode_eigenvalues", "mode_matrix", "onset_scan", "turing_check", "xi1",
     "xi1_star", "xi2",
     # mode sums and the nonlinearity
-    "ModeSum", "R01", "R20", "R21", "R30",
+    "ModeSum", "R01", "R20", "R30",
     # normal-form coefficients
     "NormalFormCoeffs", "PsiTable", "closed_form_constants", "coeff_a", "coeff_b",
     "coeff_c", "coeffs", "coeffs_report", "solve_psi", "zero_mode_content",

@@ -26,8 +26,8 @@ from .normalform import (ROUTES, closed_form_constants, coeffs, coeffs_batch,
                          coeffs_report)
 from .params import (ModelParams, is_positive, onset, onset_terms, read_config,
                      validate)
-from .pdesim import (SimConfig, Simulator, initialize, mode_amplitude,
-                     oscillation_frequency)
+from .pdesim import (SimConfig, Simulator, initialize, mode_amplitude, sampling_steps,
+                     tail_fit)
 from .reduced import ReducedSystem, branches, classify_regime, regime_batch
 from .spectral import dispersion_curve, onset_scan, turing_check
 
@@ -121,7 +121,10 @@ def _params_from(ns) -> ModelParams:
 
 def cmd_onset(ns) -> int:
     params = _params_from(ns)
-    scan = onset_scan(params, beta=ns.scan_beta or params.beta, n_max=ns.n_max)
+    beta = params.beta if ns.scan_beta is None else ns.scan_beta
+    if not is_positive(beta):
+        raise NonPositiveParameter("beta", beta)
+    scan = onset_scan(params, beta=beta, n_max=ns.n_max)
     record = {
         "params": params,
         "beta1": onset(params).beta1,
@@ -139,7 +142,7 @@ def cmd_onset(ns) -> int:
         with open(ns.csv, "w", newline="") as fh:
             writer = csv.writer(fh)
             writer.writerow(["n", "k", "re_lambda_max", "im_lambda"])
-            writer.writerows(dispersion_curve(params, params.beta, ns.n_max))
+            writer.writerows(dispersion_curve(params, beta, ns.n_max))
         extra.append(ns.csv)
     _emit(record, ns.out, extra, "onset", _digest(ns))
     return 0
@@ -204,9 +207,12 @@ def _parse_perturb(spec: str):
 
 
 def cmd_simulate(ns) -> int:
+    if ns.mu is not None and ns.beta is not None:
+        raise BadFlag("simulate runs at beta = beta1 + mu; give --beta or --mu, not both")
     params = _params_from(ns)
     base = onset(params)
-    beta = base.beta1 + ns.mu if ns.mu is not None else params.beta
+    if ns.mu is not None:   # the beta that runs, also in the record
+        params = validate(params.with_beta(base.beta1 + ns.mu))
     kind, mode, eps = _parse_perturb(ns.perturb)
     config = SimConfig(n_grid=ns.n_grid, dt=ns.dt, t_max=ns.tmax, seed=ns.seed,
                        perturb_kind=kind, perturb_mode=mode, eps=eps,
@@ -215,12 +221,12 @@ def cmd_simulate(ns) -> int:
     if config.n_grid // 2 < tracked[-1]:
         raise InvalidConfig(f"n_grid = {config.n_grid} cannot resolve the tracked mode "
                             f"{tracked[-1]}; need n_grid >= {2 * tracked[-1]}")
-    sample_every = max(int(round(0.1 / config.dt)), 1)
+    sample_every = sampling_steps(config.dt)
     if round(config.t_max / config.dt) < sample_every:
         raise InvalidConfig(f"tmax = {config.t_max:g} is shorter than one sample "
                             f"interval ({sample_every * config.dt:g})")
-    sim = Simulator(params, config, beta=beta)
-    state = initialize(params, config, beta=beta)
+    sim = Simulator(params, config)
+    state = initialize(params, config)
 
     def observe(s):
         amps = [mode_amplitude(s, k) for k in tracked]
@@ -245,20 +251,15 @@ def cmd_simulate(ns) -> int:
                 flat += row[len(tracked):]
                 writer.writerow(flat)
 
-    amps1 = np.abs([row[1] for row in samples])
-    n_tail = max(len(amps1) // 5, 8)
+    amplitude, frequency, note = tail_fit(times, [row[1] for row in samples])
     summary = {
-        "params": params, "beta": beta, "mu": beta - base.beta1,
+        "params": params, "beta": params.beta, "mu": params.beta - base.beta1,
         "config": config, "final_time": state.time,
-        "saturated_amplitude": float(np.max(amps1[-n_tail:])),
+        "saturated_amplitude": amplitude, "frequency": frequency,
         "mode1_final": samples[-1][1],
     }
-    try:
-        summary["frequency"] = oscillation_frequency(
-            times[-n_tail:], np.asarray([row[1] for row in samples])[-n_tail:])
-    except O2HopfError as exc:
-        summary["frequency"] = None
-        summary["frequency_note"] = str(exc)
+    if note:
+        summary["frequency_note"] = note
     _emit(summary, ns.out, [csv_path] if csv_path else (), "simulate", _digest(ns))
     return 0
 
@@ -331,8 +332,7 @@ def _sweep_columns(cols: dict) -> dict:
         live = live[~bad]
 
     alpha, delta1, delta2, length, mu = (cols[k][live] for k in _GRID_FIELDS)
-    d1e, d2e, beta1, omega_sq, admissible = onset_terms(alpha, delta1, delta2, length,
-                                                        sqrt=np.sqrt)
+    d1e, d2e, beta1, omega_sq, admissible = onset_terms(alpha, delta1, delta2, length)
     put("beta1", live, beta1.tolist())
     put("omega", live, np.sqrt(np.where(omega_sq > 0.0, omega_sq, 0.0)).tolist())
     put("admissible", live, admissible.tolist())

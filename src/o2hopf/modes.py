@@ -5,7 +5,7 @@ complex amplitude; the represented field is  sum_n amp(n) * exp(i n k1 x).
 The quadratic and cubic parts of the reaction kinetics act on ModeSums as
 multilinear maps with additive wave indices.  The control parameter enters
 the quadratic map only through the critical value beta1; the mu-dependent
-pieces are the separate maps R01 and R21.
+piece at cubic order is the separate linear map R01.
 """
 
 from __future__ import annotations
@@ -84,28 +84,22 @@ class ModeSum:
         return f"ModeSum({{{inner}}})"
 
 
-def _pairwise(u: ModeSum, v: ModeSum, coeff):
-    """Bilinear extension: scalar coefficient coeff(a, b) times (1,-1)^T."""
-    out = {}
-    for m, a in u.terms.items():
-        for n, b in v.terms.items():
-            s = coeff(a, b)
-            if s != 0:
-                out[m + n] = out.get(m + n, 0) + s * _PM
-    return ModeSum(out)
-
-
 def R01(v: ModeSum) -> ModeSum:
     """Linear part of the mu-perturbation: per mode (v1, -v1)^T."""
     return ModeSum({n: a[0] * _PM for n, a in v.terms.items()})
 
 
 def R20(params: ModelParams, u: ModeSum, v: ModeSum) -> ModeSum:
-    """Symmetric quadratic map with beta1 baked in."""
+    """Symmetric quadratic map with beta1 baked in; every value is a multiple of (1, -1)."""
     alpha = params.alpha
     beta1 = onset(params).beta1
-    return _pairwise(u, v, lambda a, b: alpha * (a[0] * b[1] + a[1] * b[0])
-                     + (beta1 / alpha) * a[0] * b[0])
+    out = {}
+    for m, a in u.terms.items():
+        for n, b in v.terms.items():
+            s = alpha * (a[0] * b[1] + a[1] * b[0]) + (beta1 / alpha) * a[0] * b[0]
+            if s != 0:
+                out[m + n] = out.get(m + n, 0) + s * _PM
+    return ModeSum(out)
 
 
 def R30(params: ModelParams, u: ModeSum, v: ModeSum, w: ModeSum) -> ModeSum:
@@ -120,8 +114,3 @@ def R30(params: ModelParams, u: ModeSum, v: ModeSum, w: ModeSum) -> ModeSum:
                     out[key] = out.get(key, 0) + s * _PM
     return ModeSum(out)
 
-
-def R21(params: ModelParams, u: ModeSum, v: ModeSum) -> ModeSum:
-    """Quadratic part of the mu-perturbation; beyond cubic order in the truncation."""
-    alpha = params.alpha
-    return _pairwise(u, v, lambda a, b: a[0] * b[0] / alpha)

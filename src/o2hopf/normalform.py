@@ -50,6 +50,7 @@ ROUTES = ("projection", "direct", "closed_form")
 A_ROUTES = ("projection", "asymptotic")
 
 _DET_GUARD = 1e-13
+CONSISTENCY_TOL = 1e-8
 _PM = np.array([1.0, -1.0])
 
 # The kernel's checks after the zero-mode determinant, in the order the
@@ -128,10 +129,6 @@ def _cmul(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     return out
 
 
-def _spectrum_message(label: str, z: complex, n: int) -> str:
-    return f"{label}: value {z} is in the spectrum of M_{n}"
-
-
 def _solve_batch(m: np.ndarray, rhs: np.ndarray):
     """Solve m V = rhs by the adjugate for every point of a batch.
 
@@ -147,16 +144,6 @@ def _solve_batch(m: np.ndarray, rhs: np.ndarray):
     adj[:, 0, 0], adj[:, 0, 1], adj[:, 1, 0], adj[:, 1, 1] = m11, -m01, -m10, m00
     adj_rhs = (adj @ rhs[:, :, None])[:, :, 0]
     return adj_rhs / np.where(singular, 1.0, det)[:, None], singular
-
-
-def _solve_2x2(params: ModelParams, z: complex, n: int, rhs: np.ndarray,
-               label: str) -> np.ndarray:
-    """Solve (z I - M_n) V = rhs for one parameter set, raising SingularSystem."""
-    m = z * np.eye(2, dtype=complex) - mode_matrix(params, n, onset(params).beta1)
-    v, singular = _solve_batch(m[None], np.asarray(rhs, dtype=complex)[None])
-    if singular[0]:
-        raise SingularSystem(_spectrum_message(label, z, n))
-    return v[0]
 
 
 def _resolvent(z, n: int, alpha, d1, d2, beta1) -> np.ndarray:
@@ -186,7 +173,8 @@ class _Batch(NamedTuple):
         if code == 1:
             return _ZERO_MODE_MESSAGE
         label, at_2iw, n = _SYSTEMS[code - 2]
-        return _spectrum_message(label, 2j * float(self.omega[i]) if at_2iw else 0.0, n)
+        z = 2j * float(self.omega[i]) if at_2iw else 0.0
+        return f"{label}: value {z} is in the spectrum of M_{n}"
 
 
 def _projection_kernel(alpha, d1, d2, half_length) -> _Batch:
@@ -460,7 +448,7 @@ def projection_residual_orthogonality(params: ModelParams) -> dict:
     return _orthogonality(params, _project(params))
 
 
-def coeffs_report(params: ModelParams, consistency_tol: float = 1e-8) -> dict:
+def coeffs_report(params: ModelParams) -> dict:
     """All routes, all intermediate constants, and pairwise discrepancies."""
     from .meanzero import zero_mode_content  # local import to avoid a cycle
 
@@ -483,7 +471,7 @@ def coeffs_report(params: ModelParams, consistency_tol: float = 1e-8) -> dict:
                 gap = abs(v1 - v2)
                 discrepancies[f"{name}:{r1}|{r2}"] = gap
                 consistent[f"{name}:{r1}|{r2}"] = \
-                    gap <= consistency_tol * (1.0 + max(abs(v1), abs(v2)))
+                    gap <= CONSISTENCY_TOL * (1.0 + max(abs(v1), abs(v2)))
 
     return {
         "params": params,

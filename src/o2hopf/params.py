@@ -67,16 +67,21 @@ def critical_values(alpha, d1e, d2e):
     return 1.0 + alpha2 + d1e + d2e, alpha2 * (1.0 + d1e - d2e) - d2e ** 2
 
 
-def onset_terms(alpha, delta1, delta2, half_length, sqrt=math.sqrt):
+def hopf_bound(alpha, delta1, delta2):
+    """(1 + alpha sqrt(delta1/delta2))^2: the Hopf analysis needs beta1 below it."""
+    return (1.0 + alpha * np.sqrt(delta1 / delta2)) ** 2
+
+
+def onset_terms(alpha, delta1, delta2, half_length):
     """(d1e, d2e, beta1, omega^2, admissible) of positive model constants.
 
-    With ``sqrt=np.sqrt`` the constants may be numpy arrays; ``onset`` and
-    the vectorised sweep share this one definition of admissibility.
+    The constants may be floats or numpy arrays; ``onset``, ``validate``
+    and the vectorised sweep share this one definition of admissibility.
     """
     d1e, d2e = _rescaled(delta1, delta2, half_length)
     beta1, omega_sq = critical_values(alpha, d1e, d2e)
-    bound = (1.0 + alpha * sqrt(delta1 / delta2)) ** 2
-    return d1e, d2e, beta1, omega_sq, (omega_sq > 0.0) & (beta1 < bound)
+    admissible = (omega_sq > 0.0) & (beta1 < hopf_bound(alpha, delta1, delta2))
+    return d1e, d2e, beta1, omega_sq, admissible
 
 
 def is_positive(value):
@@ -96,22 +101,21 @@ def check_positive(params: ModelParams) -> ModelParams:
 def validate(raw) -> ModelParams:
     """Build a validated ModelParams from a mapping or a ModelParams.
 
-    Raises NonPositiveParameter for any nonpositive constant (through
-    ``onset``) and InadmissibleRegime when the Hopf assumption fails
-    (omega^2 <= 0 or beta1 >= (1 + alpha sqrt(delta1/delta2))^2).
+    Raises NonPositiveParameter for any nonpositive constant and
+    InadmissibleRegime when the Hopf assumption fails (omega^2 <= 0 or
+    beta1 >= hopf_bound).
     """
     if isinstance(raw, ModelParams):
         params = raw
     else:
         params = ModelParams(**{k: float(v) for k, v in dict(raw).items()})
-    data = onset(params)
-    if not data.admissible:
-        w2 = critical_values(params.alpha, *params.effective_diffusion())[1]
-        raise InadmissibleRegime(
-            f"O(2)-Hopf analysis does not apply: omega^2 = {w2:.6g}, "
-            f"beta1 = {data.beta1:.6g}, bound = "
-            f"{(1.0 + params.alpha * math.sqrt(params.delta1 / params.delta2)) ** 2:.6g}"
-        )
+    check_positive(params)
+    _, _, beta1, w2, admissible = onset_terms(params.alpha, params.delta1, params.delta2,
+                                              params.half_length)
+    if not admissible:
+        bound = hopf_bound(params.alpha, params.delta1, params.delta2)
+        raise InadmissibleRegime(f"O(2)-Hopf analysis does not apply: omega^2 = {w2:.6g}, "
+                                 f"beta1 = {beta1:.6g}, bound = {bound:.6g}")
     return params
 
 

@@ -3,7 +3,7 @@
 Strang splitting per step: exact diffusion half-steps in Fourier space
 (multipliers exp(-delta k^2 dt/2)) around one explicit midpoint step of the
 reaction terms in physical space.  The cubic product is dealiased with the
-2/3 rule by default.  The scheme is second order in dt and bitwise
+2/3 rule.  The scheme is second order in dt and bitwise
 deterministic for a fixed seed and configuration.
 
 One engine integrates a batch of B runs of the same model, held as a float
@@ -28,7 +28,9 @@ import numpy as np
 
 from .errors import InvalidConfig, NoSaturation, NumericalBlowup, WindowTooShort
 from .params import ModelParams, onset
-from .spectral import mode_matrix
+from .spectral import mode_eigenvalues, mode_matrix
+
+BLOWUP_NORM = 1e6   # a field value beyond this ends a run as NumericalBlowup
 
 
 @dataclass(frozen=True)
@@ -50,12 +52,10 @@ class SimConfig:
     n_grid: int = 128
     dt: float = 1e-3
     t_max: float = 2000.0
-    dealias: bool = True
     perturb_kind: str = "traveling"   # "none" | "cosine" | "traveling" | "random"
     perturb_mode: int = 1
     eps: float = 1e-4
     seed: int = 0
-    blowup_norm: float = 1e6
     pin_mean: bool = False
 
     def __post_init__(self):
@@ -78,6 +78,11 @@ class SimConfig:
         if self.eps != 0.0 and mode > cutoff:
             raise InvalidConfig(f"perturbed mode {mode} lies above the 2/3 cutoff "
                                 f"(mode {cutoff}) of n_grid = {self.n_grid}")
+
+
+def sampling_steps(dt: float) -> int:
+    """Steps between samples 0.1 time units apart: 0.1/dt to the nearest, at least 1."""
+    return max(round(0.1 / dt), 1)
 
 
 def grid(params: ModelParams, n_grid: int) -> np.ndarray:
@@ -132,8 +137,8 @@ def _wavenumbers(params: ModelParams, n_grid: int) -> np.ndarray:
 class _Engine:
     """Strang-split stepper over a (B, 2, N) batch of one params/config pair.
 
-    Members share the grid, dt, dealiasing, mean pinning and blow-up bound;
-    each has its own beta and step count.
+    Members share the grid, dt and mean pinning; each has its own beta and
+    step count.
     """
 
     def __init__(self, params: ModelParams, config: SimConfig):
@@ -177,11 +182,9 @@ class _Engine:
 
     def _rhs(self, U, lin):
         u1 = U[:, 0]
-        nl = u1 * u1 * U[:, 1]
-        if self.config.dealias:
-            spec = np.fft.rfft(nl)
-            spec[..., self._keep:] = 0.0
-            nl = np.fft.irfft(spec, n=self.config.n_grid)
+        spec = np.fft.rfft(u1 * u1 * U[:, 1])
+        spec[..., self._keep:] = 0.0
+        nl = np.fft.irfft(spec, n=self.config.n_grid)
         F = lin * u1[:, None]
         F += self._const
         F += self._sign * nl[:, None]
@@ -195,10 +198,9 @@ class _Engine:
     def _end_step(self, U, mult, mean, t):
         """The diffusion that completes the step to time t, then the blow-up check."""
         U = self._diffuse(U, mult, mean)
-        bound = self.config.blowup_norm
         # one comparison that is also False when any value is NaN
-        if not np.abs(U).max() <= bound:
-            raise NumericalBlowup(f"field norm exceeded {bound:g} at t = {t:g}")
+        if not np.abs(U).max() <= BLOWUP_NORM:
+            raise NumericalBlowup(f"field norm exceeded {BLOWUP_NORM:g} at t = {t:g}")
         return U
 
     def advance(self, U, betas, n_steps, t0=0.0, sample_every=0, observe=None):
@@ -310,12 +312,11 @@ def _mode_coefficients(u1: np.ndarray, k: int) -> np.ndarray:
     return np.fft.fft(u1)[..., k % n] / n
 
 
-def oscillation_frequency(times: np.ndarray, series: np.ndarray,
-                          min_periods: float = 3.0) -> float:
+def oscillation_frequency(times: np.ndarray, series: np.ndarray) -> float:
     """Oscillation frequency of a complex amplitude series.
 
     Least-squares slope of the unwrapped phase.  Raises WindowTooShort when
-    fewer than min_periods of the detected oscillation fit in the window or
+    fewer than 3 periods of the detected oscillation fit in the window or
     the series has (near-)vanishing amplitude.
     """
     times = np.asarray(times, dtype=float)
@@ -327,25 +328,22 @@ def oscillation_frequency(times: np.ndarray, series: np.ndarray,
     phase = np.unwrap(np.angle(z))
     freq = abs(float(np.polyfit(times, phase, 1)[0]))
     window = times[-1] - times[0]
-    if freq == 0.0 or window * freq / (2.0 * math.pi) < min_periods:
+    if freq == 0.0 or window * freq / (2.0 * math.pi) < 3.0:
         raise WindowTooShort(
-            f"window of {window:g} covers fewer than {min_periods} periods at "
-            f"frequency {freq:g}")
+            f"window of {window:g} covers fewer than 3.0 periods at frequency {freq:g}")
     return float(freq)
 
 
 def measure_growth_rate(params: ModelParams, beta: float, k: int,
                         eps: float = 1e-5, t_end: float | None = None,
-                        dt: float = 2e-3, n_grid: int = 128,
-                        settle_fraction: float = 0.1):
+                        dt: float = 2e-3, n_grid: int = 128):
     """Fitted exponential rate of an isolated small mode-k perturbation.
 
     The perturbation is placed along the leading eigenvector of the mode
     matrix, so log |mode amplitude| is linear from the start; the first
-    settle_fraction of the window is still discarded.
+    tenth of the window is still discarded.
     """
-    m = mode_matrix(params, k, beta)
-    lead = float(np.max(np.linalg.eigvals(m).real))
+    lead = mode_eigenvalues(params, k, beta).max_real_part
     if t_end is None:
         # a few e-foldings of the predicted rate, capped because the uniform
         # mode (seeded at O(eps^2) by the quadratic terms) grows at an O(1)
@@ -359,7 +357,7 @@ def measure_growth_rate(params: ModelParams, beta: float, k: int,
     state, times, amps = sim.run(state, t_end, sample_every=5,
                                  observer=lambda s: abs(mode_amplitude(s, k) - base))
     amps = np.asarray(amps, dtype=float)
-    window = settle_fraction * t_end
+    window = 0.1 * t_end
     keep = (times >= window) & (amps > 1e-14)
     if np.count_nonzero(keep) < 2:
         raise WindowTooShort(
@@ -403,23 +401,43 @@ def equivariance_test(params: ModelParams, config: SimConfig, phi: float,
     return report
 
 
-def _saturated_tail(times, amps, envelope_tol=0.005, tail_fraction=0.2):
-    """True when the amplitude envelope varies < envelope_tol over the tail."""
-    n_tail = max(int(len(amps) * tail_fraction), 8)
-    tail = np.asarray(amps[-n_tail:], dtype=float)
-    half = n_tail // 2
+def _tail(series: np.ndarray) -> np.ndarray:
+    """The window where saturation is read: the last fifth, at least 8 samples."""
+    return series[-max(len(series) // 5, 8):]
+
+
+def _saturated_tail(amps: np.ndarray) -> bool:
+    """True when the amplitude envelope varies by at most 0.5 % over the tail."""
+    tail = _tail(amps)
+    half = len(tail) // 2
     m1, m2 = np.max(tail[:half]), np.max(tail[half:])
     peak = max(m1, m2)
-    return peak > 0 and abs(m1 - m2) <= envelope_tol * peak
+    return peak > 0 and abs(m1 - m2) <= 0.005 * peak
 
 
-def amplitude_scaling_experiment(params: ModelParams, mus, config: SimConfig | None = None,
-                                 eps: float = 1e-2) -> dict:
+def tail_fit(times: np.ndarray, series) -> tuple:
+    """(amplitude, frequency, note) of a complex series over its tail window.
+
+    The largest |z| there and its oscillation_frequency, or a None frequency
+    and the WindowTooShort message as the note when the fit fails.
+    """
+    z = _tail(np.asarray(series, dtype=complex))
+    freq = note = None
+    try:
+        freq = oscillation_frequency(_tail(times), z)
+    except WindowTooShort as exc:
+        note = str(exc)
+    return float(np.max(np.abs(z))), freq, note
+
+
+def amplitude_scaling_experiment(params: ModelParams, mus,
+                                 config: SimConfig | None = None) -> dict:
     """Saturated mode-1 amplitude and frequency across supercritical offsets.
 
     Fits log amplitude against log mu; raises NoSaturation if any run fails
     the envelope-settling criterion, and reports a plain decay verdict when
-    every amplitude dies out instead (subcritical sweeps).
+    every amplitude dies out instead (subcritical sweeps): a row decays when
+    its tail amplitude falls below 5 % of the perturbation size config.eps.
 
     Default runs pin the spatial means (SimConfig.pin_mean): the uniform
     mode is linearly unstable at onset, so on the horizons needed for the
@@ -433,7 +451,7 @@ def amplitude_scaling_experiment(params: ModelParams, mus, config: SimConfig | N
     mus = list(mus)
     betas = [base.beta1 + mu for mu in mus]
     if config is None:
-        config = SimConfig(dt=0.02, eps=eps, perturb_kind="traveling", perturb_mode=1,
+        config = SimConfig(dt=0.02, eps=1e-2, perturb_kind="traveling", perturb_mode=1,
                            pin_mean=True)
         cfgs = [replace(config, t_max=max(400.0, 16.0 / abs(mu)) if mu != 0 else 400.0)
                 for mu in mus]
@@ -441,7 +459,7 @@ def amplitude_scaling_experiment(params: ModelParams, mus, config: SimConfig | N
         cfgs = [config] * len(mus)
     dt = config.dt
     n_steps = [int(round(cfg.t_max / dt)) for cfg in cfgs]
-    sample_every = max(int(0.1 / dt), 1)
+    sample_every = sampling_steps(dt)
     series = [[] for _ in mus]
 
     def observe(_i, members, U):
@@ -455,18 +473,16 @@ def amplitude_scaling_experiment(params: ModelParams, mus, config: SimConfig | N
     rows = []
     for mu, cfg, steps, amps in zip(mus, cfgs, n_steps, series):
         times = dt * np.arange(sample_every, steps + 1, sample_every)
-        amps = np.asarray(amps)
-        mags = np.abs(amps)
-        n_tail = max(int(len(mags) * 0.2), 8)
-        tail_amp = float(np.max(mags[-n_tail:]))
+        tail_amp, freq, note = tail_fit(times, amps)
         if mu > 0:
-            if not _saturated_tail(times, mags):
+            if not _saturated_tail(np.abs(amps)):
                 raise NoSaturation(f"mu = {mu}: amplitude not settled by t = {cfg.t_max}")
-            freq = oscillation_frequency(times[-n_tail:], amps[-n_tail:])
+            if freq is None:
+                raise WindowTooShort(note)
             rows.append({"mu": mu, "amplitude": tail_amp, "frequency": freq})
         else:
             rows.append({"mu": mu, "amplitude": tail_amp, "frequency": None,
-                         "decayed": tail_amp < 0.05 * eps})
+                         "decayed": tail_amp < 0.05 * config.eps})
 
     sup = [r for r in rows if r["mu"] > 0]
     result = {"rows": rows, "omega": base.omega}
@@ -486,12 +502,11 @@ def amplitude_scaling_experiment(params: ModelParams, mus, config: SimConfig | N
 
 
 def timestep_convergence_order(params: ModelParams, dt: float = 0.02,
-                               t_end: float = 1.0, n_grid: int = 64,
-                               eps: float = 1e-2, seed: int = 3) -> float:
-    """Observed order from errors at dt and dt/2 against a dt/8 reference."""
+                               t_end: float = 1.0, n_grid: int = 64) -> float:
+    """Observed order at dt and dt/2 against a dt/8 reference; random start, eps 1e-2."""
     def solve(step):
-        cfg = SimConfig(n_grid=n_grid, dt=step, t_max=t_end, eps=eps,
-                        perturb_kind="random", seed=seed)
+        cfg = SimConfig(n_grid=n_grid, dt=step, t_max=t_end, eps=1e-2,
+                        perturb_kind="random", seed=3)
         sim = Simulator(params, cfg)
         return sim.run(initialize(params, cfg), t_end)
 

@@ -22,6 +22,7 @@ import numpy as np
 
 from .errors import StepSizeUnderflow
 from .params import ModelParams, onset
+from .pdesim import grid
 from .spectral import xi1, xi2
 
 DEGENERACY_TOL = 1e-10
@@ -199,8 +200,7 @@ def regime_batch(a, b, c, mu) -> dict:
 
 
 def integrate_truncated(sys: ReducedSystem, z1_0: complex, z2_0: complex,
-                        t_max: float, dt: float, rtol: float = 1e-10,
-                        atol: float = 1e-12):
+                        t_max: float, dt: float):
     """Trajectory of the four-real-dimensional truncation, sampled every dt.
 
     Integrates the polar system of the module docstring in the state
@@ -221,7 +221,7 @@ def integrate_truncated(sys: ReducedSystem, z1_0: complex, z2_0: complex,
 
     t_eval = np.arange(0.0, t_max + 0.5 * dt, dt)
     y0 = [abs(z1_0), abs(z2_0), np.angle(z1_0), np.angle(z2_0)]
-    sol = solve_ivp(rhs, (0.0, t_max), y0, t_eval=t_eval, rtol=rtol, atol=atol,
+    sol = solve_ivp(rhs, (0.0, t_max), y0, t_eval=t_eval, rtol=1e-10, atol=1e-12,
                     method="RK45")
     if not sol.success:
         raise StepSizeUnderflow(sol.message)
@@ -229,7 +229,7 @@ def integrate_truncated(sys: ReducedSystem, z1_0: complex, z2_0: complex,
     return sol.t, r1 * np.exp(1j * th1), r2 * np.exp(1j * th2)
 
 
-def branch_frequency(sys: ReducedSystem, branch: BranchPoint) -> float:
+def branch_frequency(branch: BranchPoint) -> float:
     """Common rotation rate omega*(mu) of the nonzero components at a branch point.
 
     On rotating_wave_2 only z2 is nonzero, so its rate is th2'; th1' there
@@ -247,12 +247,11 @@ def reconstruct_wave(params: ModelParams, sys: ReducedSystem, branch: BranchPoin
     """
     if branch.kind == "trivial":
         raise ValueError("reconstruct_wave requires a nontrivial branch")
-    w_star = branch_frequency(sys, branch)
+    w_star = branch_frequency(branch)
     z1 = branch.r1 * np.exp(1j * (w_star * t + phi1))
     z2 = branch.r2 * np.exp(1j * (w_star * t + phi2))
 
-    L = params.half_length
-    x = -L + (2.0 * L / n_grid) * np.arange(n_grid)
+    x = grid(params, n_grid)
     k1 = params.k1
     amp1 = next(iter(xi1(params).terms.values()))
     amp2 = next(iter(xi2(params).terms.values()))

@@ -20,7 +20,7 @@ import numpy as np
 
 from .errors import DomainMismatch, InadmissibleRegime
 from .modes import ModeSum
-from .params import ModelParams, onset
+from .params import ModelParams, hopf_bound, onset
 
 DEFAULT_IMAG_AXIS_TOL = 1e-10
 DEFAULT_N_MAX = 64
@@ -117,7 +117,7 @@ def mode_eigenvalues(params: ModelParams, n: int, beta: float | None = None) -> 
 
 
 def onset_scan(params: ModelParams, beta: float | None = None,
-               n_max: int = DEFAULT_N_MAX, tol: float = DEFAULT_IMAG_AXIS_TOL) -> ScanResult:
+               n_max: int = DEFAULT_N_MAX) -> ScanResult:
     """Classify the spectrum over modes |n| <= n_max at the given beta."""
     if n_max < 2:
         raise ValueError("n_max must be at least 2")
@@ -128,6 +128,7 @@ def onset_scan(params: ModelParams, beta: float | None = None,
         beta = params.beta
 
     records = [mode_eigenvalues(params, n, beta) for n in range(0, n_max + 1)]
+    tol = DEFAULT_IMAG_AXIS_TOL
     critical = [r.n for r in records
                 if r.n != 0 and abs(r.max_real_part) <= tol
                 and max(abs(root.real) for root in r.roots) <= tol]
@@ -141,8 +142,8 @@ def onset_scan(params: ModelParams, beta: float | None = None,
 
     # Closed-form certificate: gamma(n) - k^2 d2 beta >= k^2 d2 (bound - beta),
     # uniform over all nonzero modes.
-    bound = (1.0 + params.alpha * math.sqrt(params.delta1 / params.delta2)) ** 2
-    margin = params.delta2 * (bound - beta)
+    margin = float(params.delta2 * (hopf_bound(params.alpha, params.delta1, params.delta2)
+                                     - beta))
 
     crit = sorted(set(critical) | {-n for n in critical})
     return ScanResult(records=records, verdict=verdict, critical_modes=crit,

@@ -190,7 +190,7 @@ def test_criterion_8_reduced_dynamics():
     sw_sys = ReducedSystem.from_coeffs(nf, 0.05)
     sw = {b.kind: b for b in branches(sw_sys)}["standing_wave"]
     n = 128
-    w_star = branch_frequency(sw_sys, sw)
+    w_star = branch_frequency(sw)
     _, u_t, _ = reconstruct_wave(CANON, sw_sys, sw, 0.2, 1.4, t=0.3, n_grid=n)
     _, u_s, _ = reconstruct_wave(CANON, sw_sys, sw, 0.2, 1.4,
                                  t=0.3 + math.pi / w_star, n_grid=n)

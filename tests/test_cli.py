@@ -168,6 +168,31 @@ def test_simulate_short_run(capsys, tmp_path):
     assert "re_mode1" in series[0]
 
 
+def test_simulate_records_the_beta_it_runs(capsys, tmp_path):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("alpha = 2.0\nbeta = 99.0\n")
+    out_path = tmp_path / "sim.json"
+    code, _, _ = run(capsys, "simulate", "--config", str(cfg), "--mu", "0.05",
+                     "--dt", "0.05", "--tmax", "1", "--n-grid", "16",
+                     "--out", str(out_path))
+    assert code == 0
+    rec = json.loads(out_path.read_text())
+    assert rec["params"]["beta"] == rec["beta"] == 7.0 + 0.05
+
+
+def test_onset_csv_is_at_the_scan_beta(capsys, tmp_path):
+    out_csv = tmp_path / "curve.csv"
+    code, out, _ = run(capsys, "onset", "--alpha", "2", "--scan-beta", "7.5",
+                       "--n-max", "3", "--csv", str(out_csv))
+    assert code == 0
+    rec = json.loads(out)
+    assert rec["params"]["beta"] == 7.0
+    mode1 = [m for m in rec["modes"] if m["n"] == 1][0]
+    curve = {int(r["n"]): r for r in csv.DictReader(out_csv.open())}
+    assert abs(mode1["re1"] - 0.25) < 1e-12
+    assert float(curve[1]["re_lambda_max"]) == max(mode1["re1"], mode1["re2"])
+
+
 def test_sweep_reads_config_and_flags_override_it(capsys, tmp_path):
     cfg = tmp_path / "run.cfg"
     cfg.write_text("alpha = 3.0\nbeta = 99.0\ndelta1 = 2.0\n")
@@ -208,6 +233,13 @@ _SIMULATE = ("simulate", "--alpha", "2", "--mu", "0.05", "--tmax", "1")
      "perturbed mode 200 lies above the 2/3 cutoff (mode 21)"),
     (_SIMULATE + ("--perturb", "1:nan"), "eps must be finite"),
     (("onset", "--config", "{tmp}/missing.cfg"), "No such file"),
+    (_SIMULATE + ("--beta", "99"), "give --beta or --mu, not both"),
+    (("onset", "--alpha", "2", "--scan-beta", "0"),
+     "parameter 'beta' must be strictly positive, got 0.0"),
+    (("onset", "--alpha", "2", "--scan-beta", "-3"),
+     "parameter 'beta' must be strictly positive, got -3.0"),
+    (("onset", "--alpha", "2", "--scan-beta", "nan"),
+     "parameter 'beta' must be strictly positive, got nan"),
 ])
 def test_bad_invocation_fails_in_one_line(capsys, tmp_path, argv, message):
     code, _, err = run(capsys, *(a.format(tmp=tmp_path) for a in argv))

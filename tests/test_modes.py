@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from conftest import evaluate_on_grid, random_admissible
 
-from o2hopf import ModeSum, R01, R20, R21, R30, onset, validate
+from o2hopf import ModeSum, R01, R20, R30, onset, validate
 from o2hopf.spectral import inner_product, xi1, xi1_star, xi2
 
 CANON = validate({"alpha": 2.0, "beta": 7.0})
@@ -89,12 +89,6 @@ class TestPinnedValues:
         out = 6.0 * R30(CANON, x1, x2, x2.conj())
         assert np.allclose(out.amp(1), 2.0 * expected * np.array([1.0, -1.0]))
 
-    def test_r21_cross_term(self):
-        out = R21(CANON, xi1(CANON), xi2(CANON))
-        assert out.indices() == [0]
-        assert np.allclose(out.amp(0), [0.5, -0.5])
-        assert R21(CANON, ModeSum.zero(), xi1(CANON)).is_zero()
-
 
 class TestAlgebraicProperties:
     def test_symmetry(self):
@@ -102,7 +96,6 @@ class TestAlgebraicProperties:
         for _ in range(5):
             u, v = random_mode_sum(rng), random_mode_sum(rng)
             assert (R20(CANON, u, v) - R20(CANON, v, u)).norm() < 1e-12
-            assert (R21(CANON, u, v) - R21(CANON, v, u)).norm() < 1e-12
 
     def test_r30_permutation_invariance(self):
         rng = np.random.default_rng(8)

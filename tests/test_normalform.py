@@ -5,7 +5,7 @@ import pytest
 from conftest import random_admissible
 
 from o2hopf import ModelParams, SingularSystem, onset, validate
-from o2hopf.normalform import (A_ROUTES, ROUTES, _projection_kernel, _solve_2x2,
+from o2hopf.normalform import (A_ROUTES, ROUTES, _projection_kernel,
                                closed_form_constants, coeff_a, coeff_b,
                                coeff_c, coeffs, coeffs_report,
                                projection_residual_orthogonality, solve_psi)
@@ -48,11 +48,6 @@ class TestPsi:
                             for _ in range(10)]:
             res = solve_psi(p).residuals(p)
             assert max(res.values()) <= 1e-12
-
-    def test_solver_guard(self):
-        w = onset(CANON).omega
-        with pytest.raises(SingularSystem):
-            _solve_2x2(CANON, 1j * w, 1, np.array([1.0, 0.0]), "probe")
 
     def test_batched_singular_mask(self):
         # delta1 = 4/7 at alpha = 2, delta2 = 1 makes P_2(0) = det M_2 vanish

@@ -1,3 +1,4 @@
+import csv
 import math
 from dataclasses import replace
 
@@ -9,6 +10,7 @@ from o2hopf import (FieldState, InvalidConfig, NoSaturation, NumericalBlowup, Si
                     measure_growth_rate, mode_amplitude,
                     oscillation_frequency, onset, rhs_norm,
                     timestep_convergence_order, validate)
+from o2hopf.cli import dispatch
 from o2hopf.pdesim import _Engine, amplitude_scaling_experiment
 
 CANON = validate({"alpha": 2.0, "beta": 7.0})
@@ -105,7 +107,7 @@ class TestDeterminismAndSafety:
         assert np.array_equal(outs[0].u2, outs[1].u2)
 
     def test_blowup_detection(self):
-        config = SimConfig(n_grid=64, dt=1e-2, blowup_norm=1e3)
+        config = SimConfig(n_grid=64, dt=1e-2)
         sim = Simulator(CANON, config)
         bad = FieldState(u1=np.full(64, 1e7), u2=np.full(64, 1e7), time=0.0)
         with pytest.raises(NumericalBlowup):
@@ -265,3 +267,34 @@ def test_no_saturation_names_first_failing_mu():
                        perturb_kind="traveling", pin_mean=True)
     with pytest.raises(NoSaturation, match=r"mu = 0\.3:"):
         amplitude_scaling_experiment(CANON, [-0.05, 0.3, 0.2], config=config)
+
+
+def test_decay_verdict_reads_the_config_eps():
+    # the mode-1 amplitude is still 98.6 % of its start: not decayed
+    config = SimConfig(n_grid=32, dt=0.05, t_max=10.0, eps=1e-4,
+                       perturb_kind="traveling", pin_mean=True)
+    result = amplitude_scaling_experiment(CANON, [-0.01], config=config)
+    assert not result["rows"][0]["decayed"]
+    assert "verdict" not in result
+
+
+def test_simulate_and_scaling_sample_alike(tmp_path, monkeypatch):
+    # at dt = 0.015, 0.1 / dt = 6.67: both sample every 7 steps
+    dt = 0.015
+    spacing = []
+    advance = _Engine.advance
+
+    def spy(self, U, betas, n_steps, t0=0.0, sample_every=0, observe=None):
+        spacing.append(sample_every)
+        return advance(self, U, betas, n_steps, t0, sample_every, observe)
+
+    monkeypatch.setattr(_Engine, "advance", spy)
+    config = SimConfig(n_grid=32, dt=dt, t_max=3.0, eps=1e-3, pin_mean=True)
+    amplitude_scaling_experiment(CANON, [-0.05], config=config)
+    series = tmp_path / "series.csv"
+    assert dispatch(["simulate", "--alpha", "2", "--mu", "-0.05", "--dt", repr(dt),
+                     "--tmax", "3", "--n-grid", "32", "--series", str(series),
+                     "--out", str(tmp_path / "sim.json")]) == 0
+    times = [float(row["t"]) for row in csv.DictReader(series.open())]
+    assert spacing == [7, 7]
+    assert abs(times[1] - times[0] - 7 * dt) < 1e-12

@@ -199,14 +199,14 @@ class TestTrajectories:
                                             t_max=10.0, dt=0.01)
             z = z1 if bp.r1 else z2
             winding = np.unwrap(np.angle(z))[-1] - np.angle(z[0])
-            assert abs(winding - branch_frequency(sys, bp) * 10.0) < 1e-6, bp.kind
+            assert abs(winding - branch_frequency(bp) * 10.0) < 1e-6, bp.kind
 
     @pytest.mark.parametrize("mu", [0.05, 0.1])
     def test_rotating_waves_share_frequency(self, mu):
         sys = projection_system(mu)
         out = {b.kind: b for b in branches(sys)}
-        w1 = branch_frequency(sys, out["rotating_wave_1"])
-        assert branch_frequency(sys, out["rotating_wave_2"]) == w1
+        w1 = branch_frequency(out["rotating_wave_1"])
+        assert branch_frequency(out["rotating_wave_2"]) == w1
         assert w1 == out["rotating_wave_1"].frequencies[0]
 
     @pytest.mark.parametrize("mu", [0.05, 0.1])
@@ -218,7 +218,7 @@ class TestTrajectories:
             r = np.array([bp.r1, bp.r2])
             t, z1, z2 = integrate_truncated(sys, *(r * np.exp(1j * phi)),
                                             t_max=300.0, dt=1.0)
-            exact = r[:, None] * np.exp(1j * (branch_frequency(sys, bp) * t + phi[:, None]))
+            exact = r[:, None] * np.exp(1j * (branch_frequency(bp) * t + phi[:, None]))
             assert np.max(np.abs(np.stack([z1, z2]) - exact)) <= 1e-9, bp.kind
 
     def test_agrees_with_cartesian_reference(self):
@@ -290,7 +290,7 @@ class TestReconstruction:
         n = 128
         sys = projection_system(0.05)
         bp = {b.kind: b for b in branches(sys)}["standing_wave"]
-        w_star = branch_frequency(sys, bp)
+        w_star = branch_frequency(bp)
         _, u_t, _ = reconstruct_wave(CANON, sys, bp, 0.2, 1.4, t=0.3, n_grid=n)
         _, u_shift, _ = reconstruct_wave(CANON, sys, bp, 0.2, 1.4,
                                          t=0.3 + math.pi / w_star, n_grid=n)
