@@ -26,7 +26,7 @@ from .normalform import (ROUTES, closed_form_constants, coeffs, coeffs_batch,
                          coeffs_report)
 from .params import (ModelParams, is_positive, onset, onset_terms, read_config,
                      validate)
-from .pdesim import (SimConfig, Simulator, initialize, mode_amplitude, sampling_steps,
+from .pdesim import (SimConfig, Simulator, _mode_coefficients, initialize, sampling_steps,
                      tail_fit)
 from .reduced import ReducedSystem, branches, classify_regime, regime_batch
 from .spectral import dispersion_curve, onset_scan, turing_check
@@ -175,6 +175,8 @@ def cmd_coeffs(ns) -> int:
 
 
 def _reduced_system(params: ModelParams, route: str, mu: float) -> ReducedSystem:
+    if not math.isfinite(mu):
+        raise BadFlag(f"--mu must be finite, got {mu!r}")
     return ReducedSystem.from_coeffs(coeffs(params, route), mu)
 
 
@@ -229,7 +231,7 @@ def cmd_simulate(ns) -> int:
     state = initialize(params, config)
 
     def observe(s):
-        amps = [mode_amplitude(s, k) for k in tracked]
+        amps = _mode_coefficients(s.u1, tracked).tolist()
         return amps + [float(np.mean(s.u1)), float(np.mean(s.u2))]
 
     state, times, samples = sim.run(state, config.t_max,
@@ -272,6 +274,8 @@ def _parse_grid(spec: str):
         raise BadFlag("--grid expects name=lo:hi:count with name in "
                       "{alpha, delta1, delta2, mu}")
     lo, hi, count = float(parts[0]), float(parts[1]), int(parts[2])
+    if count < 1:
+        raise BadFlag(f"--grid {name}: count must be at least 1, got {count}")
     return name, np.linspace(lo, hi, count)
 
 

@@ -6,17 +6,19 @@ reaction terms in physical space.  The cubic product is dealiased with the
 2/3 rule.  The scheme is second order in dt and bitwise
 deterministic for a fixed seed and configuration.
 
-One engine integrates a batch of B runs of the same model, held as a float
-array of shape (B, 2, N): member b, species s, grid point j.  Both species
-of every member diffuse with one stacked rfft/irfft pair.  The trailing
-half-step of one step and the leading half-step of the next compose into
-one full step, so the engine splits them only where the fields are read:
-at sample points and at a member's last step.  Members may take different
-numbers of steps; each leaves the batch at its own last step.  Every
-operation acts on one member at a time, so a member of a batch is bitwise
-equal to the same run alone.  ``Simulator`` drives the engine with B = 1;
-``amplitude_scaling_experiment`` and ``equivariance_test`` run their
-integrations as one batch.
+One ``Simulator`` integrates a batch of B runs of the same model, held as
+a float array of shape (B, 2, N): member b, species s, grid point j.  Both
+species of every member diffuse with one stacked rfft/irfft pair.  The
+trailing half-step of one step and the leading half-step of the next
+compose into one full step, so the stepper splits them only where the
+fields are read: at sample points and at a member's last step.  Members
+may take different numbers of steps; each leaves the batch at its own last
+step.  Every operation acts on one member at a time, so a member of a
+batch is bitwise equal to the same run alone.  ``Simulator.run`` and
+``step`` are the B = 1 use; ``amplitude_scaling_experiment`` and
+``equivariance_test`` run their integrations as one batch.
+``Simulator.rhs`` is the semi-discrete right-hand side that the steps
+integrate, and ``rhs_norm`` measures it.
 """
 
 from __future__ import annotations
@@ -44,7 +46,7 @@ class FieldState:
         return self.u1.shape[0]
 
 
-_PERTURB_KINDS = ("none", "cosine", "traveling", "random")
+_PERTURB_KINDS = ("none", "traveling", "random")
 
 
 @dataclass(frozen=True)
@@ -52,7 +54,7 @@ class SimConfig:
     n_grid: int = 128
     dt: float = 1e-3
     t_max: float = 2000.0
-    perturb_kind: str = "traveling"   # "none" | "cosine" | "traveling" | "random"
+    perturb_kind: str = "traveling"
     perturb_mode: int = 1
     eps: float = 1e-4
     seed: int = 0
@@ -107,14 +109,10 @@ def initialize(params: ModelParams, config: SimConfig,
     u2 = np.full(config.n_grid, beta / params.alpha)
     kind = config.perturb_kind
     if kind != "none" and config.eps != 0.0:
-        k = config.perturb_mode * params.k1
-        if kind == "cosine":
-            # excites both counter-propagating directions equally (standing)
-            v = _dominant_eigvec(params, config.perturb_mode, beta)
-            wave = config.eps * np.cos(k * x)[None, :] * np.real(v)[:, None]
-        elif kind == "traveling":
+        if kind == "traveling":
             # single-direction complex mode along the leading eigenvector, so
             # the tracked mode amplitude evolves as one clean exponential
+            k = config.perturb_mode * params.k1
             v = _dominant_eigvec(params, config.perturb_mode, beta)
             wave = config.eps * np.real(np.exp(1j * k * x)[None, :] * v[:, None])
         else:   # "random"
@@ -129,26 +127,30 @@ def initialize(params: ModelParams, config: SimConfig,
     return FieldState(u1=u1, u2=u2, time=0.0)
 
 
-def _wavenumbers(params: ModelParams, n_grid: int) -> np.ndarray:
-    """Angular wave numbers of the rfft coefficients on [-L, L)."""
-    return 2.0 * np.pi * np.fft.rfftfreq(n_grid, d=2.0 * params.half_length / n_grid)
+def _stack(state: FieldState) -> np.ndarray:
+    return np.stack([state.u1, state.u2])
 
 
-class _Engine:
-    """Strang-split stepper over a (B, 2, N) batch of one params/config pair.
+class Simulator:
+    """Strang-split pseudospectral stepper for a fixed params/config pair.
 
-    Members share the grid, dt and mean pinning; each has its own beta and
-    step count.
+    ``advance`` steps a (B, 2, N) batch whose members share the grid, dt
+    and mean pinning; each has its own beta and step count.  ``run`` and
+    ``step`` advance one field state at ``self.beta``.
     """
 
-    def __init__(self, params: ModelParams, config: SimConfig):
+    def __init__(self, params: ModelParams, config: SimConfig,
+                 beta: float | None = None):
         self.params = params
         self.config = config
+        self.beta = params.beta if beta is None else beta
         n = config.n_grid
-        k = _wavenumbers(params, n)
+        # angular wave numbers of the rfft coefficients on [-L, L)
+        self._k = k = 2.0 * np.pi * np.fft.rfftfreq(n, d=2.0 * params.half_length / n)
         delta = np.array([[params.delta1], [params.delta2]])
-        self._half = np.exp(-delta * k ** 2 * (config.dt / 2.0))   # (2, n//2 + 1)
-        self._full = np.exp(-delta * k ** 2 * config.dt)
+        self._symbol = -delta * k ** 2   # Laplacian symbol, (2, n//2 + 1)
+        self._half = np.exp(self._symbol * (config.dt / 2.0))
+        self._full = np.exp(self._symbol * config.dt)
         # 2/3 rule; the rfft wave numbers increase, so the kept ones are a prefix
         cutoff = (2.0 / 3.0) * np.max(k) if n > 2 else np.inf
         self._keep = int(np.count_nonzero(k <= cutoff))
@@ -189,6 +191,18 @@ class _Engine:
         F += self._const
         F += self._sign * nl[:, None]
         return F
+
+    def rhs(self, U, beta) -> np.ndarray:
+        """dU/dt of the semi-discrete system the steps integrate, for U (B, 2, N).
+
+        Spectral diffusion plus the dealiased reaction; beta is one number
+        or one per member.  Mean pinning is a constraint of the stepper,
+        not part of this operator.
+        """
+        U = np.asarray(U, dtype=float)
+        lin, _ = self._coefficients(np.full(len(U), beta, dtype=float))
+        diffusion = np.fft.irfft(self._symbol * np.fft.rfft(U), n=self.config.n_grid)
+        return diffusion + self._rhs(U, lin)
 
     def _react(self, U, lin):
         dt = self.config.dt
@@ -250,30 +264,14 @@ class _Engine:
                 U = self._end_step(U, self._full, mean, t)
         return out
 
-
-def _stack(state: FieldState) -> np.ndarray:
-    return np.stack([state.u1, state.u2])
-
-
-class Simulator:
-    """Strang-split pseudospectral stepper for a fixed params/config pair."""
-
-    def __init__(self, params: ModelParams, config: SimConfig,
-                 beta: float | None = None):
-        self.params = params
-        self.config = config
-        self.beta = params.beta if beta is None else beta
-        self._engine = _Engine(params, config)
-
-    def _advance(self, state: FieldState, n_steps: int, sample_every=0, observe=None):
-        n_steps = max(n_steps, 0)
-        U = self._engine.advance(_stack(state)[None], [self.beta], [n_steps],
-                                 state.time, sample_every, observe)
-        return FieldState(u1=U[0, 0], u2=U[0, 1],
-                          time=state.time + n_steps * self.config.dt)
+    def translate(self, U: np.ndarray, phi: float) -> np.ndarray:
+        """R(phi): v(x) -> v(x - phi) on fields (..., N), via a spectral phase shift."""
+        return np.fft.irfft(np.fft.rfft(U) * np.exp(-1j * self._k * phi),
+                            n=self.config.n_grid)
 
     def step(self, state: FieldState) -> FieldState:
-        return self._advance(state, 1)
+        U = self.advance(_stack(state)[None], [self.beta], [1], state.time)
+        return FieldState(u1=U[0, 0], u2=U[0, 1], time=state.time + self.config.dt)
 
     def run(self, state: FieldState, t_end: float, sample_every: int = 0,
             observer=None):
@@ -282,10 +280,8 @@ class Simulator:
         Sample i (counting steps from 1) is taken at time t0 + i * dt.
         """
         dt = self.config.dt
-        n_steps = int(round((t_end - state.time) / dt))
-        if not sample_every:
-            return self._advance(state, n_steps)
         t0 = state.time
+        n_steps = max(int(round((t_end - t0) / dt)), 0)
         times, samples = [], []
 
         def observe(i, _members, U):
@@ -294,7 +290,11 @@ class Simulator:
             samples.append(observer(FieldState(u1=U[0, 0], u2=U[0, 1], time=t))
                            if observer else None)
 
-        state = self._advance(state, n_steps, sample_every, observe)
+        U = self.advance(_stack(state)[None], [self.beta], [n_steps], t0,
+                         sample_every, observe)
+        state = FieldState(u1=U[0, 0], u2=U[0, 1], time=t0 + n_steps * dt)
+        if not sample_every:
+            return state
         return state, np.asarray(times), samples
 
 
@@ -306,10 +306,10 @@ def mode_amplitude(state: FieldState, k: int) -> complex:
     return complex(_mode_coefficients(state.u1, k))
 
 
-def _mode_coefficients(u1: np.ndarray, k: int) -> np.ndarray:
-    """Coefficient k of the unit-mean DFT along the last axis of u1 (..., N)."""
+def _mode_coefficients(u1: np.ndarray, k) -> np.ndarray:
+    """Coefficients k (one index or an array) of the unit-mean DFT of u1 (..., N)."""
     n = u1.shape[-1]
-    return np.fft.fft(u1)[..., k % n] / n
+    return np.fft.fft(u1)[..., np.asarray(k) % n] / n
 
 
 def oscillation_frequency(times: np.ndarray, series: np.ndarray) -> float:
@@ -367,13 +367,6 @@ def measure_growth_rate(params: ModelParams, beta: float, k: int,
     return float(slope), lead
 
 
-def _translate(U: np.ndarray, params: ModelParams, phi: float) -> np.ndarray:
-    """R(phi): v(x) -> v(x - phi) on fields (..., N), via a spectral phase shift."""
-    n = U.shape[-1]
-    shift = np.exp(-1j * _wavenumbers(params, n) * phi)
-    return np.fft.irfft(np.fft.rfft(U) * shift, n=n)
-
-
 def _reflect(U: np.ndarray) -> np.ndarray:
     """S: v(x) -> v(-x) on fields (..., N); exact grid permutation."""
     n = U.shape[-1]
@@ -386,15 +379,15 @@ def equivariance_test(params: ModelParams, config: SimConfig, phi: float,
 
     The start and its two images are integrated as one batch of three.
     """
+    sim = Simulator(params, config)
     ops = {
-        "translation": lambda U: _translate(U, params, phi),
+        "translation": lambda U: sim.translate(U, phi),
         "reflection": _reflect,
     }
     start = _stack(initialize(params, config))
     batch = np.stack([start] + [op(start) for op in ops.values()])
     n_steps = int(round(t_end / config.dt))
-    final = _Engine(params, config).advance(batch, [params.beta] * len(batch),
-                                            [n_steps] * len(batch))
+    final = sim.advance(batch, [params.beta] * len(batch), [n_steps] * len(batch))
     report = {"phi": phi, "t_end": t_end}
     for j, (name, op) in enumerate(ops.items(), start=1):
         report[name] = float(np.max(np.abs(op(final[0]) - final[j])))
@@ -447,8 +440,11 @@ def amplitude_scaling_experiment(params: ModelParams, mus,
     the bifurcating branch are unaffected, though the proportionality
     constant reflects the pinned cubic coefficients.
     """
-    base = onset(params)
     mus = list(mus)
+    if not mus:
+        raise InvalidConfig("amplitude_scaling_experiment needs at least one mu; "
+                            "the mu list is empty")
+    base = onset(params)
     betas = [base.beta1 + mu for mu in mus]
     if config is None:
         config = SimConfig(dt=0.02, eps=1e-2, perturb_kind="traveling", perturb_mode=1,
@@ -467,9 +463,8 @@ def amplitude_scaling_experiment(params: ModelParams, mus,
             series[b].append(z)
 
     starts = [_stack(initialize(params, cfg, beta=beta)) for cfg, beta in zip(cfgs, betas)]
-    if starts:
-        _Engine(params, config).advance(np.stack(starts), betas, n_steps,
-                                        sample_every=sample_every, observe=observe)
+    Simulator(params, config).advance(np.stack(starts), betas, n_steps,
+                                      sample_every=sample_every, observe=observe)
     rows = []
     for mu, cfg, steps, amps in zip(mus, cfgs, n_steps, series):
         times = dt * np.arange(sample_every, steps + 1, sample_every)
@@ -519,14 +514,6 @@ def timestep_convergence_order(params: ModelParams, dt: float = 0.02,
 
 
 def rhs_norm(params: ModelParams, state: FieldState, beta: float | None = None) -> float:
-    """Sup-norm of the full PDE right-hand side; zero at an equilibrium."""
-    if beta is None:
-        beta = params.beta
-    n = state.n_grid
-    k = _wavenumbers(params, n)
-    lap1 = np.fft.irfft(-k ** 2 * np.fft.rfft(state.u1), n=n)
-    lap2 = np.fft.irfft(-k ** 2 * np.fft.rfft(state.u2), n=n)
-    nl = state.u1 ** 2 * state.u2
-    f1 = params.delta1 * lap1 - (beta + 1.0) * state.u1 + nl + params.alpha
-    f2 = params.delta2 * lap2 + beta * state.u1 - nl
-    return float(max(np.max(np.abs(f1)), np.max(np.abs(f2))))
+    """Sup-norm of Simulator.rhs, the semi-discrete right-hand side; zero at an equilibrium."""
+    sim = Simulator(params, SimConfig(n_grid=state.n_grid, perturb_kind="none"), beta)
+    return float(np.max(np.abs(sim.rhs(_stack(state)[None], sim.beta))))

@@ -8,7 +8,6 @@ import math
 import time
 
 import numpy as np
-import pytest
 from conftest import random_admissible
 
 from o2hopf import (ReducedSystem, SimConfig, equivariance_test,

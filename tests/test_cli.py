@@ -240,6 +240,12 @@ _SIMULATE = ("simulate", "--alpha", "2", "--mu", "0.05", "--tmax", "1")
      "parameter 'beta' must be strictly positive, got -3.0"),
     (("onset", "--alpha", "2", "--scan-beta", "nan"),
      "parameter 'beta' must be strictly positive, got nan"),
+    (("classify", "--alpha", "2", "--mu", "nan"), "--mu must be finite, got nan"),
+    (("branch", "--alpha", "2", "--mu", "inf"), "--mu must be finite, got inf"),
+    (("sweep", "--grid", "alpha=1:3:0", "--out", "{tmp}/zero.csv"),
+     "--grid alpha: count must be at least 1, got 0"),
+    (("sweep", "--grid", "alpha=1:3:-1", "--out", "{tmp}/neg.csv"),
+     "--grid alpha: count must be at least 1, got -1"),
 ])
 def test_bad_invocation_fails_in_one_line(capsys, tmp_path, argv, message):
     code, _, err = run(capsys, *(a.format(tmp=tmp_path) for a in argv))

@@ -1,7 +1,9 @@
+import ast
 import os
 import subprocess
 import sys
 import types
+from pathlib import Path
 
 import o2hopf
 
@@ -33,3 +35,28 @@ def test_cli_paths_load_no_scipy(tmp_path):
                           capture_output=True, text=True, env=env, timeout=120)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip().splitlines()[-1] == "[]"
+
+
+def _unused_imports(path):
+    """Names a module imports but never reads (a dotted import binds its first part)."""
+    tree = ast.parse(path.read_text(), filename=str(path))
+    imported = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                imported[alias.asname or alias.name.partition(".")[0]] = node.lineno
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            for alias in node.names:
+                imported[alias.asname or alias.name] = node.lineno
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    return sorted(f"{path.name}:{line} {name}" for name, line in imported.items()
+                  if name not in used)
+
+
+def test_no_unused_imports():
+    # __init__.py re-exports what it imports through __all__
+    roots = [Path(o2hopf.__file__).parent, Path(__file__).parent]
+    paths = [p for root in roots for p in sorted(root.glob("*.py"))
+             if p.name != "__init__.py"]
+    assert len(paths) > 10
+    assert [name for p in paths for name in _unused_imports(p)] == []

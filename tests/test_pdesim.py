@@ -8,10 +8,10 @@ import pytest
 from o2hopf import (FieldState, InvalidConfig, NoSaturation, NumericalBlowup, SimConfig,
                     Simulator, WindowTooShort, equivariance_test, initialize,
                     measure_growth_rate, mode_amplitude,
-                    oscillation_frequency, onset, rhs_norm,
+                    oscillation_frequency, rhs_norm,
                     timestep_convergence_order, validate)
 from o2hopf.cli import dispatch
-from o2hopf.pdesim import _Engine, amplitude_scaling_experiment
+from o2hopf.pdesim import amplitude_scaling_experiment
 
 CANON = validate({"alpha": 2.0, "beta": 7.0})
 RT3 = math.sqrt(3.0)
@@ -132,7 +132,7 @@ class TestEngine:
         betas, n_steps = [6.9, 7.05, 7.1], [40, 23, 60]
         start = initialize(CANON, self.CONFIG)
         starts = np.stack([np.stack([start.u1, start.u2 + 0.01 * j]) for j in range(3)])
-        engine = _Engine(CANON, self.CONFIG)
+        engine = Simulator(CANON, self.CONFIG)
 
         def collect(store):
             def observe(i, members, U):
@@ -211,6 +211,32 @@ class TestLinearRegime:
         assert abs(mode_amplitude(state, 2)) < 1e-5
 
 
+def test_step_integrates_rhs():
+    """One step's difference quotient tends to Simulator.rhs at first order in dt.
+
+    The field carries modes 1-15 on 32 points, so the cubic term has content
+    above the 2/3 cutoff and only the dealiased operator is the one stepped.
+    """
+    n = 32
+    rng = np.random.default_rng(7)
+    x = 2.0 * np.pi * np.arange(n) / n - np.pi
+    waves = np.exp(1j * np.outer(np.arange(1, 16), x))
+    U = np.array([[2.0], [3.5]]) + np.real(
+        0.05 * (rng.standard_normal((2, 15)) + 1j * rng.standard_normal((2, 15))) @ waves)
+    state = FieldState(u1=U[0], u2=U[1], time=0.0)
+    for dt in (1e-4, 1e-5, 1e-6):
+        sim = Simulator(CANON, SimConfig(n_grid=n, dt=dt))
+        stepped = sim.step(state)
+        quotient = (np.stack([stepped.u1, stepped.u2]) - U) / dt
+        rhs = sim.rhs(U[None], CANON.beta)[0]
+        assert np.max(np.abs(quotient - rhs)) <= 1e4 * dt
+        assert rhs_norm(CANON, state) == np.max(np.abs(rhs))
+        assert abs(rhs_norm(CANON, state) - np.max(np.abs(quotient))) <= 1e4 * dt
+    uniform = initialize(CANON, SimConfig(n_grid=n, perturb_kind="none"))
+    assert np.max(np.abs(sim.rhs(np.stack([uniform.u1, uniform.u2])[None], 7.0))) <= 1e-13
+    assert rhs_norm(CANON, uniform) <= 1e-13
+
+
 def test_mean_identity():
     """d/dt of mean(v1 + v2) equals -mean(v1) along the flow."""
     config = SimConfig(n_grid=64, dt=1e-3, perturb_kind="random",
@@ -253,6 +279,11 @@ def test_subcritical_scaling_reports_decay():
     assert result["rows"][0]["decayed"]
 
 
+def test_scaling_needs_a_mu():
+    with pytest.raises(InvalidConfig, match="the mu list is empty"):
+        amplitude_scaling_experiment(CANON, [])
+
+
 def test_scaling_batch_equals_single_runs():
     config = SimConfig(n_grid=32, dt=0.05, t_max=20.0, eps=1e-3,
                        perturb_kind="traveling", pin_mean=True)
@@ -282,13 +313,13 @@ def test_simulate_and_scaling_sample_alike(tmp_path, monkeypatch):
     # at dt = 0.015, 0.1 / dt = 6.67: both sample every 7 steps
     dt = 0.015
     spacing = []
-    advance = _Engine.advance
+    advance = Simulator.advance
 
     def spy(self, U, betas, n_steps, t0=0.0, sample_every=0, observe=None):
         spacing.append(sample_every)
         return advance(self, U, betas, n_steps, t0, sample_every, observe)
 
-    monkeypatch.setattr(_Engine, "advance", spy)
+    monkeypatch.setattr(Simulator, "advance", spy)
     config = SimConfig(n_grid=32, dt=dt, t_max=3.0, eps=1e-3, pin_mean=True)
     amplitude_scaling_experiment(CANON, [-0.05], config=config)
     series = tmp_path / "series.csv"

@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from conftest import evaluate_on_grid, random_admissible
+from conftest import random_admissible
 from scipy.integrate import solve_ivp
 
 from o2hopf import ReducedSystem, onset, validate
