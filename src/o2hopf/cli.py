@@ -48,9 +48,6 @@ def _jsonify(obj):
         return obj.item()
     if isinstance(obj, np.ndarray):
         return [_jsonify(v) for v in obj.tolist()]
-    if isinstance(obj, ModelParams):
-        return {"alpha": obj.alpha, "beta": obj.beta, "delta1": obj.delta1,
-                "delta2": obj.delta2, "half_length": obj.half_length}
     if isinstance(obj, dict):
         return {str(k): _jsonify(v) for k, v in obj.items()}
     if isinstance(obj, (list, tuple)):
@@ -60,27 +57,39 @@ def _jsonify(obj):
     return obj
 
 
-def _emit(record, out_path=None, extra_outputs=(), command="", args_digest=""):
+def _emit(ns, record, outputs=()):
+    """Print the JSON record, or write it to --out with a manifest of it and outputs."""
     text = json.dumps(_jsonify(record), indent=2, sort_keys=True)
-    if out_path:
-        with open(out_path, "w") as fh:
+    if ns.out:
+        with open(ns.out, "w") as fh:
             fh.write(text + "\n")
-        _write_manifest(out_path, [out_path, *extra_outputs], command, args_digest)
+        _write_manifest(ns, ns.out, [ns.out, *outputs])
     else:
         print(text)
 
 
-def _write_manifest(anchor_path, outputs, command, args_digest):
+def _write_manifest(ns, path, outputs):
+    """Write path.manifest.json: the command, its config hash and the output files."""
     manifest = {
-        "command": command,
-        "config_hash": args_digest,
+        "command": ns.command,
+        "config_hash": _digest(ns),
         "tool_version": __version__,
         "timestamp": time.strftime("%Y-%m-%dT%H:%M:%S%z"),
         "outputs": [os.path.abspath(p) for p in outputs],
     }
-    path = os.path.abspath(anchor_path) + ".manifest.json"
-    with open(path, "w") as fh:
+    with open(os.path.abspath(path) + ".manifest.json", "w") as fh:
         json.dump(manifest, fh, indent=2, sort_keys=True)
+
+
+def _write_csv(path, header, rows) -> list:
+    """Write the header and rows to path; returns [path], or [] when path is empty."""
+    if not path:
+        return []
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        writer.writerows(rows)
+    return [path]
 
 
 def _digest(ns) -> str:
@@ -121,10 +130,8 @@ def _params_from(ns) -> ModelParams:
 
 def cmd_onset(ns) -> int:
     params = _params_from(ns)
-    beta = params.beta if ns.scan_beta is None else ns.scan_beta
-    if not is_positive(beta):
-        raise NonPositiveParameter("beta", beta)
-    scan = onset_scan(params, beta=beta, n_max=ns.n_max)
+    scanned = params if ns.scan_beta is None else params.with_beta(ns.scan_beta)
+    scan = onset_scan(scanned, n_max=ns.n_max)
     record = {
         "params": params,
         "beta1": onset(params).beta1,
@@ -137,40 +144,25 @@ def cmd_onset(ns) -> int:
         "verdict": scan.verdict,
         "turing": turing_check(params),
     }
-    extra = []
-    if ns.csv:
-        with open(ns.csv, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["n", "k", "re_lambda_max", "im_lambda"])
-            writer.writerows(dispersion_curve(params, beta, ns.n_max))
-        extra.append(ns.csv)
-    _emit(record, ns.out, extra, "onset", _digest(ns))
+    _emit(ns, record, _write_csv(ns.csv, ["n", "k", "re_lambda_max", "im_lambda"],
+                                 dispersion_curve(scanned, ns.n_max)))
     return 0
 
 
 def cmd_coeffs(ns) -> int:
     params = _params_from(ns)
     if ns.route:
-        if ns.route not in ROUTES:
-            raise BadFlag(f"--route must be one of {ROUTES}")
         record = coeffs(params, ns.route)
+        routes = {ns.route: {"a": record.a, "b": record.b, "c": record.c}}
     else:
         record = coeffs_report(params)
-    extra = []
-    if ns.csv:
-        nf = record if ns.route else None
-        with open(ns.csv, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["alpha", "delta1", "delta2", "route",
-                             "re_a", "im_a", "re_b", "im_b", "re_c", "im_c"])
-            rows = ([(ns.route, nf.a, nf.b, nf.c)] if nf else
-                    [(r, v["a"], v["b"], v["c"])
-                     for r, v in record["routes"].items()])
-            for route, a, b, c in rows:
-                writer.writerow([params.alpha, params.delta1, params.delta2, route,
-                                 a.real, a.imag, b.real, b.imag, c.real, c.imag])
-        extra.append(ns.csv)
-    _emit(record, ns.out, extra, "coeffs", _digest(ns))
+        routes = record["routes"]
+    header = ["alpha", "delta1", "delta2", "route",
+              "re_a", "im_a", "re_b", "im_b", "re_c", "im_c"]
+    rows = [[params.alpha, params.delta1, params.delta2, route,
+             *(part for name in "abc" for part in (v[name].real, v[name].imag))]
+            for route, v in routes.items()]
+    _emit(ns, record, _write_csv(ns.csv, header, rows))
     return 0
 
 
@@ -186,7 +178,7 @@ def cmd_classify(ns) -> int:
     record = {"params": params, "mu": ns.mu, "route": ns.route,
               "coefficients": {"a": sys_.a, "b": sys_.b, "c": sys_.c},
               "regime": classify_regime(sys_)}
-    _emit(record, ns.out, (), "classify", _digest(ns))
+    _emit(ns, record)
     return 0
 
 
@@ -195,7 +187,7 @@ def cmd_branch(ns) -> int:
     sys_ = _reduced_system(params, ns.route, ns.mu)
     record = {"params": params, "mu": ns.mu, "route": ns.route,
               "branches": branches(sys_)}
-    _emit(record, ns.out, (), "branch", _digest(ns))
+    _emit(ns, record)
     return 0
 
 
@@ -237,21 +229,12 @@ def cmd_simulate(ns) -> int:
     state, times, samples = sim.run(state, config.t_max,
                                     sample_every=sample_every, observer=observe)
 
-    csv_path = ns.series or (ns.out + ".series.csv" if ns.out else None)
-    if csv_path:
-        with open(csv_path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            header = ["t"]
-            for k in tracked:
-                header += [f"re_mode{k}", f"im_mode{k}"]
-            header += ["mean_u1", "mean_u2"]
-            writer.writerow(header)
-            for t, row in zip(times, samples):
-                flat = [t]
-                for k in range(len(tracked)):
-                    flat += [row[k].real, row[k].imag]
-                flat += row[len(tracked):]
-                writer.writerow(flat)
+    header = ["t", *(f"{part}_mode{k}" for k in tracked for part in ("re", "im")),
+              "mean_u1", "mean_u2"]
+    rows = ([t, *(part for z in row[:len(tracked)] for part in (z.real, z.imag)),
+             *row[len(tracked):]] for t, row in zip(times, samples))
+    outputs = _write_csv(ns.series or (ns.out + ".series.csv" if ns.out else None),
+                         header, rows)
 
     amplitude, frequency, note = tail_fit(times, [row[1] for row in samples])
     summary = {
@@ -262,7 +245,7 @@ def cmd_simulate(ns) -> int:
     }
     if note:
         summary["frequency_note"] = note
-    _emit(summary, ns.out, [csv_path] if csv_path else (), "simulate", _digest(ns))
+    _emit(ns, summary, outputs)
     return 0
 
 
@@ -382,14 +365,15 @@ def cmd_sweep(ns) -> int:
     raw = _raw_params(ns)
     fixed = {**{k: raw.get(k, v) for k, v in _SWEEP_DEFAULTS.items()}, "mu": ns.mu}
     axes = [_parse_grid(spec) for spec in ns.grid]
+    names = [name for name, _ in axes]
+    for name in names:
+        if names.count(name) > 1:
+            raise BadFlag(f"--grid {name} is given more than once; give each axis one range")
     columns = _sweep_columns(_grid_columns(fixed, axes))
 
     out = ns.out or "sweep.csv"
-    with open(out, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(_SWEEP_FIELDS)
-        writer.writerows(zip(*(columns[name] for name in _SWEEP_FIELDS)))
-    _write_manifest(out, [out], "sweep", _digest(ns))
+    _write_manifest(ns, out, _write_csv(out, _SWEEP_FIELDS,
+                                        zip(*(columns[name] for name in _SWEEP_FIELDS))))
     n_err = sum(1 for e in columns["error"] if e)
     print(f"wrote {len(columns['index'])} rows to {out} ({n_err} with per-point errors)")
     return 0
@@ -429,7 +413,7 @@ def _verify_checks(quick: bool):
            report["mean_zero_obstruction"]["verdict"] == "present",
            report["mean_zero_obstruction"]["verdict"])
 
-    scan = onset_scan(canonical, beta=7.0, n_max=16)
+    scan = onset_scan(canonical, n_max=16)
     yield ("hopf_onset", scan.verdict == "hopf_onset" and scan.critical_modes == [-1, 1],
            scan.verdict)
     yield ("no_turing", turing_check(canonical).both_positive_real_part, "")

@@ -92,28 +92,25 @@ def grid(params: ModelParams, n_grid: int) -> np.ndarray:
     return -L + (2.0 * L / n_grid) * np.arange(n_grid)
 
 
-def _dominant_eigvec(params: ModelParams, k: int, beta: float) -> np.ndarray:
-    m = mode_matrix(params, k, beta)
+def _dominant_eigvec(params: ModelParams, k: int) -> np.ndarray:
+    m = mode_matrix(params, k, params.beta)
     vals, vecs = np.linalg.eig(m)
     v = vecs[:, int(np.argmax(vals.real))]
     return v / v[np.argmax(np.abs(v))]
 
 
-def initialize(params: ModelParams, config: SimConfig,
-               beta: float | None = None) -> FieldState:
+def initialize(params: ModelParams, config: SimConfig) -> FieldState:
     """Uniform state (alpha, beta/alpha) plus the configured perturbation."""
-    if beta is None:
-        beta = params.beta
     x = grid(params, config.n_grid)
     u1 = np.full(config.n_grid, params.alpha)
-    u2 = np.full(config.n_grid, beta / params.alpha)
+    u2 = np.full(config.n_grid, params.beta / params.alpha)
     kind = config.perturb_kind
     if kind != "none" and config.eps != 0.0:
         if kind == "traveling":
             # single-direction complex mode along the leading eigenvector, so
             # the tracked mode amplitude evolves as one clean exponential
             k = config.perturb_mode * params.k1
-            v = _dominant_eigvec(params, config.perturb_mode, beta)
+            v = _dominant_eigvec(params, config.perturb_mode)
             wave = config.eps * np.real(np.exp(1j * k * x)[None, :] * v[:, None])
         else:   # "random"
             rng = np.random.default_rng(config.seed)
@@ -136,14 +133,12 @@ class Simulator:
 
     ``advance`` steps a (B, 2, N) batch whose members share the grid, dt
     and mean pinning; each has its own beta and step count.  ``run`` and
-    ``step`` advance one field state at ``self.beta``.
+    ``step`` advance one field state at ``params.beta``.
     """
 
-    def __init__(self, params: ModelParams, config: SimConfig,
-                 beta: float | None = None):
+    def __init__(self, params: ModelParams, config: SimConfig):
         self.params = params
         self.config = config
-        self.beta = params.beta if beta is None else beta
         n = config.n_grid
         # angular wave numbers of the rfft coefficients on [-L, L)
         self._k = k = 2.0 * np.pi * np.fft.rfftfreq(n, d=2.0 * params.half_length / n)
@@ -270,7 +265,7 @@ class Simulator:
                             n=self.config.n_grid)
 
     def step(self, state: FieldState) -> FieldState:
-        U = self.advance(_stack(state)[None], [self.beta], [1], state.time)
+        U = self.advance(_stack(state)[None], [self.params.beta], [1], state.time)
         return FieldState(u1=U[0, 0], u2=U[0, 1], time=state.time + self.config.dt)
 
     def run(self, state: FieldState, t_end: float, sample_every: int = 0,
@@ -290,7 +285,7 @@ class Simulator:
             samples.append(observer(FieldState(u1=U[0, 0], u2=U[0, 1], time=t))
                            if observer else None)
 
-        U = self.advance(_stack(state)[None], [self.beta], [n_steps], t0,
+        U = self.advance(_stack(state)[None], [self.params.beta], [n_steps], t0,
                          sample_every, observe)
         state = FieldState(u1=U[0, 0], u2=U[0, 1], time=t0 + n_steps * dt)
         if not sample_every:
@@ -343,7 +338,8 @@ def measure_growth_rate(params: ModelParams, beta: float, k: int,
     matrix, so log |mode amplitude| is linear from the start; the first
     tenth of the window is still discarded.
     """
-    lead = mode_eigenvalues(params, k, beta).max_real_part
+    params = params.with_beta(beta)
+    lead = mode_eigenvalues(params, k).max_real_part
     if t_end is None:
         # a few e-foldings of the predicted rate, capped because the uniform
         # mode (seeded at O(eps^2) by the quadratic terms) grows at an O(1)
@@ -351,8 +347,8 @@ def measure_growth_rate(params: ModelParams, beta: float, k: int,
         t_end = min(10.0, max(2.0, 3.0 / max(abs(lead), 0.3)))
     config = SimConfig(n_grid=n_grid, dt=dt, t_max=t_end, perturb_kind="traveling",
                        perturb_mode=k, eps=eps)
-    sim = Simulator(params, config, beta=beta)
-    state = initialize(params, config, beta=beta)
+    sim = Simulator(params, config)
+    state = initialize(params, config)
     base = params.alpha if k == 0 else 0.0  # uniform background of u1
     state, times, amps = sim.run(state, t_end, sample_every=5,
                                  observer=lambda s: abs(mode_amplitude(s, k) - base))
@@ -444,6 +440,10 @@ def amplitude_scaling_experiment(params: ModelParams, mus,
     if not mus:
         raise InvalidConfig("amplitude_scaling_experiment needs at least one mu; "
                             "the mu list is empty")
+    for mu in mus:
+        if not math.isfinite(mu):
+            raise InvalidConfig(f"amplitude_scaling_experiment needs finite mu values, "
+                                f"got mu = {mu!r}")
     base = onset(params)
     betas = [base.beta1 + mu for mu in mus]
     if config is None:
@@ -462,7 +462,8 @@ def amplitude_scaling_experiment(params: ModelParams, mus,
         for b, z in zip(members, _mode_coefficients(U[:, 0], 1)):
             series[b].append(z)
 
-    starts = [_stack(initialize(params, cfg, beta=beta)) for cfg, beta in zip(cfgs, betas)]
+    starts = [_stack(initialize(params.with_beta(beta), cfg))
+              for cfg, beta in zip(cfgs, betas)]
     Simulator(params, config).advance(np.stack(starts), betas, n_steps,
                                       sample_every=sample_every, observe=observe)
     rows = []
@@ -513,7 +514,7 @@ def timestep_convergence_order(params: ModelParams, dt: float = 0.02,
     return float(np.log2(e[0] / e[1]))
 
 
-def rhs_norm(params: ModelParams, state: FieldState, beta: float | None = None) -> float:
-    """Sup-norm of Simulator.rhs, the semi-discrete right-hand side; zero at an equilibrium."""
-    sim = Simulator(params, SimConfig(n_grid=state.n_grid, perturb_kind="none"), beta)
-    return float(np.max(np.abs(sim.rhs(_stack(state)[None], sim.beta))))
+def rhs_norm(params: ModelParams, state: FieldState) -> float:
+    """Sup-norm of Simulator.rhs at params.beta; zero at an equilibrium."""
+    sim = Simulator(params, SimConfig(n_grid=state.n_grid, perturb_kind="none"))
+    return float(np.max(np.abs(sim.rhs(_stack(state)[None], params.beta))))

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import StepSizeUnderflow
+from .errors import InvalidConfig, StepSizeUnderflow
 from .params import ModelParams, onset
 from .pdesim import grid
 from .spectral import xi1, xi2
@@ -212,8 +212,9 @@ def integrate_truncated(sys: ReducedSystem, z1_0: complex, z2_0: complex,
 
     Returns (t, z1, z2) arrays; deterministic for fixed inputs.
     """
-    if t_max <= 0.0 or dt <= 0.0:
-        raise ValueError("t_max and dt must be positive")
+    for name, value in (("t_max", t_max), ("dt", dt)):
+        if not (math.isfinite(value) and value > 0.0):
+            raise InvalidConfig(f"{name} must be finite and > 0, got {value!r}")
     from scipy.integrate import solve_ivp
 
     def rhs(_, y):

@@ -104,30 +104,26 @@ def _quadratic_roots(b: float, c: float):
     return (complex(-b / 2.0, sq / 2.0), complex(-b / 2.0, -sq / 2.0))
 
 
-def mode_eigenvalues(params: ModelParams, n: int, beta: float | None = None) -> ModeRecord:
-    if beta is None:
-        beta = params.beta
+def mode_eigenvalues(params: ModelParams, n: int) -> ModeRecord:
+    """Roots of the mode-n characteristic polynomial at params.beta."""
     k2 = (n * params.k1) ** 2
     bk, gk = _beta_gamma(params.alpha, params.delta1, params.delta2, k2)
-    b = bk - beta
-    c = gk - k2 * params.delta2 * beta
+    b = bk - params.beta
+    c = gk - k2 * params.delta2 * params.beta
     roots = _quadratic_roots(b, c)
     return ModeRecord(n=n, k=n * params.k1, roots=roots,
                       max_real_part=max(r.real for r in roots))
 
 
-def onset_scan(params: ModelParams, beta: float | None = None,
-               n_max: int = DEFAULT_N_MAX) -> ScanResult:
-    """Classify the spectrum over modes |n| <= n_max at the given beta."""
+def onset_scan(params: ModelParams, n_max: int = DEFAULT_N_MAX) -> ScanResult:
+    """Classify the spectrum over modes |n| <= n_max at params.beta."""
     if n_max < 2:
         raise ValueError("n_max must be at least 2")
     data = onset(params)
     if not data.admissible:
         raise InadmissibleRegime("onset scan requires an admissible parameter set")
-    if beta is None:
-        beta = params.beta
 
-    records = [mode_eigenvalues(params, n, beta) for n in range(0, n_max + 1)]
+    records = [mode_eigenvalues(params, n) for n in range(0, n_max + 1)]
     tol = DEFAULT_IMAG_AXIS_TOL
     critical = [r.n for r in records
                 if r.n != 0 and abs(r.max_real_part) <= tol
@@ -143,7 +139,7 @@ def onset_scan(params: ModelParams, beta: float | None = None,
     # Closed-form certificate: gamma(n) - k^2 d2 beta >= k^2 d2 (bound - beta),
     # uniform over all nonzero modes.
     margin = float(params.delta2 * (hopf_bound(params.alpha, params.delta1, params.delta2)
-                                     - beta))
+                                     - params.beta))
 
     crit = sorted(set(critical) | {-n for n in critical})
     return ScanResult(records=records, verdict=verdict, critical_modes=crit,
@@ -153,7 +149,7 @@ def onset_scan(params: ModelParams, beta: float | None = None,
 def turing_check(params: ModelParams) -> TuringReport:
     """Diffusionless (n = 0) spectrum at beta1: both roots in the right half plane."""
     data = onset(params)
-    rec = mode_eigenvalues(params, 0, data.beta1)
+    rec = mode_eigenvalues(params.with_beta(data.beta1), 0)
     return TuringReport(roots=rec.roots,
                         both_positive_real_part=all(r.real > 0 for r in rec.roots))
 
@@ -206,12 +202,11 @@ def inner_product(params: ModelParams, f: ModeSum, g: ModeSum) -> complex:
     return complex(2.0 * params.half_length * total)
 
 
-def dispersion_curve(params: ModelParams, beta: float | None = None,
-                     n_max: int = DEFAULT_N_MAX):
-    """(n, k, max Re lambda, Im lambda of the leading root) rows for plotting."""
+def dispersion_curve(params: ModelParams, n_max: int = DEFAULT_N_MAX):
+    """(n, k, max Re lambda, Im lambda of the leading root) rows at params.beta."""
     rows = []
     for n in range(0, n_max + 1):
-        rec = mode_eigenvalues(params, n, beta)
+        rec = mode_eigenvalues(params, n)
         lead = max(rec.roots, key=lambda r: (r.real, r.imag))
         rows.append((n, rec.k, rec.max_real_part, lead.imag))
     return rows

@@ -109,7 +109,7 @@ def test_criterion_4_psi_residuals():
 
 def test_criterion_5_spectral_onset():
     start = time.time()
-    scan = onset_scan(CANON, beta=7.0, n_max=64)
+    scan = onset_scan(CANON, n_max=64)
     rec1 = [r for r in scan.records if r.n == 1][0]
     crit_ok = (max(abs(r.real) for r in rec1.roots) <= 1e-10
                and min(abs(r.imag - RT3) for r in rec1.roots) <= 1e-10
@@ -124,7 +124,7 @@ def test_criterion_5_spectral_onset():
         p = random_admissible(rng)
         n = int(rng.integers(0, 9))
         beta = float(rng.uniform(0.5, 12.0))
-        rec = mode_eigenvalues(p, n, beta)
+        rec = mode_eigenvalues(p.with_beta(beta), n)
         from o2hopf.spectral import beta_n, gamma_n
         bn, gn = beta_n(p, n), gamma_n(p, n)
         scale = 1.0 + abs(bn) + abs(gn)

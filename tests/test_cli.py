@@ -246,6 +246,8 @@ _SIMULATE = ("simulate", "--alpha", "2", "--mu", "0.05", "--tmax", "1")
      "--grid alpha: count must be at least 1, got 0"),
     (("sweep", "--grid", "alpha=1:3:-1", "--out", "{tmp}/neg.csv"),
      "--grid alpha: count must be at least 1, got -1"),
+    (("sweep", "--grid", "alpha=1:2:2", "--grid", "alpha=3:4:2", "--out", "{tmp}/twice.csv"),
+     "--grid alpha is given more than once"),
 ])
 def test_bad_invocation_fails_in_one_line(capsys, tmp_path, argv, message):
     code, _, err = run(capsys, *(a.format(tmp=tmp_path) for a in argv))

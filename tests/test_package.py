@@ -1,11 +1,16 @@
 import ast
 import os
+import re
+import shlex
 import subprocess
 import sys
 import types
 from pathlib import Path
 
 import o2hopf
+from o2hopf.cli import build_parser
+
+README = Path(__file__).resolve().parent.parent / "README.md"
 
 
 def test_star_import_brings_in_no_modules():
@@ -60,3 +65,21 @@ def test_no_unused_imports():
              if p.name != "__init__.py"]
     assert len(paths) > 10
     assert [name for p in paths for name in _unused_imports(p)] == []
+
+
+def _readme_block(section, language):
+    """The first fenced code block of that language under a README heading."""
+    text = README.read_text().split(f"\n## {section}\n", 1)[1]
+    return re.search(rf"```{language}\n(.*?)```", text, re.S).group(1)
+
+
+def test_readme_examples_run():
+    # every command line of the README parses, and the library snippet runs
+    block = _readme_block("Command line", "sh").replace("\\\n", " ")
+    lines = [shlex.split(line, comments=True) for line in block.splitlines()]
+    assert len(lines) > 5
+    parser = build_parser()
+    for argv in lines:
+        assert argv[0] == "o2hopf"
+        assert parser.parse_args(argv[1:]).func
+    exec(_readme_block("Library", "python"), {})

@@ -153,13 +153,13 @@ class TestEngine:
             assert all(np.array_equal(a, c) for (_, a), (_, c)
                        in zip(batch_samples[b], solo_samples[0]))
             state = FieldState(u1=starts[b, 0], u2=starts[b, 1], time=0.0)
-            sim = Simulator(CANON, self.CONFIG, beta=betas[b])
+            sim = Simulator(CANON.with_beta(betas[b]), self.CONFIG)
             out, _, _ = sim.run(state, n_steps[b] * self.CONFIG.dt, sample_every=5)
             assert np.array_equal(out.u1, batch[b, 0])
             assert np.array_equal(out.u2, batch[b, 1])
 
     def test_run_matches_repeated_steps(self):
-        sim = Simulator(CANON, self.CONFIG, beta=7.05)
+        sim = Simulator(CANON.with_beta(7.05), self.CONFIG)
         state = initialize(CANON, self.CONFIG)
         stepped = state
         for _ in range(50):
@@ -205,8 +205,8 @@ class TestLinearRegime:
         beta = 6.8
         config = SimConfig(n_grid=64, dt=5e-3, perturb_kind="random",
                            eps=1e-3, seed=2, pin_mean=True)
-        sim = Simulator(CANON, config, beta=beta)
-        state = sim.run(initialize(CANON, config, beta=beta), 40.0)
+        sim = Simulator(CANON.with_beta(beta), config)
+        state = sim.run(initialize(CANON.with_beta(beta), config), 40.0)
         assert abs(mode_amplitude(state, 1)) < 1e-5
         assert abs(mode_amplitude(state, 2)) < 1e-5
 
@@ -241,8 +241,8 @@ def test_mean_identity():
     """d/dt of mean(v1 + v2) equals -mean(v1) along the flow."""
     config = SimConfig(n_grid=64, dt=1e-3, perturb_kind="random",
                        eps=5e-2, seed=9)
-    sim = Simulator(CANON, config, beta=7.0)
-    state = initialize(CANON, config, beta=7.0)
+    sim = Simulator(CANON, config)
+    state = initialize(CANON, config)
     # let the quadratic terms build up a genuine mean deviation first
     state = sim.run(state, 1.0)
     u1bar, u2bar = CANON.alpha, 7.0 / CANON.alpha
@@ -282,6 +282,12 @@ def test_subcritical_scaling_reports_decay():
 def test_scaling_needs_a_mu():
     with pytest.raises(InvalidConfig, match="the mu list is empty"):
         amplitude_scaling_experiment(CANON, [])
+
+
+def test_scaling_rejects_a_nonfinite_mu():
+    config = SimConfig(n_grid=32, dt=0.05, t_max=1.0, eps=1e-3)
+    with pytest.raises(InvalidConfig, match="got mu = nan"):
+        amplitude_scaling_experiment(CANON, [0.1, float("nan")], config=config)
 
 
 def test_scaling_batch_equals_single_runs():

@@ -1,17 +1,21 @@
-"""Property tests: the paper's algebraic invariants over admissible parameter sets.
+"""Property tests: the paper's invariants over admissible parameter sets.
 
 Each example draws alpha, delta1, delta2 and the half-length, keeps the
-sets where the O(2)-Hopf analysis applies, and sits at beta = beta1.  No
-PDE runs here, so the examples stay cheap.
+sets where the O(2)-Hopf analysis applies, and sits at beta = beta1.  The
+algebraic properties draw 50 examples; the PDE properties draw a few short
+runs (16-32 grid points, about 50 steps) to keep the suite fast.
 """
 
+import numpy as np
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from o2hopf import ModelParams, coeffs, mode_eigenvalues, onset, solve_psi
+from o2hopf import (ModelParams, SimConfig, Simulator, coeffs,
+                    equivariance_test, initialize, mode_eigenvalues, onset, solve_psi)
 from o2hopf.spectral import beta_n, gamma_n
 
 PROPERTY = settings(max_examples=50, deadline=None, database=None)
+PDE_PROPERTY = settings(max_examples=8, deadline=None, database=None)
 
 
 @st.composite
@@ -46,6 +50,37 @@ def test_mode_eigenvalues_satisfy_vieta(p, n, mu):
     beta = p.beta + mu
     b = beta_n(p, n) - beta
     c = gamma_n(p, n) - (n * p.k1) ** 2 * p.delta2 * beta
-    r1, r2 = mode_eigenvalues(p, n, beta).roots
+    r1, r2 = mode_eigenvalues(p.with_beta(beta), n).roots
     assert abs((r1 + r2) + b) <= 1e-12 * (1.0 + abs(r1) + abs(r2))
     assert abs(r1 * r2 - c) <= 1e-12 * (1.0 + abs(r1) * abs(r2))
+
+
+@st.composite
+def short_runs(draw):
+    """A random-start SimConfig on 16-32 points with dt = 0.01."""
+    return SimConfig(n_grid=draw(st.integers(16, 32)), dt=0.01, t_max=0.5,
+                     perturb_kind="random", eps=1e-3, seed=draw(st.integers(0, 99)),
+                     pin_mean=draw(st.booleans()))
+
+
+@PDE_PROPERTY
+@given(admissible_sets(), short_runs(),
+       st.lists(st.tuples(st.floats(-0.2, 0.2), st.integers(30, 50)), min_size=2, max_size=3))
+def test_batch_member_equals_solo_run(p, config, members):
+    # each member runs at its own beta offset; alone it is a Simulator at that beta
+    betas = [p.beta + offset for offset, _ in members]
+    n_steps = [steps for _, steps in members]
+    starts = [initialize(p.with_beta(beta), config) for beta in betas]
+    batch = Simulator(p, config).advance(
+        np.stack([np.stack([s.u1, s.u2]) for s in starts]), betas, n_steps)
+    for beta, steps, start, fields in zip(betas, n_steps, starts, batch):
+        solo = Simulator(p.with_beta(beta), config).run(start, steps * config.dt)
+        assert np.array_equal(solo.u1, fields[0]) and np.array_equal(solo.u2, fields[1])
+
+
+@PDE_PROPERTY
+@given(admissible_sets(), short_runs(), st.floats(-3.0, 3.0))
+def test_flow_commutes_with_translation_and_reflection(p, config, phi):
+    report = equivariance_test(p, config, phi, t_end=0.5)
+    assert report["translation"] <= 1e-8
+    assert report["reflection"] <= 1e-8

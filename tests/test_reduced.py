@@ -5,7 +5,7 @@ import pytest
 from conftest import random_admissible
 from scipy.integrate import solve_ivp
 
-from o2hopf import ReducedSystem, onset, validate
+from o2hopf import InvalidConfig, ReducedSystem, onset, validate
 from o2hopf.normalform import coeffs
 from o2hopf.reduced import (branch_frequency, branches, classify_regime,
                             integrate_truncated, polar_vector_field,
@@ -257,6 +257,11 @@ class TestTrajectories:
     def test_bad_arguments(self):
         with pytest.raises(ValueError):
             integrate_truncated(projection_system(0.1), 0.1, 0.1, -1.0, 0.1)
+
+    @pytest.mark.parametrize("t_max", [math.nan, math.inf])
+    def test_nonfinite_horizon_is_invalid_config(self, t_max):
+        with pytest.raises(InvalidConfig, match=f"t_max must be finite and > 0, got {t_max}"):
+            integrate_truncated(projection_system(0.1), 0.1, 0.1, t_max, 0.1)
 
 
 class TestReconstruction:

@@ -34,21 +34,21 @@ def test_gamma_omega_identity_random():
 
 
 def test_critical_mode_roots():
-    rec = mode_eigenvalues(CANON, 1, 7.0)
+    rec = mode_eigenvalues(CANON, 1)
     roots = sorted(rec.roots, key=lambda r: r.imag)
     assert abs(roots[1] - 1j * RT3) < 1e-12
     assert abs(roots[0] + 1j * RT3) < 1e-12
 
 
 def test_zero_mode_roots():
-    rec = mode_eigenvalues(CANON, 0, 7.0)
+    rec = mode_eigenvalues(CANON, 0)
     roots = sorted(rec.roots, key=lambda r: r.imag)
     assert abs(roots[1] - (1.0 + 1j * RT3)) < 1e-12
     assert abs(roots[0] - (1.0 - 1j * RT3)) < 1e-12
 
 
 def test_mode_two_off_axis():
-    rec = mode_eigenvalues(CANON, 2, 7.0)
+    rec = mode_eigenvalues(CANON, 2)
     assert all(abs(r.real) > 1e-6 for r in rec.roots)
 
 
@@ -59,7 +59,7 @@ def test_vieta_500_random():
         p = random_admissible(rng)
         n = int(rng.integers(0, 9))
         beta = float(rng.uniform(0.5, 12.0))
-        rec = mode_eigenvalues(p, n, beta)
+        rec = mode_eigenvalues(p.with_beta(beta), n)
         s = rec.roots[0] + rec.roots[1]
         pr = rec.roots[0] * rec.roots[1]
         bn, k2 = beta_n(p, n), (n * p.k1) ** 2
@@ -72,32 +72,32 @@ def test_vieta_500_random():
 
 def test_evenness():
     for n in range(1, 6):
-        a = mode_eigenvalues(CANON, n, 6.9)
-        b = mode_eigenvalues(CANON, -n, 6.9)
+        a = mode_eigenvalues(CANON.with_beta(6.9), n)
+        b = mode_eigenvalues(CANON.with_beta(6.9), -n)
         assert a.roots == b.roots
 
 
 def test_onset_scan_verdicts():
-    scan = onset_scan(CANON, beta=7.0, n_max=16)
+    scan = onset_scan(CANON, n_max=16)
     assert scan.verdict == "hopf_onset"
     assert scan.critical_modes == [-1, 1]
 
-    scan = onset_scan(CANON, beta=6.5, n_max=16)
+    scan = onset_scan(CANON.with_beta(6.5), n_max=16)
     assert scan.verdict == "stable"
     assert scan.critical_modes == []
     assert all(r.max_real_part < 0 for r in scan.records if r.n != 0)
 
-    scan = onset_scan(CANON, beta=7.5, n_max=16)
+    scan = onset_scan(CANON.with_beta(7.5), n_max=16)
     assert scan.verdict == "unstable"
 
 
 def test_onset_scan_requires_admissible():
     with pytest.raises(InadmissibleRegime):
-        onset_scan(ModelParams(alpha=1.0, beta=1.0), beta=1.0)
+        onset_scan(ModelParams(alpha=1.0, beta=1.0))
 
 
 def test_onset_certificate():
-    scan = onset_scan(CANON, beta=7.0, n_max=64)
+    scan = onset_scan(CANON, n_max=64)
     assert scan.certificate_margin > 0
     # the closed-form bound really does minorize the constant terms
     for rec in scan.records:
@@ -174,7 +174,7 @@ def test_inner_product_domain_mismatch():
 
 
 def test_dispersion_curve_rows():
-    rows = dispersion_curve(CANON, 7.0, n_max=8)
+    rows = dispersion_curve(CANON, n_max=8)
     assert len(rows) == 9
     n, k, re_max, im = rows[1]
     assert n == 1 and abs(k - 1.0) < 1e-14
