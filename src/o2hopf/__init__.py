@@ -14,10 +14,9 @@ from .errors import (DomainMismatch, InadmissibleRegime, InvalidConfig,
                      WindowTooShort)
 from .meanzero import zero_mode_content
 from .modes import ModeSum, R01, R20, R30
-from .normalform import (NormalFormCoeffs, PsiTable, closed_form_constants,
-                         coeff_a, coeff_b, coeff_c, coeffs, coeffs_report,
-                         solve_psi)
-from .params import ModelParams, OnsetData, load_config, onset, validate
+from .normalform import (NormalFormCoeffs, PsiTable, closed_form_constants, coeffs,
+                         coeffs_report, solve_psi)
+from .params import ModelParams, OnsetData, onset, validate
 from .pdesim import (FieldState, SimConfig, Simulator,
                      amplitude_scaling_experiment, equivariance_test, grid,
                      initialize, measure_growth_rate, mode_amplitude,
@@ -36,7 +35,7 @@ __all__ = [
     "NoSaturation", "NumericalBlowup", "O2HopfError", "SingularSystem",
     "StepSizeUnderflow", "WindowTooShort",
     # parameters and onset
-    "ModelParams", "OnsetData", "load_config", "onset", "validate",
+    "ModelParams", "OnsetData", "onset", "validate",
     # spectrum and critical eigenfunctions
     "ModeRecord", "ScanResult", "TuringReport", "dispersion_curve", "inner_product",
     "mode_eigenvalues", "mode_matrix", "onset_scan", "turing_check", "xi1",
@@ -44,8 +43,8 @@ __all__ = [
     # mode sums and the nonlinearity
     "ModeSum", "R01", "R20", "R30",
     # normal-form coefficients
-    "NormalFormCoeffs", "PsiTable", "closed_form_constants", "coeff_a", "coeff_b",
-    "coeff_c", "coeffs", "coeffs_report", "solve_psi", "zero_mode_content",
+    "NormalFormCoeffs", "PsiTable", "closed_form_constants", "coeffs",
+    "coeffs_report", "solve_psi", "zero_mode_content",
     # reduced dynamics
     "BranchPoint", "ReducedSystem", "branch_frequency", "branches",
     "classify_regime", "integrate_truncated", "polar_vector_field",

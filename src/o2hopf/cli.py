@@ -192,12 +192,15 @@ def cmd_branch(ns) -> int:
 
 
 def _parse_perturb(spec: str):
+    """'K:EPS' -> ("traveling", K, EPS); 'random:EPS' -> ("random", 1, EPS)."""
     kind, _, eps = spec.partition(":")
-    if not eps:
-        raise BadFlag("--perturb expects 'K:EPS' or 'random:EPS'")
-    if kind == "random":
-        return "random", 1, float(eps)
-    return "traveling", int(kind), float(eps)
+    try:
+        if kind == "random":
+            return "random", 1, float(eps)
+        return "traveling", int(kind), float(eps)
+    except ValueError:
+        raise BadFlag("--perturb expects 'K:EPS' or 'random:EPS' with K an integer "
+                      f"and EPS a number, got {spec!r}") from None
 
 
 def cmd_simulate(ns) -> int:
@@ -252,11 +255,15 @@ def cmd_simulate(ns) -> int:
 def _parse_grid(spec: str):
     """'name=lo:hi:count' -> (name, values)."""
     name, _, rng = spec.partition("=")
-    parts = rng.split(":")
-    if name not in ("alpha", "delta1", "delta2", "mu") or len(parts) != 3:
-        raise BadFlag("--grid expects name=lo:hi:count with name in "
-                      "{alpha, delta1, delta2, mu}")
-    lo, hi, count = float(parts[0]), float(parts[1]), int(parts[2])
+    form = ("--grid expects name=lo:hi:count with name in {alpha, delta1, delta2, mu}, "
+            f"lo and hi numbers and count an integer, got {spec!r}")
+    if name not in ("alpha", "delta1", "delta2", "mu"):
+        raise BadFlag(form)
+    try:
+        lo, hi, count = rng.split(":")
+        lo, hi, count = float(lo), float(hi), int(count)
+    except ValueError:
+        raise BadFlag(form) from None
     if count < 1:
         raise BadFlag(f"--grid {name}: count must be at least 1, got {count}")
     return name, np.linspace(lo, hi, count)

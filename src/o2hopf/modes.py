@@ -76,8 +76,8 @@ class ModeSum:
             return 0.0
         return float(np.sqrt(sum(np.sum(np.abs(a) ** 2) for a in self.terms.values())))
 
-    def is_zero(self, tol: float = 0.0) -> bool:
-        return self.norm() <= tol
+    def is_zero(self) -> bool:
+        return self.norm() == 0.0
 
     def __repr__(self):
         inner = ", ".join(f"{n}: {a}" for n, a in sorted(self.terms.items()))
@@ -102,8 +102,8 @@ def R20(params: ModelParams, u: ModeSum, v: ModeSum) -> ModeSum:
     return ModeSum(out)
 
 
-def R30(params: ModelParams, u: ModeSum, v: ModeSum, w: ModeSum) -> ModeSum:
-    """Symmetric cubic map, prefactor 1/3."""
+def R30(u: ModeSum, v: ModeSum, w: ModeSum) -> ModeSum:
+    """Symmetric cubic map, prefactor 1/3; it involves no model constant."""
     out = {}
     for mu_, a in u.terms.items():
         for nu_, b in v.terms.items():

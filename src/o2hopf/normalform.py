@@ -26,8 +26,8 @@ products, and the four resolvent systems are solved for all points at once
 by the adjugate.  A point whose system is singular is flagged in a mask,
 not raised.  ``coeffs``, ``solve_psi`` and ``coeffs_report`` run the kernel
 with B = 1; the ModeSum algebra of ``modes`` stays the independent
-reference with which ``PsiTable.residuals`` and
-``projection_residual_orthogonality`` rebuild the vectors.
+reference with which ``PsiTable.residuals`` and the report's residual
+orthogonality rebuild the vectors.
 
 All coefficients depend only on alpha, delta1, delta2 and the domain
 length, never on mu.
@@ -41,13 +41,13 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import InadmissibleRegime, SingularSystem
+from .meanzero import zero_mode_content
 from .modes import ModeSum, R01, R20, R30
 from .params import ModelParams, critical_values, onset
 from .spectral import (char_poly, inner_product, mode_entries, mode_matrix,
                        xi1, xi1_amp, xi1_star, xi1_star_amp, xi2)
 
 ROUTES = ("projection", "direct", "closed_form")
-A_ROUTES = ("projection", "asymptotic")
 
 _DET_GUARD = 1e-13
 CONSISTENCY_TOL = 1e-8
@@ -257,14 +257,11 @@ def solve_psi(params: ModelParams) -> PsiTable:
     return _project(params).psi
 
 
-def coeff_a(params: ModelParams, route: str = "projection") -> complex:
-    if route == "projection":
-        return _project(params).a
-    if route == "asymptotic":
-        # d/dmu of lambda_+(mu) = mu/2 + i sqrt(omega^2 - d2 mu - mu^2/4) at mu = 0
-        d2 = params.effective_diffusion()[1]
-        return 0.5 - 1j * d2 / (2.0 * onset(params).omega)
-    raise ValueError(f"unknown a-route {route!r}; expected one of {A_ROUTES}")
+def _asymptotic_a(params: ModelParams) -> complex:
+    """a of the direct and closed-form routes, from the critical eigenvalue."""
+    # d/dmu of lambda_+(mu) = mu/2 + i sqrt(omega^2 - d2 mu - mu^2/4) at mu = 0
+    d2 = params.effective_diffusion()[1]
+    return 0.5 - 1j * d2 / (2.0 * onset(params).omega)
 
 
 def _c1(alpha, d1, d2, beta1, w, p20):
@@ -391,71 +388,50 @@ def coeffs_batch(alpha, d1, d2, half_length):
             "b_closed_form": closed["b"], "c_closed_form": closed["c"]}, errors
 
 
-_B_ROUTES = {"projection": lambda p: _project(p).b, "direct": _b_direct,
-             "closed_form": lambda p: closed_form_constants(p)["b"]}
-_C_ROUTES = {"projection": lambda p: _project(p).c, "direct": _c_direct,
-             "closed_form": lambda p: closed_form_constants(p)["c"]}
-
-
-def _by_route(table: dict, params: ModelParams, route: str) -> complex:
-    if route not in table:
-        raise ValueError(f"unknown route {route!r}; expected one of {ROUTES}")
-    return table[route](params)
-
-
-def coeff_b(params: ModelParams, route: str = "projection") -> complex:
-    return _by_route(_B_ROUTES, params, route)
-
-
-def coeff_c(params: ModelParams, route: str = "projection") -> complex:
-    return _by_route(_C_ROUTES, params, route)
-
-
 def coeffs(params: ModelParams, route: str = "projection") -> NormalFormCoeffs:
+    """a, b and c by one of ROUTES; an unknown route raises ValueError."""
     data = onset(params)
     if route == "projection":
         a, b, c, _ = _project(params)
+    elif route == "direct":
+        a, b, c = _asymptotic_a(params), _b_direct(params), _c_direct(params)
+    elif route == "closed_form":
+        constants = closed_form_constants(params)
+        a, b, c = _asymptotic_a(params), constants["b"], constants["c"]
     else:
-        a = coeff_a(params, "asymptotic")
-        b, c = coeff_b(params, route), coeff_c(params, route)
+        raise ValueError(f"unknown route {route!r}; expected one of {ROUTES}")
     return NormalFormCoeffs(a=a, b=b, c=c, route=route,
                             omega=data.omega, beta1=data.beta1)
 
 
 def _orthogonality(params: ModelParams, proj: _Projection) -> dict:
-    x1, x2 = xi1(params), xi2(params)
-    star = xi1_star(params)
-    psi = proj.psi
-    vec_a = -proj.a * x1 + R01(x1) + 2.0 * R20(params, x1, psi.psi_00001)
-    vec_b = (-proj.b * x1 + 2.0 * R20(params, x1, psi.psi_11000)
-             + 2.0 * R20(params, x1.conj(), psi.psi_20000)
-             + 3.0 * R30(params, x1, x1, x1.conj()))
-    vec_c = (-proj.c * x1 + 2.0 * R20(params, x1, psi.psi_00110)
-             + 2.0 * R20(params, x2, psi.psi_10010)
-             + 2.0 * R20(params, x2.conj(), psi.psi_10100)
-             + 6.0 * R30(params, x1, x2, x2.conj()))
-    return {name: abs(inner_product(params, vec, star))
-            for name, vec in (("a", vec_a), ("b", vec_b), ("c", vec_c))}
-
-
-def projection_residual_orthogonality(params: ModelParams) -> dict:
     """|<residual, xi1*>| for the three projected residual vectors.
 
     Each residual (the assembled sum minus its coefficient times xi1) must
     lie in the range of (i omega - L), hence be orthogonal to xi1*.  The
     sums are rebuilt with the ModeSum algebra, independently of the kernel.
     """
-    return _orthogonality(params, _project(params))
+    x1, x2 = xi1(params), xi2(params)
+    star = xi1_star(params)
+    psi = proj.psi
+    vec_a = -proj.a * x1 + R01(x1) + 2.0 * R20(params, x1, psi.psi_00001)
+    vec_b = (-proj.b * x1 + 2.0 * R20(params, x1, psi.psi_11000)
+             + 2.0 * R20(params, x1.conj(), psi.psi_20000)
+             + 3.0 * R30(x1, x1, x1.conj()))
+    vec_c = (-proj.c * x1 + 2.0 * R20(params, x1, psi.psi_00110)
+             + 2.0 * R20(params, x2, psi.psi_10010)
+             + 2.0 * R20(params, x2.conj(), psi.psi_10100)
+             + 6.0 * R30(x1, x2, x2.conj()))
+    return {name: abs(inner_product(params, vec, star))
+            for name, vec in (("a", vec_a), ("b", vec_b), ("c", vec_c))}
 
 
 def coeffs_report(params: ModelParams) -> dict:
     """All routes, all intermediate constants, and pairwise discrepancies."""
-    from .meanzero import zero_mode_content  # local import to avoid a cycle
-
     data = onset(params)
     proj = _project(params)
     constants = closed_form_constants(params)
-    a_asymptotic = coeff_a(params, "asymptotic")
+    a_asymptotic = _asymptotic_a(params)
     per_route = {
         "projection": {"a": proj.a, "b": proj.b, "c": proj.c},
         "direct": {"a": a_asymptotic, "b": _b_direct(params), "c": _c_direct(params)},

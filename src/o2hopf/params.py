@@ -149,8 +149,3 @@ def read_config(path) -> dict:
                 raise ValueError(f"{path}:{lineno}: unknown key {key!r}")
             raw[key] = float(value)
     return raw
-
-
-def load_config(path) -> ModelParams:
-    """Read ``key = value`` lines (alpha, beta, delta1, delta2, half_length)."""
-    return validate(read_config(path))

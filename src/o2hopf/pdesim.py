@@ -46,7 +46,7 @@ class FieldState:
         return self.u1.shape[0]
 
 
-_PERTURB_KINDS = ("none", "traveling", "random")
+_PERTURB_KINDS = ("traveling", "random")
 
 
 @dataclass(frozen=True)
@@ -71,11 +71,13 @@ class SimConfig:
             raise InvalidConfig(f"eps must be finite, got {self.eps!r}")
         if self.n_grid < 2:
             raise InvalidConfig(f"n_grid must be at least 2, got {self.n_grid!r}")
+        if self.seed < 0:
+            raise InvalidConfig(f"seed must be a non-negative integer, got {self.seed!r}")
         if self.perturb_kind not in _PERTURB_KINDS:
             raise InvalidConfig(f"unknown perturbation kind {self.perturb_kind!r}; "
                                 f"expected one of {_PERTURB_KINDS}")
         # the highest wave index the perturbation excites ("random": 1..4)
-        mode = {"none": 0, "random": 4}.get(self.perturb_kind, abs(self.perturb_mode))
+        mode = 4 if self.perturb_kind == "random" else abs(self.perturb_mode)
         cutoff = 2 * (self.n_grid // 2) // 3
         if self.eps != 0.0 and mode > cutoff:
             raise InvalidConfig(f"perturbed mode {mode} lies above the 2/3 cutoff "
@@ -100,13 +102,12 @@ def _dominant_eigvec(params: ModelParams, k: int) -> np.ndarray:
 
 
 def initialize(params: ModelParams, config: SimConfig) -> FieldState:
-    """Uniform state (alpha, beta/alpha) plus the configured perturbation."""
+    """Uniform state (alpha, beta/alpha), perturbed as configured unless eps = 0."""
     x = grid(params, config.n_grid)
     u1 = np.full(config.n_grid, params.alpha)
     u2 = np.full(config.n_grid, params.beta / params.alpha)
-    kind = config.perturb_kind
-    if kind != "none" and config.eps != 0.0:
-        if kind == "traveling":
+    if config.eps != 0.0:
+        if config.perturb_kind == "traveling":
             # single-direction complex mode along the leading eigenvector, so
             # the tracked mode amplitude evolves as one clean exponential
             k = config.perturb_mode * params.k1
@@ -516,5 +517,5 @@ def timestep_convergence_order(params: ModelParams, dt: float = 0.02,
 
 def rhs_norm(params: ModelParams, state: FieldState) -> float:
     """Sup-norm of Simulator.rhs at params.beta; zero at an equilibrium."""
-    sim = Simulator(params, SimConfig(n_grid=state.n_grid, perturb_kind="none"))
+    sim = Simulator(params, SimConfig(n_grid=state.n_grid, eps=0.0))
     return float(np.max(np.abs(sim.rhs(_stack(state)[None], params.beta))))

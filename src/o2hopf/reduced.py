@@ -50,9 +50,8 @@ class BranchPoint:
     frequencies: tuple   # (th1', th2') at the equilibrium
 
 
-def polar_vector_field(sys: ReducedSystem, r1: float, r2: float,
-                       th1: float = 0.0, th2: float = 0.0):
-    """(r1', r2', th1', th2'); independent of th1, th2 by construction."""
+def polar_vector_field(sys: ReducedSystem, r1: float, r2: float):
+    """(r1', r2', th1', th2'); by O(2) symmetry they do not depend on the phases."""
     aR, bR, cR = sys.a.real, sys.b.real, sys.c.real
     aI, bI, cI = sys.a.imag, sys.b.imag, sys.c.imag
     dr1 = r1 * (aR * sys.mu + bR * r1 ** 2 + cR * r2 ** 2)

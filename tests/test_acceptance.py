@@ -13,8 +13,8 @@ from conftest import random_admissible
 from o2hopf import (ReducedSystem, SimConfig, equivariance_test,
                     measure_growth_rate, onset, timestep_convergence_order,
                     validate)
-from o2hopf.normalform import (closed_form_constants, coeff_a, coeff_b,
-                               coeff_c, coeffs, coeffs_report, solve_psi)
+from o2hopf.normalform import (closed_form_constants, coeffs, coeffs_report,
+                               solve_psi)
 from o2hopf.pdesim import amplitude_scaling_experiment
 from o2hopf.reduced import (branch_frequency, branches, classify_regime,
                             integrate_truncated, reconstruct_wave)
@@ -60,13 +60,13 @@ def test_criterion_1_closed_form_values():
 def test_criterion_2_a_coefficient():
     rng = np.random.default_rng(20)
     worst = 0.0
-    exact_half = coeff_a(CANON, "asymptotic").real == 0.5
+    exact_half = coeffs(CANON, "direct").a.real == 0.5
     for p in [CANON] + [random_admissible(rng, vary_domain=True)
                         for _ in range(50)]:
         d2e = p.effective_diffusion()[1]
         expected = 0.5 - 1j * d2e / (2.0 * onset(p).omega)
-        for route in ("projection", "asymptotic"):
-            worst = max(worst, abs(coeff_a(p, route) - expected)
+        for route in ("projection", "direct"):
+            worst = max(worst, abs(coeffs(p, route).a - expected)
                         / (1.0 + abs(expected)))
     ok = worst <= 1e-12 and exact_half
     _report(2, "a = 1/2 - i delta2/(2 omega) by both routes, 51 parameter sets",
@@ -78,11 +78,12 @@ def test_criterion_3_route_consistency():
     worst = 0.0
     for p in [CANON] + [random_admissible(rng, vary_domain=True)
                         for _ in range(20)]:
-        for fn in (coeff_b, coeff_c):
-            vp, vd = fn(p, "projection"), fn(p, "direct")
+        for name in ("b", "c"):
+            vp = getattr(coeffs(p, "projection"), name)
+            vd = getattr(coeffs(p, "direct"), name)
             worst = max(worst, abs(vp - vd) / (1.0 + abs(vd)))
-    golden_err = max(abs(coeff_b(CANON, "direct") - GOLDEN_B),
-                     abs(coeff_c(CANON, "direct") - GOLDEN_C))
+    golden_err = max(abs(coeffs(CANON, "direct").b - GOLDEN_B),
+                     abs(coeffs(CANON, "direct").c - GOLDEN_C))
     rep = coeffs_report(CANON)
     closed_gap = rep["discrepancies"]["b:direct|closed_form"]
     ok = worst <= 1e-10 and golden_err <= 1e-12 and closed_gap > 1e-2

@@ -248,6 +248,16 @@ _SIMULATE = ("simulate", "--alpha", "2", "--mu", "0.05", "--tmax", "1")
      "--grid alpha: count must be at least 1, got -1"),
     (("sweep", "--grid", "alpha=1:2:2", "--grid", "alpha=3:4:2", "--out", "{tmp}/twice.csv"),
      "--grid alpha is given more than once"),
+    (_SIMULATE + ("--perturb", "x:1e-3"), "--perturb expects 'K:EPS' or 'random:EPS'"),
+    (_SIMULATE + ("--perturb", "1:abc"), "got '1:abc'"),
+    (_SIMULATE + ("--perturb", "1e-3"), "--perturb expects 'K:EPS' or 'random:EPS'"),
+    (("sweep", "--grid", "alpha=a:2:3", "--out", "{tmp}/a.csv"),
+     "--grid expects name=lo:hi:count"),
+    (("sweep", "--grid", "alpha=1:2:2.5", "--out", "{tmp}/frac.csv"), "got 'alpha=1:2:2.5'"),
+    (("sweep", "--grid", "beta=1:2:3", "--out", "{tmp}/beta.csv"),
+     "--grid expects name=lo:hi:count with name in {alpha, delta1, delta2, mu}"),
+    (_SIMULATE + ("--seed", "-1", "--perturb", "random:1e-3"),
+     "seed must be a non-negative integer, got -1"),
 ])
 def test_bad_invocation_fails_in_one_line(capsys, tmp_path, argv, message):
     code, _, err = run(capsys, *(a.format(tmp=tmp_path) for a in argv))
@@ -255,6 +265,14 @@ def test_bad_invocation_fails_in_one_line(capsys, tmp_path, argv, message):
     assert len(err.strip().splitlines()) == 1
     assert "Traceback" not in err
     assert message in err
+
+
+def test_blowup_exits_2_in_one_line(capsys):
+    code, _, err = run(capsys, "simulate", "--alpha", "2", "--mu", "3", "--dt", "0.5",
+                       "--tmax", "50", "--n-grid", "16")
+    assert code == 2
+    assert err.strip().splitlines() == [
+        "numerical failure: field norm exceeded 1e+06 at t = 13"]
 
 
 def test_sweep_nonpositive_axes_are_point_errors(capsys, tmp_path):

@@ -81,12 +81,12 @@ class TestPinnedValues:
 
     def test_r30_cubic_terms(self):
         x1 = xi1(CANON)
-        out = 3.0 * R30(CANON, x1, x1, x1.conj())
+        out = 3.0 * R30(x1, x1, x1.conj())
         expected = (-15.0 + 1j * RT3) / 4.0
         assert np.allclose(out.amp(1), expected * np.array([1.0, -1.0]))
 
         x2 = xi2(CANON)
-        out = 6.0 * R30(CANON, x1, x2, x2.conj())
+        out = 6.0 * R30(x1, x2, x2.conj())
         assert np.allclose(out.amp(1), 2.0 * expected * np.array([1.0, -1.0]))
 
 
@@ -100,16 +100,16 @@ class TestAlgebraicProperties:
     def test_r30_permutation_invariance(self):
         rng = np.random.default_rng(8)
         u, v, w = (random_mode_sum(rng) for _ in range(3))
-        base = R30(CANON, u, v, w)
+        base = R30(u, v, w)
         for args in ((u, w, v), (v, u, w), (v, w, u), (w, u, v), (w, v, u)):
-            assert (R30(CANON, *args) - base).norm() < 1e-12
+            assert (R30(*args) - base).norm() < 1e-12
 
     def test_index_additivity(self):
         u = ModeSum.single(2, [1.0, 0.5])
         v = ModeSum.single(-3, [0.3, 1.0])
         w = ModeSum.single(1, [1.0, 1.0])
         assert R20(CANON, u, v).indices() == [-1]
-        assert R30(CANON, u, v, w).indices() == [0]
+        assert R30(u, v, w).indices() == [0]
 
     def test_conjugation_equivariance(self):
         rng = np.random.default_rng(9)
@@ -117,7 +117,7 @@ class TestAlgebraicProperties:
         d = R20(CANON, u, v).conj() - R20(CANON, u.conj(), v.conj())
         assert d.norm() < 1e-12
         w = random_mode_sum(rng)
-        d = R30(CANON, u, v, w).conj() - R30(CANON, u.conj(), v.conj(), w.conj())
+        d = R30(u, v, w).conj() - R30(u.conj(), v.conj(), w.conj())
         assert d.norm() < 1e-12
 
 
@@ -138,7 +138,7 @@ def test_consistency_with_pde_kinetics():
         alpha = params.alpha
         n1 = (beta1 / alpha) * vg[0] ** 2 + 2.0 * alpha * vg[0] * vg[1] \
             + vg[0] ** 2 * vg[1]
-        algebraic = R20(params, v, v) + R30(params, v, v, v)
+        algebraic = R20(params, v, v) + R30(v, v, v)
         ag = evaluate_on_grid(algebraic, params, x)
         assert np.max(np.abs(ag[0].real - n1)) < 1e-10
         assert np.max(np.abs(ag[1].real + n1)) < 1e-10

@@ -5,10 +5,8 @@ import pytest
 from conftest import random_admissible
 
 from o2hopf import ModelParams, SingularSystem, onset, validate
-from o2hopf.normalform import (A_ROUTES, ROUTES, _projection_kernel,
-                               closed_form_constants, coeff_a, coeff_b,
-                               coeff_c, coeffs, coeffs_report,
-                               projection_residual_orthogonality, solve_psi)
+from o2hopf.normalform import (ROUTES, _projection_kernel, closed_form_constants,
+                               coeffs, coeffs_report, solve_psi)
 
 CANON = validate({"alpha": 2.0, "beta": 7.0})
 RT3 = math.sqrt(3.0)
@@ -67,9 +65,9 @@ class TestPsi:
 class TestCoeffA:
     def test_canonical_value(self):
         expected = 0.5 - 1j / (2.0 * RT3)
-        for route in A_ROUTES:
-            assert abs(coeff_a(CANON, route) - expected) < 1e-13
-        assert coeff_a(CANON, "asymptotic").real == 0.5
+        for route in ("projection", "direct"):
+            assert abs(coeffs(CANON, route).a - expected) < 1e-13
+        assert coeffs(CANON, "direct").a.real == 0.5
 
     def test_routes_agree_on_random_sets(self):
         rng = np.random.default_rng(5)
@@ -77,31 +75,31 @@ class TestCoeffA:
             p = random_admissible(rng, vary_domain=True)
             d2e = p.effective_diffusion()[1]
             expected = 0.5 - 1j * d2e / (2.0 * onset(p).omega)
-            for route in A_ROUTES:
-                a = coeff_a(p, route)
+            for route in ("projection", "direct"):
+                a = coeffs(p, route).a
                 assert abs(a - expected) <= 1e-12 * (1.0 + abs(expected))
 
     def test_unknown_route(self):
         with pytest.raises(ValueError):
-            coeff_a(CANON, "nope")
+            coeffs(CANON, "nope")
 
 
 class TestCoeffBC:
     def test_direct_canonical_goldens(self):
-        assert abs(coeff_b(CANON, "direct") - GOLDEN_B) < 1e-12
-        assert abs(coeff_c(CANON, "direct") - GOLDEN_C) < 1e-12
+        assert abs(coeffs(CANON, "direct").b - GOLDEN_B) < 1e-12
+        assert abs(coeffs(CANON, "direct").c - GOLDEN_C) < 1e-12
 
     def test_projection_matches_direct_canonical(self):
-        assert abs(coeff_b(CANON, "projection") - GOLDEN_B) < 1e-12
-        assert abs(coeff_c(CANON, "projection") - GOLDEN_C) < 1e-12
+        assert abs(coeffs(CANON, "projection").b - GOLDEN_B) < 1e-12
+        assert abs(coeffs(CANON, "projection").c - GOLDEN_C) < 1e-12
 
     def test_projection_matches_direct_random(self):
         rng = np.random.default_rng(6)
         for _ in range(20):
             p = random_admissible(rng, vary_domain=True)
-            for fn in (coeff_b, coeff_c):
-                vp = fn(p, "projection")
-                vd = fn(p, "direct")
+            for name in ("b", "c"):
+                vp = getattr(coeffs(p, "projection"), name)
+                vd = getattr(coeffs(p, "direct"), name)
                 assert abs(vp - vd) <= 1e-10 * (1.0 + abs(vd))
 
     def test_closed_form_canonical_constants(self):
@@ -121,8 +119,8 @@ class TestCoeffBC:
     def test_closed_form_differs_from_direct(self):
         # the published reciprocal of P_2(2i omega) is off by a constant
         # factor, so the fully simplified forms do not match direct division
-        assert abs(coeff_b(CANON, "closed_form")
-                   - coeff_b(CANON, "direct")) > 1.0
+        assert abs(coeffs(CANON, "closed_form").b
+                   - coeffs(CANON, "direct").b) > 1.0
 
     def test_mu_independence(self):
         for route in ROUTES:
@@ -142,7 +140,7 @@ class TestCoeffBC:
 
 
 def test_residual_orthogonality():
-    orth = projection_residual_orthogonality(CANON)
+    orth = coeffs_report(CANON)["residual_orthogonality"]
     assert max(orth.values()) <= 1e-12
 
 
@@ -178,7 +176,7 @@ class TestKernel:
 
     def test_residuals_on_random_sets(self):
         for p in _random_sets(30):
-            assert max(projection_residual_orthogonality(p).values()) <= 1e-12
+            assert max(coeffs_report(p)["residual_orthogonality"].values()) <= 1e-12
             assert max(solve_psi(p).residuals(p).values()) <= 1e-12
 
     def test_batch_point_equals_single_point(self):

@@ -67,6 +67,35 @@ def test_no_unused_imports():
     assert [name for p in paths for name in _unused_imports(p)] == []
 
 
+def _unused_parameters(path):
+    """Parameters of a function or lambda that its body never reads.
+
+    self, cls and _-prefixed names are exempt; a read in a nested function
+    counts as a read.
+    """
+    tree = ast.parse(path.read_text(), filename=str(path))
+    unused = []
+    for node in ast.walk(tree):
+        if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+            continue
+        args = node.args
+        params = [*args.posonlyargs, *args.args, *args.kwonlyargs,
+                  *(a for a in (args.vararg, args.kwarg) if a)]
+        body = node.body if isinstance(node.body, list) else [node.body]
+        read = {n.id for stmt in body for n in ast.walk(stmt) if isinstance(n, ast.Name)}
+        name = getattr(node, "name", "<lambda>")
+        unused += [f"{path.name}:{node.lineno} {name}({a.arg})" for a in params
+                   if a.arg not in ("self", "cls") and not a.arg.startswith("_")
+                   and a.arg not in read]
+    return unused
+
+
+def test_no_unused_parameters():
+    paths = sorted(Path(o2hopf.__file__).parent.glob("*.py"))
+    assert len(paths) > 5
+    assert [name for p in paths for name in _unused_parameters(p)] == []
+
+
 def _readme_block(section, language):
     """The first fenced code block of that language under a README heading."""
     text = README.read_text().split(f"\n## {section}\n", 1)[1]

@@ -3,7 +3,8 @@ import math
 import pytest
 
 from o2hopf import (InadmissibleRegime, ModelParams, NonPositiveParameter,
-                    closed_form_constants, load_config, onset, validate)
+                    closed_form_constants, onset, validate)
+from o2hopf.params import read_config
 
 
 def test_canonical_onset():
@@ -91,15 +92,15 @@ def test_load_config(tmp_path):
     cfg = tmp_path / "params.cfg"
     cfg.write_text("# canonical set\nalpha = 2.0\nbeta = 7.0\n"
                    "delta1 = 1.0\ndelta2 = 1.0\n")
-    p = load_config(cfg)
+    p = validate(read_config(cfg))
     assert p.alpha == 2.0 and p.beta == 7.0
 
     bad = tmp_path / "bad.cfg"
     bad.write_text("gamma = 3\n")
     with pytest.raises(ValueError):
-        load_config(bad)
+        validate(read_config(bad))
 
     nokv = tmp_path / "nokv.cfg"
     nokv.write_text("alpha 2.0\n")
     with pytest.raises(ValueError):
-        load_config(nokv)
+        validate(read_config(nokv))

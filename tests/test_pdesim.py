@@ -19,7 +19,7 @@ RT3 = math.sqrt(3.0)
 
 class TestInitialize:
     def test_unperturbed_state_is_equilibrium(self):
-        config = SimConfig(n_grid=64, perturb_kind="none")
+        config = SimConfig(n_grid=64, eps=0.0)
         state = initialize(CANON, config)
         assert rhs_norm(CANON, state) <= 1e-13
         stepped = Simulator(CANON, config).step(state)
@@ -55,6 +55,8 @@ class TestInitialize:
     ({"n_grid": 64, "perturb_mode": 22}, "perturbed mode 22 lies above the 2/3 cutoff"),
     ({"n_grid": 64, "perturb_mode": -22}, "perturbed mode 22 lies above the 2/3 cutoff"),
     ({"n_grid": 10, "perturb_kind": "random"}, "perturbed mode 4 lies above"),
+    ({"seed": -1}, "seed must be a non-negative integer, got -1"),
+    ({"perturb_kind": "none"}, "unknown perturbation kind 'none'"),
 ])
 def test_config_validation(settings, message):
     with pytest.raises(InvalidConfig, match=message):
@@ -65,19 +67,19 @@ def test_config_limits_that_pass():
     SimConfig(n_grid=64, perturb_mode=21)                      # 21 = 2/3 of 32
     SimConfig(n_grid=12, perturb_kind="random")
     SimConfig(n_grid=8, perturb_mode=200, eps=0.0)              # nothing perturbed
-    SimConfig(n_grid=2, perturb_kind="none", t_max=1e-3)
+    SimConfig(n_grid=2, eps=0.0, t_max=1e-3)
     with pytest.raises(InvalidConfig):
         replace(SimConfig(), dt=0.0)
 
 
 class TestObservables:
     def test_uniform_mode_amplitude(self):
-        state = initialize(CANON, SimConfig(n_grid=64, perturb_kind="none"))
+        state = initialize(CANON, SimConfig(n_grid=64, eps=0.0))
         assert mode_amplitude(state, 1) == 0.0
         assert abs(mode_amplitude(state, 0) - CANON.alpha) < 1e-14
 
     def test_nyquist_guard(self):
-        state = initialize(CANON, SimConfig(n_grid=64, perturb_kind="none"))
+        state = initialize(CANON, SimConfig(n_grid=64, eps=0.0))
         with pytest.raises(ValueError):
             mode_amplitude(state, 40)
 
@@ -232,7 +234,7 @@ def test_step_integrates_rhs():
         assert np.max(np.abs(quotient - rhs)) <= 1e4 * dt
         assert rhs_norm(CANON, state) == np.max(np.abs(rhs))
         assert abs(rhs_norm(CANON, state) - np.max(np.abs(quotient))) <= 1e4 * dt
-    uniform = initialize(CANON, SimConfig(n_grid=n, perturb_kind="none"))
+    uniform = initialize(CANON, SimConfig(n_grid=n, eps=0.0))
     assert np.max(np.abs(sim.rhs(np.stack([uniform.u1, uniform.u2])[None], 7.0))) <= 1e-13
     assert rhs_norm(CANON, uniform) <= 1e-13
 

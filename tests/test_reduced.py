@@ -52,12 +52,6 @@ class TestVectorField:
         dr1, _, _, _ = polar_vector_field(sys, r_star, 0.0)
         assert abs(dr1) < 1e-14
 
-    def test_phase_independence(self):
-        sys = projection_system(0.05)
-        a = polar_vector_field(sys, 0.2, 0.1, 0.0, 0.0)
-        b = polar_vector_field(sys, 0.2, 0.1, 1.3, -2.2)
-        assert a == b
-
 
 class TestBranches:
     def test_closed_form_mu_positive(self):
