@@ -43,7 +43,7 @@ import numpy as np
 from .errors import InadmissibleRegime, SingularSystem
 from .meanzero import zero_mode_content
 from .modes import ModeSum, R01, R20, R30
-from .params import ModelParams, critical_values, onset
+from .params import ModelParams, OnsetData, critical_values, onset
 from .spectral import (char_poly, inner_product, mode_entries, mode_matrix,
                        xi1, xi1_amp, xi1_star, xi1_star_amp, xi2)
 
@@ -237,11 +237,18 @@ class _Projection(NamedTuple):
     psi: PsiTable
 
 
+def _hopf_onset(params: ModelParams) -> OnsetData:
+    """onset(params); raises InadmissibleRegime unless omega^2 > 0, which every route needs."""
+    data = onset(params)
+    if not data.omega > 0.0:
+        raise InadmissibleRegime("the normal form needs omega^2 > 0")
+    return data
+
+
 def _project(params: ModelParams) -> _Projection:
     """The projection kernel at B = 1; raises SingularSystem on a masked point."""
+    _hopf_onset(params)
     d1, d2 = params.effective_diffusion()
-    if not critical_values(params.alpha, d1, d2)[1] > 0.0:
-        raise InadmissibleRegime("the projection route needs omega^2 > 0")
     k = _projection_kernel(*(np.array([v], dtype=float)
                              for v in (params.alpha, d1, d2, params.half_length)))
     if k.singular[0]:
@@ -359,11 +366,11 @@ def _closed_form(alpha, d1, d2, beta1, w, p20) -> dict:
 
 def closed_form_constants(params: ModelParams) -> dict:
     """The published intermediate constants, evaluated literally."""
+    data = _hopf_onset(params)
     alpha, (d1, d2) = params.alpha, params.effective_diffusion()
     p20 = _p2_zero(alpha, d1, d2)
     if p20 == 0:
         raise SingularSystem("P_2(0) vanishes")
-    data = onset(params)
     return _closed_form(alpha, d1, d2, data.beta1, data.omega, p20)
 
 
@@ -390,7 +397,7 @@ def coeffs_batch(alpha, d1, d2, half_length):
 
 def coeffs(params: ModelParams, route: str = "projection") -> NormalFormCoeffs:
     """a, b and c by one of ROUTES; an unknown route raises ValueError."""
-    data = onset(params)
+    data = _hopf_onset(params)
     if route == "projection":
         a, b, c, _ = _project(params)
     elif route == "direct":

@@ -2,23 +2,23 @@
 
 Strang splitting per step: exact diffusion half-steps in Fourier space
 (multipliers exp(-delta k^2 dt/2)) around one explicit midpoint step of the
-reaction terms in physical space.  The cubic product is dealiased with the
-2/3 rule.  The scheme is second order in dt and bitwise
+reaction terms.  The cubic product is formed in physical space and
+dealiased with the 2/3 rule.  The scheme is second order in dt and bitwise
 deterministic for a fixed seed and configuration.
 
-One ``Simulator`` integrates a batch of B runs of the same model, held as
-a float array of shape (B, 2, N): member b, species s, grid point j.  Both
-species of every member diffuse with one stacked rfft/irfft pair.  The
-trailing half-step of one step and the leading half-step of the next
-compose into one full step, so the stepper splits them only where the
-fields are read: at sample points and at a member's last step.  Members
-may take different numbers of steps; each leaves the batch at its own last
-step.  Every operation acts on one member at a time, so a member of a
-batch is bitwise equal to the same run alone.  ``Simulator.run`` and
-``step`` are the B = 1 use; ``amplitude_scaling_experiment`` and
-``equivariance_test`` run their integrations as one batch.
-``Simulator.rhs`` is the semi-discrete right-hand side that the steps
-integrate, and ``rhs_norm`` measures it.
+One ``Simulator`` integrates a batch of B runs of the same model, given
+and returned as a float array of shape (B, 2, N): member b, species s,
+grid point j.  It carries each member as its rfft spectrum half a
+diffusion step into the step, so consecutive half-steps are one
+multiplication and a step takes four transforms.  Fields are read, at
+sample points and a member's last step, from a copy taken the remaining
+half-step on, so a run does not depend on when it is observed.  Members
+may take different numbers of steps and leave the batch at their own last
+step.  Every operation acts on one member at a time, so a batch member is
+bitwise equal to the same run alone.  ``Simulator.run`` and ``step`` are
+the B = 1 use; ``amplitude_scaling_experiment`` and ``equivariance_test``
+run one batch each.  ``Simulator.rhs`` is the semi-discrete right-hand
+side that the steps integrate, and ``rhs_norm`` measures it.
 """
 
 from __future__ import annotations
@@ -129,6 +129,12 @@ def _stack(state: FieldState) -> np.ndarray:
     return np.stack([state.u1, state.u2])
 
 
+def _check_bound(U: np.ndarray, t: float) -> None:
+    """Raise NumericalBlowup when a value of U at time t leaves the bound or is NaN."""
+    if not np.abs(U).max() <= BLOWUP_NORM:   # False for NaN too
+        raise NumericalBlowup(f"field norm exceeded {BLOWUP_NORM:g} at t = {t:g}")
+
+
 class Simulator:
     """Strang-split pseudospectral stepper for a fixed params/config pair.
 
@@ -147,46 +153,32 @@ class Simulator:
         self._symbol = -delta * k ** 2   # Laplacian symbol, (2, n//2 + 1)
         self._half = np.exp(self._symbol * (config.dt / 2.0))
         self._full = np.exp(self._symbol * config.dt)
-        # 2/3 rule; the rfft wave numbers increase, so the kept ones are a prefix
         cutoff = (2.0 / 3.0) * np.max(k) if n > 2 else np.inf
-        self._keep = int(np.count_nonzero(k <= cutoff))
-        # the reaction is F = const + lin * u1 + sign * u1^2 u2
-        self._const = np.array([[params.alpha], [0.0]])
-        self._sign = np.array([[1.0], [-1.0]])
+        self._dealias = (k <= cutoff).astype(float)   # the 2/3 rule
+        self._alpha_n = params.alpha * n   # the rfft of alpha, at k = 0
 
     def _coefficients(self, betas: np.ndarray):
-        """Per-member lin = (-(beta + 1), beta), (B, 2, 1), and pinned k = 0 values.
-
-        The pinned values are the uniform state (alpha, beta/alpha) times N,
-        shaped (B, 2).
-        """
+        """Per-member lin = (-(beta + 1), beta), (B, 2, 1), and the pinned k = 0
+        values, the uniform state (alpha, beta/alpha) times N, (B, 2)."""
         alpha = self.params.alpha
         lin = np.stack([-(betas + 1.0), betas], axis=-1)[:, :, None]
         mean = self.config.n_grid * np.stack([np.full_like(betas, alpha), betas / alpha],
                                              axis=-1)
         return lin, mean
 
-    def _diffuse(self, U, mult, mean=None):
-        spec = np.fft.rfft(U)
-        spec *= mult
-        if mean is not None and self.config.pin_mean:
-            # The diffusionless (spatially uniform) dynamics is linearly
-            # unstable at onset, so the uniform deviation swamps the pattern
-            # on long horizons.  Pinning resets only the k = 0 coefficients
-            # to the uniform state; every k != 0 mode evolves under the
-            # unmodified equations.
-            spec[..., 0] = mean
-        return np.fft.irfft(spec, n=self.config.n_grid)
+    def _stage(self, base, S, U, lin, mask, q):
+        """base + h rfft(F) for F = (alpha + lin_1 u1 + u1^2 u2, lin_2 u1 - u1^2 u2).
 
-    def _rhs(self, U, lin):
-        u1 = U[:, 0]
-        spec = np.fft.rfft(u1 * u1 * U[:, 1])
-        spec[..., self._keep:] = 0.0
-        nl = np.fft.irfft(spec, n=self.config.n_grid)
-        F = lin * u1[:, None]
-        F += self._const
-        F += self._sign * nl[:, None]
-        return F
+        S is the rfft of U (B, 2, N); lin and the 2/3-rule mask come times h
+        (mask[0] is h); the rfft of u1^2 u2 is written to the buffer q."""
+        np.fft.rfft(U[:, 0] * U[:, 0] * U[:, 1], out=q)
+        q *= mask
+        out = lin * S[:, :1]
+        out += base
+        out[:, 0] += q
+        out[:, 1] -= q
+        out[:, 0, 0] += mask[0] * self._alpha_n
+        return out
 
     def rhs(self, U, beta) -> np.ndarray:
         """dU/dt of the semi-discrete system the steps integrate, for U (B, 2, N).
@@ -197,21 +189,9 @@ class Simulator:
         """
         U = np.asarray(U, dtype=float)
         lin, _ = self._coefficients(np.full(len(U), beta, dtype=float))
-        diffusion = np.fft.irfft(self._symbol * np.fft.rfft(U), n=self.config.n_grid)
-        return diffusion + self._rhs(U, lin)
-
-    def _react(self, U, lin):
-        dt = self.config.dt
-        mid = U + (0.5 * dt) * self._rhs(U, lin)
-        return U + dt * self._rhs(mid, lin)
-
-    def _end_step(self, U, mult, mean, t):
-        """The diffusion that completes the step to time t, then the blow-up check."""
-        U = self._diffuse(U, mult, mean)
-        # one comparison that is also False when any value is NaN
-        if not np.abs(U).max() <= BLOWUP_NORM:
-            raise NumericalBlowup(f"field norm exceeded {BLOWUP_NORM:g} at t = {t:g}")
-        return U
+        S = np.fft.rfft(U)
+        F = self._stage(self._symbol * S, S, U, lin, self._dealias, np.empty_like(S[:, 0]))
+        return np.fft.irfft(F, n=self.config.n_grid)
 
     def advance(self, U, betas, n_steps, t0=0.0, sample_every=0, observe=None):
         """Advance member b of U (B, 2, N) by n_steps[b] steps of dt from t0.
@@ -220,44 +200,63 @@ class Simulator:
         every step i that is a multiple of it, with the indices of the
         members still running and their fields (len(members), 2, N) at time
         t0 + i * dt.  Returns the final fields of every member.  Raises
-        NumericalBlowup when a field of any member leaves the bound or turns
-        non-finite.
+        InvalidConfig unless betas and n_steps give one value per member and
+        sample_every >= 0 has an observer, and NumericalBlowup when a field
+        of any member leaves the bound or turns non-finite.
 
-        A step ends with a full diffusion step, which is also the leading
-        half-step of the next one, except where the fields are read: after a
-        sample step every member, and after its last step a leaving member,
-        ends with a half-step.  So what a member computes does not depend on
-        the rest of the batch.
+        The state S is the rfft of the fields half a diffusion step into the
+        step.  The midpoint rule for the reaction acts on S, then S takes the
+        full diffusion step; fields are read from a copy taken the remaining
+        half-step on.
         """
-        dt = self.config.dt
+        dt, n = self.config.dt, self.config.n_grid
         betas = np.asarray(betas, dtype=float)
         n_steps = np.asarray(n_steps, dtype=int)
         out = np.array(U, dtype=float)
+        if betas.shape != n_steps.shape or betas.shape != (len(out),):
+            raise InvalidConfig(f"advance needs one beta and one step count per member; got "
+                                f"{betas.size} betas and {n_steps.size} for {len(out)} members")
+        if sample_every < 0:
+            raise InvalidConfig(f"sample_every must be >= 0, got {sample_every!r}")
+        if sample_every and observe is None:
+            raise InvalidConfig(f"sample_every = {sample_every} needs an observer")
         live = np.flatnonzero(n_steps > 0)
-        if not live.size:
-            return out
         ends = set(n_steps[live].tolist())
         lin, mean = self._coefficients(betas[live])
-        U = self._diffuse(out[live], self._half)
-        for i in range(1, int(n_steps.max()) + 1):
-            t = t0 + i * dt
-            U = self._react(U, lin)
+        half_lin, full_lin = (0.5 * dt) * lin, dt * lin
+        half_mask, full_mask = (0.5 * dt) * self._dealias, dt * self._dealias
+        U = out[live]                # U and q are buffers for the transforms
+        S = np.fft.rfft(U) * self._half
+        q = np.empty_like(S[:, 0])
+        for i in range(1, int(n_steps.max(initial=0)) + 1):
+            np.fft.irfft(S, n=n, out=U)
+            if i > 1:
+                _check_bound(U, t0 + (i - 1) * dt)
+            mid = self._stage(S, S, U, half_lin, half_mask, q)
+            np.fft.irfft(mid, n=n, out=U)
+            S = self._stage(S, mid, U, full_lin, full_mask, q)
+            if self.config.pin_mean:
+                # The uniform mode is linearly unstable at onset and would
+                # swamp the pattern on long horizons.  Pinning resets only the
+                # k = 0 coefficients, which diffusion leaves alone, to the
+                # uniform state; every k != 0 mode follows the full equations.
+                S[..., 0] = mean
             sampled = sample_every and i % sample_every == 0
-            if sampled:
-                U = self._end_step(U, self._half, mean, t)
-                observe(i, live, U)
-            if i in ends:
-                done = n_steps[live] == i
-                out[live[done]] = (U[done] if sampled else
-                                   self._end_step(U[done], self._half, mean[done], t))
-                live, U = live[~done], U[~done]
-                if not live.size:
-                    break
-                lin, mean = lin[~done], mean[~done]
-            if sampled:
-                U = self._diffuse(U, self._half)
-            else:
-                U = self._end_step(U, self._full, mean, t)
+            if sampled or i in ends:
+                fields = np.fft.irfft(S * self._half, n=n)
+                _check_bound(fields, t0 + i * dt)
+                if sampled:
+                    observe(i, live, fields)
+                if i in ends:
+                    done = n_steps[live] == i
+                    out[live[done]] = fields[done]
+                    live = live[~done]
+                    if not live.size:
+                        break
+                    S, mean = S[~done], mean[~done]
+                    half_lin, full_lin = half_lin[~done], full_lin[~done]
+                    U, q = U[:live.size], q[:live.size]
+            S *= self._full
         return out
 
     def translate(self, U: np.ndarray, phi: float) -> np.ndarray:

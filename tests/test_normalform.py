@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from conftest import random_admissible
 
-from o2hopf import ModelParams, SingularSystem, onset, validate
+from o2hopf import InadmissibleRegime, ModelParams, SingularSystem, onset, validate
 from o2hopf.normalform import (ROUTES, _projection_kernel, closed_form_constants,
                                coeffs, coeffs_report, solve_psi)
 
@@ -156,6 +156,20 @@ def test_coeffs_report_structure():
     assert rep["mean_zero_obstruction"]["verdict"] == "present"
     for key in ("N_r", "C_1", "C_2", "P2_2iw"):
         assert key in rep["constants"]
+
+
+# omega^2 = 0.25 (1 + 0.1 - 2) - 4 < 0: no Hopf frequency
+NO_OMEGA = ModelParams(alpha=0.5, beta=3.0, delta1=0.1, delta2=2.0)
+
+
+@pytest.mark.parametrize("compute", [
+    *(lambda p, route=route: coeffs(p, route) for route in ROUTES),
+    closed_form_constants,
+], ids=[*ROUTES, "closed_form_constants"])
+def test_every_route_needs_a_hopf_frequency(compute):
+    # the direct and closed-form routes divided by omega = 0
+    with pytest.raises(InadmissibleRegime, match=r"^the normal form needs omega\^2 > 0$"):
+        compute(NO_OMEGA)
 
 
 def _random_sets(seed, count=120):

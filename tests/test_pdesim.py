@@ -181,6 +181,50 @@ class TestEngine:
         assert state.time == t0 + 50 * dt
 
 
+    @pytest.mark.parametrize("pin_mean", [True, False])
+    def test_sampling_leaves_the_run_unchanged(self, pin_mean):
+        config = replace(self.CONFIG, pin_mean=pin_mean)
+        sim = Simulator(CANON.with_beta(7.05), config)
+        start = initialize(CANON, config)
+        plain = sim.run(start, 5.0)
+        for every in (1, 3, 7):
+            sampled, _, _ = sim.run(start, 5.0, sample_every=every)
+            assert np.array_equal(sampled.u1, plain.u1)
+            assert np.array_equal(sampled.u2, plain.u2)
+
+    @pytest.mark.parametrize("sample_every", [0, 1, 5, 7])
+    def test_fft_budget(self, monkeypatch, sample_every):
+        """At most four transforms a step, one to start and one per read of the fields."""
+        calls = []
+        for name in ("rfft", "irfft", "fft"):
+            def counted(*args, _transform=getattr(np.fft, name), **kwargs):
+                calls.append(1)
+                return _transform(*args, **kwargs)
+            monkeypatch.setattr(np.fft, name, counted)
+        n = 100
+        start = initialize(CANON, self.CONFIG)
+        starts = np.stack([np.stack([start.u1, start.u2])] * 3)
+        Simulator(CANON, self.CONFIG).advance(starts, [6.9, 7.0, 7.1], [n] * 3,
+                                              sample_every=sample_every,
+                                              observe=lambda *_: None)
+        assert len(calls) <= 4 * n + 2 + (n // sample_every if sample_every else 0)
+
+
+@pytest.mark.parametrize("members, betas, n_steps, settings, message", [
+    (2, [7.0], [5, 5], {}, "one beta and one step count per member; got 1 betas "
+                           "and 2 for 2 members"),
+    (2, [7.0, 7.0], [5], {}, "got 2 betas and 1 for 2 members"),
+    (1, [7.0], [5], {"sample_every": -1}, "sample_every must be >= 0, got -1"),
+    (1, [7.0], [5], {"sample_every": 2}, "sample_every = 2 needs an observer"),
+], ids=["betas", "n_steps", "negative_sampling", "no_observer"])
+def test_advance_input_errors(members, betas, n_steps, settings, message):
+    config = SimConfig(n_grid=16, dt=1e-2)
+    start = initialize(CANON, config)
+    U = np.stack([np.stack([start.u1, start.u2])] * members)
+    with pytest.raises(InvalidConfig, match=message):
+        Simulator(CANON, config).advance(U, betas, n_steps, **settings)
+
+
 class TestLinearRegime:
     def test_mode1_growth_and_decay(self):
         for mu in (0.05, -0.05):
