@@ -235,6 +235,7 @@ class _Projection(NamedTuple):
     b: complex
     c: complex
     psi: PsiTable
+    onset: OnsetData
 
 
 def _hopf_onset(params: ModelParams) -> OnsetData:
@@ -247,7 +248,7 @@ def _hopf_onset(params: ModelParams) -> OnsetData:
 
 def _project(params: ModelParams) -> _Projection:
     """The projection kernel at B = 1; raises SingularSystem on a masked point."""
-    _hopf_onset(params)
+    data = _hopf_onset(params)
     d1, d2 = params.effective_diffusion()
     k = _projection_kernel(*(np.array([v], dtype=float)
                              for v in (params.alpha, d1, d2, params.half_length)))
@@ -256,7 +257,7 @@ def _project(params: ModelParams) -> _Projection:
     amps = {name: ModeSum.single(n, k.psi[name][0]) for name, _, n in _SYSTEMS}
     psi = PsiTable(psi_00001=ModeSum.zero(), psi_00110=amps["psi_11000"].reflect(),
                    **amps)
-    return _Projection(complex(k.a[0]), complex(k.b[0]), complex(k.c[0]), psi)
+    return _Projection(complex(k.a[0]), complex(k.b[0]), complex(k.c[0]), psi, data)
 
 
 def solve_psi(params: ModelParams) -> PsiTable:
@@ -397,13 +398,14 @@ def coeffs_batch(alpha, d1, d2, half_length):
 
 def coeffs(params: ModelParams, route: str = "projection") -> NormalFormCoeffs:
     """a, b and c by one of ROUTES; an unknown route raises ValueError."""
-    data = _hopf_onset(params)
     if route == "projection":
-        a, b, c, _ = _project(params)
+        a, b, c, _, data = _project(params)
     elif route == "direct":
+        data = _hopf_onset(params)
         a, b, c = _asymptotic_a(params), _b_direct(params), _c_direct(params)
     elif route == "closed_form":
         constants = closed_form_constants(params)
+        data = onset(params)
         a, b, c = _asymptotic_a(params), constants["b"], constants["c"]
     else:
         raise ValueError(f"unknown route {route!r}; expected one of {ROUTES}")
@@ -435,8 +437,8 @@ def _orthogonality(params: ModelParams, proj: _Projection) -> dict:
 
 def coeffs_report(params: ModelParams) -> dict:
     """All routes, all intermediate constants, and pairwise discrepancies."""
-    data = onset(params)
     proj = _project(params)
+    data = proj.onset
     constants = closed_form_constants(params)
     a_asymptotic = _asymptotic_a(params)
     per_route = {
