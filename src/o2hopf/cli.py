@@ -26,8 +26,7 @@ from .normalform import (ROUTES, closed_form_constants, coeffs, coeffs_batch,
                          coeffs_report)
 from .params import (ModelParams, is_positive, onset, onset_terms, read_config,
                      validate)
-from .pdesim import (SimConfig, Simulator, _mode_coefficients, initialize, sampling_steps,
-                     tail_fit)
+from .pdesim import SimConfig, Simulator, _stack, initialize, sampling_steps, tail_fit
 from .reduced import ReducedSystem, branches, classify_regime, regime_batch
 from .spectral import dispersion_curve, onset_scan, turing_check
 
@@ -219,18 +218,19 @@ def cmd_simulate(ns) -> int:
         raise InvalidConfig(f"n_grid = {config.n_grid} cannot resolve the tracked mode "
                             f"{tracked[-1]}; need n_grid >= {2 * tracked[-1]}")
     sample_every = sampling_steps(config.dt)
-    if round(config.t_max / config.dt) < sample_every:
+    n_steps = round(config.t_max / config.dt)
+    if n_steps < sample_every:
         raise InvalidConfig(f"tmax = {config.t_max:g} is shorter than one sample "
                             f"interval ({sample_every * config.dt:g})")
-    sim = Simulator(params, config)
-    state = initialize(params, config)
+    times = config.dt * np.arange(sample_every, n_steps + 1, sample_every)
+    samples = []   # modes 0-3 of u1, then the means: the k = 0 coefficients
 
-    def observe(s):
-        amps = _mode_coefficients(s.u1, tracked).tolist()
-        return amps + [float(np.mean(s.u1)), float(np.mean(s.u2))]
+    def observe(_i, _members, spectrum):
+        samples.append(spectrum[0, 0, tracked].tolist() + spectrum[0, :, 0].real.tolist())
 
-    state, times, samples = sim.run(state, config.t_max,
-                                    sample_every=sample_every, observer=observe)
+    Simulator(params, config).advance(_stack(initialize(params, config))[None],
+                                      [params.beta], [n_steps],
+                                      sample_every=sample_every, observe=observe)
 
     header = ["t", *(f"{part}_mode{k}" for k in tracked for part in ("re", "im")),
               "mean_u1", "mean_u2"]
@@ -242,7 +242,7 @@ def cmd_simulate(ns) -> int:
     amplitude, frequency, note = tail_fit(times, [row[1] for row in samples])
     summary = {
         "params": params, "beta": params.beta, "mu": params.beta - base.beta1,
-        "config": config, "final_time": state.time,
+        "config": config, "final_time": n_steps * config.dt,
         "saturated_amplitude": amplitude, "frequency": frequency,
         "mode1_final": samples[-1][1],
     }

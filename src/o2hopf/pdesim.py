@@ -6,19 +6,14 @@ reaction terms.  The cubic product is formed in physical space and
 dealiased with the 2/3 rule.  The scheme is second order in dt and bitwise
 deterministic for a fixed seed and configuration.
 
-One ``Simulator`` integrates a batch of B runs of the same model, given
-and returned as a float array of shape (B, 2, N): member b, species s,
-grid point j.  It carries each member as its rfft spectrum half a
-diffusion step into the step, so consecutive half-steps are one
-multiplication and a step takes four transforms.  Fields are read, at
-sample points and a member's last step, from a copy taken the remaining
-half-step on, so a run does not depend on when it is observed.  Members
-may take different numbers of steps and leave the batch at their own last
-step.  Every operation acts on one member at a time, so a batch member is
-bitwise equal to the same run alone.  ``Simulator.run`` and ``step`` are
-the B = 1 use; ``amplitude_scaling_experiment`` and ``equivariance_test``
-run one batch each.  ``Simulator.rhs`` is the semi-discrete right-hand
-side that the steps integrate, and ``rhs_norm`` measures it.
+One ``Simulator`` integrates a batch of B runs, given and returned as
+fields (B, 2, N).  It carries each as its unit-mean spectrum rfft(U)/N
+(coefficient 0 is the spatial mean) half a diffusion step into the step,
+in buffers allocated once, and hands observers that spectrum: a step
+takes four transforms and a sample none.  Each step's field is checked
+against the blow-up bound once, when the next step or the last forms it.
+Batch members are bitwise equal to solo runs; ``run`` and ``step`` are
+the one-run use, with fields; ``rhs`` is the operator the steps integrate.
 """
 
 from __future__ import annotations
@@ -129,9 +124,9 @@ def _stack(state: FieldState) -> np.ndarray:
     return np.stack([state.u1, state.u2])
 
 
-def _check_bound(U: np.ndarray, t: float) -> None:
+def _check_bound(U: np.ndarray, buf: np.ndarray, t: float) -> None:
     """Raise NumericalBlowup when a value of U at time t leaves the bound or is NaN."""
-    if not np.abs(U).max() <= BLOWUP_NORM:   # False for NaN too
+    if not np.abs(U, out=buf).max() <= BLOWUP_NORM:   # False for NaN too
         raise NumericalBlowup(f"field norm exceeded {BLOWUP_NORM:g} at t = {t:g}")
 
 
@@ -151,33 +146,33 @@ class Simulator:
         self._k = k = 2.0 * np.pi * np.fft.rfftfreq(n, d=2.0 * params.half_length / n)
         delta = np.array([[params.delta1], [params.delta2]])
         self._symbol = -delta * k ** 2   # Laplacian symbol, (2, n//2 + 1)
-        self._half = np.exp(self._symbol * (config.dt / 2.0))
-        self._full = np.exp(self._symbol * config.dt)
+        # complex multipliers: the same products without a cast on every use
+        self._half = np.exp(self._symbol * (config.dt / 2.0)).astype(complex)
+        self._full = np.exp(self._symbol * config.dt).astype(complex)
         cutoff = (2.0 / 3.0) * np.max(k) if n > 2 else np.inf
-        self._dealias = (k <= cutoff).astype(float)   # the 2/3 rule
-        self._alpha_n = params.alpha * n   # the rfft of alpha, at k = 0
+        # the 2/3 rule over N, the unit mean, signed for the two species
+        self._dealias = np.array([[1.0], [-1.0]]) * (k <= cutoff) / n + 0j
 
     def _coefficients(self, betas: np.ndarray):
         """Per-member lin = (-(beta + 1), beta), (B, 2, 1), and the pinned k = 0
-        values, the uniform state (alpha, beta/alpha) times N, (B, 2)."""
+        values, the uniform state (alpha, beta/alpha), (B, 2)."""
         alpha = self.params.alpha
-        lin = np.stack([-(betas + 1.0), betas], axis=-1)[:, :, None]
-        mean = self.config.n_grid * np.stack([np.full_like(betas, alpha), betas / alpha],
-                                             axis=-1)
-        return lin, mean
+        lin = np.stack([-(betas + 1.0), betas], axis=-1)[:, :, None] + 0j
+        return lin, np.stack([np.full_like(betas, alpha), betas / alpha], axis=-1)
 
-    def _stage(self, base, S, U, lin, mask, q):
-        """base + h rfft(F) for F = (alpha + lin_1 u1 + u1^2 u2, lin_2 u1 - u1^2 u2).
+    def _stage(self, out, base, S, U, lin, mask, h, cube, r, q):
+        """out = base + h F^ for F = (alpha + lin_1 u1 + u1^2 u2, lin_2 u1 - u1^2 u2).
 
-        S is the rfft of U (B, 2, N); lin and the 2/3-rule mask come times h
-        (mask[0] is h); the rfft of u1^2 u2 is written to the buffer q."""
-        np.fft.rfft(U[:, 0] * U[:, 0] * U[:, 1], out=q)
-        q *= mask
-        out = lin * S[:, :1]
+        S and F^ are the unit-mean spectra of U (B, 2, N) and F; lin and the signed
+        2/3-rule mask come times h; u1^2 u2, its rfft and that masked go to cube, r, q."""
+        np.multiply(U[:, 0], U[:, 0], out=cube)
+        cube *= U[:, 1]
+        np.fft.rfft(cube, out=r)
+        np.multiply(r[:, None], mask, out=q)
+        np.multiply(lin, S[:, :1], out=out)
         out += base
-        out[:, 0] += q
-        out[:, 1] -= q
-        out[:, 0, 0] += mask[0] * self._alpha_n
+        out += q
+        out[:, 0, 0] += h * self.params.alpha
         return out
 
     def rhs(self, U, beta) -> np.ndarray:
@@ -189,33 +184,36 @@ class Simulator:
         """
         U = np.asarray(U, dtype=float)
         lin, _ = self._coefficients(np.full(len(U), beta, dtype=float))
-        S = np.fft.rfft(U)
-        F = self._stage(self._symbol * S, S, U, lin, self._dealias, np.empty_like(S[:, 0]))
-        return np.fft.irfft(F, n=self.config.n_grid)
+        S = np.fft.rfft(U, norm="forward")
+        F = self._stage(np.empty_like(S), self._symbol * S, S, U, lin, self._dealias, 1.0,
+                        np.empty_like(U[:, 0]), np.empty_like(S[:, 0]), np.empty_like(S))
+        return np.fft.irfft(F, n=self.config.n_grid, norm="forward")
 
     def advance(self, U, betas, n_steps, t0=0.0, sample_every=0, observe=None):
         """Advance member b of U (B, 2, N) by n_steps[b] steps of dt from t0.
 
-        When sample_every > 0, observe(i, members, fields) is called after
+        When sample_every > 0, observe(i, members, spectrum) is called after
         every step i that is a multiple of it, with the indices of the
-        members still running and their fields (len(members), 2, N) at time
-        t0 + i * dt.  Returns the final fields of every member.  Raises
-        InvalidConfig unless betas and n_steps give one value per member and
-        sample_every >= 0 has an observer, and NumericalBlowup when a field
-        of any member leaves the bound or turns non-finite.
-
-        The state S is the rfft of the fields half a diffusion step into the
-        step.  The midpoint rule for the reaction acts on S, then S takes the
-        full diffusion step; fields are read from a copy taken the remaining
-        half-step on.
+        members still running and their unit-mean spectra rfft(U)/N,
+        (len(members), 2, N//2+1), at time t0 + i * dt, in a buffer the next
+        step overwrites.  Returns the final fields.  Raises InvalidConfig
+        unless U is (B, 2, N) with one finite beta and one step count >= 0
+        per member and sample_every >= 0 has an observer, and NumericalBlowup
+        when the field of step i, checked as step i + 1 or the last step
+        forms it, leaves the bound or is not finite (named t0 + i * dt).
         """
         dt, n = self.config.dt, self.config.n_grid
         betas = np.asarray(betas, dtype=float)
         n_steps = np.asarray(n_steps, dtype=int)
         out = np.array(U, dtype=float)
+        if out.ndim != 3 or out.shape[1:] != (2, n):
+            raise InvalidConfig(f"advance needs fields of shape (B, 2, {n}), got {out.shape}")
         if betas.shape != n_steps.shape or betas.shape != (len(out),):
             raise InvalidConfig(f"advance needs one beta and one step count per member; got "
                                 f"{betas.size} betas and {n_steps.size} for {len(out)} members")
+        if not (np.isfinite(betas).all() and (n_steps >= 0).all()):
+            raise InvalidConfig(f"advance needs finite betas and step counts >= 0; got "
+                                f"betas {betas.tolist()} and steps {n_steps.tolist()}")
         if sample_every < 0:
             raise InvalidConfig(f"sample_every must be >= 0, got {sample_every!r}")
         if sample_every and observe is None:
@@ -225,37 +223,39 @@ class Simulator:
         lin, mean = self._coefficients(betas[live])
         half_lin, full_lin = (0.5 * dt) * lin, dt * lin
         half_mask, full_mask = (0.5 * dt) * self._dealias, dt * self._dealias
-        U = out[live]                # U and q are buffers for the transforms
-        S = np.fft.rfft(U) * self._half
-        q = np.empty_like(S[:, 0])
+        # buffers: fields, |fields|, u1^2 u2, its rfft, that masked, midpoint, next S
+        U = out[live]
+        S = np.fft.rfft(U, norm="forward") * self._half
+        absU, cube, r = np.empty_like(U), np.empty_like(U[:, 0]), np.empty_like(S[:, 0])
+        q, mid, S2 = np.empty_like(S), np.empty_like(S), np.empty_like(S)
         for i in range(1, int(n_steps.max(initial=0)) + 1):
-            np.fft.irfft(S, n=n, out=U)
+            np.fft.irfft(S, n=n, norm="forward", out=U)
             if i > 1:
-                _check_bound(U, t0 + (i - 1) * dt)
-            mid = self._stage(S, S, U, half_lin, half_mask, q)
-            np.fft.irfft(mid, n=n, out=U)
-            S = self._stage(S, mid, U, full_lin, full_mask, q)
+                _check_bound(U, absU, t0 + (i - 1) * dt)
+            self._stage(mid, S, S, U, half_lin, half_mask, 0.5 * dt, cube, r, q)
+            np.fft.irfft(mid, n=n, norm="forward", out=U)
+            S, S2 = self._stage(S2, S, mid, U, full_lin, full_mask, dt, cube, r, q), S
             if self.config.pin_mean:
-                # The uniform mode is linearly unstable at onset and would
-                # swamp the pattern on long horizons.  Pinning resets only the
-                # k = 0 coefficients, which diffusion leaves alone, to the
-                # uniform state; every k != 0 mode follows the full equations.
+                # k = 0 is linearly unstable at onset and would swamp the pattern;
+                # pinning resets only it, and every k != 0 mode follows the equations
                 S[..., 0] = mean
             sampled = sample_every and i % sample_every == 0
             if sampled or i in ends:
-                fields = np.fft.irfft(S * self._half, n=n)
-                _check_bound(fields, t0 + i * dt)
-                if sampled:
-                    observe(i, live, fields)
-                if i in ends:
-                    done = n_steps[live] == i
-                    out[live[done]] = fields[done]
-                    live = live[~done]
-                    if not live.size:
-                        break
-                    S, mean = S[~done], mean[~done]
-                    half_lin, full_lin = half_lin[~done], full_lin[~done]
-                    U, q = U[:live.size], q[:live.size]
+                np.multiply(S, self._half, out=mid)
+            if sampled:
+                observe(i, live, mid)
+            if i in ends:
+                done = n_steps[live] == i
+                fields = U[:np.count_nonzero(done)]
+                np.fft.irfft(mid[done], n=n, norm="forward", out=fields)
+                _check_bound(fields, absU[:len(fields)], t0 + i * dt)
+                out[live[done]] = fields
+                live = live[~done]
+                if not live.size:
+                    break
+                S, mean, half_lin, full_lin = (a[~done] for a in (S, mean, half_lin, full_lin))
+                U, absU, cube, r, q, mid, S2 = (a[:live.size]
+                                                for a in (U, absU, cube, r, q, mid, S2))
             S *= self._full
         return out
 
@@ -272,25 +272,27 @@ class Simulator:
             observer=None):
         """Advance to t_end; optionally collect (t, observer(state)) samples.
 
-        Sample i (counting steps from 1) is taken at time t0 + i * dt.
+        Sample i (counting steps from 1) is taken at time t0 + i * dt; the
+        observer gets the fields of one irfft of the observed spectrum.
         """
-        dt = self.config.dt
+        dt, n = self.config.dt, self.config.n_grid
         t0 = state.time
         n_steps = max(int(round((t_end - t0) / dt)), 0)
         times, samples = [], []
 
-        def observe(i, _members, U):
+        def observe(i, _members, spectrum):
             t = t0 + i * dt
             times.append(t)
-            samples.append(observer(FieldState(u1=U[0, 0], u2=U[0, 1], time=t))
-                           if observer else None)
+            if observer:
+                U = np.fft.irfft(spectrum, n=n, norm="forward")
+                samples.append(observer(FieldState(u1=U[0, 0], u2=U[0, 1], time=t)))
 
         U = self.advance(_stack(state)[None], [self.params.beta], [n_steps], t0,
                          sample_every, observe)
         state = FieldState(u1=U[0, 0], u2=U[0, 1], time=t0 + n_steps * dt)
         if not sample_every:
             return state
-        return state, np.asarray(times), samples
+        return state, np.asarray(times), samples if observer else [None] * len(times)
 
 
 def mode_amplitude(state: FieldState, k: int) -> complex:
@@ -298,13 +300,8 @@ def mode_amplitude(state: FieldState, k: int) -> complex:
     n = state.n_grid
     if abs(k) > n // 2:
         raise ValueError(f"wave index {k} exceeds Nyquist {n // 2}")
-    return complex(_mode_coefficients(state.u1, k))
-
-
-def _mode_coefficients(u1: np.ndarray, k) -> np.ndarray:
-    """Coefficients k (one index or an array) of the unit-mean DFT of u1 (..., N)."""
-    n = u1.shape[-1]
-    return np.fft.fft(u1)[..., np.asarray(k) % n] / n
+    z = complex(np.fft.rfft(state.u1)[abs(k)]) / n
+    return z.conjugate() if k < 0 else z
 
 
 def oscillation_frequency(times: np.ndarray, series: np.ndarray) -> float:
@@ -347,11 +344,15 @@ def measure_growth_rate(params: ModelParams, beta: float, k: int,
         t_end = min(10.0, max(2.0, 3.0 / max(abs(lead), 0.3)))
     config = SimConfig(n_grid=n_grid, dt=dt, t_max=t_end, perturb_kind="traveling",
                        perturb_mode=k, eps=eps)
-    sim = Simulator(params, config)
-    state = initialize(params, config)
+    if abs(k) > n_grid // 2:
+        raise InvalidConfig(f"wave index {k} exceeds Nyquist {n_grid // 2}")
     base = params.alpha if k == 0 else 0.0  # uniform background of u1
-    state, times, amps = sim.run(state, t_end, sample_every=5,
-                                 observer=lambda s: abs(mode_amplitude(s, k) - base))
+    n_steps = int(round(t_end / dt))
+    amps = []
+    Simulator(params, config).advance(
+        _stack(initialize(params, config))[None], [beta], [n_steps], sample_every=5,
+        observe=lambda _i, _members, spec: amps.append(abs(spec[0, 0, abs(k)] - base)))
+    times = dt * np.arange(5, n_steps + 1, 5)
     amps = np.asarray(amps, dtype=float)
     window = 0.1 * t_end
     keep = (times >= window) & (amps > 1e-14)
@@ -458,8 +459,8 @@ def amplitude_scaling_experiment(params: ModelParams, mus,
     sample_every = sampling_steps(dt)
     series = [[] for _ in mus]
 
-    def observe(_i, members, U):
-        for b, z in zip(members, _mode_coefficients(U[:, 0], 1)):
+    def observe(_i, members, spectrum):
+        for b, z in zip(members, spectrum[:, 0, 1].tolist()):
             series[b].append(z)
 
     starts = [_stack(initialize(params.with_beta(beta), cfg))
@@ -503,8 +504,7 @@ def timestep_convergence_order(params: ModelParams, dt: float = 0.02,
     def solve(step):
         cfg = SimConfig(n_grid=n_grid, dt=step, t_max=t_end, eps=1e-2,
                         perturb_kind="random", seed=3)
-        sim = Simulator(params, cfg)
-        return sim.run(initialize(params, cfg), t_end)
+        return Simulator(params, cfg).run(initialize(params, cfg), t_end)
 
     ref = solve(dt / 8.0)
     e = []

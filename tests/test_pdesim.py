@@ -82,6 +82,16 @@ class TestObservables:
         state = initialize(CANON, SimConfig(n_grid=64, eps=0.0))
         with pytest.raises(ValueError):
             mode_amplitude(state, 40)
+        with pytest.raises(InvalidConfig, match="wave index 70 exceeds Nyquist 64"):
+            measure_growth_rate(CANON, 7.0, 70, eps=0.0, t_end=0.1)
+
+    @pytest.mark.parametrize("n", [16, 15])
+    def test_mode_amplitude_is_the_unit_mean_dft(self, n):
+        u1 = np.random.default_rng(n).uniform(1.0, 3.0, n)
+        state = FieldState(u1=u1, u2=np.zeros(n), time=0.0)
+        dft = np.fft.fft(u1) / n
+        for k in range(-(n // 2), n // 2 + 1):
+            assert abs(mode_amplitude(state, k) - dft[k % n]) <= 1e-15
 
     def test_oscillation_frequency_synthetic(self):
         t = np.arange(0, 40.0, 0.1)
@@ -130,16 +140,17 @@ class TestEngine:
                        eps=1e-2, pin_mean=True)
 
     def test_batch_members_equal_solo_runs(self):
-        # members leave at different horizons, one between two sample points
+        # members leave at different horizons, one between two sample points;
+        # the observed samples are the members' spectra, compared bitwise
         betas, n_steps = [6.9, 7.05, 7.1], [40, 23, 60]
         start = initialize(CANON, self.CONFIG)
         starts = np.stack([np.stack([start.u1, start.u2 + 0.01 * j]) for j in range(3)])
         engine = Simulator(CANON, self.CONFIG)
 
         def collect(store):
-            def observe(i, members, U):
-                for b, fields in zip(members, U):
-                    store.setdefault(int(b), []).append((i, fields.copy()))
+            def observe(i, members, spectra):
+                for b, spectrum in zip(members, spectra):
+                    store.setdefault(int(b), []).append((i, spectrum.copy()))
             return observe
 
         batch_samples = {}
@@ -194,7 +205,7 @@ class TestEngine:
 
     @pytest.mark.parametrize("sample_every", [0, 1, 5, 7])
     def test_fft_budget(self, monkeypatch, sample_every):
-        """At most four transforms a step, one to start and one per read of the fields."""
+        """Four transforms a step, one to start and one for the fields at the end."""
         calls = []
         for name in ("rfft", "irfft", "fft"):
             def counted(*args, _transform=getattr(np.fft, name), **kwargs):
@@ -207,20 +218,50 @@ class TestEngine:
         Simulator(CANON, self.CONFIG).advance(starts, [6.9, 7.0, 7.1], [n] * 3,
                                               sample_every=sample_every,
                                               observe=lambda *_: None)
-        assert len(calls) <= 4 * n + 2 + (n // sample_every if sample_every else 0)
+        assert len(calls) <= 4 * n + 2
+
+    @pytest.mark.parametrize("pin_mean", [True, False])
+    def test_observed_spectrum_is_the_fields(self, monkeypatch, pin_mean):
+        """run's observer gets the fields of the spectrum advance hands out."""
+        config = replace(self.CONFIG, pin_mean=pin_mean)
+        n = config.n_grid
+        spectra = []
+        advance = Simulator.advance
+
+        def spy(self, U, betas, n_steps, t0=0.0, sample_every=0, observe=None):
+            def keep(i, members, spectrum):
+                spectra.append(spectrum.copy())
+                observe(i, members, spectrum)
+            return advance(self, U, betas, n_steps, t0, sample_every, keep)
+
+        monkeypatch.setattr(Simulator, "advance", spy)
+        sim = Simulator(CANON.with_beta(7.05), config)
+        _, _, states = sim.run(initialize(CANON, config), 2.0, sample_every=3,
+                               observer=lambda s: s)
+        assert len(spectra) == len(states) == 66
+        for spectrum, state in zip(spectra, states):
+            fields = np.stack([state.u1, state.u2])
+            assert np.array_equal(np.fft.irfft(spectrum[0], n=n, norm="forward"), fields)
+            assert np.max(np.abs(spectrum[0] - np.fft.rfft(fields) / n)) <= 1e-14
 
 
-@pytest.mark.parametrize("members, betas, n_steps, settings, message", [
-    (2, [7.0], [5, 5], {}, "one beta and one step count per member; got 1 betas "
-                           "and 2 for 2 members"),
-    (2, [7.0, 7.0], [5], {}, "got 2 betas and 1 for 2 members"),
-    (1, [7.0], [5], {"sample_every": -1}, "sample_every must be >= 0, got -1"),
-    (1, [7.0], [5], {"sample_every": 2}, "sample_every = 2 needs an observer"),
-], ids=["betas", "n_steps", "negative_sampling", "no_observer"])
-def test_advance_input_errors(members, betas, n_steps, settings, message):
+@pytest.mark.parametrize("shape, betas, n_steps, settings, message", [
+    ((2, 2, 16), [7.0], [5, 5], {}, "one beta and one step count per member; got 1 betas "
+                                    "and 2 for 2 members"),
+    ((2, 2, 16), [7.0, 7.0], [5], {}, "got 2 betas and 1 for 2 members"),
+    ((1, 2, 16), [7.0], [5], {"sample_every": -1}, "sample_every must be >= 0, got -1"),
+    ((1, 2, 16), [7.0], [5], {"sample_every": 2}, "sample_every = 2 needs an observer"),
+    ((1, 2, 32), [7.0], [5], {}, r"fields of shape \(B, 2, 16\), got \(1, 2, 32\)$"),
+    ((2, 16), [7.0], [5], {}, r"fields of shape \(B, 2, 16\), got \(2, 16\)$"),
+    ((1, 2, 16), [7.0], [-3], {}, r"finite betas and step counts >= 0; got betas \[7\.0\] "
+                                  r"and steps \[-3\]$"),
+    ((1, 2, 16), [math.nan], [5], {}, r"got betas \[nan\] and steps \[5\]$"),
+], ids=["betas", "n_steps", "negative_sampling", "no_observer", "grid", "no_batch_axis",
+        "negative_steps", "nan_beta"])
+def test_advance_input_errors(shape, betas, n_steps, settings, message):
     config = SimConfig(n_grid=16, dt=1e-2)
-    start = initialize(CANON, config)
-    U = np.stack([np.stack([start.u1, start.u2])] * members)
+    start = initialize(CANON, replace(config, n_grid=shape[-1]))
+    U = np.broadcast_to(np.stack([start.u1, start.u2]), shape)
     with pytest.raises(InvalidConfig, match=message):
         Simulator(CANON, config).advance(U, betas, n_steps, **settings)
 
