@@ -26,7 +26,8 @@ from .normalform import (ROUTES, closed_form_constants, coeffs, coeffs_batch,
                          coeffs_report)
 from .params import (ModelParams, is_positive, onset, onset_terms, read_config,
                      validate)
-from .pdesim import SimConfig, Simulator, _stack, initialize, sampling_steps, tail_fit
+from .pdesim import (SimConfig, Simulator, _saturated_tail, _stack, initialize,
+                     sampling_steps, tail_fit)
 from .reduced import ReducedSystem, branches, classify_regime, regime_batch
 from .spectral import dispersion_curve, onset_scan, turing_check
 
@@ -239,12 +240,13 @@ def cmd_simulate(ns) -> int:
     outputs = _write_csv(ns.series or (ns.out + ".series.csv" if ns.out else None),
                          header, rows)
 
-    amplitude, frequency, note = tail_fit(times, [row[1] for row in samples])
+    mode1 = np.array([row[1] for row in samples])
+    amplitude, frequency, note = tail_fit(times, mode1)
     summary = {
         "params": params, "beta": params.beta, "mu": params.beta - base.beta1,
         "config": config, "final_time": n_steps * config.dt,
-        "saturated_amplitude": amplitude, "frequency": frequency,
-        "mode1_final": samples[-1][1],
+        "saturated_amplitude": amplitude, "settled": bool(_saturated_tail(np.abs(mode1))),
+        "frequency": frequency, "mode1_final": samples[-1][1],
     }
     if note:
         summary["frequency_note"] = note

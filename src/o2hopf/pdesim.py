@@ -400,6 +400,8 @@ def _saturated_tail(amps: np.ndarray) -> bool:
     """True when the amplitude envelope varies by at most 0.5 % over the tail."""
     tail = _tail(amps)
     half = len(tail) // 2
+    if half == 0:   # one sample has no envelope to compare
+        return False
     m1, m2 = np.max(tail[:half]), np.max(tail[half:])
     peak = max(m1, m2)
     return peak > 0 and abs(m1 - m2) <= 0.005 * peak

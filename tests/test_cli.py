@@ -168,6 +168,35 @@ def test_simulate_short_run(capsys, tmp_path):
     assert "re_mode1" in series[0]
 
 
+def test_simulate_flags_an_unsettled_tail(capsys):
+    # the random start decays by orders of magnitude inside the tail window,
+    # so its tail maximum is no saturated amplitude
+    code, out, _ = run(capsys, "simulate", "--alpha", "2", "--mu", "0.05",
+                       "--tmax", "30", "--perturb", "random:1e-3", "--dt", "0.01",
+                       "--n-grid", "64")
+    assert code == 0
+    rec = json.loads(out)
+    assert rec["settled"] is False
+    assert rec["saturated_amplitude"] > 1e3 * math.hypot(rec["mode1_final"]["re"],
+                                                         rec["mode1_final"]["im"])
+
+
+def test_simulate_one_sample_is_not_settled(capsys):
+    # one sample interval: a tail of one sample has no envelope to compare
+    code, out, _ = run(capsys, "simulate", "--alpha", "2", "--mu", "0.05",
+                       "--tmax", "0.1", "--dt", "0.01", "--n-grid", "16")
+    assert code == 0
+    assert json.loads(out)["settled"] is False
+
+
+def test_simulate_flags_a_saturated_wave_settled(capsys):
+    code, out, _ = run(capsys, "simulate", "--alpha", "2", "--mu", "0.1",
+                       "--tmax", "150", "--pin-mean", "--perturb", "1:1e-2",
+                       "--dt", "0.05", "--n-grid", "16")
+    assert code == 0
+    assert json.loads(out)["settled"] is True
+
+
 def test_simulate_records_the_beta_it_runs(capsys, tmp_path):
     cfg = tmp_path / "run.cfg"
     cfg.write_text("alpha = 2.0\nbeta = 99.0\n")

@@ -7,10 +7,13 @@ import sys
 import types
 from pathlib import Path
 
+import pytest
+
 import o2hopf
 from o2hopf.cli import build_parser
 
-README = Path(__file__).resolve().parent.parent / "README.md"
+ROOT = Path(__file__).resolve().parent.parent
+README = ROOT / "README.md"
 
 
 def test_star_import_brings_in_no_modules():
@@ -24,7 +27,7 @@ def test_star_import_brings_in_no_modules():
 
 
 def test_cli_paths_load_no_scipy(tmp_path):
-    # scipy is imported by integrate_truncated alone, on its first call
+    # nothing in the package imports scipy, the trajectory integrator included
     code = "\n".join([
         "import sys",
         "import o2hopf",
@@ -32,6 +35,9 @@ def test_cli_paths_load_no_scipy(tmp_path):
         "assert cli.dispatch(['verify', '--quick']) == 0",
         "assert cli.dispatch(['sweep', '--grid', 'alpha=1.5:2.5:3',",
         "                     '--out', sys.argv[1]]) == 0",
+        "sys_ = o2hopf.ReducedSystem(mu=0.1, omega=1.0, a=0.5, b=-1.0, c=-2.0)",
+        "t, z1, _ = o2hopf.integrate_truncated(sys_, 0.1, 0.0, 5.0, 1.0)",
+        "assert len(t) == 6 and abs(z1[-1]) > 0.1",
         "print(sorted(m for m in sys.modules if m.startswith('scipy')))",
     ])
     src = os.path.dirname(os.path.dirname(o2hopf.__file__))
@@ -40,6 +46,13 @@ def test_cli_paths_load_no_scipy(tmp_path):
                           capture_output=True, text=True, env=env, timeout=120)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip().splitlines()[-1] == "[]"
+
+
+def test_runtime_dependencies_are_numpy_alone():
+    tomllib = pytest.importorskip("tomllib")
+    project = tomllib.loads((ROOT / "pyproject.toml").read_text())["project"]
+    assert project["dependencies"] == ["numpy>=2.0"]
+    assert any(dep.startswith("scipy") for dep in project["optional-dependencies"]["test"])
 
 
 def _unused_imports(path):

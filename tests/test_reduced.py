@@ -1,13 +1,15 @@
 import math
+import re
 
 import numpy as np
 import pytest
 from conftest import random_admissible
 from scipy.integrate import solve_ivp
 
-from o2hopf import InvalidConfig, ReducedSystem, onset, validate
+from o2hopf import (InvalidConfig, ReducedSystem, StepSizeUnderflow, onset,
+                    validate)
 from o2hopf.normalform import coeffs
-from o2hopf.reduced import (branch_frequency, branches, classify_regime,
+from o2hopf.reduced import (_dp54_step, branch_frequency, branches, classify_regime,
                             integrate_truncated, polar_vector_field,
                             reconstruct_wave, regime_batch)
 
@@ -25,6 +27,17 @@ def closed_form_system(mu):
 
 def projection_system(mu):
     return ReducedSystem.from_coeffs(NF, mu)
+
+
+def cartesian_reference(sys, z0, t_end, t_eval=None):
+    """Independent DOP853 solution of the Cartesian form z' = (i omega + ...) z."""
+    def rhs(_, y):
+        z = y[:2] + 1j * y[2:]
+        s = np.abs(z) ** 2
+        f = (1j * sys.omega + sys.a * sys.mu + sys.b * s + sys.c * s[::-1]) * z
+        return np.concatenate([f.real, f.imag])
+    return solve_ivp(rhs, (0.0, t_end), np.concatenate([z0.real, z0.imag]),
+                     t_eval=t_eval, method="DOP853", rtol=1e-13, atol=1e-15)
 
 
 class TestVectorField:
@@ -217,13 +230,7 @@ class TestTrajectories:
 
     def test_agrees_with_cartesian_reference(self):
         def cartesian(sys, z0, t):
-            def rhs(_, y):
-                z = y[:2] + 1j * y[2:]
-                s = np.abs(z) ** 2
-                f = (1j * sys.omega + sys.a * sys.mu + sys.b * s + sys.c * s[::-1]) * z
-                return np.concatenate([f.real, f.imag])
-            sol = solve_ivp(rhs, (0.0, t[-1]), np.concatenate([z0.real, z0.imag]),
-                            t_eval=t, method="DOP853", rtol=1e-13, atol=1e-15)
+            sol = cartesian_reference(sys, z0, t[-1], t_eval=t)
             return sol.y[:2] + 1j * sol.y[2:]
 
         rng = np.random.default_rng(12)
@@ -247,6 +254,47 @@ class TestTrajectories:
         _, z1, z2 = integrate_truncated(sys, 0.1 + 0.05j, 0.0, t_max=50.0, dt=0.5)
         assert np.all(z2 == 0.0)
         assert np.min(np.abs(z1)) > 0.0
+
+    def test_identical_calls_are_bitwise_equal(self):
+        sys = projection_system(0.1)
+        first = integrate_truncated(sys, 0.2 - 0.1j, 0.05j, t_max=40.0, dt=0.5)
+        second = integrate_truncated(sys, 0.2 - 0.1j, 0.05j, t_max=40.0, dt=0.5)
+        assert all(np.array_equal(a, b) for a, b in zip(first, second))
+
+    def test_blowup_ends_in_step_size_underflow(self):
+        # Re b > 0 and mu > 0: the radii reach infinity in finite time
+        sys = ReducedSystem(mu=0.1, omega=1.0, a=0.5 + 0j, b=1.0 + 0.2j, c=0.5 + 0j)
+        with pytest.raises(StepSizeUnderflow, match=r"at t = \d") as info:
+            integrate_truncated(sys, 0.5 + 0j, 0.1 + 0j, t_max=10.0, dt=1.0)
+        t_stop = float(re.search(r"at t = (\S+):", str(info.value)).group(1))
+        ref = cartesian_reference(sys, np.array([0.5 + 0j, 0.1 + 0j]), 10.0)
+        assert ref.status == -1   # the reference solver fails at the blow-up too
+        assert abs(t_stop - ref.t[-1]) < 1e-4
+
+    @pytest.mark.parametrize("field", ["mu", "omega", "a", "b", "c", "z1_0", "z2_0"])
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_nonfinite_input_is_invalid_config(self, field, bad):
+        coefs = {"mu": 0.1, "omega": NF.omega, "a": NF.a, "b": NF.b, "c": NF.c}
+        start = {"z1_0": 0.1 + 0j, "z2_0": 0.05 + 0j}
+        if field in start:   # a non-finite real part in z1_0, imaginary part in z2_0
+            start[field] = complex(bad, 0.0) if field == "z1_0" else complex(0.0, bad)
+        else:
+            coefs[field] = bad
+        with pytest.raises(InvalidConfig, match=f"{field} must be finite"):
+            integrate_truncated(ReducedSystem(**coefs), start["z1_0"], start["z2_0"],
+                                t_max=10.0, dt=1.0)
+
+    @pytest.mark.parametrize("sys, z1_0", [
+        (ReducedSystem(mu=0.1, omega=1.0, a=0.5 + 0j, b=-1.0 + 0j, c=1.0 + 0j), 1e200),
+        (ReducedSystem(mu=0.1, omega=1.0, a=0.5 + 0j, b=-1e300 + 0j, c=0j), 1e5),
+    ])
+    def test_nan_error_estimate_is_never_accepted(self, sys, z1_0):
+        # finite inputs whose vector field overflows give a NaN error
+        # estimate at every step size; the step shrinks to underflow at t = 0
+        y0 = (z1_0, 0.0, 0.0, 0.0)
+        assert math.isnan(_dp54_step(sys, y0, polar_vector_field(sys, z1_0, 0.0), 1e-3)[2])
+        with pytest.raises(StepSizeUnderflow, match="at t = 0:"):
+            integrate_truncated(sys, z1_0, 0.0, t_max=10.0, dt=1.0)
 
     def test_bad_arguments(self):
         with pytest.raises(ValueError):
