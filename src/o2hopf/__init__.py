@@ -17,17 +17,14 @@ from .modes import ModeSum, R01, R20, R30
 from .normalform import (NormalFormCoeffs, PsiTable, closed_form_constants, coeffs,
                          coeffs_report, solve_psi)
 from .params import ModelParams, OnsetData, onset, validate
-from .pdesim import (FieldState, SimConfig, Simulator,
-                     amplitude_scaling_experiment, equivariance_test, grid,
-                     initialize, measure_growth_rate, mode_amplitude,
-                     oscillation_frequency, rhs_norm,
-                     timestep_convergence_order)
+from .pdesim import (SimConfig, Simulator, amplitude_scaling_experiment,
+                     equivariance_test, grid, initialize, measure_growth_rate,
+                     oscillation_frequency, timestep_convergence_order)
 from .reduced import (BranchPoint, ReducedSystem, branch_frequency, branches,
-                      classify_regime, integrate_truncated, polar_vector_field,
-                      reconstruct_wave)
-from .spectral import (ModeRecord, ScanResult, TuringReport, dispersion_curve,
-                       inner_product, mode_eigenvalues, mode_matrix,
-                       onset_scan, turing_check, xi1, xi1_star, xi2)
+                      classify_regime, integrate_truncated, reconstruct_wave)
+from .spectral import (ModeRecord, ScanResult, TuringReport, inner_product,
+                       mode_eigenvalues, mode_matrix, onset_scan, turing_check,
+                       xi1, xi1_star, xi2)
 
 __all__ = [
     # errors
@@ -37,9 +34,8 @@ __all__ = [
     # parameters and onset
     "ModelParams", "OnsetData", "onset", "validate",
     # spectrum and critical eigenfunctions
-    "ModeRecord", "ScanResult", "TuringReport", "dispersion_curve", "inner_product",
-    "mode_eigenvalues", "mode_matrix", "onset_scan", "turing_check", "xi1",
-    "xi1_star", "xi2",
+    "ModeRecord", "ScanResult", "TuringReport", "inner_product", "mode_eigenvalues",
+    "mode_matrix", "onset_scan", "turing_check", "xi1", "xi1_star", "xi2",
     # mode sums and the nonlinearity
     "ModeSum", "R01", "R20", "R30",
     # normal-form coefficients
@@ -47,11 +43,9 @@ __all__ = [
     "coeffs_report", "solve_psi", "zero_mode_content",
     # reduced dynamics
     "BranchPoint", "ReducedSystem", "branch_frequency", "branches",
-    "classify_regime", "integrate_truncated", "polar_vector_field",
-    "reconstruct_wave",
+    "classify_regime", "integrate_truncated", "reconstruct_wave",
     # PDE simulation
-    "FieldState", "SimConfig", "Simulator", "amplitude_scaling_experiment",
-    "equivariance_test", "grid", "initialize", "measure_growth_rate",
-    "mode_amplitude", "oscillation_frequency", "rhs_norm",
+    "SimConfig", "Simulator", "amplitude_scaling_experiment", "equivariance_test",
+    "grid", "initialize", "measure_growth_rate", "oscillation_frequency",
     "timestep_convergence_order",
 ]

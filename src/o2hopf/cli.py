@@ -26,10 +26,10 @@ from .normalform import (ROUTES, closed_form_constants, coeffs, coeffs_batch,
                          coeffs_report)
 from .params import (ModelParams, is_positive, onset, onset_terms, read_config,
                      validate)
-from .pdesim import (SimConfig, Simulator, _saturated_tail, _stack, initialize,
-                     sampling_steps, tail_fit)
+from .pdesim import (SimConfig, Simulator, _saturated_tail, initialize, sampling_steps,
+                     tail_fit)
 from .reduced import ReducedSystem, branches, classify_regime, regime_batch
-from .spectral import dispersion_curve, onset_scan, turing_check
+from .spectral import onset_scan, turing_check
 
 
 class BadFlag(O2HopfError):
@@ -144,8 +144,10 @@ def cmd_onset(ns) -> int:
         "verdict": scan.verdict,
         "turing": turing_check(params),
     }
-    _emit(ns, record, _write_csv(ns.csv, ["n", "k", "re_lambda_max", "im_lambda"],
-                                 dispersion_curve(scanned, ns.n_max)))
+    # dispersion-curve rows; the leading root has the largest Re, then the largest Im
+    curve = [(r.n, r.k, r.max_real_part, max(r.roots, key=lambda z: (z.real, z.imag)).imag)
+             for r in scan.records]
+    _emit(ns, record, _write_csv(ns.csv, ["n", "k", "re_lambda_max", "im_lambda"], curve))
     return 0
 
 
@@ -229,9 +231,8 @@ def cmd_simulate(ns) -> int:
     def observe(_i, _members, spectrum):
         samples.append(spectrum[0, 0, tracked].tolist() + spectrum[0, :, 0].real.tolist())
 
-    Simulator(params, config).advance(_stack(initialize(params, config))[None],
-                                      [params.beta], [n_steps],
-                                      sample_every=sample_every, observe=observe)
+    Simulator(params, config).advance(initialize(params, config)[None], [params.beta],
+                                      [n_steps], sample_every=sample_every, observe=observe)
 
     header = ["t", *(f"{part}_mode{k}" for k in tracked for part in ("re", "im")),
               "mean_u1", "mean_u2"]

@@ -6,19 +6,22 @@ reaction terms.  The cubic product is formed in physical space and
 dealiased with the 2/3 rule.  The scheme is second order in dt and bitwise
 deterministic for a fixed seed and configuration.
 
-One ``Simulator`` integrates a batch of B runs, given and returned as
-fields (B, 2, N).  It carries each as its unit-mean spectrum rfft(U)/N
-(coefficient 0 is the spatial mean) half a diffusion step into the step,
-in buffers allocated once, and hands observers that spectrum: a step
-takes four transforms and a sample none.  Each step's field is checked
-against the blow-up bound once, when the next step or the last forms it.
-Batch members are bitwise equal to solo runs; ``run`` and ``step`` are
-the one-run use, with fields; ``rhs`` is the operator the steps integrate.
+A state is the (2, N) array of u1 and u2 on the grid, as ``initialize``
+returns it.  ``Simulator.advance`` is the one stepper: it integrates a
+batch of B runs, given and returned as fields (B, 2, N), and a single run
+is a batch of one.  It carries each run as its unit-mean spectrum
+rfft(U)/N (coefficient 0 is the spatial mean) half a diffusion step into
+the step, in buffers allocated once, and hands observers that spectrum: a
+step takes four transforms and a sample none.  Each step's field is
+checked against the blow-up bound once, when the next step or the last
+forms it.  Batch members are bitwise equal to solo runs; ``rhs`` is the
+operator the steps integrate.
 """
 
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -28,17 +31,6 @@ from .params import ModelParams, onset
 from .spectral import mode_eigenvalues, mode_matrix
 
 BLOWUP_NORM = 1e6   # a field value beyond this ends a run as NumericalBlowup
-
-
-@dataclass(frozen=True)
-class FieldState:
-    u1: np.ndarray
-    u2: np.ndarray
-    time: float
-
-    @property
-    def n_grid(self) -> int:
-        return self.u1.shape[0]
 
 
 _PERTURB_KINDS = ("traveling", "random")
@@ -64,6 +56,10 @@ class SimConfig:
                                 f"(dt = {self.dt:g}), got {self.t_max!r}")
         if not math.isfinite(self.eps):
             raise InvalidConfig(f"eps must be finite, got {self.eps!r}")
+        for name in ("n_grid", "perturb_mode", "seed"):
+            value = getattr(self, name)
+            if not isinstance(value, numbers.Integral):
+                raise InvalidConfig(f"{name} must be an integer, got {value!r}")
         if self.n_grid < 2:
             raise InvalidConfig(f"n_grid must be at least 2, got {self.n_grid!r}")
         if self.seed < 0:
@@ -96,11 +92,12 @@ def _dominant_eigvec(params: ModelParams, k: int) -> np.ndarray:
     return v / v[np.argmax(np.abs(v))]
 
 
-def initialize(params: ModelParams, config: SimConfig) -> FieldState:
-    """Uniform state (alpha, beta/alpha), perturbed as configured unless eps = 0."""
+def initialize(params: ModelParams, config: SimConfig) -> np.ndarray:
+    """Uniform state (alpha, beta/alpha) as a (2, N) array of u1 and u2,
+    perturbed as configured unless eps = 0."""
     x = grid(params, config.n_grid)
-    u1 = np.full(config.n_grid, params.alpha)
-    u2 = np.full(config.n_grid, params.beta / params.alpha)
+    U = np.empty((2, config.n_grid))
+    U[0], U[1] = params.alpha, params.beta / params.alpha
     if config.eps != 0.0:
         if config.perturb_kind == "traveling":
             # single-direction complex mode along the leading eigenvector, so
@@ -115,13 +112,8 @@ def initialize(params: ModelParams, config: SimConfig) -> FieldState:
             for j in range(1, 5):
                 wave += np.real(coeffs[:, j - 1:j] * np.exp(1j * j * params.k1 * x)[None, :])
             wave *= config.eps / max(np.max(np.abs(wave)), 1e-300)
-        u1 = u1 + wave[0]
-        u2 = u2 + wave[1]
-    return FieldState(u1=u1, u2=u2, time=0.0)
-
-
-def _stack(state: FieldState) -> np.ndarray:
-    return np.stack([state.u1, state.u2])
+        U += wave
+    return U
 
 
 def _check_bound(U: np.ndarray, buf: np.ndarray, t: float) -> None:
@@ -134,8 +126,8 @@ class Simulator:
     """Strang-split pseudospectral stepper for a fixed params/config pair.
 
     ``advance`` steps a (B, 2, N) batch whose members share the grid, dt
-    and mean pinning; each has its own beta and step count.  ``run`` and
-    ``step`` advance one field state at ``params.beta``.
+    and mean pinning; each has its own beta and step count.  One run is
+    ``advance(U[None], [beta], [n_steps])[0]`` for a (2, N) state U.
     """
 
     def __init__(self, params: ModelParams, config: SimConfig):
@@ -189,18 +181,19 @@ class Simulator:
                         np.empty_like(U[:, 0]), np.empty_like(S[:, 0]), np.empty_like(S))
         return np.fft.irfft(F, n=self.config.n_grid, norm="forward")
 
-    def advance(self, U, betas, n_steps, t0=0.0, sample_every=0, observe=None):
-        """Advance member b of U (B, 2, N) by n_steps[b] steps of dt from t0.
+    def advance(self, U, betas, n_steps, sample_every=0, observe=None):
+        """Advance member b of U (B, 2, N) by n_steps[b] steps of dt.
 
         When sample_every > 0, observe(i, members, spectrum) is called after
         every step i that is a multiple of it, with the indices of the
         members still running and their unit-mean spectra rfft(U)/N,
-        (len(members), 2, N//2+1), at time t0 + i * dt, in a buffer the next
-        step overwrites.  Returns the final fields.  Raises InvalidConfig
-        unless U is (B, 2, N) with one finite beta and one step count >= 0
-        per member and sample_every >= 0 has an observer, and NumericalBlowup
-        when the field of step i, checked as step i + 1 or the last step
-        forms it, leaves the bound or is not finite (named t0 + i * dt).
+        (len(members), 2, N//2+1), at time i * dt, in a buffer the next
+        step overwrites.  Returns the final fields, a new array.  Raises
+        InvalidConfig unless U is (B, 2, N) with one finite beta and one
+        step count >= 0 per member and sample_every >= 0 has an observer,
+        and NumericalBlowup when the field of step i, checked as step i + 1
+        or the last step forms it, leaves the bound or is not finite (named
+        as time i * dt).
         """
         dt, n = self.config.dt, self.config.n_grid
         betas = np.asarray(betas, dtype=float)
@@ -231,7 +224,7 @@ class Simulator:
         for i in range(1, int(n_steps.max(initial=0)) + 1):
             np.fft.irfft(S, n=n, norm="forward", out=U)
             if i > 1:
-                _check_bound(U, absU, t0 + (i - 1) * dt)
+                _check_bound(U, absU, (i - 1) * dt)
             self._stage(mid, S, S, U, half_lin, half_mask, 0.5 * dt, cube, r, q)
             np.fft.irfft(mid, n=n, norm="forward", out=U)
             S, S2 = self._stage(S2, S, mid, U, full_lin, full_mask, dt, cube, r, q), S
@@ -248,7 +241,7 @@ class Simulator:
                 done = n_steps[live] == i
                 fields = U[:np.count_nonzero(done)]
                 np.fft.irfft(mid[done], n=n, norm="forward", out=fields)
-                _check_bound(fields, absU[:len(fields)], t0 + i * dt)
+                _check_bound(fields, absU[:len(fields)], i * dt)
                 out[live[done]] = fields
                 live = live[~done]
                 if not live.size:
@@ -263,45 +256,6 @@ class Simulator:
         """R(phi): v(x) -> v(x - phi) on fields (..., N), via a spectral phase shift."""
         return np.fft.irfft(np.fft.rfft(U) * np.exp(-1j * self._k * phi),
                             n=self.config.n_grid)
-
-    def step(self, state: FieldState) -> FieldState:
-        U = self.advance(_stack(state)[None], [self.params.beta], [1], state.time)
-        return FieldState(u1=U[0, 0], u2=U[0, 1], time=state.time + self.config.dt)
-
-    def run(self, state: FieldState, t_end: float, sample_every: int = 0,
-            observer=None):
-        """Advance to t_end; optionally collect (t, observer(state)) samples.
-
-        Sample i (counting steps from 1) is taken at time t0 + i * dt; the
-        observer gets the fields of one irfft of the observed spectrum.
-        """
-        dt, n = self.config.dt, self.config.n_grid
-        t0 = state.time
-        n_steps = max(int(round((t_end - t0) / dt)), 0)
-        times, samples = [], []
-
-        def observe(i, _members, spectrum):
-            t = t0 + i * dt
-            times.append(t)
-            if observer:
-                U = np.fft.irfft(spectrum, n=n, norm="forward")
-                samples.append(observer(FieldState(u1=U[0, 0], u2=U[0, 1], time=t)))
-
-        U = self.advance(_stack(state)[None], [self.params.beta], [n_steps], t0,
-                         sample_every, observe)
-        state = FieldState(u1=U[0, 0], u2=U[0, 1], time=t0 + n_steps * dt)
-        if not sample_every:
-            return state
-        return state, np.asarray(times), samples if observer else [None] * len(times)
-
-
-def mode_amplitude(state: FieldState, k: int) -> complex:
-    """Discrete Fourier coefficient of u1 at wave index k (unit-mean convention)."""
-    n = state.n_grid
-    if abs(k) > n // 2:
-        raise ValueError(f"wave index {k} exceeds Nyquist {n // 2}")
-    z = complex(np.fft.rfft(state.u1)[abs(k)]) / n
-    return z.conjugate() if k < 0 else z
 
 
 def oscillation_frequency(times: np.ndarray, series: np.ndarray) -> float:
@@ -350,7 +304,7 @@ def measure_growth_rate(params: ModelParams, beta: float, k: int,
     n_steps = int(round(t_end / dt))
     amps = []
     Simulator(params, config).advance(
-        _stack(initialize(params, config))[None], [beta], [n_steps], sample_every=5,
+        initialize(params, config)[None], [beta], [n_steps], sample_every=5,
         observe=lambda _i, _members, spec: amps.append(abs(spec[0, 0, abs(k)] - base)))
     times = dt * np.arange(5, n_steps + 1, 5)
     amps = np.asarray(amps, dtype=float)
@@ -381,7 +335,7 @@ def equivariance_test(params: ModelParams, config: SimConfig, phi: float,
         "translation": lambda U: sim.translate(U, phi),
         "reflection": _reflect,
     }
-    start = _stack(initialize(params, config))
+    start = initialize(params, config)
     batch = np.stack([start] + [op(start) for op in ops.values()])
     n_steps = int(round(t_end / config.dt))
     final = sim.advance(batch, [params.beta] * len(batch), [n_steps] * len(batch))
@@ -465,8 +419,7 @@ def amplitude_scaling_experiment(params: ModelParams, mus,
         for b, z in zip(members, spectrum[:, 0, 1].tolist()):
             series[b].append(z)
 
-    starts = [_stack(initialize(params.with_beta(beta), cfg))
-              for cfg, beta in zip(cfgs, betas)]
+    starts = [initialize(params.with_beta(beta), cfg) for cfg, beta in zip(cfgs, betas)]
     Simulator(params, config).advance(np.stack(starts), betas, n_steps,
                                       sample_every=sample_every, observe=observe)
     rows = []
@@ -506,17 +459,9 @@ def timestep_convergence_order(params: ModelParams, dt: float = 0.02,
     def solve(step):
         cfg = SimConfig(n_grid=n_grid, dt=step, t_max=t_end, eps=1e-2,
                         perturb_kind="random", seed=3)
-        return Simulator(params, cfg).run(initialize(params, cfg), t_end)
+        return Simulator(params, cfg).advance(initialize(params, cfg)[None],
+                                              [params.beta], [round(t_end / step)])[0]
 
     ref = solve(dt / 8.0)
-    e = []
-    for step in (dt, dt / 2.0):
-        s = solve(step)
-        e.append(max(np.max(np.abs(s.u1 - ref.u1)), np.max(np.abs(s.u2 - ref.u2))))
+    e = [np.max(np.abs(solve(step) - ref)) for step in (dt, dt / 2.0)]
     return float(np.log2(e[0] / e[1]))
-
-
-def rhs_norm(params: ModelParams, state: FieldState) -> float:
-    """Sup-norm of Simulator.rhs at params.beta; zero at an equilibrium."""
-    sim = Simulator(params, SimConfig(n_grid=state.n_grid, eps=0.0))
-    return float(np.max(np.abs(sim.rhs(_stack(state)[None], params.beta))))

@@ -51,7 +51,7 @@ class BranchPoint:
     frequencies: tuple   # (th1', th2') at the equilibrium
 
 
-def polar_vector_field(sys: ReducedSystem, r1: float, r2: float):
+def _polar_vector_field(sys: ReducedSystem, r1: float, r2: float):
     """(r1', r2', th1', th2'); by O(2) symmetry they do not depend on the phases."""
     aR, bR, cR = sys.a.real, sys.b.real, sys.c.real
     aI, bI, cI = sys.a.imag, sys.b.imag, sys.c.imag
@@ -99,7 +99,7 @@ def _stability(sys: ReducedSystem, r1: float, r2: float) -> str:
 
 def _branch(sys: ReducedSystem, kind: str, r1: float, r2: float,
             stability: str | None = None) -> BranchPoint:
-    _, _, dth1, dth2 = polar_vector_field(sys, r1, r2)
+    _, _, dth1, dth2 = _polar_vector_field(sys, r1, r2)
     return BranchPoint(kind=kind, r1=r1, r2=r2,
                        stability=stability or _stability(sys, r1, r2),
                        frequencies=(dth1, dth2))
@@ -222,7 +222,7 @@ def _dp54_step(sys: ReducedSystem, y: tuple, k1: tuple, h: float):
     units of atol + rtol |y|, which is not finite when a stage is not.  The
     phases do not enter the vector field, so only the radii are staged.
     """
-    f = polar_vector_field
+    f = _polar_vector_field
     r1, r2, th1, th2 = y
     u1, v1, p1, q1 = k1
     u2, v2, p2, q2 = f(sys, r1 + h * A21 * u1, r2 + h * A21 * v1)
@@ -275,7 +275,7 @@ def integrate_truncated(sys: ReducedSystem, z1_0: complex, z2_0: complex,
     t_eval = np.arange(0.0, t_max + 0.5 * dt, dt)
     z1_0, z2_0 = complex(z1_0), complex(z2_0)
     y = (abs(z1_0), abs(z2_0), cmath.phase(z1_0), cmath.phase(z2_0))
-    k = polar_vector_field(sys, y[0], y[1])
+    k = _polar_vector_field(sys, y[0], y[1])
     samples = [y]
     t, h = 0.0, dt
     for t_next in t_eval[1:].tolist():
@@ -310,8 +310,10 @@ def reconstruct_wave(params: ModelParams, sys: ReducedSystem, branch: BranchPoin
                      phi1: float, phi2: float, t: float, n_grid: int = 256):
     """Sample the leading-order bifurcated wave on the collocation grid.
 
-    Returns (x, u) with u of shape (2, n_grid); the wave is the uniform
-    state plus  z1 xi1 + z2 xi2 + conjugates  with z_j = r_j e^{i(w* t + phi_j)}.
+    Returns (x, u, imag_residue) with u of shape (2, n_grid); the wave is
+    the uniform state plus  z1 xi1 + z2 xi2 + conjugates  with
+    z_j = r_j e^{i(w* t + phi_j)}, and imag_residue is the largest |Im| of
+    that sum, zero up to round-off when the conjugate pairs cancel.
     """
     if branch.kind == "trivial":
         raise ValueError("reconstruct_wave requires a nontrivial branch")

@@ -200,13 +200,3 @@ def inner_product(params: ModelParams, f: ModeSum, g: ModeSum) -> complex:
         if b is not None:
             total += np.dot(a, np.conj(b))
     return complex(2.0 * params.half_length * total)
-
-
-def dispersion_curve(params: ModelParams, n_max: int = DEFAULT_N_MAX):
-    """(n, k, max Re lambda, Im lambda of the leading root) rows at params.beta."""
-    rows = []
-    for n in range(0, n_max + 1):
-        rec = mode_eigenvalues(params, n)
-        lead = max(rec.roots, key=lambda r: (r.real, r.imag))
-        rows.append((n, rec.k, rec.max_real_part, lead.imag))
-    return rows

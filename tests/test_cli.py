@@ -220,6 +220,13 @@ def test_onset_csv_is_at_the_scan_beta(capsys, tmp_path):
     curve = {int(r["n"]): r for r in csv.DictReader(out_csv.open())}
     assert abs(mode1["re1"] - 0.25) < 1e-12
     assert float(curve[1]["re_lambda_max"]) == max(mode1["re1"], mode1["re2"])
+    # at beta1 = 7 mode 1 sits on the imaginary axis at +-i sqrt(3), k = 1
+    assert run(capsys, "onset", "--alpha", "2", "--n-max", "8", "--csv", str(out_csv))[0] == 0
+    rows = list(csv.DictReader(out_csv.open()))
+    assert [int(r["n"]) for r in rows] == list(range(9))
+    assert abs(float(rows[1]["k"]) - 1.0) < 1e-14
+    assert abs(float(rows[1]["re_lambda_max"])) < 1e-12
+    assert abs(abs(float(rows[1]["im_lambda"])) - math.sqrt(3.0)) < 1e-12
 
 
 def test_sweep_reads_config_and_flags_override_it(capsys, tmp_path):

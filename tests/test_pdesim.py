@@ -5,11 +5,9 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from o2hopf import (FieldState, InvalidConfig, NoSaturation, NumericalBlowup, SimConfig,
-                    Simulator, WindowTooShort, equivariance_test, initialize,
-                    measure_growth_rate, mode_amplitude,
-                    oscillation_frequency, rhs_norm,
-                    timestep_convergence_order, validate)
+from o2hopf import (InvalidConfig, NoSaturation, NumericalBlowup, SimConfig, Simulator,
+                    WindowTooShort, equivariance_test, initialize, measure_growth_rate,
+                    oscillation_frequency, timestep_convergence_order, validate)
 from o2hopf.cli import dispatch
 from o2hopf.pdesim import amplitude_scaling_experiment
 
@@ -20,24 +18,22 @@ RT3 = math.sqrt(3.0)
 class TestInitialize:
     def test_unperturbed_state_is_equilibrium(self):
         config = SimConfig(n_grid=64, eps=0.0)
-        state = initialize(CANON, config)
-        assert rhs_norm(CANON, state) <= 1e-13
-        stepped = Simulator(CANON, config).step(state)
-        assert np.max(np.abs(stepped.u1 - state.u1)) <= 1e-13
-        assert np.max(np.abs(stepped.u2 - state.u2)) <= 1e-13
+        U = initialize(CANON, config)
+        assert U.shape == (2, 64)
+        sim = Simulator(CANON, config)
+        assert np.max(np.abs(sim.rhs(U[None], CANON.beta))) <= 1e-13
+        stepped = sim.advance(U[None], [CANON.beta], [1])[0]
+        assert np.max(np.abs(stepped - U)) <= 1e-13
 
     def test_perturbation_amplitude(self):
         config = SimConfig(n_grid=64, perturb_kind="traveling", eps=1e-4)
-        state = initialize(CANON, config)
-        dev = max(np.max(np.abs(state.u1 - CANON.alpha)),
-                  np.max(np.abs(state.u2 - 7.0 / CANON.alpha)))
+        U = initialize(CANON, config)
+        dev = np.max(np.abs(U - [[CANON.alpha], [7.0 / CANON.alpha]]))
         assert 1e-5 < dev < 1e-3
 
     def test_random_seed_determinism(self):
         config = SimConfig(n_grid=64, perturb_kind="random", seed=42)
-        a = initialize(CANON, config)
-        b = initialize(CANON, config)
-        assert np.array_equal(a.u1, b.u1) and np.array_equal(a.u2, b.u2)
+        assert np.array_equal(initialize(CANON, config), initialize(CANON, config))
 
     def test_unknown_kind(self):
         with pytest.raises(ValueError):
@@ -57,6 +53,9 @@ class TestInitialize:
     ({"n_grid": 10, "perturb_kind": "random"}, "perturbed mode 4 lies above"),
     ({"seed": -1}, "seed must be a non-negative integer, got -1"),
     ({"perturb_kind": "none"}, "unknown perturbation kind 'none'"),
+    ({"perturb_mode": 1.5}, "perturb_mode must be an integer, got 1.5"),
+    ({"n_grid": 64.0}, "n_grid must be an integer, got 64.0"),
+    ({"seed": 1.5, "perturb_kind": "random"}, "seed must be an integer, got 1.5"),
 ])
 def test_config_validation(settings, message):
     with pytest.raises(InvalidConfig, match=message):
@@ -68,30 +67,20 @@ def test_config_limits_that_pass():
     SimConfig(n_grid=12, perturb_kind="random")
     SimConfig(n_grid=8, perturb_mode=200, eps=0.0)              # nothing perturbed
     SimConfig(n_grid=2, eps=0.0, t_max=1e-3)
+    SimConfig(n_grid=np.int64(64), perturb_mode=np.int32(2), seed=np.uint8(3))
     with pytest.raises(InvalidConfig):
         replace(SimConfig(), dt=0.0)
 
 
 class TestObservables:
     def test_uniform_mode_amplitude(self):
-        state = initialize(CANON, SimConfig(n_grid=64, eps=0.0))
-        assert mode_amplitude(state, 1) == 0.0
-        assert abs(mode_amplitude(state, 0) - CANON.alpha) < 1e-14
+        modes = np.fft.rfft(initialize(CANON, SimConfig(n_grid=64, eps=0.0))[0]) / 64
+        assert modes[1] == 0.0
+        assert abs(modes[0] - CANON.alpha) < 1e-14
 
     def test_nyquist_guard(self):
-        state = initialize(CANON, SimConfig(n_grid=64, eps=0.0))
-        with pytest.raises(ValueError):
-            mode_amplitude(state, 40)
         with pytest.raises(InvalidConfig, match="wave index 70 exceeds Nyquist 64"):
             measure_growth_rate(CANON, 7.0, 70, eps=0.0, t_end=0.1)
-
-    @pytest.mark.parametrize("n", [16, 15])
-    def test_mode_amplitude_is_the_unit_mean_dft(self, n):
-        u1 = np.random.default_rng(n).uniform(1.0, 3.0, n)
-        state = FieldState(u1=u1, u2=np.zeros(n), time=0.0)
-        dft = np.fft.fft(u1) / n
-        for k in range(-(n // 2), n // 2 + 1):
-            assert abs(mode_amplitude(state, k) - dft[k % n]) <= 1e-15
 
     def test_oscillation_frequency_synthetic(self):
         t = np.arange(0, 40.0, 0.1)
@@ -111,28 +100,26 @@ class TestDeterminismAndSafety:
     def test_run_is_deterministic(self):
         config = SimConfig(n_grid=64, dt=1e-2, perturb_kind="random",
                            seed=5, eps=1e-3)
-        outs = []
-        for _ in range(2):
-            sim = Simulator(CANON, config)
-            outs.append(sim.run(initialize(CANON, config), 2.0))
-        assert np.array_equal(outs[0].u1, outs[1].u1)
-        assert np.array_equal(outs[0].u2, outs[1].u2)
+        outs = [Simulator(CANON, config).advance(initialize(CANON, config)[None],
+                                                 [CANON.beta], [200])
+                for _ in range(2)]
+        assert np.array_equal(outs[0], outs[1])
 
     def test_blowup_detection(self):
-        config = SimConfig(n_grid=64, dt=1e-2)
-        sim = Simulator(CANON, config)
-        bad = FieldState(u1=np.full(64, 1e7), u2=np.full(64, 1e7), time=0.0)
+        sim = Simulator(CANON, SimConfig(n_grid=64, dt=1e-2))
         with pytest.raises(NumericalBlowup):
-            sim.step(bad)
+            sim.advance(np.full((1, 2, 64), 1e7), [CANON.beta], [1])
 
     def test_nan_in_u2_is_a_blowup(self):
-        config = SimConfig(n_grid=64, dt=1e-2)
-        sim = Simulator(CANON, config)
-        u2 = np.full(64, 3.5)
-        u2[10] = np.nan
-        bad = FieldState(u1=np.full(64, 2.0), u2=u2, time=2.5)
-        with pytest.raises(NumericalBlowup, match=r"at t = 2\.51$"):
-            sim.step(bad)
+        # the field of step 1 carries the NaN: a one-step run checks it at its
+        # end, a longer one as step 2 forms it, and both name t = dt
+        sim = Simulator(CANON, SimConfig(n_grid=64, dt=1e-2))
+        bad = np.empty((1, 2, 64))
+        bad[0, 0], bad[0, 1] = 2.0, 3.5
+        bad[0, 1, 10] = np.nan
+        for n_steps in (1, 5):
+            with pytest.raises(NumericalBlowup, match=r"at t = 0\.01$"):
+                sim.advance(bad, [CANON.beta], [n_steps])
 
 
 class TestEngine:
@@ -143,8 +130,7 @@ class TestEngine:
         # members leave at different horizons, one between two sample points;
         # the observed samples are the members' spectra, compared bitwise
         betas, n_steps = [6.9, 7.05, 7.1], [40, 23, 60]
-        start = initialize(CANON, self.CONFIG)
-        starts = np.stack([np.stack([start.u1, start.u2 + 0.01 * j]) for j in range(3)])
+        starts = initialize(CANON, self.CONFIG) + [[[0.0], [0.01 * j]] for j in range(3)]
         engine = Simulator(CANON, self.CONFIG)
 
         def collect(store):
@@ -165,43 +151,38 @@ class TestEngine:
                     == list(range(5, n_steps[b] + 1, 5)))
             assert all(np.array_equal(a, c) for (_, a), (_, c)
                        in zip(batch_samples[b], solo_samples[0]))
-            state = FieldState(u1=starts[b, 0], u2=starts[b, 1], time=0.0)
-            sim = Simulator(CANON.with_beta(betas[b]), self.CONFIG)
-            out, _, _ = sim.run(state, n_steps[b] * self.CONFIG.dt, sample_every=5)
-            assert np.array_equal(out.u1, batch[b, 0])
-            assert np.array_equal(out.u2, batch[b, 1])
+            # the betas passed are the ones stepped, not the Simulator's params.beta
+            other = Simulator(CANON.with_beta(betas[b]), self.CONFIG)
+            assert np.array_equal(other.advance(starts[b:b + 1], betas[b:b + 1],
+                                                n_steps[b:b + 1])[0], batch[b])
 
     def test_run_matches_repeated_steps(self):
-        sim = Simulator(CANON.with_beta(7.05), self.CONFIG)
-        state = initialize(CANON, self.CONFIG)
-        stepped = state
+        sim = Simulator(CANON, self.CONFIG)
+        start = initialize(CANON, self.CONFIG)[None]
+        stepped = start
         for _ in range(50):
-            stepped = sim.step(stepped)
-        ran = sim.run(state, 50 * self.CONFIG.dt)
-        assert np.max(np.abs(ran.u1 - stepped.u1)) <= 1e-12
-        assert np.max(np.abs(ran.u2 - stepped.u2)) <= 1e-12
+            stepped = sim.advance(stepped, [7.05], [1])
+        ran = sim.advance(start, [7.05], [50])
+        assert np.max(np.abs(ran - stepped)) <= 1e-12
 
     def test_sample_times(self):
-        dt, t0 = self.CONFIG.dt, 0.37
-        sim = Simulator(CANON, self.CONFIG)
-        start = replace(initialize(CANON, self.CONFIG), time=t0)
-        state, times, seen = sim.run(start, t0 + 50 * dt,
-                                     sample_every=7, observer=lambda s: s.time)
-        expected = [t0 + i * dt for i in range(7, 51, 7)]
-        assert times.tolist() == expected and seen == expected
-        assert state.time == t0 + 50 * dt
-
+        seen = []
+        Simulator(CANON, self.CONFIG).advance(
+            initialize(CANON, self.CONFIG)[None], [7.0], [50], sample_every=7,
+            observe=lambda i, members, spectrum: seen.append((i, members.tolist(),
+                                                              spectrum.shape)))
+        assert seen == [(i, [0], (1, 2, 33)) for i in range(7, 51, 7)]
 
     @pytest.mark.parametrize("pin_mean", [True, False])
     def test_sampling_leaves_the_run_unchanged(self, pin_mean):
         config = replace(self.CONFIG, pin_mean=pin_mean)
-        sim = Simulator(CANON.with_beta(7.05), config)
-        start = initialize(CANON, config)
-        plain = sim.run(start, 5.0)
+        sim = Simulator(CANON, config)
+        start = initialize(CANON, config)[None]
+        plain = sim.advance(start, [7.05], [500])
         for every in (1, 3, 7):
-            sampled, _, _ = sim.run(start, 5.0, sample_every=every)
-            assert np.array_equal(sampled.u1, plain.u1)
-            assert np.array_equal(sampled.u2, plain.u2)
+            sampled = sim.advance(start, [7.05], [500], sample_every=every,
+                                  observe=lambda *_: None)
+            assert np.array_equal(sampled, plain)
 
     @pytest.mark.parametrize("sample_every", [0, 1, 5, 7])
     def test_fft_budget(self, monkeypatch, sample_every):
@@ -213,36 +194,32 @@ class TestEngine:
                 return _transform(*args, **kwargs)
             monkeypatch.setattr(np.fft, name, counted)
         n = 100
-        start = initialize(CANON, self.CONFIG)
-        starts = np.stack([np.stack([start.u1, start.u2])] * 3)
+        starts = np.stack([initialize(CANON, self.CONFIG)] * 3)
         Simulator(CANON, self.CONFIG).advance(starts, [6.9, 7.0, 7.1], [n] * 3,
                                               sample_every=sample_every,
                                               observe=lambda *_: None)
         assert len(calls) <= 4 * n + 2
 
     @pytest.mark.parametrize("pin_mean", [True, False])
-    def test_observed_spectrum_is_the_fields(self, monkeypatch, pin_mean):
-        """run's observer gets the fields of the spectrum advance hands out."""
+    def test_observed_spectrum_is_the_fields(self, pin_mean):
+        """The spectrum observed at step i is that of the fields advance returns at i."""
         config = replace(self.CONFIG, pin_mean=pin_mean)
         n = config.n_grid
-        spectra = []
-        advance = Simulator.advance
+        sim = Simulator(CANON, config)
+        start = initialize(CANON, config)[None]
+        spectra = {}
 
-        def spy(self, U, betas, n_steps, t0=0.0, sample_every=0, observe=None):
-            def keep(i, members, spectrum):
-                spectra.append(spectrum.copy())
-                observe(i, members, spectrum)
-            return advance(self, U, betas, n_steps, t0, sample_every, keep)
+        def observe(i, _members, spectrum):
+            spectra[i] = spectrum[0].copy()
 
-        monkeypatch.setattr(Simulator, "advance", spy)
-        sim = Simulator(CANON.with_beta(7.05), config)
-        _, _, states = sim.run(initialize(CANON, config), 2.0, sample_every=3,
-                               observer=lambda s: s)
-        assert len(spectra) == len(states) == 66
-        for spectrum, state in zip(spectra, states):
-            fields = np.stack([state.u1, state.u2])
-            assert np.array_equal(np.fft.irfft(spectrum[0], n=n, norm="forward"), fields)
-            assert np.max(np.abs(spectrum[0] - np.fft.rfft(fields) / n)) <= 1e-14
+        sim.advance(start, [7.05], [200], sample_every=3, observe=observe)
+        stops = sorted(spectra)
+        assert stops == list(range(3, 201, 3))
+        # one member stopped at each sample point
+        stopped = sim.advance(np.repeat(start, len(stops), axis=0), [7.05] * len(stops), stops)
+        for i, fields in zip(stops, stopped):
+            assert np.array_equal(np.fft.irfft(spectra[i], n=n, norm="forward"), fields)
+            assert np.max(np.abs(spectra[i] - np.fft.rfft(fields) / n)) <= 1e-14
 
 
 @pytest.mark.parametrize("shape, betas, n_steps, settings, message", [
@@ -260,8 +237,7 @@ class TestEngine:
         "negative_steps", "nan_beta"])
 def test_advance_input_errors(shape, betas, n_steps, settings, message):
     config = SimConfig(n_grid=16, dt=1e-2)
-    start = initialize(CANON, replace(config, n_grid=shape[-1]))
-    U = np.broadcast_to(np.stack([start.u1, start.u2]), shape)
+    U = np.broadcast_to(initialize(CANON, replace(config, n_grid=shape[-1])), shape)
     with pytest.raises(InvalidConfig, match=message):
         Simulator(CANON, config).advance(U, betas, n_steps, **settings)
 
@@ -292,10 +268,10 @@ class TestLinearRegime:
         beta = 6.8
         config = SimConfig(n_grid=64, dt=5e-3, perturb_kind="random",
                            eps=1e-3, seed=2, pin_mean=True)
-        sim = Simulator(CANON.with_beta(beta), config)
-        state = sim.run(initialize(CANON.with_beta(beta), config), 40.0)
-        assert abs(mode_amplitude(state, 1)) < 1e-5
-        assert abs(mode_amplitude(state, 2)) < 1e-5
+        U = Simulator(CANON, config).advance(initialize(CANON.with_beta(beta), config)[None],
+                                             [beta], [8000])[0]
+        modes = np.abs(np.fft.rfft(U[0])) / config.n_grid
+        assert modes[1] < 1e-5 and modes[2] < 1e-5
 
 
 def test_step_integrates_rhs():
@@ -310,18 +286,13 @@ def test_step_integrates_rhs():
     waves = np.exp(1j * np.outer(np.arange(1, 16), x))
     U = np.array([[2.0], [3.5]]) + np.real(
         0.05 * (rng.standard_normal((2, 15)) + 1j * rng.standard_normal((2, 15))) @ waves)
-    state = FieldState(u1=U[0], u2=U[1], time=0.0)
     for dt in (1e-4, 1e-5, 1e-6):
         sim = Simulator(CANON, SimConfig(n_grid=n, dt=dt))
-        stepped = sim.step(state)
-        quotient = (np.stack([stepped.u1, stepped.u2]) - U) / dt
+        quotient = (sim.advance(U[None], [CANON.beta], [1])[0] - U) / dt
         rhs = sim.rhs(U[None], CANON.beta)[0]
         assert np.max(np.abs(quotient - rhs)) <= 1e4 * dt
-        assert rhs_norm(CANON, state) == np.max(np.abs(rhs))
-        assert abs(rhs_norm(CANON, state) - np.max(np.abs(quotient))) <= 1e4 * dt
     uniform = initialize(CANON, SimConfig(n_grid=n, eps=0.0))
-    assert np.max(np.abs(sim.rhs(np.stack([uniform.u1, uniform.u2])[None], 7.0))) <= 1e-13
-    assert rhs_norm(CANON, uniform) <= 1e-13
+    assert np.max(np.abs(sim.rhs(uniform[None], 7.0))) <= 1e-13
 
 
 def test_mean_identity():
@@ -329,14 +300,12 @@ def test_mean_identity():
     config = SimConfig(n_grid=64, dt=1e-3, perturb_kind="random",
                        eps=5e-2, seed=9)
     sim = Simulator(CANON, config)
-    state = initialize(CANON, config)
     # let the quadratic terms build up a genuine mean deviation first
-    state = sim.run(state, 1.0)
-    u1bar, u2bar = CANON.alpha, 7.0 / CANON.alpha
+    U = sim.advance(initialize(CANON, config)[None], [CANON.beta], [1000])
     means = []
     for _ in range(3):
-        means.append((np.mean(state.u1) - u1bar, np.mean(state.u2) - u2bar))
-        state = sim.run(state, state.time + config.dt)
+        means.append((np.mean(U[0, 0]) - CANON.alpha, np.mean(U[0, 1]) - 7.0 / CANON.alpha))
+        U = sim.advance(U, [CANON.beta], [1])
     lhs = ((means[2][0] + means[2][1]) - (means[0][0] + means[0][1])) \
         / (2.0 * config.dt)
     rhs = -means[1][0]
@@ -408,9 +377,9 @@ def test_simulate_and_scaling_sample_alike(tmp_path, monkeypatch):
     spacing = []
     advance = Simulator.advance
 
-    def spy(self, U, betas, n_steps, t0=0.0, sample_every=0, observe=None):
+    def spy(self, U, betas, n_steps, sample_every=0, observe=None):
         spacing.append(sample_every)
-        return advance(self, U, betas, n_steps, t0, sample_every, observe)
+        return advance(self, U, betas, n_steps, sample_every, observe)
 
     monkeypatch.setattr(Simulator, "advance", spy)
     config = SimConfig(n_grid=32, dt=dt, t_max=3.0, eps=1e-3, pin_mean=True)

@@ -70,12 +70,11 @@ def test_batch_member_equals_solo_run(p, config, members):
     # each member runs at its own beta offset; alone it is a Simulator at that beta
     betas = [p.beta + offset for offset, _ in members]
     n_steps = [steps for _, steps in members]
-    starts = [initialize(p.with_beta(beta), config) for beta in betas]
-    batch = Simulator(p, config).advance(
-        np.stack([np.stack([s.u1, s.u2]) for s in starts]), betas, n_steps)
+    starts = np.stack([initialize(p.with_beta(beta), config) for beta in betas])
+    batch = Simulator(p, config).advance(starts, betas, n_steps)
     for beta, steps, start, fields in zip(betas, n_steps, starts, batch):
-        solo = Simulator(p.with_beta(beta), config).run(start, steps * config.dt)
-        assert np.array_equal(solo.u1, fields[0]) and np.array_equal(solo.u2, fields[1])
+        solo = Simulator(p.with_beta(beta), config).advance(start[None], [beta], [steps])
+        assert np.array_equal(solo[0], fields)
 
 
 @PDE_PROPERTY

@@ -9,9 +9,9 @@ from scipy.integrate import solve_ivp
 from o2hopf import (InvalidConfig, ReducedSystem, StepSizeUnderflow, onset,
                     validate)
 from o2hopf.normalform import coeffs
-from o2hopf.reduced import (_dp54_step, branch_frequency, branches, classify_regime,
-                            integrate_truncated, polar_vector_field,
-                            reconstruct_wave, regime_batch)
+from o2hopf.reduced import (_dp54_step, _polar_vector_field, branch_frequency, branches,
+                            classify_regime, integrate_truncated, reconstruct_wave,
+                            regime_batch)
 
 CANON = validate({"alpha": 2.0, "beta": 7.0})
 RT3 = math.sqrt(3.0)
@@ -43,7 +43,7 @@ def cartesian_reference(sys, z0, t_end, t_eval=None):
 class TestVectorField:
     def test_origin(self):
         sys = projection_system(0.2)
-        dr1, dr2, dth1, dth2 = polar_vector_field(sys, 0.0, 0.0)
+        dr1, dr2, dth1, dth2 = _polar_vector_field(sys, 0.0, 0.0)
         assert dr1 == 0.0 and dr2 == 0.0
         expected = RT3 + sys.a.imag * 0.2
         assert abs(dth1 - expected) < 1e-14 and dth1 == dth2
@@ -53,8 +53,8 @@ class TestVectorField:
         rng = np.random.default_rng(0)
         for _ in range(5):
             r1, r2 = rng.uniform(0, 0.5, 2)
-            f = polar_vector_field(sys, r1, r2)
-            g = polar_vector_field(sys, r2, r1)
+            f = _polar_vector_field(sys, r1, r2)
+            g = _polar_vector_field(sys, r2, r1)
             assert abs(f[0] - g[1]) < 1e-14 and abs(f[1] - g[0]) < 1e-14
             assert abs(f[2] - g[3]) < 1e-14 and abs(f[3] - g[2]) < 1e-14
 
@@ -62,7 +62,7 @@ class TestVectorField:
         mu = 0.17
         sys = closed_form_system(mu)
         r_star = math.sqrt(4.0 * mu / 17.0)   # -mu/(2 Re b), Re b = -17/8
-        dr1, _, _, _ = polar_vector_field(sys, r_star, 0.0)
+        dr1, _, _, _ = _polar_vector_field(sys, r_star, 0.0)
         assert abs(dr1) < 1e-14
 
 
@@ -292,7 +292,7 @@ class TestTrajectories:
         # finite inputs whose vector field overflows give a NaN error
         # estimate at every step size; the step shrinks to underflow at t = 0
         y0 = (z1_0, 0.0, 0.0, 0.0)
-        assert math.isnan(_dp54_step(sys, y0, polar_vector_field(sys, z1_0, 0.0), 1e-3)[2])
+        assert math.isnan(_dp54_step(sys, y0, _polar_vector_field(sys, z1_0, 0.0), 1e-3)[2])
         with pytest.raises(StepSizeUnderflow, match="at t = 0:"):
             integrate_truncated(sys, z1_0, 0.0, t_max=10.0, dt=1.0)
 

@@ -6,9 +6,8 @@ import pytest
 from conftest import random_admissible
 
 from o2hopf import InadmissibleRegime, ModelParams, onset, validate
-from o2hopf.spectral import (beta_n, dispersion_curve, gamma_n, inner_product,
-                             mode_eigenvalues, mode_matrix, onset_scan,
-                             turing_check, xi1, xi1_star, xi2)
+from o2hopf.spectral import (beta_n, gamma_n, inner_product, mode_eigenvalues,
+                             mode_matrix, onset_scan, turing_check, xi1, xi1_star, xi2)
 
 CANON = validate({"alpha": 2.0, "beta": 7.0})
 RT3 = math.sqrt(3.0)
@@ -171,11 +170,3 @@ def test_inner_product_domain_mismatch():
     from o2hopf import DomainMismatch
     with pytest.raises(DomainMismatch):
         inner_product(CANON, xi1(CANON), np.zeros(4))
-
-
-def test_dispersion_curve_rows():
-    rows = dispersion_curve(CANON, n_max=8)
-    assert len(rows) == 9
-    n, k, re_max, im = rows[1]
-    assert n == 1 and abs(k - 1.0) < 1e-14
-    assert abs(re_max) < 1e-12 and abs(abs(im) - RT3) < 1e-12
