@@ -170,3 +170,13 @@ def test_inner_product_domain_mismatch():
     from o2hopf import DomainMismatch
     with pytest.raises(DomainMismatch):
         inner_product(CANON, xi1(CANON), np.zeros(4))
+
+
+def test_dispersion_curve_rows():
+    # the onset --csv dispersion rows are read off these scan records
+    records = onset_scan(CANON, n_max=8).records
+    assert len(records) == 9
+    rec = records[1]
+    lead = max(rec.roots, key=lambda z: (z.real, z.imag))
+    assert rec.n == 1 and abs(rec.k - 1.0) < 1e-14
+    assert abs(rec.max_real_part) < 1e-12 and abs(abs(lead.imag) - RT3) < 1e-12
