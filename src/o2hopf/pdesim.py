@@ -12,10 +12,12 @@ batch of B runs, given and returned as fields (B, 2, N), and a single run
 is a batch of one.  It carries each run as its unit-mean spectrum
 rfft(U)/N (coefficient 0 is the spatial mean) half a diffusion step into
 the step, in buffers allocated once, and hands observers that spectrum: a
-step takes four transforms and a sample none.  Each step's field is
-checked against the blow-up bound once, when the next step or the last
-forms it.  Batch members are bitwise equal to solo runs; ``rhs`` is the
-operator the steps integrate.
+step takes four transforms and a sample none.  The transforms are numpy's
+pocketfft gufuncs, called without the np.fft wrapper, whose cost at these
+sizes is that of a transform; the results are np.fft's bits.  Each step's
+field is checked against the blow-up bound once, when the next step or the
+last forms it.  Batch members are bitwise equal to solo runs; ``rhs`` is
+the operator the steps integrate.
 """
 
 from __future__ import annotations
@@ -25,6 +27,12 @@ import numbers
 from dataclasses import dataclass, replace
 
 import numpy as np
+# The gufuncs np.fft.rfft/irfft call, bound once: the wrapper (asarray, result_type,
+# axis normalisation) costs about as much as a 128-point transform, and the factor
+# passed is the one np.fft computes from norm=, so the results are the same bits.
+from numpy.fft._pocketfft_umath import irfft as _irfft
+from numpy.fft._pocketfft_umath import rfft_n_even as _rfft_even
+from numpy.fft._pocketfft_umath import rfft_n_odd as _rfft_odd
 
 from .errors import InvalidConfig, NoSaturation, NumericalBlowup, WindowTooShort
 from .params import ModelParams, onset
@@ -34,6 +42,14 @@ BLOWUP_NORM = 1e6   # a field value beyond this ends a run as NumericalBlowup
 
 
 _PERTURB_KINDS = ("traveling", "random")
+
+
+def _isfinite(value) -> bool:
+    """math.isfinite, False for an integer beyond the float range."""
+    try:
+        return math.isfinite(value)
+    except OverflowError:
+        return False
 
 
 @dataclass(frozen=True)
@@ -49,12 +65,16 @@ class SimConfig:
 
     def __post_init__(self):
         """Raise InvalidConfig for a setting the integrator cannot run."""
-        if not (math.isfinite(self.dt) and self.dt > 0.0):
+        for name in ("dt", "t_max", "eps"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, numbers.Real):
+                raise InvalidConfig(f"{name} must be a real number, got {value!r}")
+        if not (_isfinite(self.dt) and self.dt > 0.0):
             raise InvalidConfig(f"dt must be finite and > 0, got {self.dt!r}")
-        if not (math.isfinite(self.t_max) and self.t_max >= self.dt):
+        if not (_isfinite(self.t_max) and self.t_max >= self.dt):
             raise InvalidConfig(f"t_max must be finite and at least one step "
                                 f"(dt = {self.dt:g}), got {self.t_max!r}")
-        if not math.isfinite(self.eps):
+        if not _isfinite(self.eps):
             raise InvalidConfig(f"eps must be finite, got {self.eps!r}")
         for name in ("n_grid", "perturb_mode", "seed"):
             value = getattr(self, name)
@@ -134,8 +154,14 @@ class Simulator:
         self.params = params
         self.config = config
         n = config.n_grid
-        # angular wave numbers of the rfft coefficients on [-L, L)
-        self._k = k = 2.0 * np.pi * np.fft.rfftfreq(n, d=2.0 * params.half_length / n)
+        # _rfft(x, f) is f times the DFT of x (..., n) at wave indices 0..n//2, and
+        # _irfft(X, f, out=x) f times the inverse sum onto the n points of out: f = 1/n
+        # on one side and 1 on the other make a pair
+        self._rfft = _rfft_even if n % 2 == 0 else _rfft_odd
+        # angular wave numbers of the rfft coefficients on [-L, L): 2 pi rfftfreq(n, d),
+        # computed as rfftfreq does
+        d = 2.0 * params.half_length / n
+        self._k = k = 2.0 * np.pi * (np.arange(n // 2 + 1) * (1.0 / (n * d)))
         delta = np.array([[params.delta1], [params.delta2]])
         self._symbol = -delta * k ** 2   # Laplacian symbol, (2, n//2 + 1)
         # complex multipliers: the same products without a cast on every use
@@ -152,6 +178,13 @@ class Simulator:
         lin = np.stack([-(betas + 1.0), betas], axis=-1)[:, :, None] + 0j
         return lin, np.stack([np.full_like(betas, alpha), betas / alpha], axis=-1)
 
+    def _spectrum(self, U, f):
+        """_rfft(U, f) of fields U (..., N) into a new array."""
+        if np.shape(U)[-1:] != (self.config.n_grid,):
+            raise InvalidConfig(f"fields need {self.config.n_grid} grid points, "
+                                f"got shape {np.shape(U)}")
+        return self._rfft(U, f, out=np.empty(np.shape(U)[:-1] + self._k.shape, complex))
+
     def _stage(self, out, base, S, U, lin, mask, h, cube, r, q):
         """out = base + h F^ for F = (alpha + lin_1 u1 + u1^2 u2, lin_2 u1 - u1^2 u2).
 
@@ -159,7 +192,7 @@ class Simulator:
         2/3-rule mask come times h; u1^2 u2, its rfft and that masked go to cube, r, q."""
         np.multiply(U[:, 0], U[:, 0], out=cube)
         cube *= U[:, 1]
-        np.fft.rfft(cube, out=r)
+        self._rfft(cube, 1.0, out=r)
         np.multiply(r[:, None], mask, out=q)
         np.multiply(lin, S[:, :1], out=out)
         out += base
@@ -176,10 +209,10 @@ class Simulator:
         """
         U = np.asarray(U, dtype=float)
         lin, _ = self._coefficients(np.full(len(U), beta, dtype=float))
-        S = np.fft.rfft(U, norm="forward")
+        S = self._spectrum(U, 1.0 / self.config.n_grid)
         F = self._stage(np.empty_like(S), self._symbol * S, S, U, lin, self._dealias, 1.0,
                         np.empty_like(U[:, 0]), np.empty_like(S[:, 0]), np.empty_like(S))
-        return np.fft.irfft(F, n=self.config.n_grid, norm="forward")
+        return _irfft(F, 1.0, out=np.empty_like(U))
 
     def advance(self, U, betas, n_steps, sample_every=0, observe=None):
         """Advance member b of U (B, 2, N) by n_steps[b] steps of dt.
@@ -190,23 +223,31 @@ class Simulator:
         (len(members), 2, N//2+1), at time i * dt, in a buffer the next
         step overwrites.  Returns the final fields, a new array.  Raises
         InvalidConfig unless U is (B, 2, N) with one finite beta and one
-        step count >= 0 per member and sample_every >= 0 has an observer,
+        integer step count >= 0 per member and an integer sample_every >= 0
+        has an observer,
         and NumericalBlowup when the field of step i, checked as step i + 1
         or the last step forms it, leaves the bound or is not finite (named
         as time i * dt).
         """
         dt, n = self.config.dt, self.config.n_grid
         betas = np.asarray(betas, dtype=float)
-        n_steps = np.asarray(n_steps, dtype=int)
+        steps = np.asarray(n_steps)
         out = np.array(U, dtype=float)
         if out.ndim != 3 or out.shape[1:] != (2, n):
             raise InvalidConfig(f"advance needs fields of shape (B, 2, {n}), got {out.shape}")
-        if betas.shape != n_steps.shape or betas.shape != (len(out),):
+        if betas.shape != steps.shape or betas.shape != (len(out),):
             raise InvalidConfig(f"advance needs one beta and one step count per member; got "
-                                f"{betas.size} betas and {n_steps.size} for {len(out)} members")
+                                f"{betas.size} betas and {steps.size} for {len(out)} members")
+        # no floats or objects, and no bools, which an integer array would absorb
+        if steps.size and (steps.dtype.kind not in "iu"
+                           or any(isinstance(s, (bool, np.bool_)) for s in n_steps)):
+            raise InvalidConfig(f"advance needs integer step counts, got {n_steps!r}")
+        n_steps = steps.astype(int)
         if not (np.isfinite(betas).all() and (n_steps >= 0).all()):
             raise InvalidConfig(f"advance needs finite betas and step counts >= 0; got "
                                 f"betas {betas.tolist()} and steps {n_steps.tolist()}")
+        if isinstance(sample_every, bool) or not isinstance(sample_every, numbers.Integral):
+            raise InvalidConfig(f"sample_every must be an integer, got {sample_every!r}")
         if sample_every < 0:
             raise InvalidConfig(f"sample_every must be >= 0, got {sample_every!r}")
         if sample_every and observe is None:
@@ -218,15 +259,16 @@ class Simulator:
         half_mask, full_mask = (0.5 * dt) * self._dealias, dt * self._dealias
         # buffers: fields, |fields|, u1^2 u2, its rfft, that masked, midpoint, next S
         U = out[live]
-        S = np.fft.rfft(U, norm="forward") * self._half
+        S = self._spectrum(U, 1.0 / n)
+        S *= self._half
         absU, cube, r = np.empty_like(U), np.empty_like(U[:, 0]), np.empty_like(S[:, 0])
         q, mid, S2 = np.empty_like(S), np.empty_like(S), np.empty_like(S)
         for i in range(1, int(n_steps.max(initial=0)) + 1):
-            np.fft.irfft(S, n=n, norm="forward", out=U)
+            _irfft(S, 1.0, out=U)
             if i > 1:
                 _check_bound(U, absU, (i - 1) * dt)
             self._stage(mid, S, S, U, half_lin, half_mask, 0.5 * dt, cube, r, q)
-            np.fft.irfft(mid, n=n, norm="forward", out=U)
+            _irfft(mid, 1.0, out=U)
             S, S2 = self._stage(S2, S, mid, U, full_lin, full_mask, dt, cube, r, q), S
             if self.config.pin_mean:
                 # k = 0 is linearly unstable at onset and would swamp the pattern;
@@ -240,7 +282,7 @@ class Simulator:
             if i in ends:
                 done = n_steps[live] == i
                 fields = U[:np.count_nonzero(done)]
-                np.fft.irfft(mid[done], n=n, norm="forward", out=fields)
+                _irfft(mid[done], 1.0, out=fields)
                 _check_bound(fields, absU[:len(fields)], i * dt)
                 out[live[done]] = fields
                 live = live[~done]
@@ -254,8 +296,8 @@ class Simulator:
 
     def translate(self, U: np.ndarray, phi: float) -> np.ndarray:
         """R(phi): v(x) -> v(x - phi) on fields (..., N), via a spectral phase shift."""
-        return np.fft.irfft(np.fft.rfft(U) * np.exp(-1j * self._k * phi),
-                            n=self.config.n_grid)
+        shifted = self._spectrum(U, 1.0) * np.exp(-1j * self._k * phi)
+        return _irfft(shifted, 1.0 / self.config.n_grid, out=np.empty(np.shape(U)))
 
 
 def oscillation_frequency(times: np.ndarray, series: np.ndarray) -> float:

@@ -8,6 +8,7 @@ import pytest
 from o2hopf import (InvalidConfig, NoSaturation, NumericalBlowup, SimConfig, Simulator,
                     WindowTooShort, equivariance_test, initialize, measure_growth_rate,
                     oscillation_frequency, timestep_convergence_order, validate)
+from o2hopf import pdesim
 from o2hopf.cli import dispatch
 from o2hopf.pdesim import amplitude_scaling_experiment
 
@@ -56,6 +57,10 @@ class TestInitialize:
     ({"perturb_mode": 1.5}, "perturb_mode must be an integer, got 1.5"),
     ({"n_grid": 64.0}, "n_grid must be an integer, got 64.0"),
     ({"seed": 1.5, "perturb_kind": "random"}, "seed must be an integer, got 1.5"),
+    ({"dt": "0.1"}, "dt must be a real number, got '0.1'"),
+    ({"dt": True}, "dt must be a real number, got True"),
+    ({"eps": None}, "eps must be a real number, got None"),
+    ({"t_max": 10**400}, "t_max must be finite and at least one step"),
 ])
 def test_config_validation(settings, message):
     with pytest.raises(InvalidConfig, match=message):
@@ -188,17 +193,17 @@ class TestEngine:
     def test_fft_budget(self, monkeypatch, sample_every):
         """Four transforms a step, one to start and one for the fields at the end."""
         calls = []
-        for name in ("rfft", "irfft", "fft"):
-            def counted(*args, _transform=getattr(np.fft, name), **kwargs):
+        for name in ("_rfft_even", "_rfft_odd", "_irfft"):
+            def counted(*args, _transform=getattr(pdesim, name), **kwargs):
                 calls.append(1)
                 return _transform(*args, **kwargs)
-            monkeypatch.setattr(np.fft, name, counted)
+            monkeypatch.setattr(pdesim, name, counted)
         n = 100
         starts = np.stack([initialize(CANON, self.CONFIG)] * 3)
         Simulator(CANON, self.CONFIG).advance(starts, [6.9, 7.0, 7.1], [n] * 3,
                                               sample_every=sample_every,
                                               observe=lambda *_: None)
-        assert len(calls) <= 4 * n + 2
+        assert len(calls) == 4 * n + 2
 
     @pytest.mark.parametrize("pin_mean", [True, False])
     def test_observed_spectrum_is_the_fields(self, pin_mean):
@@ -222,6 +227,31 @@ class TestEngine:
             assert np.max(np.abs(spectra[i] - np.fft.rfft(fields) / n)) <= 1e-14
 
 
+@pytest.mark.parametrize("n", [16, 17])
+def test_bound_transforms_are_numpy_fft(n):
+    """The gufuncs the stepper calls give np.fft's bits for both factors it passes."""
+    from numpy.fft import _pocketfft_umath   # the module pdesim binds its transforms from
+
+    rfft = Simulator(CANON, SimConfig(n_grid=n, eps=0.0))._rfft
+    assert rfft is (_pocketfft_umath.rfft_n_even if n % 2 == 0 else _pocketfft_umath.rfft_n_odd)
+    assert pdesim._irfft is _pocketfft_umath.irfft
+    rng = np.random.default_rng(n)
+    fields = rng.standard_normal((3, n))                     # (B, N), as _stage transforms
+    spectra = np.fft.rfft(rng.standard_normal((3, 2, n)))    # (B, 2, N//2+1)
+    m = n // 2 + 1
+    pairs = [
+        (rfft(fields, 1.0, out=np.empty((3, m), complex)), np.fft.rfft(fields)),
+        (rfft(fields, 1.0 / n, out=np.empty((3, m), complex)),
+         np.fft.rfft(fields, norm="forward")),
+        (pdesim._irfft(spectra, 1.0, out=np.empty((3, 2, n))),
+         np.fft.irfft(spectra, n=n, norm="forward")),
+        (pdesim._irfft(spectra, 1.0 / n, out=np.empty((3, 2, n))), np.fft.irfft(spectra, n=n)),
+    ]
+    for ours, theirs in pairs:
+        assert ours.shape == theirs.shape and ours.dtype == theirs.dtype
+        assert ours.tobytes() == theirs.tobytes()
+
+
 @pytest.mark.parametrize("shape, betas, n_steps, settings, message", [
     ((2, 2, 16), [7.0], [5, 5], {}, "one beta and one step count per member; got 1 betas "
                                     "and 2 for 2 members"),
@@ -233,13 +263,30 @@ class TestEngine:
     ((1, 2, 16), [7.0], [-3], {}, r"finite betas and step counts >= 0; got betas \[7\.0\] "
                                   r"and steps \[-3\]$"),
     ((1, 2, 16), [math.nan], [5], {}, r"got betas \[nan\] and steps \[5\]$"),
+    ((1, 2, 16), [7.0], [2.5], {}, r"integer step counts, got \[2\.5\]$"),
+    ((1, 2, 16), [7.0], [True], {}, r"integer step counts, got \[True\]$"),
+    ((2, 2, 16), [7.0, 7.0], [True, 3], {}, r"integer step counts, got \[True, 3\]$"),
+    ((1, 2, 16), [7.0], [5], {"sample_every": 2.5, "observe": print},
+     "sample_every must be an integer, got 2.5"),
+    ((1, 2, 16), [7.0], [5], {"sample_every": True, "observe": print},
+     "sample_every must be an integer, got True"),
 ], ids=["betas", "n_steps", "negative_sampling", "no_observer", "grid", "no_batch_axis",
-        "negative_steps", "nan_beta"])
+        "negative_steps", "nan_beta", "fractional_steps", "bool_steps", "bool_among_steps",
+        "fractional_sampling", "bool_sampling"])
 def test_advance_input_errors(shape, betas, n_steps, settings, message):
     config = SimConfig(n_grid=16, dt=1e-2)
     U = np.broadcast_to(initialize(CANON, replace(config, n_grid=shape[-1])), shape)
     with pytest.raises(InvalidConfig, match=message):
         Simulator(CANON, config).advance(U, betas, n_steps, **settings)
+
+
+def test_rhs_and_translate_need_the_grid():
+    sim = Simulator(CANON, SimConfig(n_grid=16, dt=1e-2))
+    fields = initialize(CANON, SimConfig(n_grid=17, dt=1e-2))
+    with pytest.raises(InvalidConfig, match=r"fields need 16 grid points, got shape \(1, 2, 17\)"):
+        sim.rhs(fields[None], 7.0)
+    with pytest.raises(InvalidConfig, match=r"fields need 16 grid points, got shape \(2, 17\)"):
+        sim.translate(fields, 0.3)
 
 
 class TestLinearRegime:
