@@ -26,8 +26,7 @@ from .normalform import (ROUTES, closed_form_constants, coeffs, coeffs_batch,
                          coeffs_report)
 from .params import (ModelParams, is_positive, onset, onset_terms, read_config,
                      validate)
-from .pdesim import (SimConfig, Simulator, _saturated_tail, initialize, sampling_steps,
-                     tail_fit)
+from .pdesim import SimConfig, Simulator, initialize, sampling_steps, tail_fit
 from .reduced import ReducedSystem, branches, classify_regime, regime_batch
 from .spectral import onset_scan, turing_check
 
@@ -119,12 +118,12 @@ def _raw_params(ns) -> dict:
 
 
 def _params_from(ns) -> ModelParams:
-    """Validated parameters; beta defaults to the critical value beta1."""
+    """Validated parameters; beta defaults to the beta1 of the validated constants."""
     raw = _raw_params(ns)
     if "alpha" not in raw:
         raise BadFlag("--alpha (or --config) is required")
     if "beta" not in raw:
-        raw["beta"] = onset(ModelParams(beta=1.0, **raw)).beta1
+        raw["beta"] = onset(validate(ModelParams(beta=1.0, **raw))).beta1
     return validate(raw)
 
 
@@ -242,11 +241,11 @@ def cmd_simulate(ns) -> int:
                          header, rows)
 
     mode1 = np.array([row[1] for row in samples])
-    amplitude, frequency, note = tail_fit(times, mode1)
+    amplitude, frequency, note, settled = tail_fit(times, mode1)
     summary = {
         "params": params, "beta": params.beta, "mu": params.beta - base.beta1,
         "config": config, "final_time": n_steps * config.dt,
-        "saturated_amplitude": amplitude, "settled": bool(_saturated_tail(np.abs(mode1))),
+        "saturated_amplitude": amplitude, "settled": settled,
         "frequency": frequency, "mode1_final": samples[-1][1],
     }
     if note:

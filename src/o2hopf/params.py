@@ -54,8 +54,8 @@ class OnsetData:
 
 def _rescaled(delta1, delta2, half_length):
     """(delta1, delta2) * k1^2; floats or numpy arrays."""
-    s = (math.pi / half_length) ** 2
-    return delta1 * s, delta2 * s
+    k1 = math.pi / half_length   # k1 * k1 overflows to inf where a float's ** raises
+    return delta1 * (k1 * k1), delta2 * (k1 * k1)
 
 
 def critical_values(alpha, d1e, d2e):
@@ -63,8 +63,8 @@ def critical_values(alpha, d1e, d2e):
 
     Pure arithmetic, so it takes floats or numpy arrays alike.
     """
-    alpha2 = alpha ** 2
-    return 1.0 + alpha2 + d1e + d2e, alpha2 * (1.0 + d1e - d2e) - d2e ** 2
+    alpha2 = alpha * alpha
+    return 1.0 + alpha2 + d1e + d2e, alpha2 * (1.0 + d1e - d2e) - d2e * d2e
 
 
 def hopf_bound(alpha, delta1, delta2):
@@ -78,9 +78,10 @@ def onset_terms(alpha, delta1, delta2, half_length):
     The constants may be floats or numpy arrays; ``onset``, ``validate``
     and the vectorised sweep share this one definition of admissibility.
     """
-    d1e, d2e = _rescaled(delta1, delta2, half_length)
-    beta1, omega_sq = critical_values(alpha, d1e, d2e)
-    admissible = (omega_sq > 0.0) & (beta1 < hopf_bound(alpha, delta1, delta2))
+    with np.errstate(over="ignore", invalid="ignore"):   # an overflow is inadmissible
+        d1e, d2e = _rescaled(delta1, delta2, half_length)
+        beta1, omega_sq = critical_values(alpha, d1e, d2e)
+        admissible = (omega_sq > 0.0) & (beta1 < hopf_bound(alpha, delta1, delta2))
     return d1e, d2e, beta1, omega_sq, admissible
 
 
@@ -113,7 +114,8 @@ def validate(raw) -> ModelParams:
     _, _, beta1, w2, admissible = onset_terms(params.alpha, params.delta1, params.delta2,
                                               params.half_length)
     if not admissible:
-        bound = hopf_bound(params.alpha, params.delta1, params.delta2)
+        with np.errstate(over="ignore"):
+            bound = hopf_bound(params.alpha, params.delta1, params.delta2)
         raise InadmissibleRegime(f"O(2)-Hopf analysis does not apply: omega^2 = {w2:.6g}, "
                                  f"beta1 = {beta1:.6g}, bound = {bound:.6g}")
     return params

@@ -39,6 +39,7 @@ from .params import ModelParams, onset
 from .spectral import mode_eigenvalues, mode_matrix
 
 BLOWUP_NORM = 1e6   # a field value beyond this ends a run as NumericalBlowup
+GROWTH_EPS = 1e-5   # size of measure_growth_rate's perturbation
 
 
 _PERTURB_KINDS = ("traveling", "random")
@@ -323,13 +324,13 @@ def oscillation_frequency(times: np.ndarray, series: np.ndarray) -> float:
 
 
 def measure_growth_rate(params: ModelParams, beta: float, k: int,
-                        eps: float = 1e-5, t_end: float | None = None,
-                        dt: float = 2e-3, n_grid: int = 128):
+                        t_end: float | None = None, dt: float = 2e-3, n_grid: int = 128):
     """Fitted exponential rate of an isolated small mode-k perturbation.
 
-    The perturbation is placed along the leading eigenvector of the mode
-    matrix, so log |mode amplitude| is linear from the start; the first
-    tenth of the window is still discarded.
+    The perturbation, of size GROWTH_EPS, is placed along the leading
+    eigenvector of the mode matrix, so log |mode amplitude| is linear from
+    the start; the first tenth of the window is still discarded.  A k above
+    SimConfig's 2/3 cutoff is an InvalidConfig.
     """
     params = params.with_beta(beta)
     lead = mode_eigenvalues(params, k).max_real_part
@@ -339,9 +340,7 @@ def measure_growth_rate(params: ModelParams, beta: float, k: int,
         # rate near onset and contaminates long windows
         t_end = min(10.0, max(2.0, 3.0 / max(abs(lead), 0.3)))
     config = SimConfig(n_grid=n_grid, dt=dt, t_max=t_end, perturb_kind="traveling",
-                       perturb_mode=k, eps=eps)
-    if abs(k) > n_grid // 2:
-        raise InvalidConfig(f"wave index {k} exceeds Nyquist {n_grid // 2}")
+                       perturb_mode=k, eps=GROWTH_EPS)
     base = params.alpha if k == 0 else 0.0  # uniform background of u1
     n_steps = int(round(t_end / dt))
     amps = []
@@ -392,22 +391,13 @@ def _tail(series: np.ndarray) -> np.ndarray:
     return series[-max(len(series) // 5, 8):]
 
 
-def _saturated_tail(amps: np.ndarray) -> bool:
-    """True when the amplitude envelope varies by at most 0.5 % over the tail."""
-    tail = _tail(amps)
-    half = len(tail) // 2
-    if half == 0:   # one sample has no envelope to compare
-        return False
-    m1, m2 = np.max(tail[:half]), np.max(tail[half:])
-    peak = max(m1, m2)
-    return peak > 0 and abs(m1 - m2) <= 0.005 * peak
-
-
 def tail_fit(times: np.ndarray, series) -> tuple:
-    """(amplitude, frequency, note) of a complex series over its tail window.
+    """(amplitude, frequency, note, settled) of a complex series over its tail window.
 
     The largest |z| there and its oscillation_frequency, or a None frequency
-    and the WindowTooShort message as the note when the fit fails.
+    and the WindowTooShort message as the note when the fit fails; settled
+    says that the largest |z| of the tail's two halves differ by at most
+    0.5 %, which a tail of one sample never does.
     """
     z = _tail(np.asarray(series, dtype=complex))
     freq = note = None
@@ -415,7 +405,14 @@ def tail_fit(times: np.ndarray, series) -> tuple:
         freq = oscillation_frequency(_tail(times), z)
     except WindowTooShort as exc:
         note = str(exc)
-    return float(np.max(np.abs(z))), freq, note
+    amps = np.abs(z)
+    half = len(amps) // 2
+    settled = False
+    if half:
+        m1, m2 = np.max(amps[:half]), np.max(amps[half:])
+        peak = max(m1, m2)
+        settled = bool(peak > 0 and abs(m1 - m2) <= 0.005 * peak)
+    return float(np.max(amps)), freq, note, settled
 
 
 def amplitude_scaling_experiment(params: ModelParams, mus,
@@ -467,9 +464,9 @@ def amplitude_scaling_experiment(params: ModelParams, mus,
     rows = []
     for mu, cfg, steps, amps in zip(mus, cfgs, n_steps, series):
         times = dt * np.arange(sample_every, steps + 1, sample_every)
-        tail_amp, freq, note = tail_fit(times, amps)
+        tail_amp, freq, note, settled = tail_fit(times, amps)
         if mu > 0:
-            if not _saturated_tail(np.abs(amps)):
+            if not settled:
                 raise NoSaturation(f"mu = {mu}: amplitude not settled by t = {cfg.t_max}")
             if freq is None:
                 raise WindowTooShort(note)

@@ -88,116 +88,103 @@ def _stability_flags(eigs, scale):
     return ((abs(e1) <= scale) | (abs(e2) <= scale)), ((e1 < 0.0) & (e2 < 0.0))
 
 
-def _stability(sys: ReducedSystem, r1: float, r2: float) -> str:
-    degenerate, stable = _stability_flags(
-        _radial_eigenvalues(sys.a.real, sys.b.real, sys.c.real, sys.mu, r1, r2),
-        _tolerance(sys.b, sys.c))
-    if degenerate:
-        return "degenerate"
-    return "stable" if stable else "unstable"
+def _probe(b, mu):
+    """mu, or at mu = 0 the offset 1e-3 of sign -Re b at which stability is read."""
+    return np.where(mu != 0.0, mu, -np.copysign(1e-3, np.real(b)))
 
 
-def _branch(sys: ReducedSystem, kind: str, r1: float, r2: float,
-            stability: str | None = None) -> BranchPoint:
-    _, _, dth1, dth2 = _polar_vector_field(sys, r1, r2)
-    return BranchPoint(kind=kind, r1=r1, r2=r2,
-                       stability=stability or _stability(sys, r1, r2),
-                       frequencies=(dth1, dth2))
+def _wave_rule(a, b, c, mu):
+    """(relations, families) of a, b, c (complex) and mu (real); floats or arrays.
+
+    relations are the three non-degeneracy relations, with (A, B) = (c, b - c).
+    families maps "rotating_wave" (cubic coefficient Re b, radii (r, 0)) and
+    "standing_wave" (Re b + Re c, radii (r, r)) to (flat, r, degenerate,
+    stable): the coefficient is within tolerance of zero; the radius
+    sqrt(-Re a mu / coefficient), 0 where the family does not exist; flat or a
+    radial eigenvalue at r within tolerance of zero; the family exists and
+    both eigenvalues are negative.
+    """
+    a, b, c, mu = (np.asarray(v) for v in (a, b, c, mu))   # numpy divides 1/0 quietly
+    aR, bR, cR = a.real, b.real, c.real
+    tol = _tolerance(b, c)
+    relations = {
+        "Re_B_nonzero": abs(bR - cR) > tol,                # Re(b - c) != 0
+        "Re_A_plus_B_nonzero": abs(bR) > tol,              # Re b != 0
+        "Re_2A_plus_B_nonzero": abs(bR + cR) > tol,        # Re(b + c) != 0
+    }
+    families = {}
+    for name, coef, nonzero, standing in (
+            ("rotating_wave", bR, relations["Re_A_plus_B_nonzero"], False),
+            ("standing_wave", bR + cR, relations["Re_2A_plus_B_nonzero"], True)):
+        with np.errstate(divide="ignore", invalid="ignore"):
+            r_sq = -aR * mu / coef
+        r = np.sqrt(np.where(nonzero & (r_sq > 0.0), r_sq, 0.0))
+        singular, stable = _stability_flags(
+            _radial_eigenvalues(aR, bR, cR, mu, r, r if standing else 0.0), tol)
+        families[name] = (~nonzero, r, ~nonzero | singular, (r > 0.0) & ~singular & stable)
+    return relations, families
 
 
 def branches(sys: ReducedSystem) -> list:
-    """Trivial branch plus every nontrivial family existing at this mu."""
-    aR, bR, cR = sys.a.real, sys.b.real, sys.c.real
-    tol = _tolerance(sys.b, sys.c)
-    out = [_branch(sys, "trivial", 0.0, 0.0)]
+    """Trivial branch plus every nontrivial family existing at this mu.
 
-    if abs(bR) <= tol:
-        out.append(_branch(sys, "rotating_wave_1", 0.0, 0.0, stability="degenerate"))
-        out.append(_branch(sys, "rotating_wave_2", 0.0, 0.0, stability="degenerate"))
-    elif -aR * sys.mu / bR > 0.0:
-        r = math.sqrt(-aR * sys.mu / bR)
-        out.append(_branch(sys, "rotating_wave_1", r, 0.0))
-        out.append(_branch(sys, "rotating_wave_2", 0.0, r))
-
-    bc = bR + cR
-    if abs(bc) <= tol:
-        out.append(_branch(sys, "standing_wave", 0.0, 0.0, stability="degenerate"))
-    elif -aR * sys.mu / bc > 0.0:
-        r = math.sqrt(-aR * sys.mu / bc)
-        out.append(_branch(sys, "standing_wave", r, r))
+    A family whose cubic coefficient vanishes is listed at the origin as degenerate.
+    """
+    points = [("trivial", 0.0, 0.0, *_stability_flags(
+        _radial_eigenvalues(sys.a.real, sys.b.real, sys.c.real, sys.mu, 0.0, 0.0),
+        _tolerance(sys.b, sys.c)))]
+    for name, (flat, r, *flags) in _wave_rule(sys.a, sys.b, sys.c, sys.mu)[1].items():
+        r = float(r)
+        if flat or r > 0.0:
+            points += ([("standing_wave", r, r, *flags)] if name == "standing_wave" else
+                       [("rotating_wave_1", r, 0.0, *flags),
+                        ("rotating_wave_2", 0.0, r, *flags)])
+    out = []
+    for kind, r1, r2, degenerate, stable in points:
+        _, _, dth1, dth2 = _polar_vector_field(sys, r1, r2)
+        stability = "degenerate" if degenerate else "stable" if stable else "unstable"
+        out.append(BranchPoint(kind=kind, r1=r1, r2=r2, stability=stability,
+                               frequencies=(dth1, dth2)))
     return out
 
 
 def classify_regime(sys: ReducedSystem) -> dict:
     """Non-degeneracy relations and which wave family is orbitally stable.
 
-    Uses the (A, B) = (c, b - c) correspondence for the quadrant report but
-    derives stability from the radial Jacobian, not from a diagram.
+    Both are read off the rule of ``branches``, at the probe offset when
+    mu = 0; (A, B) = (c, b - c) gives the quadrant report.
     """
-    bR, cR = sys.b.real, sys.c.real
-    tol = _tolerance(sys.b, sys.c)
+    relations, families = _wave_rule(sys.a, sys.b, sys.c, _probe(sys.b, sys.mu))
+    relations = {name: bool(holds) for name, holds in relations.items()}
+    degenerate = not all(relations.values())
     A = sys.c
     B = sys.b - sys.c
-    relations = {
-        "Re_B_nonzero": abs(B.real) > tol,                 # Re(b - c) != 0
-        "Re_A_plus_B_nonzero": abs(bR) > tol,              # Re b != 0
-        "Re_2A_plus_B_nonzero": abs(bR + cR) > tol,        # Re(b + c) != 0
-    }
-    degenerate = not all(relations.values())
-
-    stable_kinds = []
-    if not degenerate:
-        probe = sys if sys.mu != 0.0 else ReducedSystem(
-            mu=-math.copysign(1e-3, bR), omega=sys.omega, a=sys.a, b=sys.b, c=sys.c)
-        for bp in branches(probe):
-            if bp.kind != "trivial" and bp.stability == "stable":
-                stable_kinds.append(bp.kind)
-
     return {
         "A_real": A.real,
         "B_real": B.real,
         "sector": (int(np.sign(A.real)), int(np.sign(B.real))),
         "relations": relations,
         "degenerate": degenerate,
-        "stable_families": sorted(set(
-            "rotating_wave" if k.startswith("rotating") else "standing_wave"
-            for k in stable_kinds)),
+        "stable_families": [] if degenerate else [
+            name for name, (_, _, _, stable) in families.items() if stable],
     }
 
 
 def regime_batch(a, b, c, mu) -> dict:
-    """Existence, stability and regime of the wave families for arrays of points.
+    """What ``branches`` and ``classify_regime`` read off the same rule, for (P,) arrays.
 
-    a, b, c (complex) and mu (real) are (P,) arrays.  Per point this is
-    what ``branches`` and ``classify_regime`` report, with the same
-    tolerance, the same eigenvalues and the same mu = 0 probe:
-    rotating_exists/standing_exists say that the family exists at mu with a
-    nondegenerate stability, rotating_stable/standing_stable that it is in
-    classify_regime's stable_families.  Returns bool arrays under those keys.
+    rotating_exists/standing_exists: the family exists at mu with a
+    nondegenerate stability; rotating_stable/standing_stable: it is in
+    classify_regime's stable_families.  Bool arrays under those keys.
     """
-    aR, bR, cR = a.real, b.real, c.real
-    tol = _tolerance(b, c)
-    bc = bR + cR
-    degenerate = (np.abs(bR - cR) <= tol) | (np.abs(bR) <= tol) | (np.abs(bc) <= tol)
-    probe = np.where(mu != 0.0, mu, -np.copysign(1e-3, bR))
-
-    def family(at_mu, coef, standing):
-        """Whether the family exists at at_mu with a nondegenerate stability, and is stable."""
-        with np.errstate(divide="ignore", invalid="ignore"):
-            r_sq = -aR * at_mu / coef
-        exists = (np.abs(coef) > tol) & (r_sq > 0.0)
-        r = np.sqrt(np.where(exists, r_sq, 0.0))
-        flat, stable = _stability_flags(
-            _radial_eigenvalues(aR, bR, cR, at_mu, r, r if standing else 0.0), tol)
-        return exists & ~flat, exists & ~flat & stable
-
-    rotating_exists, _ = family(mu, bR, False)
-    standing_exists, _ = family(mu, bc, True)
-    _, rotating_stable = family(probe, bR, False)
-    _, standing_stable = family(probe, bc, True)
-    return {"rotating_exists": rotating_exists, "standing_exists": standing_exists,
-            "rotating_stable": rotating_stable & ~degenerate,
-            "standing_stable": standing_stable & ~degenerate}
+    relations, families = _wave_rule(a, b, c, np.stack([mu, _probe(b, mu)]))
+    regular = np.logical_and.reduce(list(relations.values()))
+    out = {}
+    for name, (_, r, degenerate, stable) in families.items():
+        prefix = name.removesuffix("_wave")
+        out[f"{prefix}_exists"] = (r[0] > 0.0) & ~degenerate[0]
+        out[f"{prefix}_stable"] = stable[1] & regular
+    return out
 
 
 # The embedded 5(4) pair of Dormand & Prince (1980): stage coefficients

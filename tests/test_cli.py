@@ -144,6 +144,19 @@ def test_sweep_admissibility_boundary(capsys, tmp_path):
             assert r["re_b_projection"] == ""
 
 
+def test_sweep_overflowing_constants_are_inadmissible_without_warnings(capsys, tmp_path):
+    out_csv = tmp_path / "tiny.csv"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, _, err = run(capsys, "sweep", "--half-length", "1e-200",
+                           "--grid", "alpha=1:3:2", "--grid", "delta2=1:1e200:2",
+                           "--out", str(out_csv))
+    assert code == 0 and err == ""
+    rows = list(csv.DictReader(out_csv.open()))
+    assert [(r["admissible"], r["beta1"], r["error"]) for r in rows] == [
+        ("False", "inf", "")] * 4
+
+
 def test_sweep_tw_existence_flips_at_zero(capsys, tmp_path):
     out_csv = tmp_path / "mu.csv"
     code, _, _ = run(capsys, "sweep", "--grid", "mu=-0.1:0.1:5",
@@ -294,6 +307,19 @@ _SIMULATE = ("simulate", "--alpha", "2", "--mu", "0.05", "--tmax", "1")
      "--grid expects name=lo:hi:count with name in {alpha, delta1, delta2, mu}"),
     (_SIMULATE + ("--seed", "-1", "--perturb", "random:1e-3"),
      "seed must be a non-negative integer, got -1"),
+    # k1^2 = (pi/half_length)^2 overflows: inadmissible, not an OverflowError, and
+    # the default beta (inf) is not blamed
+    (("coeffs", "--alpha", "2", "--half-length", "1e-200"),
+     "O(2)-Hopf analysis does not apply: omega^2 = nan, beta1 = inf"),
+    (("onset", "--alpha", "2", "--beta", "7", "--half-length", "1e-200"),
+     "O(2)-Hopf analysis does not apply: omega^2 = nan, beta1 = inf"),
+    (("classify", "--alpha", "2", "--half-length", "1e-170"),
+     "O(2)-Hopf analysis does not apply: omega^2 = nan, beta1 = inf"),
+    (("branch", "--alpha", "2", "--half-length", "1e-100"),
+     "O(2)-Hopf analysis does not apply: omega^2 = -inf"),
+    (_SIMULATE + ("--half-length", "1e-200"),
+     "O(2)-Hopf analysis does not apply: omega^2 = nan, beta1 = inf"),
+    (("coeffs", "--alpha", "1e200"), "O(2)-Hopf analysis does not apply"),
 ])
 def test_bad_invocation_fails_in_one_line(capsys, tmp_path, argv, message):
     code, _, err = run(capsys, *(a.format(tmp=tmp_path) for a in argv))

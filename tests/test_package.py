@@ -80,6 +80,17 @@ def test_no_unused_imports():
     assert [name for p in paths for name in _unused_imports(p)] == []
 
 
+def test_no_private_imports_between_modules():
+    # a module reads another module's private helpers only through a public name
+    found = []
+    for path in sorted(Path(o2hopf.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if isinstance(node, ast.ImportFrom) and node.level > 0:
+                found += [f"{path.name}:{node.lineno} {alias.name}" for alias in node.names
+                          if alias.name.startswith("_") and alias.name != "__version__"]
+    assert found == []
+
+
 def _unused_parameters(path):
     """Parameters of a function or lambda that its body never reads.
 

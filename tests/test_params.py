@@ -64,6 +64,18 @@ def test_onset_reports_inadmissible_without_raising():
     assert data.omega == 0.0
 
 
+@pytest.mark.parametrize("field, value", [("half_length", 1e-200), ("half_length", 1e-100),
+                                          ("alpha", 1e200), ("delta2", 1e200)])
+def test_onset_of_an_overflowing_constant_is_inadmissible(field, value):
+    # k1^2 or alpha^2 overflows to inf: inadmissible, not an OverflowError
+    p = ModelParams(**{"alpha": 2.0, "beta": 7.0, field: value})
+    data = onset(p)
+    assert not data.admissible
+    assert data.omega == 0.0 or not math.isfinite(data.omega)
+    with pytest.raises(InadmissibleRegime):
+        validate(p)
+
+
 def test_onset_is_deterministic():
     p = ModelParams(alpha=1.7, beta=6.3, delta1=0.8, delta2=0.6)
     assert onset(p) == onset(p)

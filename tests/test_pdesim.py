@@ -84,8 +84,10 @@ class TestObservables:
         assert abs(modes[0] - CANON.alpha) < 1e-14
 
     def test_nyquist_guard(self):
-        with pytest.raises(InvalidConfig, match="wave index 70 exceeds Nyquist 64"):
-            measure_growth_rate(CANON, 7.0, 70, eps=0.0, t_end=0.1)
+        # SimConfig's 2/3 cutoff rejects every index above the Nyquist mode
+        with pytest.raises(InvalidConfig, match=r"perturbed mode 70 lies above the 2/3 "
+                                                r"cutoff \(mode 42\) of n_grid = 128"):
+            measure_growth_rate(CANON, 7.0, 70, t_end=0.1)
 
     def test_oscillation_frequency_synthetic(self):
         t = np.arange(0, 40.0, 0.1)
@@ -297,9 +299,9 @@ class TestLinearRegime:
             assert abs(rate - predicted) <= 0.05 * abs(predicted)
 
     def test_growth_window_without_samples(self):
-        # no perturbation: every amplitude is at round-off level
+        # mode 20 decays at rate 399: by the end of settling it is below 1e-14
         with pytest.raises(WindowTooShort, match="keeps 0 samples"):
-            measure_growth_rate(CANON, 7.05, 1, eps=0.0, t_end=1.0)
+            measure_growth_rate(CANON, 7.0, 20, t_end=1.0)
         # one sample (t = 0.01) survives settling
         with pytest.raises(WindowTooShort, match=r"window \[0\.001, 0\.01\] keeps 1 "):
             measure_growth_rate(CANON, 7.05, 1, t_end=0.01)

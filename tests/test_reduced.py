@@ -180,6 +180,55 @@ class TestClassification:
             assert got["rotating_stable"][i] == ("rotating_wave" in stable)
             assert got["standing_stable"][i] == ("standing_wave" in stable)
 
+    def test_stability_labels_match_the_flow(self):
+        # an independent reference for the labels: start 1e-3 off each branch
+        # point along the radial and the transverse direction and integrate;
+        # Re b < 0 and Re(b + c) < 0 bound the radial flow
+        def jacobian_eigenvalues(sys, r1, r2, h=1e-6):
+            cols = [[(u - d) / (2.0 * h) for u, d in
+                     zip(_polar_vector_field(sys, r1 + e1, r2 + e2)[:2],
+                         _polar_vector_field(sys, r1 - e1, r2 - e2)[:2])]
+                    for e1, e2 in ((h, 0.0), (0.0, h))]
+            return np.linalg.eigvals(np.array(cols).T)
+
+        rng = np.random.default_rng(5)
+        labels, n_systems = set(), 0
+        while n_systems < 10:
+            b = complex(rng.uniform(-3, 0), rng.uniform(-1, 1))
+            c = complex(rng.uniform(-3, 3), rng.uniform(-1, 1))
+            sys = ReducedSystem(mu=0.1, omega=1.0, a=complex(0.5, rng.uniform(-1, 1)),
+                                b=b, c=c)
+            if (b + c).real >= 0.0:
+                continue
+            points = branches(sys)[1:]
+            slowest = min(np.min(np.abs(jacobian_eigenvalues(sys, p.r1, p.r2)))
+                          for p in points)
+            if slowest < 0.02:
+                continue
+            n_systems += 1
+            assert [p.kind for p in points] == ["rotating_wave_1", "rotating_wave_2",
+                                                "standing_wave"]
+            t_max = 10.0 / slowest
+            for p in points:
+                at = np.array([p.r1, p.r2])
+                radial = at / np.hypot(*at)
+                transverse = np.array([radial[1], -radial[0]]) if p.r1 and p.r2 \
+                    else radial[::-1]
+                dist = []
+                for direction in (radial, transverse):
+                    start = at + 1e-3 * direction
+                    _, z1, z2 = integrate_truncated(sys, complex(start[0]), complex(start[1]),
+                                                    t_max=t_max, dt=t_max)
+                    dist.append(np.hypot(abs(z1[-1]) - p.r1, abs(z2[-1]) - p.r2))
+                if p.stability == "stable":
+                    assert max(dist) <= 1e-6, (p, dist)
+                else:
+                    assert p.stability == "unstable" and max(dist) >= 1e-2, (p, dist)
+                labels.add((p.kind[:8], p.stability))
+        # both outcomes of the exchange of stability between the families
+        assert labels == {("rotating", "stable"), ("rotating", "unstable"),
+                          ("standing", "stable"), ("standing", "unstable")}
+
 
 class TestTrajectories:
     def test_origin_is_fixed(self):
