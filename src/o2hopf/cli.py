@@ -14,6 +14,7 @@ import hashlib
 import json
 import math
 import os
+import re
 import sys
 import time
 
@@ -36,6 +37,11 @@ class BadFlag(O2HopfError):
 
 
 class _Parser(argparse.ArgumentParser):
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        # argparse's own pattern has no exponent, so "--mu -1e-3" read -1e-3 as a flag
+        self._negative_number_matcher = re.compile(r"^-(\d+\.?\d*|\.\d+)([eE][-+]?\d+)?$")
+
     def error(self, message):
         raise BadFlag(f"{message}\n{self.format_usage()}")
 
@@ -304,9 +310,9 @@ def _sweep_columns(cols: dict) -> dict:
     Each point meets the checks of the single-point pipeline in its order
     and stops at the first that fails: a constant that is not finite and
     positive, inadmissibility (no error), beta = beta1 + mu not finite and
-    positive, a singular resolvent system, then P_2(0) = 0.  The error
-    column gets the failure as "<ErrorType>: <message>"; cells a point
-    never reaches stay blank.
+    positive, projection overflow, a singular resolvent system, P_2(0) = 0,
+    then closed-form overflow.  The error column gets the failure as
+    "<ErrorType>: <message>"; cells a point never reaches stay blank.
     """
     n = len(cols["alpha"])
     out = {name: [""] * n for name in _SWEEP_FIELDS}

@@ -20,14 +20,15 @@ The projection route is one array kernel over a batch of B parameter
 points.  Every function it touches sits at a single wave index: xi1 at 1
 and its conjugate at -1, psi_11000 and psi_10100 at 0, psi_20000 and
 psi_10010 at 2, while psi_00001 vanishes.  Every value of R20 and R30 is a
-multiple of (1, -1).  So each function is held as a (B, 2) complex
+multiple s (1, -1).  So each function is held as a (B, 2) complex
 amplitude at its fixed index, the multilinear maps become elementwise
-products, and the four resolvent systems are solved for all points at once
-by the adjugate.  A point whose system is singular is flagged in a mask,
-not raised.  ``coeffs``, ``solve_psi`` and ``coeffs_report`` run the kernel
-with B = 1; the ModeSum algebra of ``modes`` stays the independent
-reference with which ``PsiTable.residuals`` and the report's residual
-orthogonality rebuild the vectors.
+products, and (z I - M_n) psi = s (1, -1) is solved in closed form, with
+P_n(z) from ``spectral.char_poly``.  A point whose P_n(z) vanishes is
+flagged in a mask, not raised.  ``coeffs``, ``solve_psi`` and
+``coeffs_report`` run the kernel with B = 1; the ModeSum algebra of
+``modes`` stays the independent reference with which ``PsiTable.residuals``
+and the report's residual orthogonality rebuild the vectors.  Constants
+so extreme that a route's values overflow are an inadmissible regime.
 
 All coefficients depend only on alpha, delta1, delta2 and the domain
 length, never on mu.
@@ -44,21 +45,21 @@ from .errors import InadmissibleRegime, SingularSystem
 from .meanzero import zero_mode_content
 from .modes import ModeSum, R01, R20, R30
 from .params import ModelParams, OnsetData, critical_values, onset
-from .spectral import (char_poly, inner_product, mode_entries, mode_matrix,
-                       xi1, xi1_amp, xi1_star, xi1_star_amp, xi2)
+from .spectral import (char_poly, inner_product, mode_matrix, xi1, xi1_amp,
+                       xi1_star, xi1_star_amp, xi2)
 
 ROUTES = ("projection", "direct", "closed_form")
 
 _DET_GUARD = 1e-13
+_OVERFLOW = "O(2)-Hopf analysis does not apply: the {} route overflows at these constants"
 CONSISTENCY_TOL = 1e-8
 _PM = np.array([1.0, -1.0])
 
-# The kernel's checks after the zero-mode determinant, in the order the
-# scalar route has always made them: (reduction function, whether the
+# The kernel's resolvent systems, in the order it checks them; code 1 + i
+# of _Batch.singular names system i: (reduction function, whether the
 # resolvent value is 2i omega rather than 0, wave index of the system).
 _SYSTEMS = (("psi_11000", False, 0), ("psi_20000", True, 2),
             ("psi_10100", True, 0), ("psi_10010", False, 2))
-_ZERO_MODE_MESSAGE = "zero-mode matrix for psi_00001 lost its alpha^2 determinant"
 
 
 @dataclass(frozen=True)
@@ -85,10 +86,11 @@ class PsiTable:
                           2.0 * R20(params, x1, x2.conj())),
         }
         out = {}
-        for name, (z, n, psi, rhs) in checks.items():
-            lhs = _apply_resolvent(params, z, psi)
-            out[name] = (lhs - rhs).norm() / (1.0 + rhs.norm())
         beta1 = onset(params).beta1
+        for name, (z, n, psi, rhs) in checks.items():
+            lhs = ModeSum({m: (z * np.eye(2) - mode_matrix(params, m, beta1)) @ amp
+                           for m, amp in psi.terms.items()})   # (z I - L_{beta1}) psi
+            out[name] = (lhs - rhs).norm() / (1.0 + rhs.norm())
         m0 = mode_matrix(params, 0, beta1) + np.array([[1.0, 0.0], [-1.0, 0.0]])
         out["psi_00001"] = float(np.linalg.norm(m0 @ self.psi_00001.amp(0)))
         return out
@@ -102,15 +104,6 @@ class NormalFormCoeffs:
     route: str
     omega: float
     beta1: float
-
-
-def _apply_resolvent(params: ModelParams, z: complex, psi: ModeSum) -> ModeSum:
-    """(z I - L_{beta1}) acting on a mode sum."""
-    beta1 = onset(params).beta1
-    out = {}
-    for n, amp in psi.terms.items():
-        out[n] = (z * np.eye(2) - mode_matrix(params, n, beta1)) @ amp
-    return ModeSum(out)
 
 
 def _cmul(x: np.ndarray, y: np.ndarray) -> np.ndarray:
@@ -129,32 +122,19 @@ def _cmul(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     return out
 
 
-def _solve_batch(m: np.ndarray, rhs: np.ndarray):
-    """Solve m V = rhs by the adjugate for every point of a batch.
+def _solve(s, z, n: int, alpha, d1, d2, beta1):
+    """(psi, singular) with (z I - M_n(beta1)) psi = s (1, -1) for a batch.
 
-    m is (B, 2, 2) and rhs (B, 2).  Returns (V, singular): a point whose
-    determinant is within _DET_GUARD of zero, relative to its largest entry
-    squared (at least 1), is flagged and its V is meaningless.
+    psi = s (z + n^2 d2, -(z + n^2 d1 + 1)) / P_n(z): beta1 has cancelled.
+    A point is singular where |P_n(z)| is within _DET_GUARD of the size of
+    its terms, and its psi is NaN where P_n(z) overflowed.
     """
-    m00, m01, m10, m11 = m[:, 0, 0], m[:, 0, 1], m[:, 1, 0], m[:, 1, 1]
-    det = _cmul(m00, m11) - _cmul(m01, m10)
-    scale = np.maximum(np.abs(m).max(axis=(1, 2)) ** 2, 1.0)
-    singular = np.abs(det) <= _DET_GUARD * scale
-    adj = np.empty_like(m)
-    adj[:, 0, 0], adj[:, 0, 1], adj[:, 1, 0], adj[:, 1, 1] = m11, -m01, -m10, m00
-    adj_rhs = (adj @ rhs[:, :, None])[:, :, 0]
-    return adj_rhs / np.where(singular, 1.0, det)[:, None], singular
-
-
-def _resolvent(z, n: int, alpha, d1, d2, beta1) -> np.ndarray:
-    """z I - M_n(beta1) for every point, (B, 2, 2), unit wave number."""
-    (m00, m01), (m10, m11) = mode_entries(alpha, d1, d2, float(n * n), beta1)
-    m = np.empty((len(beta1), 2, 2), dtype=complex)
-    m[:, 0, 0] = z - m00
-    m[:, 0, 1] = -m01
-    m[:, 1, 0] = -m10
-    m[:, 1, 1] = z - m11
-    return m
+    k2 = float(n * n)
+    det = char_poly(alpha, d1, d2, k2, z, beta1)
+    singular = np.abs(det) <= _DET_GUARD * (np.abs(z) ** 2 + k2 * d2 * beta1 + alpha ** 2)
+    coef = np.where(np.isfinite(det), s, np.nan) / np.where(singular, 1.0, det)
+    psi = np.stack([_cmul(coef, z + k2 * d2), _cmul(coef, -(z + k2 * d1 + 1.0))], axis=-1)
+    return psi, singular
 
 
 class _Batch(NamedTuple):
@@ -165,14 +145,12 @@ class _Batch(NamedTuple):
     psi: dict              # name -> (B, 2) amplitude at its wave index (_SYSTEMS)
     beta1: np.ndarray
     omega: np.ndarray
-    singular: np.ndarray   # (B,) int: 0, else 1 + index of the first failing check
+    finite: np.ndarray     # (B,) bool: a, b and c finite
+    singular: np.ndarray   # (B,) int: 0, else 1 + index of the first singular system
 
     def message(self, i: int) -> str:
         """The SingularSystem text of masked point i."""
-        code = int(self.singular[i])
-        if code == 1:
-            return _ZERO_MODE_MESSAGE
-        label, at_2iw, n = _SYSTEMS[code - 2]
+        label, at_2iw, n = _SYSTEMS[int(self.singular[i]) - 1]
         z = 2j * float(self.omega[i]) if at_2iw else 0.0
         return f"{label}: value {z} is in the spectrum of M_{n}"
 
@@ -182,52 +160,47 @@ def _projection_kernel(alpha, d1, d2, half_length) -> _Batch:
 
     alpha, the rescaled diffusion rates d1, d2 and half_length are (B,)
     float arrays of points with omega^2 > 0.  The checks of the scalar
-    route become a mask: singular[i] names the first one point i fails,
-    and its a, b, c and psi are then meaningless.
+    route become masks, finite and singular; the a, b, c and psi of a
+    masked point are meaningless.
     """
-    beta1, omega_sq = critical_values(alpha, d1, d2)
-    w = np.sqrt(omega_sq)
-    a2 = alpha ** 2
-    ratio = beta1 / alpha
-    x1 = xi1_amp(alpha, d2, w)          # at 1
-    x1c = x1.conj()                     # conj xi1 at -1; conj xi2 at 1
-    star = xi1_star_amp(alpha, d2, w, half_length).conj()
+    with np.errstate(over="ignore", invalid="ignore"):   # an overflow is not finite
+        beta1, omega_sq = critical_values(alpha, d1, d2)
+        w = np.sqrt(omega_sq)
+        ratio = beta1 / alpha
+        x1 = xi1_amp(alpha, d2, w)          # at 1
+        x1c = x1.conj()                     # conj xi1 at -1; conj xi2 at 1
+        star = xi1_star_amp(alpha, d2, w, half_length).conj()
 
-    def r20(u, v):
-        s = (alpha * (_cmul(u[:, 0], v[:, 1]) + _cmul(u[:, 1], v[:, 0]))
-             + _cmul(ratio * u[:, 0], v[:, 0]))
-        return s[:, None] * _PM
+        def r20(u, v):   # s with R20(u, v) = s (1, -1)
+            return (alpha * (_cmul(u[:, 0], v[:, 1]) + _cmul(u[:, 1], v[:, 0]))
+                    + _cmul(ratio * u[:, 0], v[:, 0]))
 
-    def project(vec):
-        """<vec, xi1*> of a vector at wave index 1."""
-        return 2.0 * half_length * (vec[:, None, :] @ star[:, :, None])[:, 0, 0]
+        def project(s):
+            """<s (1, -1), xi1*> at wave index 1."""
+            return 2.0 * half_length * (s[:, None, None] * _PM @ star[:, :, None])[:, 0, 0]
 
-    # (L + R01) psi_00001 = 0 has only the zero solution while the
-    # zero-mode matrix keeps its determinant alpha^2.
-    (m00, m01), (m10, m11) = mode_entries(alpha, d1, d2, 0.0, beta1)
-    det0 = (m00 + 1.0) * m11 - m01 * (m10 - 1.0)
-    singular = np.where(np.abs(det0 - a2) > 1e-9 * np.maximum(a2, 1.0), 1, 0)
+        s11 = 2.0 * r20(x1, x1c)            # 2 R20(xi1, conj xi2)
+        s20 = r20(x1, x1)                   # R20(xi1, xi2)
+        rhs = {"psi_11000": s11, "psi_20000": s20, "psi_10100": 2.0 * s20, "psi_10010": s11}
+        psi = {}
+        singular = np.zeros(len(beta1), dtype=int)
+        for code, (name, at_2iw, n) in enumerate(_SYSTEMS, start=1):
+            z = 2j * w if at_2iw else 0.0
+            psi[name], bad = _solve(rhs[name], z, n, alpha, d1, d2, beta1)
+            singular = np.where((singular == 0) & bad, code, singular)
 
-    rhs_11 = 2.0 * r20(x1, x1c)         # = 2 R20(xi1, conj xi2)
-    rhs_20 = r20(x1, x1)                # = R20(xi1, xi2)
-    rhs = {"psi_11000": rhs_11, "psi_20000": rhs_20,
-           "psi_10100": 2.0 * rhs_20, "psi_10010": rhs_11}
-    psi = {}
-    for code, (name, at_2iw, n) in enumerate(_SYSTEMS, start=2):
-        m = _resolvent(2j * w if at_2iw else 0.0, n, alpha, d1, d2, beta1)
-        psi[name], bad = _solve_batch(m, rhs[name])
-        singular = np.where((singular == 0) & bad, code, singular)
-
-    # cubic = R30(xi1, xi1, conj xi1) = R30(xi1, xi2, conj xi2)
-    u, v, cv = x1[:, 0], x1[:, 1], x1c
-    cubic = ((_cmul(_cmul(u, u), cv[:, 1]) + _cmul(_cmul(u, v), cv[:, 0])
-              + _cmul(_cmul(v, u), cv[:, 0])) / 3.0)[:, None] * _PM
-    p11 = psi["psi_11000"]              # psi_00110 = S psi_11000: same amplitude at 0
-    a = project(x1[:, :1] * _PM)        # R01(xi1); the psi_00001 term vanishes
-    b = project(2.0 * r20(x1, p11) + 2.0 * r20(x1c, psi["psi_20000"]) + 3.0 * cubic)
-    c = project(2.0 * r20(x1, p11) + 2.0 * r20(x1, psi["psi_10010"])
-                + 2.0 * r20(x1c, psi["psi_10100"]) + 6.0 * cubic)
-    return _Batch(a=a, b=b, c=c, psi=psi, beta1=beta1, omega=w, singular=singular)
+        # cubic = R30(xi1, xi1, conj xi1) = R30(xi1, xi2, conj xi2)
+        u, v, cv = x1[:, 0], x1[:, 1], x1c
+        cubic = (_cmul(_cmul(u, u), cv[:, 1]) + _cmul(_cmul(u, v), cv[:, 0])
+                 + _cmul(_cmul(v, u), cv[:, 0])) / 3.0
+        p11 = psi["psi_11000"]              # psi_00110 = S psi_11000: same amplitude at 0
+        a = project(x1[:, 0])               # R01(xi1); the psi_00001 term vanishes
+        b = project(2.0 * r20(x1, p11) + 2.0 * r20(x1c, psi["psi_20000"]) + 3.0 * cubic)
+        c = project(2.0 * r20(x1, p11) + 2.0 * r20(x1, psi["psi_10010"])
+                    + 2.0 * r20(x1c, psi["psi_10100"]) + 6.0 * cubic)
+    finite = np.isfinite(a) & np.isfinite(b) & np.isfinite(c)
+    return _Batch(a=a, b=b, c=c, psi=psi, beta1=beta1, omega=w, finite=finite,
+                  singular=singular)
 
 
 class _Projection(NamedTuple):
@@ -246,12 +219,25 @@ def _hopf_onset(params: ModelParams) -> OnsetData:
     return data
 
 
+def _finite(route: str, compute, *args) -> dict:
+    """compute(*args), a dict of numbers, unless one overflows at these constants."""
+    try:   # a Python float's ** raises OverflowError where numpy's gives inf
+        values = compute(*args)
+        if np.isfinite(list(values.values())).all():
+            return values
+    except OverflowError:
+        pass
+    raise InadmissibleRegime(_OVERFLOW.format(route))
+
+
 def _project(params: ModelParams) -> _Projection:
-    """The projection kernel at B = 1; raises SingularSystem on a masked point."""
+    """The projection kernel at B = 1; raises on a masked point."""
     data = _hopf_onset(params)
     d1, d2 = params.effective_diffusion()
     k = _projection_kernel(*(np.array([v], dtype=float)
                              for v in (params.alpha, d1, d2, params.half_length)))
+    if not k.finite[0]:
+        raise InadmissibleRegime(_OVERFLOW.format("projection"))
     if k.singular[0]:
         raise SingularSystem(k.message(0))
     amps = {name: ModeSum.single(n, k.psi[name][0]) for name, _, n in _SYSTEMS}
@@ -279,7 +265,8 @@ def _c1(alpha, d1, d2, beta1, w, p20):
         * (alpha * (4.0 * d1 + 1.0) - (4.0 * d2 / alpha) * (1j * w + 1.0 + d1))
 
 
-def _b_direct(params: ModelParams) -> complex:
+def _direct(params: ModelParams) -> dict:
+    """a, b and c with literal complex division by P_2(2i omega), P_2(0) and P_0(2i omega)."""
     alpha, (d1, d2) = params.alpha, params.effective_diffusion()
     a2 = alpha ** 2
     data = onset(params)
@@ -291,14 +278,8 @@ def _b_direct(params: ModelParams) -> complex:
     term = 5.0 * (a2 + d2) - 4.0 * beta1 + 1j * w
     fac = -2.0 * (a2 + d2) + beta1 + 2j * w
     brk = -a2 * (2j * w + 4.0 * d1 + 1.0) - (2j * w + 4.0 * d2) * (1j * w - 1.0 - d1)
-    return pref * (term + (2.0 / p2w) * fac * brk)
+    b = pref * (term + (2.0 / p2w) * fac * brk)
 
-
-def _c_direct(params: ModelParams) -> complex:
-    alpha, (d1, d2) = params.alpha, params.effective_diffusion()
-    a2 = alpha ** 2
-    data = onset(params)
-    beta1, w = data.beta1, data.omega
     p20 = char_poly(alpha, d1, d2, 4.0, 0.0, beta1)
     p02w = char_poly(alpha, d1, d2, 0.0, 2j * w, beta1)
     if p20 == 0 or p02w == 0:
@@ -307,7 +288,8 @@ def _c_direct(params: ModelParams) -> complex:
     c2 = (4.0 / p02w) * ((beta1 - 2.0 * (a2 + d2) + 2j * w) / alpha) \
         * (-alpha * (2j * w + 1.0) + (2j * w / alpha) * (-1j * w + 1.0 + d1))
     pref = -1j * (d2 + 1j * w) / (2.0 * w)
-    return pref * ((2.0 * (a2 + d2) - 4.0 * beta1 + 2j * w) / a2 + c1 + c2)
+    c = pref * ((2.0 * (a2 + d2) - 4.0 * beta1 + 2j * w) / a2 + c1 + c2)
+    return {"a": _asymptotic_a(params), "b": b, "c": c}
 
 
 def _p2_zero(alpha, d1, d2):
@@ -372,7 +354,7 @@ def closed_form_constants(params: ModelParams) -> dict:
     p20 = _p2_zero(alpha, d1, d2)
     if p20 == 0:
         raise SingularSystem("P_2(0) vanishes")
-    return _closed_form(alpha, d1, d2, data.beta1, data.omega, p20)
+    return _finite("closed_form", _closed_form, alpha, d1, d2, data.beta1, data.omega, p20)
 
 
 def coeffs_batch(alpha, d1, d2, half_length):
@@ -381,17 +363,21 @@ def coeffs_batch(alpha, d1, d2, half_length):
     alpha, the rescaled diffusion rates d1, d2 and half_length are (P,)
     arrays of points with omega^2 > 0.  Returns (values, errors): values
     maps "a", "b_projection", "c_projection", "b_closed_form" and
-    "c_closed_form" to (P,) complex
-    arrays; errors[i] is the SingularSystem that ``coeffs`` and then
-    ``closed_form_constants`` raise for point i, else None, and the values
-    of such a point are meaningless.
+    "c_closed_form" to (P,) complex arrays; errors[i] is the error that
+    ``coeffs`` and then ``closed_form_constants`` raise for point i, else
+    None, and the values of such a point are meaningless.
     """
     k = _projection_kernel(alpha, d1, d2, half_length)
-    p20 = _p2_zero(alpha, d1, d2)
-    errors = [SingularSystem(k.message(i)) if code else
-              SingularSystem("P_2(0) vanishes") if p0 == 0 else None
-              for i, (code, p0) in enumerate(zip(k.singular.tolist(), p20.tolist()))]
-    closed = _closed_form(alpha, d1, d2, k.beta1, k.omega, np.where(p20 == 0, 1.0, p20))
+    with np.errstate(over="ignore", invalid="ignore"):   # an overflow is not finite
+        p20 = _p2_zero(alpha, d1, d2)
+        closed = _closed_form(alpha, d1, d2, k.beta1, k.omega, np.where(p20 == 0, 1.0, p20))
+    closed_ok = np.isfinite(list(closed.values())).all(axis=0)
+    errors = [InadmissibleRegime(_OVERFLOW.format("projection")) if not finite else
+              SingularSystem(k.message(i)) if code else
+              SingularSystem("P_2(0) vanishes") if p0 == 0 else
+              InadmissibleRegime(_OVERFLOW.format("closed_form")) if not ok else None
+              for i, (finite, code, p0, ok) in enumerate(zip(
+                  k.finite.tolist(), k.singular.tolist(), p20.tolist(), closed_ok.tolist()))]
     return {"a": k.a, "b_projection": k.b, "c_projection": k.c,
             "b_closed_form": closed["b"], "c_closed_form": closed["c"]}, errors
 
@@ -402,7 +388,7 @@ def coeffs(params: ModelParams, route: str = "projection") -> NormalFormCoeffs:
         a, b, c, _, data = _project(params)
     elif route == "direct":
         data = _hopf_onset(params)
-        a, b, c = _asymptotic_a(params), _b_direct(params), _c_direct(params)
+        a, b, c = _finite("direct", _direct, params).values()
     elif route == "closed_form":
         constants = closed_form_constants(params)
         data = onset(params)
@@ -440,11 +426,10 @@ def coeffs_report(params: ModelParams) -> dict:
     proj = _project(params)
     data = proj.onset
     constants = closed_form_constants(params)
-    a_asymptotic = _asymptotic_a(params)
     per_route = {
         "projection": {"a": proj.a, "b": proj.b, "c": proj.c},
-        "direct": {"a": a_asymptotic, "b": _b_direct(params), "c": _c_direct(params)},
-        "closed_form": {"a": a_asymptotic, "b": constants["b"], "c": constants["c"]},
+        "direct": _finite("direct", _direct, params),
+        "closed_form": {"a": _asymptotic_a(params), "b": constants["b"], "c": constants["c"]},
     }
 
     discrepancies = {}

@@ -77,16 +77,10 @@ def char_poly(alpha, d1, d2, k2, lam, beta):
     return lam ** 2 + (bk - beta) * lam + gk - k2 * d2 * beta
 
 
-def mode_entries(alpha, d1, d2, k2, beta):
-    """((m00, m01), (m10, m11)) of the mode matrix; floats or arrays."""
-    a2 = alpha ** 2
-    return ((-k2 * d1 + beta - 1.0, a2),
-            (-beta, -k2 * d2 - a2))
-
-
 def mode_matrix(params: ModelParams, n: int, beta: float) -> np.ndarray:
-    return np.array(mode_entries(params.alpha, params.delta1, params.delta2,
-                                 (n * params.k1) ** 2, beta), dtype=complex)
+    k2, a2 = (n * params.k1) ** 2, params.alpha ** 2
+    return np.array([[-k2 * params.delta1 + beta - 1.0, a2],
+                     [-beta, -k2 * params.delta2 - a2]], dtype=complex)
 
 
 def _quadratic_roots(b: float, c: float):

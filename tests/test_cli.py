@@ -68,6 +68,12 @@ def test_classify_and_branch(capsys):
                - math.sqrt(0.05 * 24.0 / 11.0)) < 1e-10
 
 
+def test_negative_flag_value_in_exponent_form(capsys):
+    code, out, _ = run(capsys, "classify", "--alpha", "2", "--mu", "-1e-3")
+    assert code == 0
+    assert json.loads(out)["mu"] == -0.001
+
+
 def test_validation_errors_exit_1(capsys):
     assert run(capsys, "coeffs")[0] == 1                      # missing alpha
     assert run(capsys, "coeffs", "--alpha", "-2")[0] == 1     # nonpositive
@@ -155,6 +161,23 @@ def test_sweep_overflowing_constants_are_inadmissible_without_warnings(capsys, t
     rows = list(csv.DictReader(out_csv.open()))
     assert [(r["admissible"], r["beta1"], r["error"]) for r in rows] == [
         ("False", "inf", "")] * 4
+
+
+def test_sweep_overflowing_coefficients_are_inadmissible_without_warnings(capsys, tmp_path):
+    # admissible points whose closed-form constants, or also their projection
+    # coefficients, overflow get the error of the single-point route
+    for hi, route in (("1e200", "closed_form"), ("1e300", "projection")):
+        out_csv = tmp_path / f"far{hi}.csv"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, _, err = run(capsys, "sweep", "--grid", f"delta1=1e7:{hi}:3",
+                               "--out", str(out_csv))
+        assert code == 0 and err == ""
+        rows = list(csv.DictReader(out_csv.open()))
+        assert [(r["admissible"], r["error"]) for r in rows] == [("True", "")] + [
+            ("True", f"InadmissibleRegime: O(2)-Hopf analysis does not apply: the {route} "
+                     "route overflows at these constants")] * 2
+        assert float(rows[0]["re_b_projection"]) < 0.0 and rows[1]["re_b_projection"] == ""
 
 
 def test_sweep_tw_existence_flips_at_zero(capsys, tmp_path):
@@ -320,6 +343,17 @@ _SIMULATE = ("simulate", "--alpha", "2", "--mu", "0.05", "--tmax", "1")
     (_SIMULATE + ("--half-length", "1e-200"),
      "O(2)-Hopf analysis does not apply: omega^2 = nan, beta1 = inf"),
     (("coeffs", "--alpha", "1e200"), "O(2)-Hopf analysis does not apply"),
+    # admissible, but a route's coefficients or constants overflow
+    (("coeffs", "--alpha", "2", "--d1", "1e300"),
+     "O(2)-Hopf analysis does not apply: the projection route overflows"),
+    (("coeffs", "--alpha", "2", "--d1", "1e150", "--route", "closed_form"),
+     "O(2)-Hopf analysis does not apply: the closed_form route overflows"),
+    (("coeffs", "--alpha", "2", "--d1", "1e160", "--route", "closed_form"),
+     "O(2)-Hopf analysis does not apply: the closed_form route overflows"),
+    (("coeffs", "--alpha", "2", "--d1", "1e250", "--route", "direct"),
+     "O(2)-Hopf analysis does not apply: the direct route overflows"),
+    (("onset", "--alpha", "2", "--scan-beta", "-1e-3"),
+     "parameter 'beta' must be strictly positive, got -0.001"),
 ])
 def test_bad_invocation_fails_in_one_line(capsys, tmp_path, argv, message):
     code, _, err = run(capsys, *(a.format(tmp=tmp_path) for a in argv))

@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 from conftest import random_admissible
 
-from o2hopf import InadmissibleRegime, ModelParams, SingularSystem, onset, validate
+from o2hopf import (InadmissibleRegime, ModelParams, SingularSystem, onset, onset_scan,
+                    validate)
 from o2hopf.normalform import (ROUTES, _projection_kernel, closed_form_constants,
                                coeffs, coeffs_report, solve_psi)
 
@@ -53,13 +54,35 @@ class TestPsi:
         # the psi_10010 system is singular there and nowhere else in the batch
         singular_p = ModelParams(alpha=2.0, beta=1.0, delta1=4.0 / 7.0, delta2=1.0)
         k = _kernel([CANON, singular_p, CANON])
-        assert k.singular.tolist() == [0, 5, 0]
+        assert k.singular.tolist() == [0, 4, 0]
         assert k.message(1) == "psi_10010: value 0.0 is in the spectrum of M_2"
         for i in (0, 2):
             assert abs(k.b[i] - GOLDEN_B) < 1e-12 and abs(k.c[i] - GOLDEN_C) < 1e-12
         # the single-point route raises the same text
         with pytest.raises(SingularSystem, match=r"^psi_10010: value 0\.0 is in"):
             coeffs(singular_p.with_beta(onset(singular_p).beta1))
+
+
+def _at_onset(**constants):
+    p = ModelParams(beta=1.0, **constants)
+    return p.with_beta(onset(p).beta1)
+
+
+@pytest.mark.parametrize("params", [
+    *(_at_onset(alpha=2.0, delta1=d1) for d1 in (1e7, 1e10, 1e14)),
+    # a short domain: k1^2 = 1e4 pi^2 rescales delta1 to about 1e7
+    _at_onset(alpha=2.0, delta1=100.0, delta2=1e-5, half_length=0.01),
+], ids=["delta1=1e7", "delta1=1e10", "delta1=1e14", "short_domain"])
+def test_far_side_sets_are_solved(params):
+    # beta1 up to 1e14: the resolvent systems are solved, not refused, within
+    # the bounds the suite holds near the canonical point
+    assert onset_scan(params, n_max=8).verdict == "hopf_onset"
+    proj, direct = coeffs(params, "projection"), coeffs(params, "direct")
+    for name in "abc":
+        want = getattr(direct, name)
+        assert abs(getattr(proj, name) - want) <= 1e-10 * (1.0 + abs(want)), name
+    assert max(solve_psi(params).residuals(params).values()) <= 1e-12
+    assert solve_psi(params).psi_00001.is_zero()
 
 
 class TestCoeffA:

@@ -1,10 +1,13 @@
 """Property tests: the paper's invariants over admissible parameter sets.
 
 Each example draws alpha, delta1, delta2 and the half-length, keeps the
-sets where the O(2)-Hopf analysis applies, and sits at beta = beta1.  The
+sets where the O(2)-Hopf analysis applies, and sits at beta = beta1; the
+far-side sets draw delta1 and delta2 log-uniformly, up to delta1 = 1e12.  The
 algebraic properties draw 50 examples; the PDE properties draw a few short
 runs (16-32 grid points, about 50 steps) to keep the suite fast.
 """
+
+import math
 
 import numpy as np
 from hypothesis import assume, given, settings
@@ -40,6 +43,28 @@ def test_projection_equals_direct(p):
 @PROPERTY
 @given(admissible_sets())
 def test_psi_residuals(p):
+    assert max(solve_psi(p).residuals(p).values()) <= 1e-12
+
+
+@st.composite
+def far_side_sets(draw):
+    """Admissible sets reaching delta1 >> delta2, where beta1 grows beyond 1e12."""
+    p = ModelParams(alpha=draw(st.floats(0.5, 3.0)), beta=1.0,
+                    delta1=10.0 ** draw(st.floats(-1.0, 12.0)),
+                    delta2=10.0 ** draw(st.floats(-3.0, math.log10(1.5))),
+                    half_length=draw(st.floats(1.0, 6.0)))
+    data = onset(p)
+    assume(data.admissible)
+    return p.with_beta(data.beta1)
+
+
+@PROPERTY
+@given(far_side_sets())
+def test_far_side_projection_equals_direct_with_small_residuals(p):
+    proj, direct = coeffs(p, "projection"), coeffs(p, "direct")
+    for name in "abc":
+        want = getattr(direct, name)
+        assert abs(getattr(proj, name) - want) <= 1e-10 * (1.0 + abs(want)), name
     assert max(solve_psi(p).residuals(p).values()) <= 1e-12
 
 
