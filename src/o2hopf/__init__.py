@@ -10,8 +10,7 @@ __version__ = "0.1.0"
 
 from .errors import (DomainMismatch, InadmissibleRegime, InvalidConfig,
                      NonPositiveParameter, NoSaturation, NumericalBlowup,
-                     O2HopfError, SingularSystem, StepSizeUnderflow,
-                     WindowTooShort)
+                     O2HopfError, StepSizeUnderflow, WindowTooShort)
 from .meanzero import zero_mode_content
 from .modes import ModeSum, R01, R20, R30
 from .normalform import (NormalFormCoeffs, PsiTable, closed_form_constants, coeffs,
@@ -29,8 +28,8 @@ from .spectral import (ModeRecord, ScanResult, TuringReport, inner_product,
 __all__ = [
     # errors
     "DomainMismatch", "InadmissibleRegime", "InvalidConfig", "NonPositiveParameter",
-    "NoSaturation", "NumericalBlowup", "O2HopfError", "SingularSystem",
-    "StepSizeUnderflow", "WindowTooShort",
+    "NoSaturation", "NumericalBlowup", "O2HopfError", "StepSizeUnderflow",
+    "WindowTooShort",
     # parameters and onset
     "ModelParams", "OnsetData", "onset", "validate",
     # spectrum and critical eigenfunctions

@@ -22,7 +22,7 @@ import numpy as np
 
 from . import __version__
 from .errors import (InadmissibleRegime, InvalidConfig, NonPositiveParameter,
-                     NoSaturation, NumericalBlowup, O2HopfError, SingularSystem)
+                     NoSaturation, NumericalBlowup, O2HopfError)
 from .normalform import (ROUTES, closed_form_constants, coeffs, coeffs_batch,
                          coeffs_report)
 from .params import (ModelParams, is_positive, onset, onset_terms, read_config,
@@ -310,9 +310,10 @@ def _sweep_columns(cols: dict) -> dict:
     Each point meets the checks of the single-point pipeline in its order
     and stops at the first that fails: a constant that is not finite and
     positive, inadmissibility (no error), beta = beta1 + mu not finite and
-    positive, projection overflow, a singular resolvent system, P_2(0) = 0,
-    then closed-form overflow.  The error column gets the failure as
-    "<ErrorType>: <message>"; cells a point never reaches stay blank.
+    positive, constants that doubles cannot resolve, then projection
+    overflow.  The error column gets the failure as "<ErrorType>: <message>";
+    cells a point never reaches stay blank.  Closed-form overflow comes
+    last and blanks only the closed-form columns.
     """
     n = len(cols["alpha"])
     out = {name: [""] * n for name in _SWEEP_FIELDS}
@@ -347,13 +348,14 @@ def _sweep_columns(cols: dict) -> dict:
     values, errors = coeffs_batch(alpha[keep], d1e[keep], d2e[keep], length[keep])
     bad = np.array([e is not None for e in errors], dtype=bool)
     fail(live[bad], [e for e in errors if e is not None])
-    live, mu = live[~bad], mu[~bad]
-    values = {k: v[~bad] for k, v in values.items()}
-    for name, v in values.items():
-        put(f"re_{name}", live, v.real.tolist())
-        put(f"im_{name}", live, v.imag.tolist())
-
-    regime = regime_batch(values["a"], values["b_projection"], values["c_projection"], mu)
+    for name, v in values.items():   # NaN from the point's first failure on
+        ok = np.isfinite(v)
+        put(f"re_{name}", live[ok], v.real[ok].tolist())
+        put(f"im_{name}", live[ok], v.imag[ok].tolist())
+    solved = np.isfinite(values["a"])
+    live = live[solved]
+    regime = regime_batch(*(values[k][solved] for k in ("a", "b_projection", "c_projection")),
+                          mu[solved])
     put("tw_exists", live, regime["rotating_exists"].tolist())
     put("sw_exists", live, regime["standing_exists"].tolist())
     put("stable_families", live, [
@@ -524,7 +526,7 @@ def dispatch(argv) -> int:
     except OSError as exc:   # an unreadable --config or unwritable --out
         print(f"file error: {exc}", file=sys.stderr)
         return 1
-    except (NumericalBlowup, SingularSystem, NoSaturation) as exc:
+    except (NumericalBlowup, NoSaturation) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 2
 

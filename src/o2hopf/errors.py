@@ -26,10 +26,6 @@ class DomainMismatch(O2HopfError):
     """Two spatial objects defined over different periodic domains."""
 
 
-class SingularSystem(O2HopfError):
-    """A 2x2 resolvent system is singular (degenerate parameter set)."""
-
-
 class NumericalBlowup(O2HopfError):
     """Simulated field norm exceeded the configured bound."""
 

@@ -28,7 +28,7 @@ class ModeSum:
             a = np.asarray(amp, dtype=complex)
             if a.shape != (2,):
                 raise ValueError("amplitudes must be two-component vectors")
-            if np.any(a != 0):
+            if a.any():
                 cleaned[int(n)] = a
         self.terms = cleaned
 

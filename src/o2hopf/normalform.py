@@ -23,12 +23,16 @@ psi_10010 at 2, while psi_00001 vanishes.  Every value of R20 and R30 is a
 multiple s (1, -1).  So each function is held as a (B, 2) complex
 amplitude at its fixed index, the multilinear maps become elementwise
 products, and (z I - M_n) psi = s (1, -1) is solved in closed form, with
-P_n(z) from ``spectral.char_poly``.  A point whose P_n(z) vanishes is
-flagged in a mask, not raised.  ``coeffs``, ``solve_psi`` and
-``coeffs_report`` run the kernel with B = 1; the ModeSum algebra of
-``modes`` stays the independent reference with which ``PsiTable.residuals``
-and the report's residual orthogonality rebuild the vectors.  Constants
-so extreme that a route's values overflow are an inadmissible regime.
+P_n(z) from ``spectral.onset_poly``.  On an admissible set no P_n(z) the
+routes divide by vanishes (P_0(0) = alpha^2, P_2(0) = det M_2(beta1) > 0
+below the Turing bound, and Im P_2(2i omega), Im P_0(2i omega) are
++-omega multiples of d1 + d2), so every route requires admissibility and
+nothing else.  ``coeffs``, ``solve_psi`` and ``coeffs_report`` run the
+kernel with B = 1; the ModeSum algebra of ``modes`` stays the independent
+reference with which ``PsiTable.residuals`` and the report's residual
+orthogonality rebuild the vectors.  Constants so extreme that a route's
+values overflow, or that doubles cannot resolve, are an inadmissible
+regime.
 
 All coefficients depend only on alpha, delta1, delta2 and the domain
 length, never on mu.
@@ -41,23 +45,29 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import InadmissibleRegime, SingularSystem
+from .errors import InadmissibleRegime
 from .meanzero import zero_mode_content
 from .modes import ModeSum, R01, R20, R30
-from .params import ModelParams, OnsetData, critical_values, onset
-from .spectral import (char_poly, inner_product, mode_matrix, xi1, xi1_amp,
+from .params import ModelParams, OnsetData, critical_values, onset, validate
+from .spectral import (inner_product, mode_matrix, onset_poly, xi1, xi1_amp,
                        xi1_star, xi1_star_amp, xi2)
 
 ROUTES = ("projection", "direct", "closed_form")
 
-_DET_GUARD = 1e-13
 _OVERFLOW = "O(2)-Hopf analysis does not apply: the {} route overflows at these constants"
+# beta1 = alpha^2 + (1 + d1 + d2) holds its second part only to a relative
+# 1e-16 m, m = alpha^2 / (1 + d1 + d2), and the projection route errs by about
+# 1e-16 sqrt(m), up to 150 times that near the Turing bound.  On 70 707
+# admissible draws with 1e3 < m < 1e13 it parted from the direct route by more
+# than 1e-10 from m = 5.3e7 on; at m <= _RESOLUTION the worst gap was 2.7e-12.
+_RESOLUTION = 1e6
+_UNRESOLVED = (f"O(2)-Hopf analysis does not apply: alpha^2 / (1 + d1' + d2') exceeds "
+               f"{_RESOLUTION:g}, where doubles do not resolve the coefficients")
 CONSISTENCY_TOL = 1e-8
 _PM = np.array([1.0, -1.0])
 
-# The kernel's resolvent systems, in the order it checks them; code 1 + i
-# of _Batch.singular names system i: (reduction function, whether the
-# resolvent value is 2i omega rather than 0, wave index of the system).
+# The kernel's resolvent systems: (reduction function, whether the resolvent
+# value is 2i omega rather than 0, wave index of the system).
 _SYSTEMS = (("psi_11000", False, 0), ("psi_20000", True, 2),
             ("psi_10100", True, 0), ("psi_10010", False, 2))
 
@@ -122,19 +132,16 @@ def _cmul(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     return out
 
 
-def _solve(s, z, n: int, alpha, d1, d2, beta1):
-    """(psi, singular) with (z I - M_n(beta1)) psi = s (1, -1) for a batch.
+def _solve(s, z, n: int, alpha, d1, d2):
+    """psi with (z I - M_n(beta1)) psi = s (1, -1) for a batch.
 
     psi = s (z + n^2 d2, -(z + n^2 d1 + 1)) / P_n(z): beta1 has cancelled.
-    A point is singular where |P_n(z)| is within _DET_GUARD of the size of
-    its terms, and its psi is NaN where P_n(z) overflowed.
+    psi is NaN where P_n(z) overflowed.
     """
     k2 = float(n * n)
-    det = char_poly(alpha, d1, d2, k2, z, beta1)
-    singular = np.abs(det) <= _DET_GUARD * (np.abs(z) ** 2 + k2 * d2 * beta1 + alpha ** 2)
-    coef = np.where(np.isfinite(det), s, np.nan) / np.where(singular, 1.0, det)
-    psi = np.stack([_cmul(coef, z + k2 * d2), _cmul(coef, -(z + k2 * d1 + 1.0))], axis=-1)
-    return psi, singular
+    det = onset_poly(alpha, d1, d2, k2, z)
+    coef = np.where(np.isfinite(det), s, np.nan) / det
+    return np.stack([_cmul(coef, z + k2 * d2), _cmul(coef, -(z + k2 * d1 + 1.0))], axis=-1)
 
 
 class _Batch(NamedTuple):
@@ -146,24 +153,17 @@ class _Batch(NamedTuple):
     beta1: np.ndarray
     omega: np.ndarray
     finite: np.ndarray     # (B,) bool: a, b and c finite
-    singular: np.ndarray   # (B,) int: 0, else 1 + index of the first singular system
-
-    def message(self, i: int) -> str:
-        """The SingularSystem text of masked point i."""
-        label, at_2iw, n = _SYSTEMS[int(self.singular[i]) - 1]
-        z = 2j * float(self.omega[i]) if at_2iw else 0.0
-        return f"{label}: value {z} is in the spectrum of M_{n}"
 
 
 def _projection_kernel(alpha, d1, d2, half_length) -> _Batch:
     """Projection-route a, b and c for a batch of parameter points.
 
     alpha, the rescaled diffusion rates d1, d2 and half_length are (B,)
-    float arrays of points with omega^2 > 0.  The checks of the scalar
-    route become masks, finite and singular; the a, b, c and psi of a
-    masked point are meaningless.
+    float arrays of admissible points.  The scalar route's overflow check
+    becomes the mask finite; the a, b, c and psi of a masked point are
+    meaningless.
     """
-    with np.errstate(over="ignore", invalid="ignore"):   # an overflow is not finite
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):   # masked below
         beta1, omega_sq = critical_values(alpha, d1, d2)
         w = np.sqrt(omega_sq)
         ratio = beta1 / alpha
@@ -182,12 +182,8 @@ def _projection_kernel(alpha, d1, d2, half_length) -> _Batch:
         s11 = 2.0 * r20(x1, x1c)            # 2 R20(xi1, conj xi2)
         s20 = r20(x1, x1)                   # R20(xi1, xi2)
         rhs = {"psi_11000": s11, "psi_20000": s20, "psi_10100": 2.0 * s20, "psi_10010": s11}
-        psi = {}
-        singular = np.zeros(len(beta1), dtype=int)
-        for code, (name, at_2iw, n) in enumerate(_SYSTEMS, start=1):
-            z = 2j * w if at_2iw else 0.0
-            psi[name], bad = _solve(rhs[name], z, n, alpha, d1, d2, beta1)
-            singular = np.where((singular == 0) & bad, code, singular)
+        psi = {name: _solve(rhs[name], 2j * w if at_2iw else 0.0, n, alpha, d1, d2)
+               for name, at_2iw, n in _SYSTEMS}
 
         # cubic = R30(xi1, xi1, conj xi1) = R30(xi1, xi2, conj xi2)
         u, v, cv = x1[:, 0], x1[:, 1], x1c
@@ -199,8 +195,7 @@ def _projection_kernel(alpha, d1, d2, half_length) -> _Batch:
         c = project(2.0 * r20(x1, p11) + 2.0 * r20(x1, psi["psi_10010"])
                     + 2.0 * r20(x1c, psi["psi_10100"]) + 6.0 * cubic)
     finite = np.isfinite(a) & np.isfinite(b) & np.isfinite(c)
-    return _Batch(a=a, b=b, c=c, psi=psi, beta1=beta1, omega=w, finite=finite,
-                  singular=singular)
+    return _Batch(a=a, b=b, c=c, psi=psi, beta1=beta1, omega=w, finite=finite)
 
 
 class _Projection(NamedTuple):
@@ -211,35 +206,38 @@ class _Projection(NamedTuple):
     onset: OnsetData
 
 
+def _resolved(alpha, d1, d2):
+    """Whether doubles resolve the coefficients at these constants; floats or arrays."""
+    return alpha * alpha / _RESOLUTION <= 1.0 + d1 + d2
+
+
 def _hopf_onset(params: ModelParams) -> OnsetData:
-    """onset(params); raises InadmissibleRegime unless omega^2 > 0, which every route needs."""
-    data = onset(params)
-    if not data.omega > 0.0:
-        raise InadmissibleRegime("the normal form needs omega^2 > 0")
+    """onset(params) of an admissible set that doubles resolve; else InadmissibleRegime."""
+    data = onset(validate(params))
+    if not _resolved(params.alpha, *params.effective_diffusion()):
+        raise InadmissibleRegime(_UNRESOLVED)
     return data
 
 
 def _finite(route: str, compute, *args) -> dict:
     """compute(*args), a dict of numbers, unless one overflows at these constants."""
-    try:   # a Python float's ** raises OverflowError where numpy's gives inf
+    try:   # a Python float's ** or / raises where numpy's gives inf
         values = compute(*args)
         if np.isfinite(list(values.values())).all():
             return values
-    except OverflowError:
+    except ArithmeticError:
         pass
     raise InadmissibleRegime(_OVERFLOW.format(route))
 
 
 def _project(params: ModelParams) -> _Projection:
-    """The projection kernel at B = 1; raises on a masked point."""
+    """The projection kernel at B = 1; raises where it overflows."""
     data = _hopf_onset(params)
     d1, d2 = params.effective_diffusion()
     k = _projection_kernel(*(np.array([v], dtype=float)
                              for v in (params.alpha, d1, d2, params.half_length)))
     if not k.finite[0]:
         raise InadmissibleRegime(_OVERFLOW.format("projection"))
-    if k.singular[0]:
-        raise SingularSystem(k.message(0))
     amps = {name: ModeSum.single(n, k.psi[name][0]) for name, _, n in _SYSTEMS}
     psi = PsiTable(psi_00001=ModeSum.zero(), psi_00110=amps["psi_11000"].reflect(),
                    **amps)
@@ -271,19 +269,15 @@ def _direct(params: ModelParams) -> dict:
     a2 = alpha ** 2
     data = onset(params)
     beta1, w = data.beta1, data.omega
-    p2w = char_poly(alpha, d1, d2, 4.0, 2j * w, beta1)
-    if p2w == 0:
-        raise SingularSystem("P_2(2i omega) vanishes")
+    p2w = onset_poly(alpha, d1, d2, 4.0, 2j * w)
     pref = (w - 1j * d2) / (2.0 * w * a2)
     term = 5.0 * (a2 + d2) - 4.0 * beta1 + 1j * w
     fac = -2.0 * (a2 + d2) + beta1 + 2j * w
     brk = -a2 * (2j * w + 4.0 * d1 + 1.0) - (2j * w + 4.0 * d2) * (1j * w - 1.0 - d1)
     b = pref * (term + (2.0 / p2w) * fac * brk)
 
-    p20 = char_poly(alpha, d1, d2, 4.0, 0.0, beta1)
-    p02w = char_poly(alpha, d1, d2, 0.0, 2j * w, beta1)
-    if p20 == 0 or p02w == 0:
-        raise SingularSystem("P_2(0) or P_0(2i omega) vanishes")
+    p20 = onset_poly(alpha, d1, d2, 4.0, 0.0)
+    p02w = onset_poly(alpha, d1, d2, 0.0, 2j * w)
     c1 = _c1(alpha, d1, d2, beta1, w, p20)
     c2 = (4.0 / p02w) * ((beta1 - 2.0 * (a2 + d2) + 2j * w) / alpha) \
         * (-alpha * (2j * w + 1.0) + (2j * w / alpha) * (-1j * w + 1.0 + d1))
@@ -292,19 +286,11 @@ def _direct(params: ModelParams) -> dict:
     return {"a": _asymptotic_a(params), "b": b, "c": c}
 
 
-def _p2_zero(alpha, d1, d2):
-    """P_2(0) as the closed form writes it; floats or arrays."""
-    a2 = alpha ** 2
-    return a2 * (4.0 * d1 - 4.0 * d2 + 1.0) + 12.0 * d1 * d2 - 4.0 * d2 ** 2
-
-
-def _closed_form(alpha, d1, d2, beta1, w, p20) -> dict:
-    """The published constants from rescaled parameters; floats or arrays.
-
-    p20 = _p2_zero(alpha, d1, d2) must be nonzero.
-    """
+def _closed_form(alpha, d1, d2, beta1, w) -> dict:
+    """The published constants from rescaled parameters; floats or arrays."""
     a2 = alpha ** 2
     w2 = w * w
+    p20 = onset_poly(alpha, d1, d2, 4.0, 0.0)
 
     n_common = 2.0 * w2 + 4.0 * d2 + 4.0 * d1 * d2 - a2 - 4.0 * a2 * d1
     m_common = 2.0 + 2.0 * d1 - 4.0 * d2 - 2.0 * a2
@@ -338,8 +324,8 @@ def _closed_form(alpha, d1, d2, beta1, w, p20) -> dict:
         "N_r": nr, "N_i": ni, "B_r": br, "B_i": bi,
         "C_2r": c2r, "C_2i": c2i, "Q_r": qr, "Q_i": qi,
         "P2_0": p20,
-        "P2_2iw": char_poly(alpha, d1, d2, 4.0, 2j * w, beta1),
-        "P0_2iw": char_poly(alpha, d1, d2, 0.0, 2j * w, beta1),
+        "P2_2iw": onset_poly(alpha, d1, d2, 4.0, 2j * w),
+        "P0_2iw": onset_poly(alpha, d1, d2, 0.0, 2j * w),
         "b": re_b + 1j * im_b,
         "c": re_c + 1j * im_c,
         "C_1": _c1(alpha, d1, d2, beta1, w, p20),
@@ -350,36 +336,36 @@ def _closed_form(alpha, d1, d2, beta1, w, p20) -> dict:
 def closed_form_constants(params: ModelParams) -> dict:
     """The published intermediate constants, evaluated literally."""
     data = _hopf_onset(params)
-    alpha, (d1, d2) = params.alpha, params.effective_diffusion()
-    p20 = _p2_zero(alpha, d1, d2)
-    if p20 == 0:
-        raise SingularSystem("P_2(0) vanishes")
-    return _finite("closed_form", _closed_form, alpha, d1, d2, data.beta1, data.omega, p20)
+    return _finite("closed_form", _closed_form, params.alpha, *params.effective_diffusion(),
+                   data.beta1, data.omega)
 
 
 def coeffs_batch(alpha, d1, d2, half_length):
     """Projection a, b, c and closed-form b, c for arrays of points.
 
     alpha, the rescaled diffusion rates d1, d2 and half_length are (P,)
-    arrays of points with omega^2 > 0.  Returns (values, errors): values
-    maps "a", "b_projection", "c_projection", "b_closed_form" and
+    arrays of admissible points.  Returns (values, errors): values maps
+    "a", "b_projection", "c_projection", "b_closed_form" and
     "c_closed_form" to (P,) complex arrays; errors[i] is the error that
     ``coeffs`` and then ``closed_form_constants`` raise for point i, else
-    None, and the values of such a point are meaningless.
+    None.  Values are NaN from a point's first failure on, so a point whose
+    published constants alone overflow keeps its projection values.
     """
+    resolved = _resolved(alpha, d1, d2)
     k = _projection_kernel(alpha, d1, d2, half_length)
-    with np.errstate(over="ignore", invalid="ignore"):   # an overflow is not finite
-        p20 = _p2_zero(alpha, d1, d2)
-        closed = _closed_form(alpha, d1, d2, k.beta1, k.omega, np.where(p20 == 0, 1.0, p20))
-    closed_ok = np.isfinite(list(closed.values())).all(axis=0)
-    errors = [InadmissibleRegime(_OVERFLOW.format("projection")) if not finite else
-              SingularSystem(k.message(i)) if code else
-              SingularSystem("P_2(0) vanishes") if p0 == 0 else
-              InadmissibleRegime(_OVERFLOW.format("closed_form")) if not ok else None
-              for i, (finite, code, p0, ok) in enumerate(zip(
-                  k.finite.tolist(), k.singular.tolist(), p20.tolist(), closed_ok.tolist()))]
-    return {"a": k.a, "b_projection": k.b, "c_projection": k.c,
-            "b_closed_form": closed["b"], "c_closed_form": closed["c"]}, errors
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):   # masked below
+        closed = _closed_form(alpha, d1, d2, k.beta1, k.omega)
+    solved = resolved & k.finite
+    closed_ok = solved & np.isfinite(list(closed.values())).all(axis=0)
+    errors = [InadmissibleRegime(_UNRESOLVED) if not ok_r else
+              InadmissibleRegime(_OVERFLOW.format("projection")) if not ok_p else
+              InadmissibleRegime(_OVERFLOW.format("closed_form")) if not ok_c else None
+              for ok_r, ok_p, ok_c in zip(resolved.tolist(), solved.tolist(),
+                                          closed_ok.tolist())]
+    return {"a": np.where(solved, k.a, np.nan), "b_projection": np.where(solved, k.b, np.nan),
+            "c_projection": np.where(solved, k.c, np.nan),
+            "b_closed_form": np.where(closed_ok, closed["b"], np.nan),
+            "c_closed_form": np.where(closed_ok, closed["c"], np.nan)}, errors
 
 
 def coeffs(params: ModelParams, route: str = "projection") -> NormalFormCoeffs:

@@ -81,7 +81,9 @@ def onset_terms(alpha, delta1, delta2, half_length):
     with np.errstate(over="ignore", invalid="ignore"):   # an overflow is inadmissible
         d1e, d2e = _rescaled(delta1, delta2, half_length)
         beta1, omega_sq = critical_values(alpha, d1e, d2e)
-        admissible = (omega_sq > 0.0) & (beta1 < hopf_bound(alpha, delta1, delta2))
+        # beta1 below the bound is finite; omega^2 = inf is an overflow too
+        admissible = ((omega_sq > 0.0) & np.isfinite(omega_sq)
+                      & (beta1 < hopf_bound(alpha, delta1, delta2)))
     return d1e, d2e, beta1, omega_sq, admissible
 
 
@@ -104,7 +106,7 @@ def validate(raw) -> ModelParams:
 
     Raises NonPositiveParameter for any nonpositive constant and
     InadmissibleRegime when the Hopf assumption fails (omega^2 <= 0 or
-    beta1 >= hopf_bound).
+    not finite, or beta1 >= hopf_bound).
     """
     if isinstance(raw, ModelParams):
         params = raw

@@ -65,16 +65,18 @@ def gamma_n(params: ModelParams, n: int) -> float:
                        (n * params.k1) ** 2)[1]
 
 
-def char_poly(alpha, d1, d2, k2, lam, beta):
-    """P(lambda, beta) = lambda^2 + (beta(k) - beta) lambda + gamma(k) - k^2 d2 beta.
+def onset_poly(alpha, d1, d2, n2, z):
+    """P_n(z) at beta = beta1, written without beta1; floats or numpy arrays.
 
-    The characteristic polynomial of the mode matrix at wave number squared
-    k2; pure arithmetic, so any argument may be a numpy array.  With the
-    rescaled diffusion rates and k2 = n^2 it is P_n in the unit-wave-number
-    normalization.
+    With the rescaled diffusion rates d1, d2 and n2 = n^2,
+    P_n(z) = z^2 + (n^2 - 1)(d1 + d2) z + alpha^2 (1 + n^2 (d1 - d2))
+    + n^2 (n^2 - 1) d1 d2 - n^2 d2^2: beta(n) - beta1 and gamma(n) - n^2 d2
+    beta1 are formed without subtracting beta1, which a double cannot hold
+    next to alpha^2 when d1 + d2 is far smaller.  The constant is expanded as
+    the published P_2(0) writes it, so the closed form keeps its bits.
     """
-    bk, gk = _beta_gamma(alpha, d1, d2, k2)
-    return lam ** 2 + (bk - beta) * lam + gk - k2 * d2 * beta
+    return (z * z + (n2 - 1.0) * (d1 + d2) * z + alpha ** 2 * (1.0 + n2 * (d1 - d2))
+            + n2 * (n2 - 1.0) * d1 * d2 - n2 * d2 ** 2)
 
 
 def mode_matrix(params: ModelParams, n: int, beta: float) -> np.ndarray:
@@ -132,8 +134,9 @@ def onset_scan(params: ModelParams, n_max: int = DEFAULT_N_MAX) -> ScanResult:
 
     # Closed-form certificate: gamma(n) - k^2 d2 beta >= k^2 d2 (bound - beta),
     # uniform over all nonzero modes.
-    margin = float(params.delta2 * (hopf_bound(params.alpha, params.delta1, params.delta2)
-                                     - params.beta))
+    with np.errstate(over="ignore"):   # the bound may overflow where beta1 does not
+        margin = float(params.delta2 * (hopf_bound(params.alpha, params.delta1, params.delta2)
+                                         - params.beta))
 
     crit = sorted(set(critical) | {-n for n in critical})
     return ScanResult(records=records, verdict=verdict, critical_modes=crit,

@@ -177,7 +177,40 @@ def test_sweep_overflowing_coefficients_are_inadmissible_without_warnings(capsys
         assert [(r["admissible"], r["error"]) for r in rows] == [("True", "")] + [
             ("True", f"InadmissibleRegime: O(2)-Hopf analysis does not apply: the {route} "
                      "route overflows at these constants")] * 2
-        assert float(rows[0]["re_b_projection"]) < 0.0 and rows[1]["re_b_projection"] == ""
+        assert float(rows[0]["re_b_projection"]) < 0.0 and rows[1]["re_b_closed_form"] == ""
+        # the projection values outlive an overflow of the published constants alone
+        assert (rows[1]["re_b_projection"] == "") == (route == "projection")
+
+
+def test_sweep_unresolved_point_gets_the_single_point_error(capsys, tmp_path):
+    out_csv = tmp_path / "corner.csv"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, _, err = run(capsys, "sweep", *_FAR_CORNER[1:], "--grid", "mu=-0.1:0.1:2",
+                           "--out", str(out_csv))
+    assert code == 0 and err == ""
+    rows = list(csv.DictReader(out_csv.open()))
+    assert [(r["admissible"], r["re_b_projection"], r["error"]) for r in rows] == [
+        ("True", "", f"InadmissibleRegime: {_UNRESOLVED}")] * 2
+
+
+_POINT = ("alpha", "delta1", "delta2", "half_length", "mu")
+_KEPT = ("re_a", "im_a", "re_b_projection", "im_b_projection", "re_c_projection",
+         "im_c_projection", "tw_exists", "sw_exists", "stable_families", "error")
+_CLOSED = ("re_b_closed_form", "im_b_closed_form", "re_c_closed_form", "im_c_closed_form")
+
+
+def test_sweep_row_keeps_projection_values_past_closed_form_overflow(capsys, tmp_path):
+    # at delta1 = 5e199 and 1e200 only the published constants overflow: the
+    # rows keep a, the projection b and c and the regime, as classify computes them
+    out_csv = tmp_path / "far.csv"
+    assert run(capsys, "sweep", "--grid", "delta1=1e7:1e200:3", "--out", str(out_csv))[0] == 0
+    rows = list(csv.DictReader(out_csv.open()))
+    assert [r["error"] != "" for r in rows] == [False, True, True]
+    for row in rows:
+        want = _reference_row({k: float(row[k]) for k in _POINT})
+        assert {k: row[k] for k in _KEPT} == {k: str(want[k]) for k in _KEPT}
+        assert [row[k] for k in _CLOSED] == [str(want.get(k, "")) for k in _CLOSED]
 
 
 def test_sweep_tw_existence_flips_at_zero(capsys, tmp_path):
@@ -292,6 +325,10 @@ def test_sweep_rejects_beta(capsys, tmp_path):
 
 
 _SIMULATE = ("simulate", "--alpha", "2", "--mu", "0.05", "--tmax", "1")
+_FAR_CORNER = ("coeffs", "--alpha", "4.4e26", "--d1", "1.2e32", "--d2", "10.9",
+               "--half-length", "6.5")
+_UNRESOLVED = ("O(2)-Hopf analysis does not apply: alpha^2 / (1 + d1' + d2') exceeds 1e+06, "
+               "where doubles do not resolve the coefficients")
 
 
 @pytest.mark.parametrize("argv, message", [
@@ -354,6 +391,11 @@ _SIMULATE = ("simulate", "--alpha", "2", "--mu", "0.05", "--tmax", "1")
      "O(2)-Hopf analysis does not apply: the direct route overflows"),
     (("onset", "--alpha", "2", "--scan-beta", "-1e-3"),
      "parameter 'beta' must be strictly positive, got -0.001"),
+    # omega^2 overflows to inf: inadmissible, and the scan's bound warns nowhere
+    (("onset", "--alpha", "1e100", "--d1", "1e200"),
+     "O(2)-Hopf analysis does not apply: omega^2 = inf, beta1 = 2e+200, bound = inf"),
+    # admissible, but beta1 holds 1 + d1' + d2' to about 1e-22 only
+    (_FAR_CORNER, _UNRESOLVED),
 ])
 def test_bad_invocation_fails_in_one_line(capsys, tmp_path, argv, message):
     code, _, err = run(capsys, *(a.format(tmp=tmp_path) for a in argv))
@@ -400,15 +442,16 @@ def _reference_row(values):
             return row
         params = validate(probe.with_beta(data.beta1 + values["mu"]))
         nf = coeffs(params, "projection")
-        cf = closed_form_constants(params)
-        for name, v in (("a", nf.a), ("b_projection", nf.b), ("c_projection", nf.c),
-                        ("b_closed_form", cf["b"]), ("c_closed_form", cf["c"])):
-            row[f"re_{name}"], row[f"im_{name}"] = v.real, v.imag
         sys_ = ReducedSystem.from_coeffs(nf, values["mu"])
         kinds = {b.kind for b in branches(sys_) if b.stability != "degenerate"}
         row["tw_exists"] = str("rotating_wave_1" in kinds)
         row["sw_exists"] = str("standing_wave" in kinds)
         row["stable_families"] = "|".join(classify_regime(sys_)["stable_families"])
+        for name, v in (("a", nf.a), ("b_projection", nf.b), ("c_projection", nf.c)):
+            row[f"re_{name}"], row[f"im_{name}"] = v.real, v.imag
+        cf = closed_form_constants(params)   # its overflow blanks only its own columns
+        for name, v in (("b_closed_form", cf["b"]), ("c_closed_form", cf["c"])):
+            row[f"re_{name}"], row[f"im_{name}"] = v.real, v.imag
     except O2HopfError as exc:
         row["error"] = f"{type(exc).__name__}: {exc}"
     return row

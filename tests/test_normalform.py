@@ -4,8 +4,7 @@ import numpy as np
 import pytest
 from conftest import random_admissible
 
-from o2hopf import (InadmissibleRegime, ModelParams, SingularSystem, onset, onset_scan,
-                    validate)
+from o2hopf import InadmissibleRegime, ModelParams, onset, onset_scan, validate
 from o2hopf.normalform import (ROUTES, _projection_kernel, closed_form_constants,
                                coeffs, coeffs_report, solve_psi)
 
@@ -48,19 +47,18 @@ class TestPsi:
             res = solve_psi(p).residuals(p)
             assert max(res.values()) <= 1e-12
 
-    def test_batched_singular_mask(self):
-        # delta1 = 4/7 at alpha = 2, delta2 = 1 makes P_2(0) = det M_2 vanish
-        # (omega^2 = 9/7 > 0, though beta1 is past the admissibility bound):
-        # the psi_10010 system is singular there and nowhere else in the batch
-        singular_p = ModelParams(alpha=2.0, beta=1.0, delta1=4.0 / 7.0, delta2=1.0)
-        k = _kernel([CANON, singular_p, CANON])
-        assert k.singular.tolist() == [0, 4, 0]
-        assert k.message(1) == "psi_10010: value 0.0 is in the spectrum of M_2"
-        for i in (0, 2):
-            assert abs(k.b[i] - GOLDEN_B) < 1e-12 and abs(k.c[i] - GOLDEN_C) < 1e-12
-        # the single-point route raises the same text
-        with pytest.raises(SingularSystem, match=r"^psi_10010: value 0\.0 is in"):
-            coeffs(singular_p.with_beta(onset(singular_p).beta1))
+    def test_point_past_the_bound_is_inadmissible(self):
+        # delta1 = 4/7 at alpha = 2, delta2 = 1 makes P_2(0) = det M_2 vanish;
+        # omega^2 = 9/7 > 0, but beta1 = 46/7 is past the Turing bound 6.3094,
+        # so no route solves there
+        past = ModelParams(alpha=2.0, beta=1.0, delta1=4.0 / 7.0, delta2=1.0)
+        past = past.with_beta(onset(past).beta1)
+        assert not onset(past).admissible
+        for route in ROUTES:
+            with pytest.raises(InadmissibleRegime,
+                               match=r"^O\(2\)-Hopf analysis does not apply: omega\^2 = 1\.28571, "
+                                     r"beta1 = 6\.57143, bound = 6\.30943$"):
+                coeffs(past, route)
 
 
 def _at_onset(**constants):
@@ -83,6 +81,24 @@ def test_far_side_sets_are_solved(params):
         assert abs(getattr(proj, name) - want) <= 1e-10 * (1.0 + abs(want)), name
     assert max(solve_psi(params).residuals(params).values()) <= 1e-12
     assert solve_psi(params).psi_00001.is_zero()
+
+
+def test_unresolved_constants_are_refused_by_every_route():
+    # with delta = 1 and L = 1, m = alpha^2 / (1 + d1' + d2') is 4.8e4 at
+    # alpha = 1e3, and 4.8e10 at alpha = 1e6, where projection and direct
+    # part by 1.3e-10
+    solved = _at_onset(alpha=1e3, half_length=1.0)
+    proj, direct = coeffs(solved, "projection"), coeffs(solved, "direct")
+    for name in "abc":
+        want = getattr(direct, name)
+        assert abs(getattr(proj, name) - want) <= 1e-10 * (1.0 + abs(want)), name
+    refused = _at_onset(alpha=1e6, half_length=1.0)
+    for compute in (*(lambda p, route=route: coeffs(p, route) for route in ROUTES),
+                    closed_form_constants, coeffs_report, solve_psi):
+        with pytest.raises(InadmissibleRegime,
+                           match=r"^O\(2\)-Hopf analysis does not apply: alpha\^2 / "
+                                 r"\(1 \+ d1' \+ d2'\) exceeds 1e\+06, where doubles"):
+            compute(refused)
 
 
 class TestCoeffA:
@@ -191,7 +207,8 @@ NO_OMEGA = ModelParams(alpha=0.5, beta=3.0, delta1=0.1, delta2=2.0)
 ], ids=[*ROUTES, "closed_form_constants"])
 def test_every_route_needs_a_hopf_frequency(compute):
     # the direct and closed-form routes divided by omega = 0
-    with pytest.raises(InadmissibleRegime, match=r"^the normal form needs omega\^2 > 0$"):
+    with pytest.raises(InadmissibleRegime,
+                       match=r"^O\(2\)-Hopf analysis does not apply: omega\^2 = -4\.225, "):
         compute(NO_OMEGA)
 
 
@@ -205,7 +222,7 @@ class TestKernel:
         sets = _random_sets(30)
         assert {p.half_length for p in sets} == {math.pi, math.pi / 2, 2.0, 5.0}
         k = _kernel(sets)
-        assert not k.singular.any()
+        assert k.finite.all()
         for i, p in enumerate(sets):
             direct = coeffs(p, "direct")
             for got, want in ((k.a[i], direct.a), (k.b[i], direct.b), (k.c[i], direct.c)):

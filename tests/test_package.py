@@ -91,6 +91,22 @@ def test_no_private_imports_between_modules():
     assert found == []
 
 
+def test_every_error_class_is_raised():
+    # an exported error class that nothing raises is dead API
+    raised = set()
+    for path in Path(o2hopf.__file__).parent.glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if isinstance(node, ast.Raise) and node.exc is not None:
+                exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
+                raised.add(getattr(exc, "id", None))
+    exported = {name for name in o2hopf.__all__
+                if isinstance(getattr(o2hopf, name), type)
+                and issubclass(getattr(o2hopf, name), o2hopf.O2HopfError)
+                and name != "O2HopfError"}
+    assert len(exported) > 5
+    assert sorted(exported - raised) == []
+
+
 def _unused_parameters(path):
     """Parameters of a function or lambda that its body never reads.
 

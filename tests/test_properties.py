@@ -2,9 +2,11 @@
 
 Each example draws alpha, delta1, delta2 and the half-length, keeps the
 sets where the O(2)-Hopf analysis applies, and sits at beta = beta1; the
-far-side sets draw delta1 and delta2 log-uniformly, up to delta1 = 1e12.  The
-algebraic properties draw 50 examples; the PDE properties draw a few short
-runs (16-32 grid points, about 50 steps) to keep the suite fast.
+far-side sets draw delta1 and delta2 log-uniformly, up to delta1 = 1e12, and
+the extreme constants reach alpha = 1e160 and delta = 1e308, admissible or
+not.  The algebraic properties draw 50 examples (300 extreme ones); the PDE
+properties draw a few short runs (16-32 grid points, about 50 steps) to keep
+the suite fast.
 """
 
 import math
@@ -13,9 +15,10 @@ import numpy as np
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from o2hopf import (ModelParams, SimConfig, Simulator, coeffs,
+from o2hopf import (InadmissibleRegime, ModelParams, SimConfig, Simulator, coeffs,
                     equivariance_test, initialize, mode_eigenvalues, onset, solve_psi)
-from o2hopf.spectral import beta_n, gamma_n
+from o2hopf.normalform import ROUTES
+from o2hopf.spectral import beta_n, gamma_n, onset_poly
 
 PROPERTY = settings(max_examples=50, deadline=None, database=None)
 PDE_PROPERTY = settings(max_examples=8, deadline=None, database=None)
@@ -66,6 +69,55 @@ def test_far_side_projection_equals_direct_with_small_residuals(p):
         want = getattr(direct, name)
         assert abs(getattr(proj, name) - want) <= 1e-10 * (1.0 + abs(want)), name
     assert max(solve_psi(p).residuals(p).values()) <= 1e-12
+
+
+@PROPERTY
+@given(st.one_of(admissible_sets(), far_side_sets()))
+def test_onset_poly_is_the_characteristic_polynomial_at_beta1(p):
+    # P_n(z) = z^2 + (beta(n) - beta1) z + gamma(n) - k^2 delta2 beta1 at the
+    # four values the routes divide by, to the rounding of its largest term
+    beta1, w = onset(p).beta1, onset(p).omega
+    d1, d2 = p.effective_diffusion()
+    for n, z in ((0, 0.0), (0, 2j * w), (2, 0.0), (2, 2j * w)):
+        k2d2 = (n * p.k1) ** 2 * p.delta2
+        want = z * z + (beta_n(p, n) - beta1) * z + gamma_n(p, n) - k2d2 * beta1
+        size = abs(z) ** 2 + beta_n(p, n) * abs(z) + gamma_n(p, n) + k2d2 * beta1
+        assert abs(onset_poly(p.alpha, d1, d2, float(n * n), z) - want) <= 2e-14 * size
+    # none of them vanishes below the Turing bound
+    assert onset_poly(p.alpha, d1, d2, 0.0, 0.0) == p.alpha ** 2
+    assert onset_poly(p.alpha, d1, d2, 4.0, 0.0) > 0.0
+    for n2, im in ((4.0, 6.0 * w * (d1 + d2)), (0.0, -2.0 * w * (d1 + d2))):
+        assert abs(onset_poly(p.alpha, d1, d2, n2, 2j * w).imag - im) <= 1e-15 * abs(im)
+
+
+@st.composite
+def extreme_constants(draw):
+    """Log-uniform constants up to alpha = 1e160 and delta = 1e308, admissible or not."""
+    return ModelParams(alpha=10.0 ** draw(st.floats(-3.0, 160.0)), beta=1.0,
+                       delta1=10.0 ** draw(st.floats(-10.0, 308.0)),
+                       delta2=10.0 ** draw(st.floats(-10.0, 308.0)),
+                       half_length=10.0 ** draw(st.floats(-2.0, 2.0)))
+
+
+@settings(max_examples=300, deadline=None, database=None)
+@given(extreme_constants())
+def test_extreme_constants_are_solved_or_refused_in_one_line(p):
+    # the coefficients do not depend on beta; a route either computes finite
+    # a, b and c or refuses the set in one InadmissibleRegime line
+    solved = {}
+    for route in ROUTES:
+        try:
+            nf = coeffs(p, route)
+        except InadmissibleRegime as exc:
+            assert "\n" not in str(exc)
+            continue
+        assert all(math.isfinite(abs(v)) for v in (nf.a, nf.b, nf.c)), route
+        solved[route] = nf
+    if {"projection", "direct"} <= solved.keys():
+        for name in "abc":
+            want = getattr(solved["direct"], name)
+            got = getattr(solved["projection"], name)
+            assert abs(got - want) <= 1e-10 * (1.0 + abs(want)), name
 
 
 @PROPERTY

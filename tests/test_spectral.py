@@ -107,6 +107,15 @@ def test_onset_certificate():
         assert const >= k2 * scan.certificate_margin - 1e-12
 
 
+def test_onset_certificate_of_an_overflowing_bound():
+    # beta1 ~ 1e200 is finite, the bound (1 + alpha sqrt(delta1/delta2))^2 is
+    # not: the margin is +inf without a warning
+    p = ModelParams(alpha=1e100, beta=1.0, delta1=1e10, delta2=1e-200)
+    p = p.with_beta(onset(p).beta1)
+    assert onset(p).admissible
+    assert onset_scan(p, n_max=2).certificate_margin == math.inf
+
+
 def test_rescaled_domain_onset():
     # delta = 1/4 on half_length pi/2 has its Hopf onset at wave number 2
     p = validate({"alpha": 2.0, "beta": 7.0, "delta1": 0.25, "delta2": 0.25,
