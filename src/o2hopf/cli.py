@@ -47,10 +47,13 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _jsonify(obj):
+    """obj as strict JSON data: complex numbers as {re, im}, a non-finite float as None."""
     if isinstance(obj, complex):
-        return {"re": obj.real, "im": obj.imag}
+        return {"re": _jsonify(obj.real), "im": _jsonify(obj.imag)}
     if isinstance(obj, (np.floating, np.integer)):
-        return obj.item()
+        return _jsonify(obj.item())
+    if isinstance(obj, float):
+        return obj if math.isfinite(obj) else None
     if isinstance(obj, np.ndarray):
         return [_jsonify(v) for v in obj.tolist()]
     if isinstance(obj, dict):
@@ -64,7 +67,7 @@ def _jsonify(obj):
 
 def _emit(ns, record, outputs=()):
     """Print the JSON record, or write it to --out with a manifest of it and outputs."""
-    text = json.dumps(_jsonify(record), indent=2, sort_keys=True)
+    text = json.dumps(_jsonify(record), indent=2, sort_keys=True, allow_nan=False)
     if ns.out:
         with open(ns.out, "w") as fh:
             fh.write(text + "\n")

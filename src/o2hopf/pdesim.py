@@ -11,13 +11,20 @@ returns it.  ``Simulator.advance`` is the one stepper: it integrates a
 batch of B runs, given and returned as fields (B, 2, N), and a single run
 is a batch of one.  It carries each run as its unit-mean spectrum
 rfft(U)/N (coefficient 0 is the spatial mean) half a diffusion step into
-the step, in buffers allocated once, and hands observers that spectrum: a
-step takes four transforms and a sample none.  The transforms are numpy's
+the step, and hands observers that spectrum as a read-only view: a step
+takes four transforms and a sample none.  The transforms are numpy's
 pocketfft gufuncs, called without the np.fft wrapper, whose cost at these
-sizes is that of a transform; the results are np.fft's bits.  Each step's
-field is checked against the blow-up bound once, when the next step or the
-last forms it.  Batch members are bitwise equal to solo runs; ``rhs`` is
-the operator the steps integrate.
+sizes is that of a transform; the results are np.fft's bits.  Inside the
+step loop the batch is species-major, spectra (2, B, K) and fields
+(2, B, N), in buffers allocated once per set of running members, with the
+per-member coefficients laid out as full (B, K) blocks: every ufunc call
+of a step is then a same-shape call on contiguous arrays, which numpy runs
+in its contiguous loop instead of its broadcasting or strided iterator, a
+call that costs two to four times as much at these sizes; each element
+gets the same arithmetic as in a member-major layout.  Each step's field
+is checked against the blow-up bound once, when the next step or the last
+forms it.  Batch members are bitwise equal to solo runs; ``rhs`` is the
+operator the steps integrate.
 """
 
 from __future__ import annotations
@@ -25,6 +32,7 @@ from __future__ import annotations
 import math
 import numbers
 from dataclasses import dataclass, replace
+from typing import NamedTuple
 
 import numpy as np
 # The gufuncs np.fft.rfft/irfft call, bound once: the wrapper (asarray, result_type,
@@ -139,8 +147,26 @@ def initialize(params: ModelParams, config: SimConfig) -> np.ndarray:
 
 def _check_bound(U: np.ndarray, buf: np.ndarray, t: float) -> None:
     """Raise NumericalBlowup when a value of U at time t leaves the bound or is NaN."""
-    if not np.abs(U, out=buf).max() <= BLOWUP_NORM:   # False for NaN too
+    if not np.maximum.reduce(np.abs(U, out=buf), axis=None) <= BLOWUP_NORM:   # False for NaN
         raise NumericalBlowup(f"field norm exceeded {BLOWUP_NORM:g} at t = {t:g}")
+
+
+class _Views(NamedTuple):
+    """A species-major spectrum (2, B, K) and its views that a step uses, bound once."""
+    whole: np.ndarray
+    u1: np.ndarray        # whole[0]
+    u2: np.ndarray        # whole[1]
+    mean_u1: np.ndarray   # whole[0, :, 0]
+    means: np.ndarray     # whole[..., 0]
+
+
+def _views(X: np.ndarray) -> _Views:
+    return _Views(X, X[0], X[1], X[0, :, 0], X[..., 0])
+
+
+def _block(a: np.ndarray, shape: tuple) -> np.ndarray:
+    """a broadcast to shape, as a new contiguous array."""
+    return np.ascontiguousarray(np.broadcast_to(a, shape))
 
 
 class Simulator:
@@ -173,11 +199,11 @@ class Simulator:
         self._dealias = np.array([[1.0], [-1.0]]) * (k <= cutoff) / n + 0j
 
     def _coefficients(self, betas: np.ndarray):
-        """Per-member lin = (-(beta + 1), beta), (B, 2, 1), and the pinned k = 0
-        values, the uniform state (alpha, beta/alpha), (B, 2)."""
+        """Per-member lin = (-(beta + 1), beta), (2, B, 1), and the pinned k = 0
+        values, the uniform state (alpha, beta/alpha), (2, B)."""
         alpha = self.params.alpha
-        lin = np.stack([-(betas + 1.0), betas], axis=-1)[:, :, None] + 0j
-        return lin, np.stack([np.full_like(betas, alpha), betas / alpha], axis=-1)
+        lin = np.stack([-(betas + 1.0), betas])[:, :, None] + 0j
+        return lin, np.stack([np.full_like(betas, alpha), betas / alpha])
 
     def _spectrum(self, U, f):
         """_rfft(U, f) of fields U (..., N) into a new array."""
@@ -186,20 +212,27 @@ class Simulator:
                                 f"got shape {np.shape(U)}")
         return self._rfft(U, f, out=np.empty(np.shape(U)[:-1] + self._k.shape, complex))
 
-    def _stage(self, out, base, S, U, lin, mask, h, cube, r, q):
+    def _stage(self, out, base, s1, u, lin, mask, h, cube, r, q):
         """out = base + h F^ for F = (alpha + lin_1 u1 + u1^2 u2, lin_2 u1 - u1^2 u2).
 
-        S and F^ are the unit-mean spectra of U (B, 2, N) and F; lin and the signed
-        2/3-rule mask come times h; u1^2 u2, its rfft and that masked go to cube, r, q."""
-        np.multiply(U[:, 0], U[:, 0], out=cube)
-        cube *= U[:, 1]
+        Species-major: base and F^, the unit-mean spectrum of F, are (2, B, K),
+        s1 is that of u1, and u = (u1, u2) holds the fields (B, N); lin and the
+        signed 2/3-rule mask come times h, a pair of arrays, one per species,
+        that broadcast to (B, K).  u1^2 u2, its rfft and that masked go to cube, r
+        and q; out and q are given as their _views."""
+        out, out1, out2, out_mean, _ = out
+        q, q1, q2, _, _ = q
+        u1, u2 = u
+        np.multiply(u1, u1, out=cube)
+        cube *= u2
         self._rfft(cube, 1.0, out=r)
-        np.multiply(r[:, None], mask, out=q)
-        np.multiply(lin, S[:, :1], out=out)
+        np.multiply(r, mask[0], out=q1)
+        np.multiply(r, mask[1], out=q2)
+        np.multiply(lin[0], s1, out=out1)
+        np.multiply(lin[1], s1, out=out2)
         out += base
         out += q
-        out[:, 0, 0] += h * self.params.alpha
-        return out
+        out_mean += h * self.params.alpha
 
     def rhs(self, U, beta) -> np.ndarray:
         """dU/dt of the semi-discrete system the steps integrate, for U (B, 2, N).
@@ -210,10 +243,14 @@ class Simulator:
         """
         U = np.asarray(U, dtype=float)
         lin, _ = self._coefficients(np.full(len(U), beta, dtype=float))
-        S = self._spectrum(U, 1.0 / self.config.n_grid)
-        F = self._stage(np.empty_like(S), self._symbol * S, S, U, lin, self._dealias, 1.0,
-                        np.empty_like(U[:, 0]), np.empty_like(S[:, 0]), np.empty_like(S))
-        return _irfft(F, 1.0, out=np.empty_like(U))
+        S = self._spectrum(U, 1.0 / self.config.n_grid).transpose(1, 0, 2)
+        F = np.empty(S.shape, complex)
+        self._stage(_views(F), self._symbol[:, None] * S, S[0], U.transpose(1, 0, 2), lin,
+                    self._dealias[:, None], 1.0, np.empty(U[:, 0].shape),
+                    np.empty(S[0].shape, complex), _views(np.empty_like(F)))
+        dU = np.empty(U.shape)
+        _irfft(F, 1.0, out=dU.transpose(1, 0, 2))
+        return dU
 
     def advance(self, U, betas, n_steps, sample_every=0, observe=None):
         """Advance member b of U (B, 2, N) by n_steps[b] steps of dt.
@@ -221,14 +258,20 @@ class Simulator:
         When sample_every > 0, observe(i, members, spectrum) is called after
         every step i that is a multiple of it, with the indices of the
         members still running and their unit-mean spectra rfft(U)/N,
-        (len(members), 2, N//2+1), at time i * dt, in a buffer the next
-        step overwrites.  Returns the final fields, a new array.  Raises
-        InvalidConfig unless U is (B, 2, N) with one finite beta and one
-        integer step count >= 0 per member and an integer sample_every >= 0
-        has an observer,
+        (len(members), 2, N//2+1), at time i * dt: a read-only view of a
+        buffer the next step overwrites; members is read-only too.  Returns the final fields, a new
+        array.  Raises InvalidConfig unless U is (B, 2, N) with one finite
+        beta and one integer step count >= 0 per member and an integer
+        sample_every >= 0 has an observer,
         and NumericalBlowup when the field of step i, checked as step i + 1
         or the last step forms it, leaves the bound or is not finite (named
         as time i * dt).
+
+        The batch is carried species-major, spectra (2, B, K) and fields
+        (2, B, N), with the per-member coefficients laid out as full (B, K)
+        blocks, so that every ufunc of a step is a same-shape call on
+        contiguous buffers; they are allocated once per live set, which is
+        rebuilt when members leave.
         """
         dt, n = self.config.dt, self.config.n_grid
         betas = np.asarray(betas, dtype=float)
@@ -253,46 +296,54 @@ class Simulator:
             raise InvalidConfig(f"sample_every must be >= 0, got {sample_every!r}")
         if sample_every and observe is None:
             raise InvalidConfig(f"sample_every = {sample_every} needs an observer")
+        pin = self.config.pin_mean
         live = np.flatnonzero(n_steps > 0)
-        ends = set(n_steps[live].tolist())
-        lin, mean = self._coefficients(betas[live])
-        half_lin, full_lin = (0.5 * dt) * lin, dt * lin
-        half_mask, full_mask = (0.5 * dt) * self._dealias, dt * self._dealias
-        # buffers: fields, |fields|, u1^2 u2, its rfft, that masked, midpoint, next S
-        U = out[live]
-        S = self._spectrum(U, 1.0 / n)
-        S *= self._half
-        absU, cube, r = np.empty_like(U), np.empty_like(U[:, 0]), np.empty_like(S[:, 0])
-        q, mid, S2 = np.empty_like(S), np.empty_like(S), np.empty_like(S)
-        for i in range(1, int(n_steps.max(initial=0)) + 1):
-            _irfft(S, 1.0, out=U)
-            if i > 1:
-                _check_bound(U, absU, (i - 1) * dt)
-            self._stage(mid, S, S, U, half_lin, half_mask, 0.5 * dt, cube, r, q)
-            _irfft(mid, 1.0, out=U)
-            S, S2 = self._stage(S2, S, mid, U, full_lin, full_mask, dt, cube, r, q), S
-            if self.config.pin_mean:
-                # k = 0 is linearly unstable at onset and would swamp the pattern;
-                # pinning resets only it, and every k != 0 mode follows the equations
-                S[..., 0] = mean
-            sampled = sample_every and i % sample_every == 0
-            if sampled or i in ends:
-                np.multiply(S, self._half, out=mid)
-            if sampled:
-                observe(i, live, mid)
-            if i in ends:
-                done = n_steps[live] == i
-                fields = U[:np.count_nonzero(done)]
-                _irfft(mid[done], 1.0, out=fields)
-                _check_bound(fields, absU[:len(fields)], i * dt)
-                out[live[done]] = fields
-                live = live[~done]
-                if not live.size:
-                    break
-                S, mean, half_lin, full_lin = (a[~done] for a in (S, mean, half_lin, full_lin))
-                U, absU, cube, r, q, mid, S2 = (a[:live.size]
-                                                for a in (U, absU, cube, r, q, mid, S2))
-            S *= self._full
+        S = self._spectrum(out[live].transpose(1, 0, 2), 1.0 / n)
+        S *= self._half[:, None]
+        i = 0
+        while live.size:
+            live.flags.writeable = False   # observers get it, and it places the fields
+            shape = S.shape
+            lin, mean = self._coefficients(betas[live])
+            mask = self._dealias[:, None]
+            # (B, K) blocks of u1 and u2, the pairs of views that iterating a block yields
+            half_lin, full_lin, half_mask, full_mask = (
+                tuple(_block(a, shape)) for a in ((0.5 * dt) * lin, dt * lin,
+                                                  (0.5 * dt) * mask, dt * mask))
+            half, full = _block(self._half[:, None], shape), _block(self._full[:, None], shape)
+            # buffers: fields, |fields|, u1^2 u2, its rfft, that masked, midpoint, next S
+            U = np.empty(shape[:2] + (n,))
+            absU, cube, r = np.empty_like(U), np.empty_like(U[0]), np.empty_like(S[0])
+            q, mid, S2 = (_views(np.empty_like(S)) for _ in range(3))
+            Sv, u = _views(S), (U[0], U[1])
+            observed = mid.whole.transpose(1, 0, 2)
+            observed.flags.writeable = False
+            end = int(n_steps[live].min())
+            for i in range(i + 1, end + 1):
+                _irfft(S, 1.0, out=U)
+                if i > 1:
+                    _check_bound(U, absU, (i - 1) * dt)
+                self._stage(mid, S, Sv.u1, u, half_lin, half_mask, 0.5 * dt, cube, r, q)
+                _irfft(mid.whole, 1.0, out=U)
+                self._stage(S2, S, mid.u1, u, full_lin, full_mask, dt, cube, r, q)
+                Sv, S2 = S2, Sv
+                S = Sv.whole
+                if pin:
+                    # k = 0 is linearly unstable at onset and would swamp the pattern;
+                    # pinning resets only it, and every k != 0 mode follows the equations
+                    Sv.means[...] = mean
+                sampled = sample_every and i % sample_every == 0
+                if sampled or i == end:
+                    np.multiply(S, half, out=mid.whole)
+                if sampled:
+                    observe(i, live, observed)
+                S *= full
+            done = n_steps[live] == end
+            fields = np.empty((2, np.count_nonzero(done), n))
+            _irfft(mid.whole[:, done], 1.0, out=fields)
+            _check_bound(fields, np.empty_like(fields), end * dt)
+            out[live[done]] = fields.transpose(1, 0, 2)
+            S, live = S[:, ~done], live[~done]
         return out
 
     def translate(self, U: np.ndarray, phi: float) -> np.ndarray:

@@ -278,6 +278,18 @@ def test_simulate_records_the_beta_it_runs(capsys, tmp_path):
     assert rec["params"]["beta"] == rec["beta"] == 7.0 + 0.05
 
 
+def test_onset_of_an_overflowing_bound_is_strict_json(capsys):
+    """The library's +inf certificate margin is written as null, not as Infinity."""
+    def refuse(constant):
+        raise ValueError(f"non-standard JSON constant {constant}")
+
+    code, out, err = run(capsys, "onset", "--alpha", "1e100", "--d1", "1e10", "--d2", "1e-200")
+    assert code == 0 and err == ""
+    rec = json.loads(out, parse_constant=refuse)
+    assert rec["certificate_margin"] is None
+    assert rec["verdict"] == "hopf_onset"
+
+
 def test_onset_csv_is_at_the_scan_beta(capsys, tmp_path):
     out_csv = tmp_path / "curve.csv"
     code, out, _ = run(capsys, "onset", "--alpha", "2", "--scan-beta", "7.5",

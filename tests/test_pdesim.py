@@ -191,6 +191,25 @@ class TestEngine:
                                   observe=lambda *_: None)
             assert np.array_equal(sampled, plain)
 
+    def test_observed_spectrum_is_read_only(self):
+        """A write into the observed spectrum or members raises; reading them changes no bit."""
+        config = SimConfig(n_grid=32, dt=0.01, eps=1e-2)
+        sim = Simulator(CANON, config)
+        start = initialize(CANON, config)[None]
+        for write in (lambda members, spectrum: spectrum.fill(0),
+                      lambda members, spectrum: members.fill(0)):
+            with pytest.raises(ValueError, match="read-only"):
+                sim.advance(start, [7.0], [10], sample_every=5,
+                            observe=lambda i, members, spectrum: write(members, spectrum))
+        plain = sim.advance(start, [7.0], [10])
+        assert np.max(plain) > 3.5
+        peaks = []
+        observed = sim.advance(start, [7.0], [10], sample_every=5,
+                               observe=lambda i, members, spectrum: peaks.append(
+                                   np.max(np.abs(spectrum))))
+        assert observed.tobytes() == plain.tobytes()
+        assert len(peaks) == 2
+
     @pytest.mark.parametrize("sample_every", [0, 1, 5, 7])
     def test_fft_budget(self, monkeypatch, sample_every):
         """Four transforms a step, one to start and one for the fields at the end."""

@@ -1,0 +1,139 @@
+"""Simulator.advance against the member-major loop it replaced, kept as the reference.
+
+The stepper carries its batch species-major so that every ufunc of a step
+is a same-shape contiguous call; each element gets the same arithmetic in
+the same order as in the loop below, which carries the batch as (B, 2, K)
+spectra, so the fields and every observed spectrum must be the same bits.
+"""
+
+import numpy as np
+import pytest
+from numpy.fft._pocketfft_umath import irfft
+
+from o2hopf import NumericalBlowup, SimConfig, Simulator, initialize, validate
+from o2hopf.pdesim import BLOWUP_NORM
+
+CANON = validate({"alpha": 2.0, "beta": 7.0})
+
+
+def _check_bound(U, buf, t):
+    if not np.abs(U, out=buf).max() <= BLOWUP_NORM:   # False for NaN too
+        raise NumericalBlowup(f"field norm exceeded {BLOWUP_NORM:g} at t = {t:g}")
+
+
+def _coefficients(sim, betas):
+    alpha = sim.params.alpha
+    lin = np.stack([-(betas + 1.0), betas], axis=-1)[:, :, None] + 0j
+    return lin, np.stack([np.full_like(betas, alpha), betas / alpha], axis=-1)
+
+
+def _stage(sim, out, base, S, U, lin, mask, h, cube, r, q):
+    np.multiply(U[:, 0], U[:, 0], out=cube)
+    cube *= U[:, 1]
+    sim._rfft(cube, 1.0, out=r)
+    np.multiply(r[:, None], mask, out=q)
+    np.multiply(lin, S[:, :1], out=out)
+    out += base
+    out += q
+    out[:, 0, 0] += h * sim.params.alpha
+    return out
+
+
+def reference_advance(sim, U, betas, n_steps, sample_every=0, observe=None):
+    """The member-major advance loop, without its input checks."""
+    dt, n = sim.config.dt, sim.config.n_grid
+    betas = np.asarray(betas, dtype=float)
+    n_steps = np.asarray(n_steps, dtype=int)
+    out = np.array(U, dtype=float)
+    live = np.flatnonzero(n_steps > 0)
+    ends = set(n_steps[live].tolist())
+    lin, mean = _coefficients(sim, betas[live])
+    half_lin, full_lin = (0.5 * dt) * lin, dt * lin
+    half_mask, full_mask = (0.5 * dt) * sim._dealias, dt * sim._dealias
+    U = out[live]
+    S = sim._spectrum(U, 1.0 / n)
+    S *= sim._half
+    absU, cube, r = np.empty_like(U), np.empty_like(U[:, 0]), np.empty_like(S[:, 0])
+    q, mid, S2 = np.empty_like(S), np.empty_like(S), np.empty_like(S)
+    for i in range(1, int(n_steps.max(initial=0)) + 1):
+        irfft(S, 1.0, out=U)
+        if i > 1:
+            _check_bound(U, absU, (i - 1) * dt)
+        _stage(sim, mid, S, S, U, half_lin, half_mask, 0.5 * dt, cube, r, q)
+        irfft(mid, 1.0, out=U)
+        S, S2 = _stage(sim, S2, S, mid, U, full_lin, full_mask, dt, cube, r, q), S
+        if sim.config.pin_mean:
+            S[..., 0] = mean
+        sampled = sample_every and i % sample_every == 0
+        if sampled or i in ends:
+            np.multiply(S, sim._half, out=mid)
+        if sampled:
+            observe(i, live, mid)
+        if i in ends:
+            done = n_steps[live] == i
+            fields = U[:np.count_nonzero(done)]
+            irfft(mid[done], 1.0, out=fields)
+            _check_bound(fields, absU[:len(fields)], i * dt)
+            out[live[done]] = fields
+            live = live[~done]
+            if not live.size:
+                break
+            S, mean, half_lin, full_lin = (a[~done] for a in (S, mean, half_lin, full_lin))
+            U, absU, cube, r, q, mid, S2 = (a[:live.size]
+                                            for a in (U, absU, cube, r, q, mid, S2))
+        S *= sim._full
+    return out
+
+
+# members leave at different horizons: 21 is a sample step at every 1 and 7, 12 only at 1
+MEMBERS = {
+    "solo": ([7.05], [40]),
+    "batch": ([6.9, 7.05, 7.1], [21, 40, 12]),
+    "zero_step": ([7.0, 6.95, 7.1], [0, 21, 33]),
+    "empty": ([], []),
+}
+
+
+def _run(stepper, starts, betas, n_steps, sample_every):
+    samples = []
+
+    def observe(i, members, spectrum):
+        samples.append((i, members.tolist(), spectrum.shape, spectrum.tobytes()))
+
+    fields = stepper(starts, betas, n_steps, sample_every=sample_every,
+                     observe=observe if sample_every else None)
+    return fields, samples
+
+
+@pytest.mark.parametrize("sample_every", [0, 1, 7])
+@pytest.mark.parametrize("n", [16, 17, 64, 128])
+@pytest.mark.parametrize("pin_mean", [True, False])
+def test_advance_is_the_reference_loop(pin_mean, n, sample_every):
+    config = SimConfig(n_grid=n, dt=1e-2, perturb_kind="random", seed=5, eps=5e-2,
+                       pin_mean=pin_mean)
+    sim = Simulator(CANON, config)
+    start = initialize(CANON, config)
+    for name, (betas, n_steps) in MEMBERS.items():
+        offsets = 0.02 * np.arange(len(betas))[:, None, None] * [[0.0], [1.0]]
+        starts = start + offsets
+        reference = _run(lambda *a, **k: reference_advance(sim, *a, **k),
+                         starts, betas, n_steps, sample_every)
+        fields, samples = _run(sim.advance, starts, betas, n_steps, sample_every)
+        assert fields.shape == starts.shape, name
+        assert fields.tobytes() == reference[0].tobytes(), name
+        assert samples == reference[1], name
+        if sample_every:
+            assert len(samples) == max(n_steps, default=0) // sample_every, name
+
+
+def test_blowup_is_named_as_in_the_reference():
+    config = SimConfig(n_grid=32, dt=0.5, perturb_kind="random", seed=1, eps=0.5)
+    sim = Simulator(CANON, config)
+    starts = np.stack([initialize(CANON, config)] * 2)
+    messages = []
+    for stepper in (lambda *a: reference_advance(sim, *a), sim.advance):
+        with pytest.raises(NumericalBlowup) as info:
+            stepper(starts, [7.0, 40.0], [3, 400])
+        messages.append(str(info.value))
+    assert messages[0] == messages[1]
+
