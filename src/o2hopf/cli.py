@@ -9,7 +9,7 @@ is referenced by a run manifest written next to it.  Exit codes: 0 success,
 from __future__ import annotations
 
 import argparse
-import csv
+import functools
 import hashlib
 import json
 import math
@@ -89,14 +89,43 @@ def _write_manifest(ns, path, outputs):
         json.dump(manifest, fh, indent=2, sort_keys=True)
 
 
-def _write_csv(path, header, rows) -> list:
-    """Write the header and rows to path; returns [path], or [] when path is empty."""
+def _csv_cells(values: list) -> list:
+    """One column's cells as csv.writer writes them.
+
+    Each value becomes str(value) and None "" (a column that is all text
+    is taken as it stands); a cell holding , " CR or LF is quoted, with its
+    " doubled.
+    """
+    try:
+        text = "".join(values)
+    except TypeError:
+        values = ["" if v is None else str(v) for v in values]
+        text = "".join(values)
+    if _needs_quotes(text):
+        values = ['"' + c.replace('"', '""') + '"' if _needs_quotes(c) else c for c in values]
+    return values
+
+
+def _needs_quotes(text: str) -> bool:
+    return any(ch in text for ch in ',"\r\n')
+
+
+def _write_csv(path, header, columns) -> list:
+    """Write a CSV of the named columns to path; returns [path], or [] when
+    path is empty.
+
+    The bytes are those csv.writer writes in its default dialect: CRLF
+    line ends, minimal quoting and floats as repr, for two or more columns
+    (a row of one empty cell, which csv.writer writes as "", never occurs).
+    Each column is formatted once (_csv_cells), and the rows are joined
+    from its text and streamed to the file.
+    """
     if not path:
         return []
+    cells = [_csv_cells([name, *column]) for name, column in zip(header, columns, strict=True)]
+    cells[-1] = [c + "\r\n" for c in cells[-1]]
     with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        writer.writerows(rows)
+        fh.writelines(map(",".join, zip(*cells)))
     return [path]
 
 
@@ -155,7 +184,7 @@ def cmd_onset(ns) -> int:
     # dispersion-curve rows; the leading root has the largest Re, then the largest Im
     curve = [(r.n, r.k, r.max_real_part, max(r.roots, key=lambda z: (z.real, z.imag)).imag)
              for r in scan.records]
-    _emit(ns, record, _write_csv(ns.csv, ["n", "k", "re_lambda_max", "im_lambda"], curve))
+    _emit(ns, record, _write_csv(ns.csv, ["n", "k", "re_lambda_max", "im_lambda"], zip(*curve)))
     return 0
 
 
@@ -172,7 +201,7 @@ def cmd_coeffs(ns) -> int:
     rows = [[params.alpha, params.delta1, params.delta2, route,
              *(part for name in "abc" for part in (v[name].real, v[name].imag))]
             for route, v in routes.items()]
-    _emit(ns, record, _write_csv(ns.csv, header, rows))
+    _emit(ns, record, _write_csv(ns.csv, header, zip(*rows)))
     return 0
 
 
@@ -244,10 +273,11 @@ def cmd_simulate(ns) -> int:
 
     header = ["t", *(f"{part}_mode{k}" for k in tracked for part in ("re", "im")),
               "mean_u1", "mean_u2"]
-    rows = ([t, *(part for z in row[:len(tracked)] for part in (z.real, z.imag)),
-             *row[len(tracked):]] for t, row in zip(times, samples))
+    series = np.array(samples)
+    columns = [times, *(part for z in series[:, :len(tracked)].T for part in (z.real, z.imag)),
+               *series[:, len(tracked):].real.T]
     outputs = _write_csv(ns.series or (ns.out + ".series.csv" if ns.out else None),
-                         header, rows)
+                         header, [c.tolist() for c in columns])
 
     mode1 = np.array([row[1] for row in samples])
     amplitude, frequency, note, settled = tail_fit(times, mode1)
@@ -294,8 +324,12 @@ _GRID_FIELDS = ("alpha", "delta1", "delta2", "half_length", "mu")
 
 
 def _grid_columns(fixed: dict, axes) -> dict:
-    """Field -> (P,) float array over the grid; the first axis varies fastest."""
-    cols = {k: np.array([float(fixed[k])]) for k in _GRID_FIELDS}
+    """Field -> (P,) array over the grid; the first axis varies fastest.
+
+    fixed holds each field's value off the axes and axes the (field, values)
+    of each axis: floats, or their text.
+    """
+    cols = {k: np.array([fixed[k]]) for k in _GRID_FIELDS}
     for name, vals in axes:
         size = len(cols[name])
         cols = {k: np.tile(v, len(vals)) for k, v in cols.items()}
@@ -307,8 +341,11 @@ def _error_text(exc: O2HopfError) -> str:
     return f"{type(exc).__name__}: {exc}"
 
 
-def _sweep_columns(cols: dict) -> dict:
-    """Every CSV column of the sweep, computed for the whole grid at once.
+def _sweep_columns(fixed: dict, axes) -> dict:
+    """Every CSV column of the sweep as text, computed for the whole grid at once.
+
+    The grid is that of _grid_columns; each grid value is formatted once and
+    its text tiled with it, and each computed cell is formatted once.
 
     Each point meets the checks of the single-point pipeline in its order
     and stops at the first that fails: a constant that is not finite and
@@ -318,14 +355,17 @@ def _sweep_columns(cols: dict) -> dict:
     cells a point never reaches stay blank.  Closed-form overflow comes
     last and blanks only the closed-form columns.
     """
+    cols = _grid_columns(fixed, axes)
+    text = _grid_columns({k: str(v) for k, v in fixed.items()},
+                         [(name, np.array(list(map(str, vals.tolist())))) for name, vals in axes])
     n = len(cols["alpha"])
     out = {name: [""] * n for name in _SWEEP_FIELDS}
-    out["index"] = list(range(n))
+    out["index"] = list(map(str, range(n)))
     for name in _GRID_FIELDS:
-        out[name] = cols[name].tolist()
+        out[name] = text[name].tolist()
 
     def put(name, points, values):
-        for i, v in zip(points.tolist(), values):
+        for i, v in zip(points.tolist(), map(str, values)):
             out[name][i] = v
 
     def fail(points, errors):
@@ -389,11 +429,11 @@ def cmd_sweep(ns) -> int:
     for name in names:
         if names.count(name) > 1:
             raise BadFlag(f"--grid {name} is given more than once; give each axis one range")
-    columns = _sweep_columns(_grid_columns(fixed, axes))
+    columns = _sweep_columns(fixed, axes)
 
     out = ns.out or "sweep.csv"
     _write_manifest(ns, out, _write_csv(out, _SWEEP_FIELDS,
-                                        zip(*(columns[name] for name in _SWEEP_FIELDS))))
+                                        [columns[name] for name in _SWEEP_FIELDS]))
     n_err = sum(1 for e in columns["error"] if e)
     print(f"wrote {len(columns['index'])} rows to {out} ({n_err} with per-point errors)")
     return 0
@@ -459,6 +499,7 @@ def cmd_verify(ns) -> int:
     return 0
 
 
+@functools.cache
 def build_parser() -> _Parser:
     parser = _Parser(prog="o2hopf",
                      description="O(2)-Hopf analysis of the diffusive Brusselator")

@@ -212,6 +212,12 @@ class Simulator:
                                 f"got shape {np.shape(U)}")
         return self._rfft(U, f, out=np.empty(np.shape(U)[:-1] + self._k.shape, complex))
 
+    def _check_batch(self, U: np.ndarray, caller: str) -> None:
+        """Raise InvalidConfig unless U is a batch of fields, (B, 2, N)."""
+        n = self.config.n_grid
+        if U.ndim != 3 or U.shape[1:] != (2, n):
+            raise InvalidConfig(f"{caller} needs fields of shape (B, 2, {n}), got {U.shape}")
+
     def _stage(self, out, base, s1, u, lin, mask, h, cube, r, q):
         """out = base + h F^ for F = (alpha + lin_1 u1 + u1^2 u2, lin_2 u1 - u1^2 u2).
 
@@ -239,11 +245,14 @@ class Simulator:
 
         Spectral diffusion plus the dealiased reaction; beta is one number
         or one per member.  Mean pinning is a constraint of the stepper,
-        not part of this operator.
+        not part of this operator.  Raises InvalidConfig unless U is
+        (B, 2, N); a wrong grid is named as by translate.
         """
         U = np.asarray(U, dtype=float)
+        S = self._spectrum(U, 1.0 / self.config.n_grid)
+        self._check_batch(U, "rhs")
         lin, _ = self._coefficients(np.full(len(U), beta, dtype=float))
-        S = self._spectrum(U, 1.0 / self.config.n_grid).transpose(1, 0, 2)
+        S = S.transpose(1, 0, 2)
         F = np.empty(S.shape, complex)
         self._stage(_views(F), self._symbol[:, None] * S, S[0], U.transpose(1, 0, 2), lin,
                     self._dealias[:, None], 1.0, np.empty(U[:, 0].shape),
@@ -277,8 +286,7 @@ class Simulator:
         betas = np.asarray(betas, dtype=float)
         steps = np.asarray(n_steps)
         out = np.array(U, dtype=float)
-        if out.ndim != 3 or out.shape[1:] != (2, n):
-            raise InvalidConfig(f"advance needs fields of shape (B, 2, {n}), got {out.shape}")
+        self._check_batch(out, "advance")
         if betas.shape != steps.shape or betas.shape != (len(out),):
             raise InvalidConfig(f"advance needs one beta and one step count per member; got "
                                 f"{betas.size} betas and {steps.size} for {len(out)} members")

@@ -1,15 +1,20 @@
 import csv
+import io
 import json
 import math
+import tempfile
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from o2hopf import (ModelParams, O2HopfError, ReducedSystem, branches,
                     classify_regime, closed_form_constants, coeffs, onset,
                     validate)
-from o2hopf.cli import dispatch
+from o2hopf.cli import _write_csv, dispatch
 
 
 def run(capsys, *argv):
@@ -211,6 +216,53 @@ def test_sweep_row_keeps_projection_values_past_closed_form_overflow(capsys, tmp
         want = _reference_row({k: float(row[k]) for k in _POINT})
         assert {k: row[k] for k in _KEPT} == {k: str(want[k]) for k in _KEPT}
         assert [row[k] for k in _CLOSED] == [str(want.get(k, "")) for k in _CLOSED]
+
+
+def _csv_writer_bytes(header, rows) -> bytes:
+    """The reference: what csv.writer writes for the header and rows."""
+    buf = io.StringIO(newline="")
+    writer = csv.writer(buf)
+    writer.writerow(header)
+    writer.writerows(rows)
+    return buf.getvalue().encode()
+
+
+_CELLS = st.one_of(
+    st.floats(), st.floats().map(np.float64),
+    st.sampled_from([-0.0, math.nan, math.inf, -math.inf, 5e-324, 1e16, 1e-5]),
+    st.integers(), st.booleans(), st.booleans().map(np.bool_), st.none(),
+    st.text(), st.sampled_from(["", ",", '"', "\r", "\n", 'a,"b"\r\nc', "é,ü"]))
+
+
+@st.composite
+def _tables(draw):
+    """A header and rows of mixed cells, two to five columns wide."""
+    width = draw(st.integers(2, 5))
+    header = draw(st.lists(st.text(), min_size=width, max_size=width))
+    rows = draw(st.lists(st.lists(_CELLS, min_size=width, max_size=width), max_size=8))
+    return header, rows
+
+
+@settings(max_examples=200, deadline=None, database=None)
+@given(_tables())
+def test_csv_columns_are_written_as_csv_writer_writes_rows(table):
+    header, rows = table
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "t.csv"
+        assert _write_csv(str(path), header, [[row[j] for row in rows]
+                                              for j in range(len(header))]) == [str(path)]
+        assert path.read_bytes() == _csv_writer_bytes(header, rows)
+
+
+def test_sweep_error_cells_are_quoted_as_by_csv_writer(capsys, tmp_path):
+    out_csv = tmp_path / "err.csv"
+    assert run(capsys, "sweep", "--grid", "alpha=-1:3:5", "--grid", "delta1=0:1e300:4",
+               "--out", str(out_csv))[0] == 0
+    with out_csv.open(newline="") as fh:
+        header, *rows = csv.reader(fh)
+    errors = [r[header.index("error")] for r in rows]
+    assert sum(1 for e in errors if "," in e) == 11
+    assert out_csv.read_bytes() == _csv_writer_bytes(header, rows)
 
 
 def test_sweep_tw_existence_flips_at_zero(capsys, tmp_path):

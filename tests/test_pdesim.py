@@ -310,6 +310,18 @@ def test_rhs_and_translate_need_the_grid():
         sim.translate(fields, 0.3)
 
 
+def test_rhs_needs_the_batch_axis():
+    # the same check and message as advance, not numpy's broadcasting error
+    config = SimConfig(n_grid=32, dt=1e-2)
+    sim, fields = Simulator(CANON, config), initialize(CANON, config)
+    with pytest.raises(InvalidConfig, match=r"rhs needs fields of shape \(B, 2, 32\), "
+                                            r"got \(2, 32\)$"):
+        sim.rhs(fields, 7.0)
+    with pytest.raises(InvalidConfig, match=r"rhs needs fields of shape \(B, 2, 32\), "
+                                            r"got \(4, 3, 32\)$"):
+        sim.rhs(np.zeros((4, 3, 32)), 7.0)
+
+
 class TestLinearRegime:
     def test_mode1_growth_and_decay(self):
         for mu in (0.05, -0.05):
