@@ -135,40 +135,48 @@ def _digest(ns) -> str:
     return hashlib.sha256(payload.encode()).hexdigest()[:16]
 
 
-def _add_param_flags(p):
+def _add_param_flags(p, mu=None):
+    """The model constants, --config and --out; --mu (beta = beta1 + mu) with its default."""
     p.add_argument("--config", help="key = value parameter file")
     p.add_argument("--alpha", type=float)
-    p.add_argument("--beta", type=float)
     p.add_argument("--d1", "--delta1", dest="delta1", type=float)
     p.add_argument("--d2", "--delta2", dest="delta2", type=float)
     p.add_argument("--half-length", dest="half_length", type=float)
     p.add_argument("--out", help="write the JSON report here instead of stdout")
+    if mu is not None:
+        p.add_argument("--mu", type=float, default=mu, help="beta = beta1 + mu")
 
 
-_PARAM_FIELDS = ("alpha", "beta", "delta1", "delta2", "half_length")
+_CONSTANTS = ("alpha", "delta1", "delta2", "half_length")
 
 
 def _raw_params(ns) -> dict:
-    """Constants from --config, overridden by the flags given; unvalidated."""
+    """Constants from --config, overridden by the flags given; unvalidated.
+
+    beta is always beta1 + mu, so a config file that sets it is refused, and
+    so is a --mu that is not finite.
+    """
     raw = read_config(ns.config) if ns.config else {}
-    raw.update({k: getattr(ns, k) for k in _PARAM_FIELDS if getattr(ns, k) is not None})
+    if "beta" in raw:
+        raise BadFlag(f"{ns.config}: beta is set as beta1 + mu on the command line; give --mu")
+    if not math.isfinite(getattr(ns, "mu", 0.0)):
+        raise BadFlag(f"--mu must be finite, got {ns.mu!r}")
+    raw.update({k: getattr(ns, k) for k in _CONSTANTS if getattr(ns, k) is not None})
     return raw
 
 
 def _params_from(ns) -> ModelParams:
-    """Validated parameters; beta defaults to the beta1 of the validated constants."""
+    """The validated constants at beta = beta1 + mu; mu is 0 where there is no --mu."""
     raw = _raw_params(ns)
     if "alpha" not in raw:
         raise BadFlag("--alpha (or --config) is required")
-    if "beta" not in raw:
-        raw["beta"] = onset(validate(ModelParams(beta=1.0, **raw))).beta1
-    return validate(raw)
+    params = validate(ModelParams(beta=1.0, **raw))
+    return validate(params.with_beta(onset(params).beta1 + getattr(ns, "mu", 0.0)))
 
 
 def cmd_onset(ns) -> int:
     params = _params_from(ns)
-    scanned = params if ns.scan_beta is None else params.with_beta(ns.scan_beta)
-    scan = onset_scan(scanned, n_max=ns.n_max)
+    scan = onset_scan(params, n_max=ns.n_max)
     record = {
         "params": params,
         "beta1": onset(params).beta1,
@@ -205,15 +213,9 @@ def cmd_coeffs(ns) -> int:
     return 0
 
 
-def _reduced_system(params: ModelParams, route: str, mu: float) -> ReducedSystem:
-    if not math.isfinite(mu):
-        raise BadFlag(f"--mu must be finite, got {mu!r}")
-    return ReducedSystem.from_coeffs(coeffs(params, route), mu)
-
-
 def cmd_classify(ns) -> int:
     params = _params_from(ns)
-    sys_ = _reduced_system(params, ns.route, ns.mu)
+    sys_ = ReducedSystem.from_coeffs(coeffs(params, ns.route), ns.mu)
     record = {"params": params, "mu": ns.mu, "route": ns.route,
               "coefficients": {"a": sys_.a, "b": sys_.b, "c": sys_.c},
               "regime": classify_regime(sys_)}
@@ -223,7 +225,7 @@ def cmd_classify(ns) -> int:
 
 def cmd_branch(ns) -> int:
     params = _params_from(ns)
-    sys_ = _reduced_system(params, ns.route, ns.mu)
+    sys_ = ReducedSystem.from_coeffs(coeffs(params, ns.route), ns.mu)
     record = {"params": params, "mu": ns.mu, "route": ns.route,
               "branches": branches(sys_)}
     _emit(ns, record)
@@ -243,12 +245,7 @@ def _parse_perturb(spec: str):
 
 
 def cmd_simulate(ns) -> int:
-    if ns.mu is not None and ns.beta is not None:
-        raise BadFlag("simulate runs at beta = beta1 + mu; give --beta or --mu, not both")
     params = _params_from(ns)
-    base = onset(params)
-    if ns.mu is not None:   # the beta that runs, also in the record
-        params = validate(params.with_beta(base.beta1 + ns.mu))
     kind, mode, eps = _parse_perturb(ns.perturb)
     config = SimConfig(n_grid=ns.n_grid, dt=ns.dt, t_max=ns.tmax, seed=ns.seed,
                        perturb_kind=kind, perturb_mode=mode, eps=eps,
@@ -282,7 +279,7 @@ def cmd_simulate(ns) -> int:
     mode1 = np.array([row[1] for row in samples])
     amplitude, frequency, note, settled = tail_fit(times, mode1)
     summary = {
-        "params": params, "beta": params.beta, "mu": params.beta - base.beta1,
+        "params": params, "beta": params.beta, "mu": onset(params).mu,
         "config": config, "final_time": n_steps * config.dt,
         "saturated_amplitude": amplitude, "settled": settled,
         "frequency": frequency, "mode1_final": samples[-1][1],
@@ -297,7 +294,7 @@ def _parse_grid(spec: str):
     """'name=lo:hi:count' -> (name, values)."""
     name, _, rng = spec.partition("=")
     form = ("--grid expects name=lo:hi:count with name in {alpha, delta1, delta2, mu}, "
-            f"lo and hi numbers and count an integer, got {spec!r}")
+            f"lo and hi finite numbers and count an integer, got {spec!r}")
     if name not in ("alpha", "delta1", "delta2", "mu"):
         raise BadFlag(form)
     try:
@@ -305,6 +302,8 @@ def _parse_grid(spec: str):
         lo, hi, count = float(lo), float(hi), int(count)
     except ValueError:
         raise BadFlag(form) from None
+    if not (math.isfinite(lo) and math.isfinite(hi)):
+        raise BadFlag(form)
     if count < 1:
         raise BadFlag(f"--grid {name}: count must be at least 1, got {count}")
     return name, np.linspace(lo, hi, count)
@@ -415,13 +414,9 @@ _SWEEP_DEFAULTS = {"alpha": 2.0, "delta1": 1.0, "delta2": 1.0, "half_length": ma
 def cmd_sweep(ns) -> int:
     """Grid CSV; fixed constants from --config, overridden by flags, else defaults.
 
-    Every point sets beta = beta1 + mu, so --beta is rejected and a beta in
-    the config file is not used.  The constants are not validated here: a
-    nonpositive one becomes a per-point error.
+    The constants are not validated here: a nonpositive one becomes a
+    per-point error.
     """
-    if ns.beta is not None:
-        raise BadFlag("sweep sets beta = beta1 + mu at each point; "
-                      "give --mu or a mu grid instead of --beta")
     raw = _raw_params(ns)
     fixed = {**{k: raw.get(k, v) for k, v in _SWEEP_DEFAULTS.items()}, "mu": ns.mu}
     axes = [_parse_grid(spec) for spec in ns.grid]
@@ -506,8 +501,7 @@ def build_parser() -> _Parser:
     sub = parser.add_subparsers(dest="command")
 
     p = sub.add_parser("onset", help="dispersion scan and onset verdict")
-    _add_param_flags(p)
-    p.add_argument("--scan-beta", type=float, help="scan at this beta instead")
+    _add_param_flags(p, mu=0.0)
     p.add_argument("--n-max", type=int, default=64)
     p.add_argument("--csv", help="also write the dispersion curve as CSV")
     p.set_defaults(func=cmd_onset)
@@ -520,14 +514,12 @@ def build_parser() -> _Parser:
 
     for name, func in (("classify", cmd_classify), ("branch", cmd_branch)):
         p = sub.add_parser(name)
-        _add_param_flags(p)
-        p.add_argument("--mu", type=float, default=0.1)
+        _add_param_flags(p, mu=0.1)
         p.add_argument("--route", choices=ROUTES, default="projection")
         p.set_defaults(func=func)
 
     p = sub.add_parser("simulate", help="pseudospectral PDE run")
-    _add_param_flags(p)
-    p.add_argument("--mu", type=float, help="beta = beta1 + mu")
+    _add_param_flags(p, mu=0.0)
     p.add_argument("--n-grid", type=int, default=128)
     p.add_argument("--dt", type=float, default=1e-3)
     p.add_argument("--tmax", type=float, default=200.0)
@@ -540,8 +532,7 @@ def build_parser() -> _Parser:
     p.set_defaults(func=cmd_simulate)
 
     p = sub.add_parser("sweep", help="parameter-grid CSV of onset/coefficients")
-    _add_param_flags(p)
-    p.add_argument("--mu", type=float, default=0.1)
+    _add_param_flags(p, mu=0.1)
     p.add_argument("--grid", action="append", required=True,
                    help="name=lo:hi:count (repeatable)")
     p.set_defaults(func=cmd_sweep)

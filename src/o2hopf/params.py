@@ -139,7 +139,11 @@ def onset(params: ModelParams) -> OnsetData:
 
 
 def read_config(path) -> dict:
-    """The ``key = value`` lines of a parameter file, as floats, unvalidated."""
+    """The ``key = value`` lines of a parameter file, as floats, unvalidated.
+
+    A line that is not ``key = value``, an unknown key, a key given twice or
+    a value that is not a number raises ValueError naming the file and line.
+    """
     raw = {}
     with open(path) as fh:
         for lineno, line in enumerate(fh, start=1):
@@ -151,5 +155,11 @@ def read_config(path) -> dict:
             key, value = (part.strip() for part in line.split("=", 1))
             if key not in _POSITIVE_FIELDS:
                 raise ValueError(f"{path}:{lineno}: unknown key {key!r}")
-            raw[key] = float(value)
+            if key in raw:
+                raise ValueError(f"{path}:{lineno}: {key!r} is given more than once")
+            try:
+                raw[key] = float(value)
+            except ValueError:
+                raise ValueError(f"{path}:{lineno}: {key} must be a number, "
+                                 f"got {value!r}") from None
     return raw

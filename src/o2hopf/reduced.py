@@ -89,8 +89,8 @@ def _stability_flags(eigs, scale):
 
 
 def _probe(b, mu):
-    """mu, or at mu = 0 the offset 1e-3 of sign -Re b at which stability is read."""
-    return np.where(mu != 0.0, mu, -np.copysign(1e-3, np.real(b)))
+    """mu, or at mu = 0 the unit offset of sign -Re b at which stability is read."""
+    return np.where(mu != 0.0, mu, -np.copysign(1.0, np.real(b)))
 
 
 def _wave_rule(a, b, c, mu):
@@ -98,14 +98,18 @@ def _wave_rule(a, b, c, mu):
 
     relations are the three non-degeneracy relations, with (A, B) = (c, b - c).
     families maps "rotating_wave" (cubic coefficient Re b, radii (r, 0)) and
-    "standing_wave" (Re b + Re c, radii (r, r)) to (flat, r, degenerate,
-    stable): the coefficient is within tolerance of zero; the radius
-    sqrt(-Re a mu / coefficient), 0 where the family does not exist; flat or a
-    radial eigenvalue at r within tolerance of zero; the family exists and
-    both eigenvalues are negative.
+    "standing_wave" (Re b + Re c, radii (r, r)) to (flat, exists, r,
+    degenerate, stable): the coefficient is within tolerance of zero; the
+    family exists; its radius sqrt(-Re a mu / coefficient), 0 where it does
+    not exist; flat or a radial eigenvalue at the equilibrium within tolerance
+    of zero; the family exists and both eigenvalues are negative.  The
+    equilibrium's r^2 and eigenvalues are proportional to mu, so existence
+    and the eigenvalues are read at the unit offset sign(mu): the verdict is
+    the same at every mu of one sign, however small or large.
     """
     a, b, c, mu = (np.asarray(v) for v in (a, b, c, mu))   # numpy divides 1/0 quietly
     aR, bR, cR = a.real, b.real, c.real
+    unit = np.sign(mu)
     tol = _tolerance(b, c)
     relations = {
         "Re_B_nonzero": abs(bR - cR) > tol,                # Re(b - c) != 0
@@ -116,26 +120,29 @@ def _wave_rule(a, b, c, mu):
     for name, coef, nonzero, standing in (
             ("rotating_wave", bR, relations["Re_A_plus_B_nonzero"], False),
             ("standing_wave", bR + cR, relations["Re_2A_plus_B_nonzero"], True)):
-        with np.errstate(divide="ignore", invalid="ignore"):
-            r_sq = -aR * mu / coef
-        r = np.sqrt(np.where(nonzero & (r_sq > 0.0), r_sq, 0.0))
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+            unit_sq, r_sq = -aR * unit / coef, -aR * mu / coef
+        exists = nonzero & (unit_sq > 0.0)
+        u = np.sqrt(np.where(exists, unit_sq, 0.0))
         singular, stable = _stability_flags(
-            _radial_eigenvalues(aR, bR, cR, mu, r, r if standing else 0.0), tol)
-        families[name] = (~nonzero, r, ~nonzero | singular, (r > 0.0) & ~singular & stable)
+            _radial_eigenvalues(aR, bR, cR, unit, u, u if standing else 0.0), tol)
+        families[name] = (~nonzero, exists, np.sqrt(np.where(exists, r_sq, 0.0)),
+                          ~nonzero | singular, exists & ~singular & stable)
     return relations, families
 
 
 def branches(sys: ReducedSystem) -> list:
     """Trivial branch plus every nontrivial family existing at this mu.
 
-    A family whose cubic coefficient vanishes is listed at the origin as degenerate.
+    A family whose cubic coefficient vanishes is listed at the origin as
+    degenerate.  Stability is that of ``_wave_rule``, read at the unit offset.
     """
     points = [("trivial", 0.0, 0.0, *_stability_flags(
-        _radial_eigenvalues(sys.a.real, sys.b.real, sys.c.real, sys.mu, 0.0, 0.0),
+        _radial_eigenvalues(sys.a.real, sys.b.real, sys.c.real, np.sign(sys.mu), 0.0, 0.0),
         _tolerance(sys.b, sys.c)))]
-    for name, (flat, r, *flags) in _wave_rule(sys.a, sys.b, sys.c, sys.mu)[1].items():
+    for name, (flat, exists, r, *flags) in _wave_rule(sys.a, sys.b, sys.c, sys.mu)[1].items():
         r = float(r)
-        if flat or r > 0.0:
+        if flat or exists:
             points += ([("standing_wave", r, r, *flags)] if name == "standing_wave" else
                        [("rotating_wave_1", r, 0.0, *flags),
                         ("rotating_wave_2", 0.0, r, *flags)])
@@ -166,7 +173,7 @@ def classify_regime(sys: ReducedSystem) -> dict:
         "relations": relations,
         "degenerate": degenerate,
         "stable_families": [] if degenerate else [
-            name for name, (_, _, _, stable) in families.items() if stable],
+            name for name, (*_, stable) in families.items() if stable],
     }
 
 
@@ -180,9 +187,9 @@ def regime_batch(a, b, c, mu) -> dict:
     relations, families = _wave_rule(a, b, c, np.stack([mu, _probe(b, mu)]))
     regular = np.logical_and.reduce(list(relations.values()))
     out = {}
-    for name, (_, r, degenerate, stable) in families.items():
+    for name, (_, exists, _, degenerate, stable) in families.items():
         prefix = name.removesuffix("_wave")
-        out[f"{prefix}_exists"] = (r[0] > 0.0) & ~degenerate[0]
+        out[f"{prefix}_exists"] = exists[0] & ~degenerate[0]
         out[f"{prefix}_stable"] = stable[1] & regular
     return out
 

@@ -18,9 +18,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainMismatch, InadmissibleRegime
+from .errors import DomainMismatch
 from .modes import ModeSum
-from .params import ModelParams, hopf_bound, onset
+from .params import ModelParams, hopf_bound, onset, validate
 
 DEFAULT_IMAG_AXIS_TOL = 1e-10
 DEFAULT_N_MAX = 64
@@ -115,10 +115,7 @@ def onset_scan(params: ModelParams, n_max: int = DEFAULT_N_MAX) -> ScanResult:
     """Classify the spectrum over modes |n| <= n_max at params.beta."""
     if n_max < 2:
         raise ValueError("n_max must be at least 2")
-    data = onset(params)
-    if not data.admissible:
-        raise InadmissibleRegime("onset scan requires an admissible parameter set")
-
+    validate(params)
     records = [mode_eigenvalues(params, n) for n in range(0, n_max + 1)]
     tol = DEFAULT_IMAG_AXIS_TOL
     critical = [r.n for r in records
@@ -167,9 +164,9 @@ def xi1_star_amp(alpha, d2e, omega, half_length):
 
 
 def xi1(params: ModelParams) -> ModeSum:
-    """Eigenfunction of the critical mode n = 1 for eigenvalue +i omega."""
+    """Eigenfunction of the critical mode n = 1 for eigenvalue +i omega (admissible sets)."""
     return ModeSum.single(1, xi1_amp(params.alpha, params.effective_diffusion()[1],
-                                     onset(params).omega))
+                                     onset(validate(params)).omega))
 
 
 def xi2(params: ModelParams) -> ModeSum:
@@ -178,9 +175,9 @@ def xi2(params: ModelParams) -> ModeSum:
 
 
 def xi1_star(params: ModelParams) -> ModeSum:
-    """Dual eigenfunction, normalized so <xi1, xi1*> = 1."""
+    """Dual eigenfunction, normalized so <xi1, xi1*> = 1 (admissible sets)."""
     return ModeSum.single(1, xi1_star_amp(params.alpha, params.effective_diffusion()[1],
-                                          onset(params).omega, params.half_length))
+                                          onset(validate(params)).omega, params.half_length))
 
 
 def inner_product(params: ModelParams, f: ModeSum, g: ModeSum) -> complex:

@@ -4,6 +4,7 @@ import json
 import math
 import tempfile
 import warnings
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -13,8 +14,8 @@ from hypothesis import strategies as st
 
 from o2hopf import (ModelParams, O2HopfError, ReducedSystem, branches,
                     classify_regime, closed_form_constants, coeffs, onset,
-                    validate)
-from o2hopf.cli import _write_csv, dispatch
+                    turing_check, validate)
+from o2hopf.cli import _write_csv, build_parser, dispatch
 
 
 def run(capsys, *argv):
@@ -24,9 +25,10 @@ def run(capsys, *argv):
 
 
 def test_onset_subcommand(capsys):
-    code, out, _ = run(capsys, "onset", "--alpha", "2", "--beta", "7")
+    code, out, _ = run(capsys, "onset", "--alpha", "2", "--mu", "0")
     assert code == 0
     rec = json.loads(out)
+    assert rec["params"]["beta"] == 7.0
     assert rec["verdict"] == "hopf_onset"
     assert rec["beta1"] == 7.0
     assert abs(rec["omega"] - math.sqrt(3.0)) < 1e-12
@@ -82,7 +84,7 @@ def test_negative_flag_value_in_exponent_form(capsys):
 def test_validation_errors_exit_1(capsys):
     assert run(capsys, "coeffs")[0] == 1                      # missing alpha
     assert run(capsys, "coeffs", "--alpha", "-2")[0] == 1     # nonpositive
-    assert run(capsys, "coeffs", "--alpha", "1", "--beta", "1")[0] == 1
+    assert run(capsys, "coeffs", "--alpha", "1")[0] == 1      # omega^2 = 0
     assert run(capsys, "onset", "--alpha", "2", "--bogus", "1")[0] == 1
     assert run(capsys, "frobnicate")[0] == 1                  # unknown command
     assert run(capsys)[0] == 1                                # no command
@@ -102,7 +104,7 @@ def test_nonpositive_parameter_with_default_beta(capsys, argv, name):
 
 def test_config_file_and_out(capsys, tmp_path):
     cfg = tmp_path / "run.cfg"
-    cfg.write_text("alpha = 2.0\nbeta = 7.0\n")
+    cfg.write_text("alpha = 2.0\ndelta1 = 1.0\n")
     out_path = tmp_path / "onset.json"
     code, _, _ = run(capsys, "onset", "--config", str(cfg),
                      "--out", str(out_path))
@@ -320,7 +322,7 @@ def test_simulate_flags_a_saturated_wave_settled(capsys):
 
 def test_simulate_records_the_beta_it_runs(capsys, tmp_path):
     cfg = tmp_path / "run.cfg"
-    cfg.write_text("alpha = 2.0\nbeta = 99.0\n")
+    cfg.write_text("alpha = 2.0\n")
     out_path = tmp_path / "sim.json"
     code, _, _ = run(capsys, "simulate", "--config", str(cfg), "--mu", "0.05",
                      "--dt", "0.05", "--tmax", "1", "--n-grid", "16",
@@ -328,6 +330,7 @@ def test_simulate_records_the_beta_it_runs(capsys, tmp_path):
     assert code == 0
     rec = json.loads(out_path.read_text())
     assert rec["params"]["beta"] == rec["beta"] == 7.0 + 0.05
+    assert rec["mu"] == (7.0 + 0.05) - 7.0
 
 
 def test_onset_of_an_overflowing_bound_is_strict_json(capsys):
@@ -343,12 +346,13 @@ def test_onset_of_an_overflowing_bound_is_strict_json(capsys):
 
 
 def test_onset_csv_is_at_the_scan_beta(capsys, tmp_path):
+    # the record and the curve are both at beta = beta1 + mu
     out_csv = tmp_path / "curve.csv"
-    code, out, _ = run(capsys, "onset", "--alpha", "2", "--scan-beta", "7.5",
+    code, out, _ = run(capsys, "onset", "--alpha", "2", "--mu", "0.5",
                        "--n-max", "3", "--csv", str(out_csv))
     assert code == 0
     rec = json.loads(out)
-    assert rec["params"]["beta"] == 7.0
+    assert rec["params"]["beta"] == 7.5 and rec["beta1"] == 7.0
     mode1 = [m for m in rec["modes"] if m["n"] == 1][0]
     curve = {int(r["n"]): r for r in csv.DictReader(out_csv.open())}
     assert abs(mode1["re1"] - 0.25) < 1e-12
@@ -364,7 +368,7 @@ def test_onset_csv_is_at_the_scan_beta(capsys, tmp_path):
 
 def test_sweep_reads_config_and_flags_override_it(capsys, tmp_path):
     cfg = tmp_path / "run.cfg"
-    cfg.write_text("alpha = 3.0\nbeta = 99.0\ndelta1 = 2.0\n")
+    cfg.write_text("alpha = 3.0\ndelta1 = 2.0\n")
     out_csv = tmp_path / "cfg.csv"
     code, _, _ = run(capsys, "sweep", "--config", str(cfg), "--d1", "1.5",
                      "--grid", "mu=0.1:0.2:2", "--out", str(out_csv))
@@ -372,7 +376,7 @@ def test_sweep_reads_config_and_flags_override_it(capsys, tmp_path):
     rows = list(csv.DictReader(out_csv.open()))
     assert [(r["alpha"], r["delta1"], r["delta2"], r["mu"]) for r in rows] == [
         ("3.0", "1.5", "1.0", "0.1"), ("3.0", "1.5", "1.0", "0.2")]
-    # beta = beta1 + mu at every point; the file's beta is not used
+    # beta = beta1 + mu at every point
     assert {r["beta1"] for r in rows} == {str(1.0 + 9.0 + 1.5 + 1.0)}
     assert all(r["error"] == "" for r in rows)
 
@@ -382,10 +386,103 @@ def test_sweep_rejects_beta(capsys, tmp_path):
     code, _, err = run(capsys, "sweep", "--beta", "99", "--grid", "mu=0.1:0.2:2",
                        "--out", str(out_csv))
     assert code == 1
-    assert err.strip().splitlines() == [
-        "sweep sets beta = beta1 + mu at each point; give --mu or a mu grid "
-        "instead of --beta"]
+    assert err.strip().splitlines()[0] == "unrecognized arguments: --beta 99"
     assert not out_csv.exists()
+
+
+_MU_DEFAULTS = {"onset": 0.0, "coeffs": None, "classify": 0.1, "branch": 0.1,
+                "simulate": 0.0, "sweep": 0.1, "verify": None}
+
+
+def test_mu_is_the_one_control_input():
+    subparsers = build_parser()._subparsers._group_actions[0].choices
+    assert set(subparsers) == set(_MU_DEFAULTS)
+    for name, sub in subparsers.items():
+        options = sub._option_string_actions
+        assert "--beta" not in options and "--scan-beta" not in options, name
+        assert (options["--mu"].default if "--mu" in options else None) == _MU_DEFAULTS[name]
+
+
+@pytest.mark.parametrize("command", ["onset", "coeffs", "classify", "branch", "simulate",
+                                     "sweep"])
+@pytest.mark.parametrize("flag", ["--beta", "--scan-beta"])
+def test_beta_flags_are_unrecognised(capsys, tmp_path, command, flag):
+    grid = ("--grid", "mu=0:1:2") if command == "sweep" else ()
+    code, _, err = run(capsys, command, "--alpha", "2", flag, "7", *grid,
+                       "--out", str(tmp_path / "out"))
+    assert code == 1
+    assert err.splitlines()[0] == f"unrecognized arguments: {flag} 7"
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("command", ["onset", "coeffs", "classify", "branch", "simulate",
+                                     "sweep"])
+def test_config_beta_is_refused(capsys, tmp_path, command):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("alpha = 2.0\nbeta = 7.0\n")
+    grid = ("--grid", "mu=0:1:2") if command == "sweep" else ()
+    code, _, err = run(capsys, command, "--config", str(cfg), *grid,
+                       "--out", str(tmp_path / "out"))
+    assert code == 1
+    assert err.strip().splitlines() == [
+        f"{cfg}: beta is set as beta1 + mu on the command line; give --mu"]
+    assert not (tmp_path / "out").exists()
+
+
+def test_bad_config_value_names_its_line(capsys, tmp_path):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("# constants\nalpha = two\n")
+    code, _, err = run(capsys, "onset", "--config", str(cfg))
+    assert code == 1
+    assert err.strip().splitlines() == [
+        f"validation error: {cfg}:2: alpha must be a number, got 'two'"]
+
+
+def test_branch_below_onset_lists_only_the_trivial_branch(capsys):
+    code, out, _ = run(capsys, "branch", "--alpha", "2", "--mu", "-0.5")
+    assert code == 0
+    rec = json.loads(out)
+    assert rec["params"]["beta"] == 6.5 and rec["mu"] == -0.5
+    assert [(b["kind"], b["stability"]) for b in rec["branches"]] == [("trivial", "stable")]
+
+
+@pytest.mark.parametrize("alpha, mu", [("2", "1e-11"), ("2", "1e-300"), ("3", "1e308"),
+                                       ("3", "-1e-300"), ("2", "-1e-11")])
+def test_wave_verdict_does_not_depend_on_the_scale_of_mu(capsys, alpha, mu):
+    def verdict(mu):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, out, err = run(capsys, "classify", "--alpha", alpha, "--mu", mu)
+            assert code == 0 and err == ""
+            families = json.loads(out)["regime"]["stable_families"]
+            code, out, err = run(capsys, "branch", "--alpha", alpha, "--mu", mu)
+            assert code == 0 and err == ""
+        return families, [(b["kind"], b["stability"]) for b in json.loads(out)["branches"]]
+
+    families, kinds = verdict(mu)
+    assert (families, kinds) == verdict("0.1" if float(mu) > 0.0 else "-0.1")
+    assert all(stability != "degenerate" for _, stability in kinds)
+    if float(mu) > 0.0:
+        assert families == ["rotating_wave"]
+
+
+def test_verify_runs_every_check(capsys):
+    code, out, _ = run(capsys, "verify")
+    assert code == 0
+    lines = out.strip().splitlines()
+    assert lines[-1] == "all checks passed"
+    assert all(line.startswith("[PASS] ") for line in lines[:-1])
+    assert any(line.startswith("[PASS] pde_linear_rate  (measured ") for line in lines)
+
+
+def test_verify_exits_3_on_a_failed_check(capsys, monkeypatch):
+    report = turing_check(validate({"alpha": 2.0, "beta": 7.0}))
+    monkeypatch.setattr("o2hopf.cli.turing_check",
+                        lambda params: replace(report, both_positive_real_part=False))
+    code, out, _ = run(capsys, "verify", "--quick")
+    assert code == 3
+    assert "[FAIL] no_turing" in out.splitlines()
+    assert out.strip().splitlines()[-1] == "1 check(s) failed"
 
 
 _SIMULATE = ("simulate", "--alpha", "2", "--mu", "0.05", "--tmax", "1")
@@ -406,13 +503,14 @@ _UNRESOLVED = ("O(2)-Hopf analysis does not apply: alpha^2 / (1 + d1' + d2') exc
      "perturbed mode 200 lies above the 2/3 cutoff (mode 21)"),
     (_SIMULATE + ("--perturb", "1:nan"), "eps must be finite"),
     (("onset", "--config", "{tmp}/missing.cfg"), "No such file"),
-    (_SIMULATE + ("--beta", "99"), "give --beta or --mu, not both"),
-    (("onset", "--alpha", "2", "--scan-beta", "0"),
+    (("sweep", "--mu", "nan", "--grid", "alpha=1:3:2", "--out", "{tmp}/nan.csv"),
+     "--mu must be finite, got nan"),
+    # beta = beta1 + mu, and beta1 = 7 here
+    (("onset", "--alpha", "2", "--mu", "-7"),
      "parameter 'beta' must be strictly positive, got 0.0"),
-    (("onset", "--alpha", "2", "--scan-beta", "-3"),
+    (("onset", "--alpha", "2", "--mu", "-10"),
      "parameter 'beta' must be strictly positive, got -3.0"),
-    (("onset", "--alpha", "2", "--scan-beta", "nan"),
-     "parameter 'beta' must be strictly positive, got nan"),
+    (("onset", "--alpha", "2", "--mu", "nan"), "--mu must be finite, got nan"),
     (("classify", "--alpha", "2", "--mu", "nan"), "--mu must be finite, got nan"),
     (("branch", "--alpha", "2", "--mu", "inf"), "--mu must be finite, got inf"),
     (("sweep", "--grid", "alpha=1:3:0", "--out", "{tmp}/zero.csv"),
@@ -435,7 +533,7 @@ _UNRESOLVED = ("O(2)-Hopf analysis does not apply: alpha^2 / (1 + d1' + d2') exc
     # the default beta (inf) is not blamed
     (("coeffs", "--alpha", "2", "--half-length", "1e-200"),
      "O(2)-Hopf analysis does not apply: omega^2 = nan, beta1 = inf"),
-    (("onset", "--alpha", "2", "--beta", "7", "--half-length", "1e-200"),
+    (("onset", "--alpha", "2", "--half-length", "1e-200"),
      "O(2)-Hopf analysis does not apply: omega^2 = nan, beta1 = inf"),
     (("classify", "--alpha", "2", "--half-length", "1e-170"),
      "O(2)-Hopf analysis does not apply: omega^2 = nan, beta1 = inf"),
@@ -453,13 +551,21 @@ _UNRESOLVED = ("O(2)-Hopf analysis does not apply: alpha^2 / (1 + d1' + d2') exc
      "O(2)-Hopf analysis does not apply: the closed_form route overflows"),
     (("coeffs", "--alpha", "2", "--d1", "1e250", "--route", "direct"),
      "O(2)-Hopf analysis does not apply: the direct route overflows"),
-    (("onset", "--alpha", "2", "--scan-beta", "-1e-3"),
-     "parameter 'beta' must be strictly positive, got -0.001"),
+    (("sweep", "--grid", "alpha=1:inf:2", "--out", "{tmp}/inf.csv"),
+     "--grid expects name=lo:hi:count"),
     # omega^2 overflows to inf: inadmissible, and the scan's bound warns nowhere
     (("onset", "--alpha", "1e100", "--d1", "1e200"),
      "O(2)-Hopf analysis does not apply: omega^2 = inf, beta1 = 2e+200, bound = inf"),
     # admissible, but beta1 holds 1 + d1' + d2' to about 1e-22 only
     (_FAR_CORNER, _UNRESOLVED),
+    (("sweep", "--grid", "delta1=-inf:1:3", "--out", "{tmp}/ninf.csv"),
+     "lo and hi finite numbers and count an integer, got 'delta1=-inf:1:3'"),
+    (("sweep", "--grid", "mu=nan:0.1:3", "--out", "{tmp}/nanlo.csv"),
+     "--grid expects name=lo:hi:count"),
+    (("simulate", "--alpha", "2", "--mu", "-7.5"),
+     "parameter 'beta' must be strictly positive, got -0.5"),
+    (("classify", "--alpha", "2", "--mu", "-1e300"),
+     "parameter 'beta' must be strictly positive, got -1e+300"),
 ])
 def test_bad_invocation_fails_in_one_line(capsys, tmp_path, argv, message):
     code, _, err = run(capsys, *(a.format(tmp=tmp_path) for a in argv))

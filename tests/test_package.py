@@ -152,3 +152,13 @@ def test_readme_examples_run():
         assert argv[0] == "o2hopf"
         assert parser.parse_args(argv[1:]).func
     exec(_readme_block("Library", "python"), {})
+
+
+def test_readme_names_only_existing_flags():
+    # a flag the README's command-line section names is an option of some subcommand
+    text = README.read_text().split("\n## Command line\n", 1)[1].split("\n## ", 1)[0]
+    named = set(re.findall(r"(?<![\w-])--[a-z][a-z0-9-]*", text))
+    subparsers = build_parser()._subparsers._group_actions[0].choices.values()
+    options = {flag for sub in subparsers for flag in sub._option_string_actions}
+    assert len(named) > 10
+    assert sorted(named - options) == []

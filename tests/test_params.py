@@ -116,3 +116,15 @@ def test_load_config(tmp_path):
     nokv.write_text("alpha 2.0\n")
     with pytest.raises(ValueError):
         validate(read_config(nokv))
+
+    # every bad entry is named by file and line
+    for text, message in (
+            ("alpha = 2.0\n\ndelta1 = two\n", "3: delta1 must be a number, got 'two'"),
+            ("alpha = \n", "1: alpha must be a number, got ''"),
+            ("alpha = 2.0\n# again\nalpha = 3.0\n", "3: 'alpha' is given more than once"),
+            ("gamma = 3\n", "1: unknown key 'gamma'"),
+            ("alpha 2.0\n", "1: expected 'key = value', got 'alpha 2.0'")):
+        cfg.write_text(text)
+        with pytest.raises(ValueError) as exc:
+            read_config(cfg)
+        assert str(exc.value) == f"{cfg}:{message}"

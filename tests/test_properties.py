@@ -10,14 +10,17 @@ the suite fast.
 """
 
 import math
+import warnings
 
 import numpy as np
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from o2hopf import (InadmissibleRegime, ModelParams, SimConfig, Simulator, coeffs,
-                    equivariance_test, initialize, mode_eigenvalues, onset, solve_psi)
+from o2hopf import (InadmissibleRegime, ModelParams, ReducedSystem, SimConfig, Simulator,
+                    branches, classify_regime, coeffs, equivariance_test, initialize,
+                    mode_eigenvalues, onset, solve_psi)
 from o2hopf.normalform import ROUTES
+from o2hopf.reduced import regime_batch
 from o2hopf.spectral import beta_n, gamma_n, onset_poly
 
 PROPERTY = settings(max_examples=50, deadline=None, database=None)
@@ -130,6 +133,27 @@ def test_mode_eigenvalues_satisfy_vieta(p, n, mu):
     r1, r2 = mode_eigenvalues(p.with_beta(beta), n).roots
     assert abs((r1 + r2) + b) <= 1e-12 * (1.0 + abs(r1) + abs(r2))
     assert abs(r1 * r2 - c) <= 1e-12 * (1.0 + abs(r1) * abs(r2))
+
+
+_COEFFICIENTS = st.complex_numbers(max_magnitude=1e6, allow_nan=False, allow_infinity=False)
+_MAGNITUDES = st.one_of(st.sampled_from([5e-324, 1e-300, 1e-11, 1e154, 1e300, 1e308]),
+                        st.floats(5e-324, 1.7e308))
+
+
+def _verdict(a, b, c, mu):
+    sys_ = ReducedSystem(mu=mu, omega=1.0, a=a, b=b, c=c)
+    batch = regime_batch(*(np.array([v]) for v in (a, b, c, mu)))
+    return (classify_regime(sys_), [(p.kind, p.stability) for p in branches(sys_)],
+            {k: bool(v[0]) for k, v in batch.items()})
+
+
+@settings(max_examples=300, deadline=None, database=None)
+@given(_COEFFICIENTS, _COEFFICIENTS, _COEFFICIENTS, _MAGNITUDES, st.sampled_from([1.0, -1.0]))
+def test_wave_verdict_does_not_depend_on_the_scale_of_mu(a, b, c, magnitude, sign):
+    # the equilibria's r^2 and radial eigenvalues are proportional to mu
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert _verdict(a, b, c, sign * magnitude) == _verdict(a, b, c, sign * 0.1)
 
 
 @st.composite

@@ -95,6 +95,17 @@ def test_onset_scan_requires_admissible():
         onset_scan(ModelParams(alpha=1.0, beta=1.0))
 
 
+@pytest.mark.parametrize("helper", [onset_scan, xi1, xi2, xi1_star])
+def test_spectral_helpers_refuse_inadmissible_sets_as_validate_does(helper):
+    # omega^2 < 0 here: xi1_star divided by omega = 0 and xi1/xi2 used it
+    p = ModelParams(alpha=0.5, beta=3.0, delta1=0.1, delta2=2.0)
+    with pytest.raises(InadmissibleRegime) as want:
+        validate(p)
+    with pytest.raises(InadmissibleRegime) as got:
+        helper(p)
+    assert str(got.value) == str(want.value)
+
+
 def test_onset_certificate():
     scan = onset_scan(CANON, n_max=64)
     assert scan.certificate_margin > 0
