@@ -43,7 +43,7 @@ class _Parser(argparse.ArgumentParser):
         self._negative_number_matcher = re.compile(r"^-(\d+\.?\d*|\.\d+)([eE][-+]?\d+)?$")
 
     def error(self, message):
-        raise BadFlag(f"{message}\n{self.format_usage()}")
+        raise BadFlag(message)
 
 
 def _jsonify(obj):
@@ -177,10 +177,11 @@ def _params_from(ns) -> ModelParams:
 def cmd_onset(ns) -> int:
     params = _params_from(ns)
     scan = onset_scan(params, n_max=ns.n_max)
+    data = onset(params)
     record = {
         "params": params,
-        "beta1": onset(params).beta1,
-        "omega": onset(params).omega,
+        "beta1": data.beta1,
+        "omega": data.omega,
         "modes": [{"n": r.n, "re1": r.roots[0].real, "im1": r.roots[0].imag,
                    "re2": r.roots[1].real, "im2": r.roots[1].imag}
                   for r in scan.records],
@@ -189,9 +190,7 @@ def cmd_onset(ns) -> int:
         "verdict": scan.verdict,
         "turing": turing_check(params),
     }
-    # dispersion-curve rows; the leading root has the largest Re, then the largest Im
-    curve = [(r.n, r.k, r.max_real_part, max(r.roots, key=lambda z: (z.real, z.imag)).imag)
-             for r in scan.records]
+    curve = [(r.n, r.k, r.max_real_part, r.leading.imag) for r in scan.records]
     _emit(ns, record, _write_csv(ns.csv, ["n", "k", "re_lambda_max", "im_lambda"], zip(*curve)))
     return 0
 

@@ -25,7 +25,7 @@ def zero_mode_content(params: ModelParams, psi) -> dict:
     """
     d1, d2 = params.effective_diffusion()
     beta1 = onset(params).beta1
-    numerator = 4.0 * (params.alpha ** 2 + d2) - 2.0 * beta1
+    numerator = 4.0 * (params.alpha * params.alpha + d2) - 2.0 * beta1
 
     amplitudes = {
         name: getattr(psi, name).amp(0)
@@ -34,7 +34,7 @@ def zero_mode_content(params: ModelParams, psi) -> dict:
     }
     obstructed = any(np.linalg.norm(amplitudes[name]) > 0
                      for name in ("psi_11000", "psi_10100"))
-    scale = 1.0 + abs(beta1) + params.alpha ** 2
+    scale = 1.0 + abs(beta1) + params.alpha * params.alpha
     if abs(numerator) <= _DEGENERACY_TOL * scale:
         # measure-zero degeneracy where psi_11000 vanishes; no claim is made
         verdict = "inconclusive"

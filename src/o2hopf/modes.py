@@ -74,7 +74,7 @@ class ModeSum:
     def norm(self) -> float:
         if not self.terms:
             return 0.0
-        return float(np.sqrt(sum(np.sum(np.abs(a) ** 2) for a in self.terms.values())))
+        return float(np.sqrt(sum(np.sum(m * m) for m in map(np.abs, self.terms.values()))))
 
     def is_zero(self) -> bool:
         return self.norm() == 0.0

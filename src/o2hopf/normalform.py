@@ -221,7 +221,7 @@ def _hopf_onset(params: ModelParams) -> OnsetData:
 
 def _finite(route: str, compute, *args) -> dict:
     """compute(*args), a dict of numbers, unless one overflows at these constants."""
-    try:   # a Python float's ** or / raises where numpy's gives inf
+    try:   # a Python float's / raises where numpy's gives inf
         values = compute(*args)
         if np.isfinite(list(values.values())).all():
             return values
@@ -258,7 +258,7 @@ def _asymptotic_a(params: ModelParams) -> complex:
 
 def _c1(alpha, d1, d2, beta1, w, p20):
     """The P_2(0) term of c, shared by the direct route and the constant C_1."""
-    a2 = alpha ** 2
+    a2 = alpha * alpha
     return (4.0 / p20) * ((2.0 * (a2 + d2) - beta1) / alpha) \
         * (alpha * (4.0 * d1 + 1.0) - (4.0 * d2 / alpha) * (1j * w + 1.0 + d1))
 
@@ -266,7 +266,7 @@ def _c1(alpha, d1, d2, beta1, w, p20):
 def _direct(params: ModelParams) -> dict:
     """a, b and c with literal complex division by P_2(2i omega), P_2(0) and P_0(2i omega)."""
     alpha, (d1, d2) = params.alpha, params.effective_diffusion()
-    a2 = alpha ** 2
+    a2 = alpha * alpha
     data = onset(params)
     beta1, w = data.beta1, data.omega
     p2w = onset_poly(alpha, d1, d2, 4.0, 2j * w)
@@ -288,7 +288,7 @@ def _direct(params: ModelParams) -> dict:
 
 def _closed_form(alpha, d1, d2, beta1, w) -> dict:
     """The published constants from rescaled parameters; floats or arrays."""
-    a2 = alpha ** 2
+    a2 = alpha * alpha
     w2 = w * w
     p20 = onset_poly(alpha, d1, d2, 4.0, 0.0)
 
@@ -297,18 +297,19 @@ def _closed_form(alpha, d1, d2, beta1, w) -> dict:
     nr = (beta1 - 2.0 * a2 - 2.0 * d2) * n_common - 2.0 * w2 * m_common
     ni = (beta1 - 2.0 * a2 - 2.0 * d2) * m_common + 2.0 * n_common
 
-    denom = (a2 - 4.0 * d1 * d2) ** 2 + 4.0 * (d1 + d2) ** 2 * w2
-    br = (-6.0 / denom) * ((a2 - 4.0 * d1 * d2) * nr - 2.0 * w2 * (d1 + d2) * ni)
-    bi = (-6.0 / denom) * ((a2 - 4.0 * d1 * d2) * ni + 2.0 * (d1 + d2) * nr)
+    e, s = a2 - 4.0 * d1 * d2, d1 + d2
+    denom = e * e + 4.0 * (s * s) * w2
+    br = (-6.0 / denom) * (e * nr - 2.0 * w2 * s * ni)
+    bi = (-6.0 / denom) * (e * ni + 2.0 * s * nr)
 
     re_b = (5.0 * a2 + 5.0 * d2 - 4.0 * beta1 + br + d2 + d2 * bi) / (2.0 * a2)
-    im_b = (w2 + w2 * bi - 5.0 * d2 * a2 - 5.0 * d2 ** 2 + 4.0 * d2 * beta1
+    im_b = (w2 + w2 * bi - 5.0 * d2 * a2 - 5.0 * (d2 * d2) + 4.0 * d2 * beta1
             - d2 * br) / (2.0 * w * a2)
 
     inner1 = (1.0 + d1 - d2 - a2) * (2.0 * w2 - a2) - 4.0 * (1.0 + d1 - a2) * w2
     inner2 = 2.0 * w2 - a2 + (1.0 + d1 - d2 - a2) * (1.0 + d1 - a2)
-    c2r = (a2 - 4.0 * d1 * d2) * inner1 - 4.0 * w2 * (d1 + d2) * inner2
-    c2i = 2.0 * w * ((d1 + d2) * inner1 + (a2 - 4.0 * d1 * d2) * inner2)
+    c2r = e * inner1 - 4.0 * w2 * s * inner2
+    c2i = 2.0 * w * (s * inner1 + e * inner2)
 
     qr = (2.0 * (a2 + d2) - 4.0 * beta1
           + (4.0 / p20) * (2.0 * a2 + 2.0 * d2 - beta1)
@@ -433,7 +434,6 @@ def coeffs_report(params: ModelParams) -> dict:
         "params": params,
         "beta1": data.beta1,
         "omega": data.omega,
-        "mu": data.mu,
         "routes": per_route,
         "constants": {k: v for k, v in constants.items() if k not in ("b", "c")},
         "psi_residuals": proj.psi.residuals(params),

@@ -69,7 +69,8 @@ def critical_values(alpha, d1e, d2e):
 
 def hopf_bound(alpha, delta1, delta2):
     """(1 + alpha sqrt(delta1/delta2))^2: the Hopf analysis needs beta1 below it."""
-    return (1.0 + alpha * np.sqrt(delta1 / delta2)) ** 2
+    root = 1.0 + alpha * np.sqrt(delta1 / delta2)
+    return root * root
 
 
 def onset_terms(alpha, delta1, delta2, half_length):

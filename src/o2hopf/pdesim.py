@@ -24,7 +24,8 @@ call that costs two to four times as much at these sizes; each element
 gets the same arithmetic as in a member-major layout.  Each step's field
 is checked against the blow-up bound once, when the next step or the last
 forms it.  Batch members are bitwise equal to solo runs; ``rhs`` is the
-operator the steps integrate.
+operator the steps integrate.  A traveling start lies along the eigenvector
+(alpha^2, lambda - m11) of its mode's leading root: the +i omega wave at onset.
 """
 
 from __future__ import annotations
@@ -44,7 +45,7 @@ from numpy.fft._pocketfft_umath import rfft_n_odd as _rfft_odd
 
 from .errors import InvalidConfig, NoSaturation, NumericalBlowup, WindowTooShort
 from .params import ModelParams, onset
-from .spectral import mode_eigenvalues, mode_matrix
+from .spectral import mode_eigenvalues
 
 BLOWUP_NORM = 1e6   # a field value beyond this ends a run as NumericalBlowup
 GROWTH_EPS = 1e-5   # size of measure_growth_rate's perturbation
@@ -114,13 +115,6 @@ def grid(params: ModelParams, n_grid: int) -> np.ndarray:
     return -L + (2.0 * L / n_grid) * np.arange(n_grid)
 
 
-def _dominant_eigvec(params: ModelParams, k: int) -> np.ndarray:
-    m = mode_matrix(params, k, params.beta)
-    vals, vecs = np.linalg.eig(m)
-    v = vecs[:, int(np.argmax(vals.real))]
-    return v / v[np.argmax(np.abs(v))]
-
-
 def initialize(params: ModelParams, config: SimConfig) -> np.ndarray:
     """Uniform state (alpha, beta/alpha) as a (2, N) array of u1 and u2,
     perturbed as configured unless eps = 0."""
@@ -129,10 +123,13 @@ def initialize(params: ModelParams, config: SimConfig) -> np.ndarray:
     U[0], U[1] = params.alpha, params.beta / params.alpha
     if config.eps != 0.0:
         if config.perturb_kind == "traveling":
-            # single-direction complex mode along the leading eigenvector, so
-            # the tracked mode amplitude evolves as one clean exponential
+            # one complex mode along (alpha^2, lambda - m11), the eigenvector of the leading
+            # root lambda, so the tracked mode amplitude evolves as one clean exponential
             k = config.perturb_mode * params.k1
-            v = _dominant_eigvec(params, config.perturb_mode)
+            m11 = -k * k * params.delta1 + params.beta - 1.0
+            v = np.array([params.alpha * params.alpha,
+                          mode_eigenvalues(params, config.perturb_mode).leading - m11])
+            v /= v[np.argmax(np.abs(v))]
             wave = config.eps * np.real(np.exp(1j * k * x)[None, :] * v[:, None])
         else:   # "random"
             rng = np.random.default_rng(config.seed)
@@ -190,7 +187,7 @@ class Simulator:
         d = 2.0 * params.half_length / n
         self._k = k = 2.0 * np.pi * (np.arange(n // 2 + 1) * (1.0 / (n * d)))
         delta = np.array([[params.delta1], [params.delta2]])
-        self._symbol = -delta * k ** 2   # Laplacian symbol, (2, n//2 + 1)
+        self._symbol = -delta * (k * k)   # Laplacian symbol, (2, n//2 + 1)
         # complex multipliers: the same products without a cast on every use
         self._half = np.exp(self._symbol * (config.dt / 2.0)).astype(complex)
         self._full = np.exp(self._symbol * config.dt).astype(complex)

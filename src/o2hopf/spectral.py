@@ -8,12 +8,16 @@ Mode n (integer, wave number k = n*pi/half_length) contributes the 2x2 matrix
 with characteristic polynomial P_n(lambda, beta) = lambda^2 +
 (beta(n)-beta) lambda + gamma(n) - k^2 delta2 beta.  At beta = beta1 the
 modes n = +-1 carry the doubled pure-imaginary pair +-i omega; all other
-nonzero modes stay off the imaginary axis.
+nonzero modes stay off the imaginary axis.  The roots of every mode come
+from one array evaluation (``mode_eigenvalues`` is a batch of one), and a
+record's leading root has the larger real part, then the larger imaginary
+part: +i omega at onset.  Squares are products, as numpy's arrays form
+them; a float raised to the power 2 is libm pow, which is not x*x for about
+0.08 % of doubles, so a point would part from the same point in a batch.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -33,6 +37,11 @@ class ModeRecord:
     roots: tuple
     max_real_part: float
 
+    @property
+    def leading(self) -> complex:
+        """The leading root: the larger real part, then the larger imaginary part."""
+        return max(self.roots, key=lambda z: (z.real, z.imag))
+
 
 @dataclass(frozen=True)
 class ScanResult:
@@ -50,19 +59,19 @@ class TuringReport:
 
 def _beta_gamma(alpha, d1, d2, k2):
     """beta(k) and gamma(k) at wave number squared k2; floats or arrays."""
-    a2 = alpha ** 2
+    a2 = alpha * alpha
     return (1.0 + a2 + k2 * (d1 + d2),
-            k2 * d2 + k2 * d1 * a2 + k2 ** 2 * d1 * d2 + a2)
+            k2 * d2 + k2 * d1 * a2 + k2 * k2 * d1 * d2 + a2)
 
 
 def beta_n(params: ModelParams, n: int) -> float:
-    return _beta_gamma(params.alpha, params.delta1, params.delta2,
-                       (n * params.k1) ** 2)[0]
+    k = n * params.k1
+    return _beta_gamma(params.alpha, params.delta1, params.delta2, k * k)[0]
 
 
 def gamma_n(params: ModelParams, n: int) -> float:
-    return _beta_gamma(params.alpha, params.delta1, params.delta2,
-                       (n * params.k1) ** 2)[1]
+    k = n * params.k1
+    return _beta_gamma(params.alpha, params.delta1, params.delta2, k * k)[1]
 
 
 def onset_poly(alpha, d1, d2, n2, z):
@@ -75,40 +84,39 @@ def onset_poly(alpha, d1, d2, n2, z):
     next to alpha^2 when d1 + d2 is far smaller.  The constant is expanded as
     the published P_2(0) writes it, so the closed form keeps its bits.
     """
-    return (z * z + (n2 - 1.0) * (d1 + d2) * z + alpha ** 2 * (1.0 + n2 * (d1 - d2))
-            + n2 * (n2 - 1.0) * d1 * d2 - n2 * d2 ** 2)
+    return (z * z + (n2 - 1.0) * (d1 + d2) * z + alpha * alpha * (1.0 + n2 * (d1 - d2))
+            + n2 * (n2 - 1.0) * d1 * d2 - n2 * (d2 * d2))
 
 
 def mode_matrix(params: ModelParams, n: int, beta: float) -> np.ndarray:
-    k2, a2 = (n * params.k1) ** 2, params.alpha ** 2
+    k2, a2 = (n * params.k1) * (n * params.k1), params.alpha * params.alpha
     return np.array([[-k2 * params.delta1 + beta - 1.0, a2],
                      [-beta, -k2 * params.delta2 - a2]], dtype=complex)
 
 
-def _quadratic_roots(b: float, c: float):
-    """Roots of lambda^2 + b lambda + c, cancellation-safe."""
-    disc = b * b - 4.0 * c
-    if disc >= 0.0:
-        sq = math.sqrt(disc)
-        q = -0.5 * (b + math.copysign(sq, b)) if b != 0.0 else sq / 2.0
-        if q == 0.0:
-            return (0.0 + 0.0j, 0.0 + 0.0j)
-        r1 = complex(q)
-        r2 = complex(c / q)
-        return (r1, r2)
-    sq = math.sqrt(-disc)
-    return (complex(-b / 2.0, sq / 2.0), complex(-b / 2.0, -sq / 2.0))
+def _mode_records(params: ModelParams, ns) -> list:
+    """ModeRecords of the modes ns at params.beta from one array evaluation: the
+    cancellation-safe roots of lambda^2 + b lambda + c, q = -(b + sign(b) sqrt(disc))/2
+    and c/q (both 0 where q is) or -b/2 +- i sqrt(-disc)/2; like a float, it never warns."""
+    k = np.asarray(ns, dtype=float) * params.k1
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        bk, gk = _beta_gamma(params.alpha, params.delta1, params.delta2, k * k)
+        b = bk - params.beta
+        c = gk - k * k * params.delta2 * params.beta
+        disc = b * b - 4.0 * c
+        sq = np.sqrt(np.abs(disc))
+        q = np.where(b != 0.0, -0.5 * (b + np.copysign(sq, b)), 0.5 * sq)
+        real = disc >= 0.0
+        roots = np.empty((2, k.size), complex)   # set by parts: no sign of a zero moves
+        roots.real = np.where(real & (q != 0.0), (q, c / q), np.where(real, 0.0, -0.5 * b))
+        roots.imag = np.where(real, 0.0, (0.5 * sq, -0.5 * sq))
+    return [ModeRecord(n=n, k=kn, roots=(r1, r2), max_real_part=max(r1.real, r2.real))
+            for n, kn, (r1, r2) in zip(ns, k.tolist(), roots.T.tolist())]
 
 
 def mode_eigenvalues(params: ModelParams, n: int) -> ModeRecord:
-    """Roots of the mode-n characteristic polynomial at params.beta."""
-    k2 = (n * params.k1) ** 2
-    bk, gk = _beta_gamma(params.alpha, params.delta1, params.delta2, k2)
-    b = bk - params.beta
-    c = gk - k2 * params.delta2 * params.beta
-    roots = _quadratic_roots(b, c)
-    return ModeRecord(n=n, k=n * params.k1, roots=roots,
-                      max_real_part=max(r.real for r in roots))
+    """Roots of the mode-n characteristic polynomial at params.beta: a batch of one."""
+    return _mode_records(params, [n])[0]
 
 
 def onset_scan(params: ModelParams, n_max: int = DEFAULT_N_MAX) -> ScanResult:
@@ -116,18 +124,11 @@ def onset_scan(params: ModelParams, n_max: int = DEFAULT_N_MAX) -> ScanResult:
     if n_max < 2:
         raise ValueError("n_max must be at least 2")
     validate(params)
-    records = [mode_eigenvalues(params, n) for n in range(0, n_max + 1)]
+    records = _mode_records(params, range(n_max + 1))
     tol = DEFAULT_IMAG_AXIS_TOL
-    critical = [r.n for r in records
-                if r.n != 0 and abs(r.max_real_part) <= tol
-                and max(abs(root.real) for root in r.roots) <= tol]
-    unstable = [r.n for r in records if r.n != 0 and r.max_real_part > tol]
-    if critical and not unstable:
-        verdict = "hopf_onset"
-    elif unstable:
-        verdict = "unstable"
-    else:
-        verdict = "stable"
+    critical = [r.n for r in records[1:] if max(abs(z.real) for z in r.roots) <= tol]
+    unstable = [r.n for r in records[1:] if r.max_real_part > tol]
+    verdict = "unstable" if unstable else "hopf_onset" if critical else "stable"
 
     # Closed-form certificate: gamma(n) - k^2 d2 beta >= k^2 d2 (bound - beta),
     # uniform over all nonzero modes.
@@ -150,14 +151,14 @@ def turing_check(params: ModelParams) -> TuringReport:
 
 def xi1_amp(alpha, d2e, omega):
     """Amplitude of xi1 at wave index 1; floats or (B,) arrays -> (..., 2)."""
-    a2 = alpha ** 2
+    a2 = alpha * alpha
     second = (-a2 - d2e + 1j * omega) / a2
     return np.stack(np.broadcast_arrays(1.0 + 0.0j, second), axis=-1)
 
 
 def xi1_star_amp(alpha, d2e, omega, half_length):
     """Amplitude of the dual xi1* at wave index 1, normalized so <xi1, xi1*> = 1."""
-    a2 = alpha ** 2
+    a2 = alpha * alpha
     pref = 1j * (a2 / (4.0 * half_length * omega))
     first = pref * ((d2e + a2 - 1j * omega) / a2)
     return np.stack(np.broadcast_arrays(first, pref * 1.0), axis=-1)

@@ -52,6 +52,7 @@ def test_coeffs_full_report(capsys):
     assert rec["consistent"]["b:projection|direct"]
     assert not rec["consistent"]["b:projection|closed_form"]
     assert rec["mean_zero_obstruction"]["verdict"] == "present"
+    assert "mu" not in rec and rec["params"]["beta"] == rec["beta1"] == 7.0
 
 
 def test_coeffs_single_route(capsys):
@@ -386,7 +387,7 @@ def test_sweep_rejects_beta(capsys, tmp_path):
     code, _, err = run(capsys, "sweep", "--beta", "99", "--grid", "mu=0.1:0.2:2",
                        "--out", str(out_csv))
     assert code == 1
-    assert err.strip().splitlines()[0] == "unrecognized arguments: --beta 99"
+    assert err == "unrecognized arguments: --beta 99\n"
     assert not out_csv.exists()
 
 
@@ -411,7 +412,7 @@ def test_beta_flags_are_unrecognised(capsys, tmp_path, command, flag):
     code, _, err = run(capsys, command, "--alpha", "2", flag, "7", *grid,
                        "--out", str(tmp_path / "out"))
     assert code == 1
-    assert err.splitlines()[0] == f"unrecognized arguments: {flag} 7"
+    assert err == f"unrecognized arguments: {flag} 7\n"
     assert not (tmp_path / "out").exists()
 
 
@@ -566,6 +567,11 @@ _UNRESOLVED = ("O(2)-Hopf analysis does not apply: alpha^2 / (1 + d1' + d2') exc
      "parameter 'beta' must be strictly positive, got -0.5"),
     (("classify", "--alpha", "2", "--mu", "-1e300"),
      "parameter 'beta' must be strictly positive, got -1e+300"),
+    # argparse's own errors: the message alone, without the usage line
+    (("onset", "--alpha", "2", "--bogus", "1"), "unrecognized arguments: --bogus 1"),
+    (("coeffs", "--alpha", "two"), "argument --alpha: invalid float value: 'two'"),
+    (("coeffs", "--alpha", "2", "--route", "nope"), "argument --route: invalid choice: 'nope'"),
+    (("sweep", "--out", "{tmp}/nogrid.csv"), "the following arguments are required: --grid"),
 ])
 def test_bad_invocation_fails_in_one_line(capsys, tmp_path, argv, message):
     code, _, err = run(capsys, *(a.format(tmp=tmp_path) for a in argv))

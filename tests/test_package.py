@@ -107,6 +107,19 @@ def test_every_error_class_is_raised():
     assert sorted(exported - raised) == []
 
 
+def test_squares_are_products():
+    # a float's ** 2 goes through libm pow, which is not x*x for about 0.08 % of
+    # doubles, while numpy squares arrays by products: a point would part from
+    # the same point in a batch
+    found = []
+    for path in sorted(Path(o2hopf.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if (isinstance(node, ast.BinOp) and isinstance(node.op, ast.Pow)
+                    and isinstance(node.right, ast.Constant) and node.right.value == 2):
+                found.append(f"{path.name}:{node.lineno}")
+    assert found == []
+
+
 def _unused_parameters(path):
     """Parameters of a function or lambda that its body never reads.
 

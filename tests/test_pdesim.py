@@ -7,7 +7,8 @@ import pytest
 
 from o2hopf import (InvalidConfig, NoSaturation, NumericalBlowup, SimConfig, Simulator,
                     WindowTooShort, equivariance_test, initialize, measure_growth_rate,
-                    oscillation_frequency, timestep_convergence_order, validate)
+                    mode_eigenvalues, mode_matrix, onset, oscillation_frequency,
+                    timestep_convergence_order, validate)
 from o2hopf import pdesim
 from o2hopf.cli import dispatch
 from o2hopf.pdesim import amplitude_scaling_experiment
@@ -31,6 +32,19 @@ class TestInitialize:
         U = initialize(CANON, config)
         dev = np.max(np.abs(U - [[CANON.alpha], [7.0 / CANON.alpha]]))
         assert 1e-5 < dev < 1e-3
+
+    @pytest.mark.parametrize("offset", [-0.05, 0.0, 0.05])
+    @pytest.mark.parametrize("k", [1, 2, 3])
+    def test_traveling_start_is_the_leading_branch(self, offset, k):
+        # the index-k spectrum of the start is an eigenvector of M_k for the leading
+        # root, +i omega rather than its conjugate, whatever the rounding
+        params = CANON.with_beta(onset(CANON).beta1 + offset)
+        spectrum = np.fft.rfft(initialize(params, SimConfig(n_grid=64, perturb_mode=k)))[:, k]
+        lead = mode_eigenvalues(params, k).leading
+        m = mode_matrix(params, k, params.beta)
+        assert lead.imag > 0.0
+        assert (np.linalg.norm(m @ spectrum - lead * spectrum)
+                <= 1e-9 * np.linalg.norm(m) * np.linalg.norm(spectrum))
 
     def test_random_seed_determinism(self):
         config = SimConfig(n_grid=64, perturb_kind="random", seed=42)

@@ -4,7 +4,9 @@ Each example draws alpha, delta1, delta2 and the half-length, keeps the
 sets where the O(2)-Hopf analysis applies, and sits at beta = beta1; the
 far-side sets draw delta1 and delta2 log-uniformly, up to delta1 = 1e12, and
 the extreme constants reach alpha = 1e160 and delta = 1e308, admissible or
-not.  The algebraic properties draw 50 examples (300 extreme ones); the PDE
+not.  The algebraic properties draw 50 examples (300 extreme ones); a point
+is checked against the same point in a batch on 4 000 seeded admissible
+draws, with the sets their sampler rejected, and on far-side batches; the PDE
 properties draw a few short runs (16-32 grid points, about 50 steps) to keep
 the suite fast.
 """
@@ -13,13 +15,17 @@ import math
 import warnings
 
 import numpy as np
+import pytest
+from conftest import random_admissible
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from o2hopf import (InadmissibleRegime, ModelParams, ReducedSystem, SimConfig, Simulator,
-                    branches, classify_regime, coeffs, equivariance_test, initialize,
-                    mode_eigenvalues, onset, solve_psi)
-from o2hopf.normalform import ROUTES
+                    branches, classify_regime, closed_form_constants, coeffs,
+                    equivariance_test, initialize, mode_eigenvalues, onset, onset_scan,
+                    solve_psi, validate)
+from o2hopf.normalform import ROUTES, coeffs_batch
+from o2hopf.params import hopf_bound, onset_terms
 from o2hopf.reduced import regime_batch
 from o2hopf.spectral import beta_n, gamma_n, onset_poly
 
@@ -91,6 +97,90 @@ def test_onset_poly_is_the_characteristic_polynomial_at_beta1(p):
     assert onset_poly(p.alpha, d1, d2, 4.0, 0.0) > 0.0
     for n2, im in ((4.0, 6.0 * w * (d1 + d2)), (0.0, -2.0 * w * (d1 + d2))):
         assert abs(onset_poly(p.alpha, d1, d2, n2, 2j * w).imag - im) <= 1e-15 * abs(im)
+
+
+def _quadratic_roots(b, c):
+    """Roots of lambda^2 + b lambda + c by the scalar formula: onset_scan's reference."""
+    disc = b * b - 4.0 * c
+    if disc >= 0.0:
+        sq = math.sqrt(disc)
+        q = -0.5 * (b + math.copysign(sq, b)) if b != 0.0 else sq / 2.0
+        if q == 0.0:
+            return (0.0 + 0.0j, 0.0 + 0.0j)
+        return (complex(q), complex(c / q))
+    sq = math.sqrt(-disc)
+    return (complex(-b / 2.0, sq / 2.0), complex(-b / 2.0, -sq / 2.0))
+
+
+def _bits(*values):
+    return [np.asarray(v).tobytes() for v in values]
+
+
+def _assert_points_are_a_batch(sets):
+    """Each set's scalar admissibility, onset, coefficients and published constants
+    carry the bits of its entry in one array evaluation of all the sets."""
+    alpha, delta1, delta2, length = (np.array([getattr(p, name) for p in sets])
+                                     for name in ("alpha", "delta1", "delta2", "half_length"))
+    terms = onset_terms(alpha, delta1, delta2, length)
+    bound = hopf_bound(alpha, delta1, delta2)
+    admissible = terms[-1]
+    values, errors = coeffs_batch(*(v[admissible] for v in (alpha, *terms[:2], length)))
+    j = 0
+    for i, p in enumerate(sets):
+        assert _bits(*onset_terms(p.alpha, p.delta1, p.delta2, p.half_length),
+                     hopf_bound(p.alpha, p.delta1, p.delta2)) == \
+            _bits(*(t[i] for t in terms), bound[i])
+        data = onset(p)
+        assert data.admissible == admissible[i]
+        if not admissible[i]:
+            with pytest.raises(InadmissibleRegime):
+                validate(p)
+            continue
+        validate(p)
+        assert _bits(data.beta1, data.omega) == _bits(terms[2][i], np.sqrt(terms[3][i]))
+        nf, cf = coeffs(p, "projection"), closed_form_constants(p)
+        assert errors[j] is None
+        assert _bits(nf.a, nf.b, nf.c, cf["b"], cf["c"]) == _bits(*(values[name][j] for name in (
+            "a", "b_projection", "c_projection", "b_closed_form", "c_closed_form")))
+        j += 1
+
+
+def test_a_point_is_a_batch_of_one_on_seeded_draws():
+    # 4 000 admissible draws from admissible_sets' ranges, and the sets they rejected
+    rng = np.random.default_rng(20)
+    sets, n_admissible = [], 0
+    while n_admissible < 4000:
+        p = ModelParams(alpha=float(rng.uniform(0.5, 3.0)), beta=1.0,
+                        delta1=float(rng.uniform(0.2, 2.0)),
+                        delta2=float(rng.uniform(0.1, 1.5)),
+                        half_length=float(rng.uniform(1.0, 6.0)))
+        data = onset(p)
+        n_admissible += data.admissible
+        sets.append(p.with_beta(data.beta1) if data.admissible else p)
+    assert len(sets) > n_admissible
+    _assert_points_are_a_batch(sets)
+
+
+@PROPERTY
+@given(st.lists(far_side_sets(), min_size=1, max_size=8))
+def test_a_far_side_point_is_a_batch_of_one(sets):
+    _assert_points_are_a_batch(sets)
+
+
+def test_onset_scan_is_the_scalar_root_formula_in_one_pass():
+    rng = np.random.default_rng(21)
+    for _ in range(300):
+        p = random_admissible(rng, vary_domain=True)
+        p = p.with_beta(p.beta + float(rng.choice([0.0, rng.uniform(-1.0, 1.0)])))
+        scan = onset_scan(p, n_max=64)
+        assert [r.n for r in scan.records] == list(range(65))
+        for rec in scan.records:
+            k = rec.n * p.k1
+            roots = _quadratic_roots(beta_n(p, rec.n) - p.beta,
+                                     gamma_n(p, rec.n) - k * k * p.delta2 * p.beta)
+            assert _bits(rec.k, rec.roots, rec.max_real_part) == \
+                _bits(k, roots, max(r.real for r in roots))
+            assert mode_eigenvalues(p, rec.n) == rec
 
 
 @st.composite

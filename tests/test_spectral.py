@@ -197,6 +197,15 @@ def test_dispersion_curve_rows():
     records = onset_scan(CANON, n_max=8).records
     assert len(records) == 9
     rec = records[1]
-    lead = max(rec.roots, key=lambda z: (z.real, z.imag))
     assert rec.n == 1 and abs(rec.k - 1.0) < 1e-14
-    assert abs(rec.max_real_part) < 1e-12 and abs(abs(lead.imag) - RT3) < 1e-12
+    assert abs(rec.max_real_part) < 1e-12 and abs(rec.leading - 1j * RT3) < 1e-12
+
+
+def test_leading_root_is_the_larger_real_then_imaginary_part():
+    # a complex pair shares its real part, so the +i branch leads; a real pair by Re
+    for beta, n in ((7.0, 1), (6.9, 2), (7.0, 0), (7.0, 20)):
+        rec = mode_eigenvalues(CANON.with_beta(beta), n)
+        assert rec.leading == max(rec.roots, key=lambda z: (z.real, z.imag))
+        assert rec.leading.real == rec.max_real_part
+        if rec.roots[0].imag:
+            assert rec.leading.imag > 0.0 and rec.leading == rec.roots[0]
