@@ -1,4 +1,4 @@
-"""Command-line front end: onset | coeffs | classify | branch | simulate | sweep | verify.
+"""Command-line front end: onset | coeffs | classify | simulate | sweep | verify.
 
 Single-record reports are JSON (complex numbers as {re, im} pairs, keys
 snake_case); sweeps are CSV with one row per grid point.  Every file output
@@ -217,16 +217,7 @@ def cmd_classify(ns) -> int:
     sys_ = ReducedSystem.from_coeffs(coeffs(params, ns.route), ns.mu)
     record = {"params": params, "mu": ns.mu, "route": ns.route,
               "coefficients": {"a": sys_.a, "b": sys_.b, "c": sys_.c},
-              "regime": classify_regime(sys_)}
-    _emit(ns, record)
-    return 0
-
-
-def cmd_branch(ns) -> int:
-    params = _params_from(ns)
-    sys_ = ReducedSystem.from_coeffs(coeffs(params, ns.route), ns.mu)
-    record = {"params": params, "mu": ns.mu, "route": ns.route,
-              "branches": branches(sys_)}
+              "regime": classify_regime(sys_), "branches": branches(sys_)}
     _emit(ns, record)
     return 0
 
@@ -378,13 +369,14 @@ def _sweep_columns(fixed: dict, axes) -> dict:
     alpha, delta1, delta2, length, mu = (cols[k][live] for k in _GRID_FIELDS)
     d1e, d2e, beta1, omega_sq, admissible = onset_terms(alpha, delta1, delta2, length)
     put("beta1", live, beta1.tolist())
-    put("omega", live, np.sqrt(np.where(omega_sq > 0.0, omega_sq, 0.0)).tolist())
+    omega = np.sqrt(np.where(omega_sq > 0.0, omega_sq, 0.0))
+    put("omega", live, omega.tolist())
     put("admissible", live, admissible.tolist())
     beta = beta1 + mu
     bad = admissible & ~is_positive(beta)
     fail(live[bad], [NonPositiveParameter("beta", v) for v in beta[bad].tolist()])
     keep = admissible & ~bad
-    live, mu = live[keep], mu[keep]
+    live, mu, omega = live[keep], mu[keep], omega[keep]
 
     values, errors = coeffs_batch(alpha[keep], d1e[keep], d2e[keep], length[keep])
     bad = np.array([e is not None for e in errors], dtype=bool)
@@ -395,15 +387,16 @@ def _sweep_columns(fixed: dict, axes) -> dict:
         put(f"im_{name}", live[ok], v.imag[ok].tolist())
     solved = np.isfinite(values["a"])
     live = live[solved]
-    regime = regime_batch(*(values[k][solved] for k in ("a", "b_projection", "c_projection")),
-                          mu[solved])
-    put("tw_exists", live, regime["rotating_exists"].tolist())
-    put("sw_exists", live, regime["standing_exists"].tolist())
+    regime = regime_batch(ReducedSystem(
+        mu=mu[solved], omega=omega[solved], a=values["a"][solved],
+        b=values["b_projection"][solved], c=values["c_projection"][solved]))
+    rw, sw = regime["rotating_wave"], regime["standing_wave"]
+    for name, family in (("tw_exists", rw), ("sw_exists", sw)):
+        put(name, live, (family["exists"] & (family["stability"] != "degenerate")).tolist())
     put("stable_families", live, [
-        "|".join(family for family, stable in (("rotating_wave", rw), ("standing_wave", sw))
+        "|".join(family for family, stable in (("rotating_wave", r), ("standing_wave", s))
                  if stable)
-        for rw, sw in zip(regime["rotating_stable"].tolist(),
-                          regime["standing_stable"].tolist())])
+        for r, s in zip(rw["stable"].tolist(), sw["stable"].tolist())])
     return out
 
 
@@ -511,11 +504,10 @@ def build_parser() -> _Parser:
     p.add_argument("--csv", help="also write a one-row-per-route CSV")
     p.set_defaults(func=cmd_coeffs)
 
-    for name, func in (("classify", cmd_classify), ("branch", cmd_branch)):
-        p = sub.add_parser(name)
-        _add_param_flags(p, mu=0.1)
-        p.add_argument("--route", choices=ROUTES, default="projection")
-        p.set_defaults(func=func)
+    p = sub.add_parser("classify", help="wave-family regime and branches")
+    _add_param_flags(p, mu=0.1)
+    p.add_argument("--route", choices=ROUTES, default="projection")
+    p.set_defaults(func=cmd_classify)
 
     p = sub.add_parser("simulate", help="pseudospectral PDE run")
     _add_param_flags(p, mu=0.0)

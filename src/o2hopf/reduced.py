@@ -10,7 +10,9 @@ decouples into a planar radial system and two phase equations,
 
 Nontrivial radial equilibria are the rotating waves (one radius zero) and
 the standing waves (equal radii); stability is always read off the radial
-Jacobian, never transcribed from a diagram.
+Jacobian, never transcribed from a diagram.  One record, regime_batch,
+holds the wave families of a batch of systems; branches and
+classify_regime read it for a batch of one.
 """
 
 from __future__ import annotations
@@ -31,6 +33,8 @@ DEGENERACY_TOL = 1e-10
 
 @dataclass(frozen=True)
 class ReducedSystem:
+    """The truncation at one mu; regime_batch also takes (P,) arrays as fields."""
+
     mu: float
     omega: float
     a: complex
@@ -63,11 +67,6 @@ def _polar_vector_field(sys: ReducedSystem, r1: float, r2: float):
     return dr1, dr2, dth1, dth2
 
 
-def _tolerance(b, c):
-    """Degeneracy threshold of a coefficient pair; floats or arrays."""
-    return DEGENERACY_TOL * (1.0 + abs(b) + abs(c))
-
-
 def _radial_eigenvalues(aR, bR, cR, mu, r1, r2):
     """Eigenvalues of the radial Jacobian at an equilibrium, in closed form.
 
@@ -82,88 +81,99 @@ def _radial_eigenvalues(aR, bR, cR, mu, r1, r2):
             aR * mu + 3.0 * bR * s2 + cR * s1 - q)
 
 
-def _stability_flags(eigs, scale):
-    """(degenerate, stable) of two real eigenvalues; floats or arrays."""
-    e1, e2 = eigs
-    return ((abs(e1) <= scale) | (abs(e2) <= scale)), ((e1 < 0.0) & (e2 < 0.0))
+def regime_batch(sys: ReducedSystem) -> dict:
+    """The wave-family record of sys, whose fields are floats or (P,) arrays.
 
-
-def _probe(b, mu):
-    """mu, or at mu = 0 the unit offset of sign -Re b at which stability is read."""
-    return np.where(mu != 0.0, mu, -np.copysign(1.0, np.real(b)))
-
-
-def _wave_rule(a, b, c, mu):
-    """(relations, families) of a, b, c (complex) and mu (real); floats or arrays.
-
-    relations are the three non-degeneracy relations, with (A, B) = (c, b - c).
-    families maps "rotating_wave" (cubic coefficient Re b, radii (r, 0)) and
-    "standing_wave" (Re b + Re c, radii (r, r)) to (flat, exists, r,
-    degenerate, stable): the coefficient is within tolerance of zero; the
-    family exists; its radius sqrt(-Re a mu / coefficient), 0 where it does
-    not exist; flat or a radial eigenvalue at the equilibrium within tolerance
-    of zero; the family exists and both eigenvalues are negative.  The
-    equilibrium's r^2 and eigenvalues are proportional to mu, so existence
-    and the eigenvalues are read at the unit offset sign(mu): the verdict is
-    the same at every mu of one sign, however small or large.
+    "relations" holds the three non-degeneracy relations, with (A, B) =
+    (c, b - c).  "trivial" (radii (0, 0)), "rotating_wave" (cubic
+    coefficient Re b, radii (r, 0)) and "standing_wave" (Re b + Re c, radii
+    (r, r)) each map
+      exists: the family is a branch at mu, an equilibrium there or, when
+        its coefficient is within tolerance of zero (flat), the origin;
+      radius: r = sqrt(-Re a mu / coefficient), 0 where it does not exist;
+      stability: "degenerate" at mu = 0, for a flat family, or when a
+        radial eigenvalue at the equilibrium is within DEGENERACY_TOL |Re a|
+        of zero; else "stable" or "unstable";
+      stable: at the probe offset, the relations hold and the family exists
+        and is stable (classify_regime's stable_families);
+      frequencies: (th1', th2') at the equilibrium.
+    The equilibrium's r^2 and eigenvalues are proportional to mu, so the
+    rule is read once, at the unit offset sign(mu): the verdict is the same
+    at every mu of one sign, however small or large.  At mu = 0 only a flat
+    family exists and every branch is degenerate; the probe offset there is
+    -sign(Re b), just off onset.
     """
-    a, b, c, mu = (np.asarray(v) for v in (a, b, c, mu))   # numpy divides 1/0 quietly
+    a, b, c, mu = (np.asarray(v) for v in (sys.a, sys.b, sys.c, sys.mu))
     aR, bR, cR = a.real, b.real, c.real
-    unit = np.sign(mu)
-    tol = _tolerance(b, c)
+    live = mu != 0.0
+    unit = np.where(live, np.sign(mu), -np.copysign(1.0, bR))
+    tol = DEGENERACY_TOL * (1.0 + abs(b) + abs(c))
     relations = {
         "Re_B_nonzero": abs(bR - cR) > tol,                # Re(b - c) != 0
         "Re_A_plus_B_nonzero": abs(bR) > tol,              # Re b != 0
         "Re_2A_plus_B_nonzero": abs(bR + cR) > tol,        # Re(b + c) != 0
     }
-    families = {}
-    for name, coef, nonzero, standing in (
-            ("rotating_wave", bR, relations["Re_A_plus_B_nonzero"], False),
-            ("standing_wave", bR + cR, relations["Re_2A_plus_B_nonzero"], True)):
-        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+    regular = np.logical_and.reduce(list(relations.values()))
+    scale = DEGENERACY_TOL * abs(aR)   # the radial eigenvalues are Re a times ratios
+    record = {"relations": relations}
+    shape = np.shape(unit)
+    every, zero = np.full(shape, True), np.zeros(shape)
+    # flat, exists at the probe, exists at mu, radius at the probe and at mu
+    families = {"trivial": (~every, every, every, zero, zero)}
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        for name, coef, nonzero in (
+                ("rotating_wave", bR, relations["Re_A_plus_B_nonzero"]),
+                ("standing_wave", bR + cR, relations["Re_2A_plus_B_nonzero"])):
             unit_sq, r_sq = -aR * unit / coef, -aR * mu / coef
-        exists = nonzero & (unit_sq > 0.0)
-        u = np.sqrt(np.where(exists, unit_sq, 0.0))
-        singular, stable = _stability_flags(
-            _radial_eigenvalues(aR, bR, cR, unit, u, u if standing else 0.0), tol)
-        families[name] = (~nonzero, exists, np.sqrt(np.where(exists, r_sq, 0.0)),
-                          ~nonzero | singular, exists & ~singular & stable)
-    return relations, families
+            exists = nonzero & (unit_sq > 0.0)
+            families[name] = (~nonzero, exists, ~nonzero | (exists & live),
+                              np.sqrt(np.where(exists, unit_sq, 0.0)),
+                              np.sqrt(np.where(exists & live, r_sq, 0.0)))
+        for name, (flat, exists, listed, u, r) in families.items():
+            u2, r2 = (u, r) if name == "standing_wave" else (0.0, 0.0)
+            e1, e2 = _radial_eigenvalues(aR, bR, cR, unit, u, u2)
+            degenerate = flat | (abs(e1) <= scale) | (abs(e2) <= scale)
+            negative = (e1 < 0.0) & (e2 < 0.0)
+            record[name] = {
+                "exists": listed,
+                "radius": r,
+                "stability": np.where(degenerate | ~live, "degenerate",
+                                      np.where(negative, "stable", "unstable")),
+                "stable": exists & ~degenerate & negative & regular,
+                "frequencies": _polar_vector_field(sys, r, r2)[2:],
+            }
+    return record
 
 
 def branches(sys: ReducedSystem) -> list:
-    """Trivial branch plus every nontrivial family existing at this mu.
+    """The branch points of ``regime_batch`` at this mu: its batch of one.
 
-    A family whose cubic coefficient vanishes is listed at the origin as
-    degenerate.  Stability is that of ``_wave_rule``, read at the unit offset.
+    The trivial branch, then rotating_wave_1 (r, 0), rotating_wave_2
+    (0, r) and standing_wave (r, r) where the family exists; a flat family
+    is listed at the origin as degenerate.
     """
-    points = [("trivial", 0.0, 0.0, *_stability_flags(
-        _radial_eigenvalues(sys.a.real, sys.b.real, sys.c.real, np.sign(sys.mu), 0.0, 0.0),
-        _tolerance(sys.b, sys.c)))]
-    for name, (flat, exists, r, *flags) in _wave_rule(sys.a, sys.b, sys.c, sys.mu)[1].items():
-        r = float(r)
-        if flat or exists:
-            points += ([("standing_wave", r, r, *flags)] if name == "standing_wave" else
-                       [("rotating_wave_1", r, 0.0, *flags),
-                        ("rotating_wave_2", 0.0, r, *flags)])
+    record = regime_batch(sys)
     out = []
-    for kind, r1, r2, degenerate, stable in points:
-        _, _, dth1, dth2 = _polar_vector_field(sys, r1, r2)
-        stability = "degenerate" if degenerate else "stable" if stable else "unstable"
-        out.append(BranchPoint(kind=kind, r1=r1, r2=r2, stability=stability,
-                               frequencies=(dth1, dth2)))
+    for name in ("trivial", "rotating_wave", "standing_wave"):
+        family = record[name]
+        if family["exists"]:
+            r, stability = float(family["radius"]), str(family["stability"])
+            th1, th2 = map(float, family["frequencies"])
+            out += ([BranchPoint("rotating_wave_1", r, 0.0, stability, (th1, th2)),
+                     BranchPoint("rotating_wave_2", 0.0, r, stability, (th2, th1))]
+                    if name == "rotating_wave" else
+                    [BranchPoint(name, r, r, stability, (th1, th2))])
     return out
 
 
 def classify_regime(sys: ReducedSystem) -> dict:
     """Non-degeneracy relations and which wave family is orbitally stable.
 
-    Both are read off the rule of ``branches``, at the probe offset when
-    mu = 0; (A, B) = (c, b - c) gives the quadrant report.
+    Both are ``regime_batch``'s, of the batch of one; (A, B) = (c, b - c)
+    gives the quadrant report.
     """
-    relations, families = _wave_rule(sys.a, sys.b, sys.c, _probe(sys.b, sys.mu))
-    relations = {name: bool(holds) for name, holds in relations.items()}
-    degenerate = not all(relations.values())
+    record = regime_batch(sys)
+    relations = {name: bool(holds) for name, holds in record["relations"].items()}
     A = sys.c
     B = sys.b - sys.c
     return {
@@ -171,27 +181,10 @@ def classify_regime(sys: ReducedSystem) -> dict:
         "B_real": B.real,
         "sector": (int(np.sign(A.real)), int(np.sign(B.real))),
         "relations": relations,
-        "degenerate": degenerate,
-        "stable_families": [] if degenerate else [
-            name for name, (*_, stable) in families.items() if stable],
+        "degenerate": not all(relations.values()),
+        "stable_families": [name for name in ("rotating_wave", "standing_wave")
+                            if record[name]["stable"]],
     }
-
-
-def regime_batch(a, b, c, mu) -> dict:
-    """What ``branches`` and ``classify_regime`` read off the same rule, for (P,) arrays.
-
-    rotating_exists/standing_exists: the family exists at mu with a
-    nondegenerate stability; rotating_stable/standing_stable: it is in
-    classify_regime's stable_families.  Bool arrays under those keys.
-    """
-    relations, families = _wave_rule(a, b, c, np.stack([mu, _probe(b, mu)]))
-    regular = np.logical_and.reduce(list(relations.values()))
-    out = {}
-    for name, (_, exists, _, degenerate, stable) in families.items():
-        prefix = name.removesuffix("_wave")
-        out[f"{prefix}_exists"] = exists[0] & ~degenerate[0]
-        out[f"{prefix}_stable"] = stable[1] & regular
-    return out
 
 
 # The embedded 5(4) pair of Dormand & Prince (1980): stage coefficients

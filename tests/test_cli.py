@@ -66,11 +66,9 @@ def test_coeffs_single_route(capsys):
 def test_classify_and_branch(capsys):
     code, out, _ = run(capsys, "classify", "--alpha", "2", "--mu", "0.1")
     assert code == 0
-    assert json.loads(out)["regime"]["stable_families"] == ["rotating_wave"]
-
-    code, out, _ = run(capsys, "branch", "--alpha", "2", "--mu", "0.1")
-    assert code == 0
-    kinds = {b["kind"]: b for b in json.loads(out)["branches"]}
+    rec = json.loads(out)
+    assert rec["regime"]["stable_families"] == ["rotating_wave"]
+    kinds = {b["kind"]: b for b in rec["branches"]}
     assert kinds["rotating_wave_1"]["stability"] == "stable"
     assert abs(kinds["rotating_wave_1"]["r1"]
                - math.sqrt(0.05 * 24.0 / 11.0)) < 1e-10
@@ -391,8 +389,8 @@ def test_sweep_rejects_beta(capsys, tmp_path):
     assert not out_csv.exists()
 
 
-_MU_DEFAULTS = {"onset": 0.0, "coeffs": None, "classify": 0.1, "branch": 0.1,
-                "simulate": 0.0, "sweep": 0.1, "verify": None}
+_MU_DEFAULTS = {"onset": 0.0, "coeffs": None, "classify": 0.1, "simulate": 0.0,
+                "sweep": 0.1, "verify": None}
 
 
 def test_mu_is_the_one_control_input():
@@ -404,8 +402,7 @@ def test_mu_is_the_one_control_input():
         assert (options["--mu"].default if "--mu" in options else None) == _MU_DEFAULTS[name]
 
 
-@pytest.mark.parametrize("command", ["onset", "coeffs", "classify", "branch", "simulate",
-                                     "sweep"])
+@pytest.mark.parametrize("command", ["onset", "coeffs", "classify", "simulate", "sweep"])
 @pytest.mark.parametrize("flag", ["--beta", "--scan-beta"])
 def test_beta_flags_are_unrecognised(capsys, tmp_path, command, flag):
     grid = ("--grid", "mu=0:1:2") if command == "sweep" else ()
@@ -416,8 +413,7 @@ def test_beta_flags_are_unrecognised(capsys, tmp_path, command, flag):
     assert not (tmp_path / "out").exists()
 
 
-@pytest.mark.parametrize("command", ["onset", "coeffs", "classify", "branch", "simulate",
-                                     "sweep"])
+@pytest.mark.parametrize("command", ["onset", "coeffs", "classify", "simulate", "sweep"])
 def test_config_beta_is_refused(capsys, tmp_path, command):
     cfg = tmp_path / "run.cfg"
     cfg.write_text("alpha = 2.0\nbeta = 7.0\n")
@@ -440,7 +436,7 @@ def test_bad_config_value_names_its_line(capsys, tmp_path):
 
 
 def test_branch_below_onset_lists_only_the_trivial_branch(capsys):
-    code, out, _ = run(capsys, "branch", "--alpha", "2", "--mu", "-0.5")
+    code, out, _ = run(capsys, "classify", "--alpha", "2", "--mu", "-0.5")
     assert code == 0
     rec = json.loads(out)
     assert rec["params"]["beta"] == 6.5 and rec["mu"] == -0.5
@@ -455,16 +451,36 @@ def test_wave_verdict_does_not_depend_on_the_scale_of_mu(capsys, alpha, mu):
             warnings.simplefilter("error")
             code, out, err = run(capsys, "classify", "--alpha", alpha, "--mu", mu)
             assert code == 0 and err == ""
-            families = json.loads(out)["regime"]["stable_families"]
-            code, out, err = run(capsys, "branch", "--alpha", alpha, "--mu", mu)
-            assert code == 0 and err == ""
-        return families, [(b["kind"], b["stability"]) for b in json.loads(out)["branches"]]
+        rec = json.loads(out)
+        return (rec["regime"]["stable_families"],
+                [(b["kind"], b["stability"]) for b in rec["branches"]])
 
     families, kinds = verdict(mu)
     assert (families, kinds) == verdict("0.1" if float(mu) > 0.0 else "-0.1")
     assert all(stability != "degenerate" for _, stability in kinds)
     if float(mu) > 0.0:
         assert families == ["rotating_wave"]
+
+
+@pytest.mark.parametrize("d1", ["1e10", "1e12", "1e150"])
+def test_wave_verdict_holds_at_large_diffusion(capsys, tmp_path, d1):
+    # |b| and |c| grow with delta1, while the radial eigenvalues at the unit
+    # offset are Re a times ratios of them: no branch turns degenerate
+    code, out, _ = run(capsys, "classify", "--alpha", "2", "--d1", d1)
+    assert code == 0
+    rec = json.loads(out)
+    assert not rec["regime"]["degenerate"]
+    assert rec["regime"]["stable_families"] == ["rotating_wave"]
+    assert [(b["kind"], b["stability"]) for b in rec["branches"]] == [
+        ("trivial", "unstable"), ("rotating_wave_1", "stable"),
+        ("rotating_wave_2", "stable"), ("standing_wave", "unstable")]
+    out_csv = tmp_path / "sweep.csv"
+    code, _, _ = run(capsys, "sweep", "--alpha", "2", "--grid", f"delta1={d1}:{d1}:1",
+                     "--out", str(out_csv))
+    assert code == 0
+    (row,) = csv.DictReader(out_csv.open())
+    assert (row["tw_exists"], row["sw_exists"], row["stable_families"]) == (
+        "True", "True", "rotating_wave")
 
 
 def test_verify_runs_every_check(capsys):
@@ -513,7 +529,7 @@ _UNRESOLVED = ("O(2)-Hopf analysis does not apply: alpha^2 / (1 + d1' + d2') exc
      "parameter 'beta' must be strictly positive, got -3.0"),
     (("onset", "--alpha", "2", "--mu", "nan"), "--mu must be finite, got nan"),
     (("classify", "--alpha", "2", "--mu", "nan"), "--mu must be finite, got nan"),
-    (("branch", "--alpha", "2", "--mu", "inf"), "--mu must be finite, got inf"),
+    (("classify", "--alpha", "2", "--mu", "inf"), "--mu must be finite, got inf"),
     (("sweep", "--grid", "alpha=1:3:0", "--out", "{tmp}/zero.csv"),
      "--grid alpha: count must be at least 1, got 0"),
     (("sweep", "--grid", "alpha=1:3:-1", "--out", "{tmp}/neg.csv"),
@@ -538,7 +554,7 @@ _UNRESOLVED = ("O(2)-Hopf analysis does not apply: alpha^2 / (1 + d1' + d2') exc
      "O(2)-Hopf analysis does not apply: omega^2 = nan, beta1 = inf"),
     (("classify", "--alpha", "2", "--half-length", "1e-170"),
      "O(2)-Hopf analysis does not apply: omega^2 = nan, beta1 = inf"),
-    (("branch", "--alpha", "2", "--half-length", "1e-100"),
+    (("classify", "--alpha", "2", "--half-length", "1e-100"),
      "O(2)-Hopf analysis does not apply: omega^2 = -inf"),
     (_SIMULATE + ("--half-length", "1e-200"),
      "O(2)-Hopf analysis does not apply: omega^2 = nan, beta1 = inf"),
@@ -572,6 +588,7 @@ _UNRESOLVED = ("O(2)-Hopf analysis does not apply: alpha^2 / (1 + d1' + d2') exc
     (("coeffs", "--alpha", "two"), "argument --alpha: invalid float value: 'two'"),
     (("coeffs", "--alpha", "2", "--route", "nope"), "argument --route: invalid choice: 'nope'"),
     (("sweep", "--out", "{tmp}/nogrid.csv"), "the following arguments are required: --grid"),
+    (("branch", "--alpha", "2"), "argument command: invalid choice: 'branch'"),
 ])
 def test_bad_invocation_fails_in_one_line(capsys, tmp_path, argv, message):
     code, _, err = run(capsys, *(a.format(tmp=tmp_path) for a in argv))

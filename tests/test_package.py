@@ -10,6 +10,7 @@ from pathlib import Path
 import pytest
 
 import o2hopf
+from o2hopf import cli
 from o2hopf.cli import build_parser
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -175,3 +176,14 @@ def test_readme_names_only_existing_flags():
     options = {flag for sub in subparsers for flag in sub._option_string_actions}
     assert len(named) > 10
     assert sorted(named - options) == []
+
+
+def test_docs_name_only_existing_subcommands():
+    # every "o2hopf <command>" of the README and the command list that opens
+    # cli's docstring name subcommands of the parser
+    commands = set(build_parser()._subparsers._group_actions[0].choices)
+    named = set(re.findall(r"(?<!from )\bo2hopf ([a-z][\w-]*)", README.read_text()))
+    listed = cli.__doc__.split("\n", 1)[0].partition(": ")[2].rstrip(".").split(" | ")
+    assert len(named) > 5
+    assert sorted(named - commands) == []
+    assert sorted(listed) == sorted(commands)

@@ -232,9 +232,13 @@ _MAGNITUDES = st.one_of(st.sampled_from([5e-324, 1e-300, 1e-11, 1e154, 1e300, 1e
 
 def _verdict(a, b, c, mu):
     sys_ = ReducedSystem(mu=mu, omega=1.0, a=a, b=b, c=c)
-    batch = regime_batch(*(np.array([v]) for v in (a, b, c, mu)))
+    batch = regime_batch(ReducedSystem(*(np.array([v]) for v in (mu, 1.0, a, b, c))))
+    relations = batch.pop("relations")
+    # the radii and frequencies scale with mu; the rest of the record is the verdict
     return (classify_regime(sys_), [(p.kind, p.stability) for p in branches(sys_)],
-            {k: bool(v[0]) for k, v in batch.items()})
+            {k: bool(v[0]) for k, v in relations.items()},
+            {(name, k): str(family[k][0]) for name, family in batch.items()
+             for k in ("exists", "stability", "stable")})
 
 
 @settings(max_examples=300, deadline=None, database=None)

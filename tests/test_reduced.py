@@ -165,20 +165,70 @@ class TestClassification:
         b = rng.uniform(-3, 3, n) + 1j * rng.uniform(-1, 1, n)
         c = rng.uniform(-3, 3, n) + 1j * rng.uniform(-1, 1, n)
         mu = rng.choice([-0.1, 0.0, 0.05, 0.2], n)
+        omega = rng.uniform(0.5, 2.0, n)
         # degenerate coefficient pairs: Re b = 0, Re b + Re c = 0, Re b = Re c
         b[:20] = 1j * b[:20].imag
         c[20:40] = -b[20:40].real + 1j * c[20:40].imag
         c[40:60] = b[40:60].real + 1j * c[40:60].imag
-        got = regime_batch(a, b, c, mu)
+        got = regime_batch(ReducedSystem(mu=mu, omega=omega, a=a, b=b, c=c))
+        layouts = {"trivial": [("trivial", False)],
+                   "rotating_wave": [("rotating_wave_1", False), ("rotating_wave_2", True)],
+                   "standing_wave": [("standing_wave", False)]}
         for i in range(n):
-            sys = ReducedSystem(mu=float(mu[i]), omega=1.0, a=complex(a[i]),
+            sys = ReducedSystem(mu=float(mu[i]), omega=float(omega[i]), a=complex(a[i]),
                                 b=complex(b[i]), c=complex(c[i]))
-            kinds = {bp.kind for bp in branches(sys) if bp.stability != "degenerate"}
+            points = {bp.kind: bp for bp in branches(sys)}
             stable = classify_regime(sys)["stable_families"]
-            assert got["rotating_exists"][i] == ("rotating_wave_1" in kinds)
-            assert got["standing_exists"][i] == ("standing_wave" in kinds)
-            assert got["rotating_stable"][i] == ("rotating_wave" in stable)
-            assert got["standing_stable"][i] == ("standing_wave" in stable)
+            for name, layout in layouts.items():
+                family = {k: v[i] if k != "frequencies" else (v[0][i], v[1][i])
+                          for k, v in got[name].items()}
+                assert family["exists"] == all(kind in points for kind, _ in layout)
+                assert family["stable"] == (name in stable) or name == "trivial"
+                for kind, mirrored in layout:
+                    if kind not in points:
+                        continue
+                    bp = points[kind]
+                    r, frequencies = family["radius"], family["frequencies"]
+                    radii = (bp.r2, bp.r1) if mirrored else (bp.r1, bp.r2)
+                    assert radii == (r, r if name == "standing_wave" else 0.0)
+                    assert bp.frequencies == (frequencies[::-1] if mirrored else frequencies)
+                    assert bp.stability == family["stability"]
+            kinds = {kind for kind, bp in points.items() if bp.stability != "degenerate"}
+            # the sweep's tw_exists and sw_exists columns
+            for name, kind in (("rotating_wave", "rotating_wave_1"),
+                               ("standing_wave", "standing_wave")):
+                column = got[name]["exists"][i] and got[name]["stability"][i] != "degenerate"
+                assert column == (kind in kinds)
+
+    def test_stability_is_the_closed_form_sign_table(self):
+        # at Re a mu > 0 the rotating waves are stable iff Re b < 0 and Re c < Re b,
+        # the standing waves iff Re(b + c) < 0 and Re c > Re b; otherwise neither.
+        # The table is exact, so it holds at every scale of the coefficients.
+        rng = np.random.default_rng(21)
+        b, c = (10.0 ** rng.uniform(-3, 200, 50_000)
+                * np.exp(2j * np.pi * rng.uniform(0, 1, 50_000)) for _ in range(2))
+        # each relation at least 1e-6 (|b| + |c|) from zero
+        gap = 1e-6 * (abs(b) + abs(c))
+        keep = ((abs(b.real) >= gap) & (abs((b + c).real) >= gap)
+                & (abs((b - c).real) >= gap))
+        m = 20_000
+        b, c = b[keep][:m], c[keep][:m]
+        assert len(b) == m
+        aR = rng.choice([-1.0, 1.0], m) * 10.0 ** rng.uniform(-6, 6, m)
+        mu = rng.choice([-1.0, 1.0], m) * 10.0 ** rng.uniform(-6, 2, m)
+        a = aR + 1j * rng.uniform(-1, 1, m)
+        got = regime_batch(ReducedSystem(mu=mu, omega=1.0, a=a, b=b, c=c))
+        supercritical = aR * mu > 0.0
+        bR, cR = b.real, c.real
+        want = {"rotating_wave": supercritical & (bR < 0.0) & (cR < bR),
+                "standing_wave": supercritical & (bR + cR < 0.0) & (cR > bR)}
+        for name, stable in want.items():
+            family = got[name]
+            assert np.array_equal(family["stable"], stable), name
+            labels = family["stability"][family["exists"]]
+            assert np.array_equal(labels == "stable", stable[family["exists"]]), name
+            assert not np.any(labels == "degenerate"), name
+        assert not np.any(got["trivial"]["stability"] == "degenerate")
 
     def test_stability_labels_match_the_flow(self):
         # an independent reference for the labels: start 1e-3 off each branch
