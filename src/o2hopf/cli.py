@@ -148,6 +148,7 @@ def _add_param_flags(p, mu=None):
 
 
 _CONSTANTS = ("alpha", "delta1", "delta2", "half_length")
+_MAX_SAMPLES = 100_000   # a simulate sample takes about 1.6 kB: 160 MB at this bound
 
 
 def _raw_params(ns) -> dict:
@@ -249,6 +250,9 @@ def cmd_simulate(ns) -> int:
     if n_steps < sample_every:
         raise InvalidConfig(f"tmax = {config.t_max:g} is shorter than one sample "
                             f"interval ({sample_every * config.dt:g})")
+    if n_steps // sample_every > _MAX_SAMPLES:
+        raise InvalidConfig(f"tmax = {config.t_max:g} gives {n_steps // sample_every} samples; "
+                            f"a run records at most {_MAX_SAMPLES}")
     times = config.dt * np.arange(sample_every, n_steps + 1, sample_every)
     samples = []   # modes 0-3 of u1, then the means: the k = 0 coefficients
 
@@ -281,7 +285,7 @@ def cmd_simulate(ns) -> int:
 
 
 def _parse_grid(spec: str):
-    """'name=lo:hi:count' -> (name, values)."""
+    """'name=lo:hi:count' -> (name, (lo, hi, count))."""
     name, _, rng = spec.partition("=")
     form = ("--grid expects name=lo:hi:count with name in {alpha, delta1, delta2, mu}, "
             f"lo and hi finite numbers and count an integer, got {spec!r}")
@@ -296,7 +300,7 @@ def _parse_grid(spec: str):
         raise BadFlag(form)
     if count < 1:
         raise BadFlag(f"--grid {name}: count must be at least 1, got {count}")
-    return name, np.linspace(lo, hi, count)
+    return name, (lo, hi, count)
 
 
 _SWEEP_FIELDS = [
@@ -378,7 +382,7 @@ def _sweep_columns(fixed: dict, axes) -> dict:
     keep = admissible & ~bad
     live, mu, omega = live[keep], mu[keep], omega[keep]
 
-    values, errors = coeffs_batch(alpha[keep], d1e[keep], d2e[keep], length[keep])
+    values, errors = coeffs_batch(alpha[keep], d1e[keep], d2e[keep])
     bad = np.array([e is not None for e in errors], dtype=bool)
     fail(live[bad], [e for e in errors if e is not None])
     for name, v in values.items():   # NaN from the point's first failure on
@@ -401,6 +405,7 @@ def _sweep_columns(fixed: dict, axes) -> dict:
 
 
 _SWEEP_DEFAULTS = {"alpha": 2.0, "delta1": 1.0, "delta2": 1.0, "half_length": math.pi}
+_MAX_POINTS = 100_000   # a sweep point takes about 2.4 kB: 240 MB at this bound
 
 
 def cmd_sweep(ns) -> int:
@@ -411,12 +416,14 @@ def cmd_sweep(ns) -> int:
     """
     raw = _raw_params(ns)
     fixed = {**{k: raw.get(k, v) for k, v in _SWEEP_DEFAULTS.items()}, "mu": ns.mu}
-    axes = [_parse_grid(spec) for spec in ns.grid]
-    names = [name for name, _ in axes]
+    ranges = [_parse_grid(spec) for spec in ns.grid]
+    names = [name for name, _ in ranges]
     for name in names:
         if names.count(name) > 1:
             raise BadFlag(f"--grid {name} is given more than once; give each axis one range")
-    columns = _sweep_columns(fixed, axes)
+    if (points := math.prod(count for _, (_, _, count) in ranges)) > _MAX_POINTS:
+        raise BadFlag(f"--grid gives {points} points; a sweep holds at most {_MAX_POINTS}")
+    columns = _sweep_columns(fixed, [(name, np.linspace(*rng)) for name, rng in ranges])
 
     out = ns.out or "sweep.csv"
     _write_manifest(ns, out, _write_csv(out, _SWEEP_FIELDS,

@@ -22,20 +22,21 @@ and its conjugate at -1, psi_11000 and psi_10100 at 0, psi_20000 and
 psi_10010 at 2, while psi_00001 vanishes.  Every value of R20 and R30 is a
 multiple s (1, -1).  So each function is held as a (B, 2) complex
 amplitude at its fixed index, the multilinear maps become elementwise
-products, and (z I - M_n) psi = s (1, -1) is solved in closed form, with
-P_n(z) from ``spectral.onset_poly``.  On an admissible set no P_n(z) the
-routes divide by vanishes (P_0(0) = alpha^2, P_2(0) = det M_2(beta1) > 0
-below the Turing bound, and Im P_2(2i omega), Im P_0(2i omega) are
-+-omega multiples of d1 + d2), so every route requires admissibility and
-nothing else.  ``coeffs``, ``solve_psi`` and ``coeffs_report`` run the
-kernel with B = 1; the ModeSum algebra of ``modes`` stays the independent
-reference with which ``PsiTable.residuals`` and the report's residual
-orthogonality rebuild the vectors.  Constants so extreme that a route's
-values overflow, or that doubles cannot resolve, are an inadmissible
-regime.
+products, (z I - M_n) psi = s (1, -1) is solved in closed form, with
+P_n(z) from ``spectral.onset_poly``, and the pairing of s (1, -1) with
+xi1* is s (omega - i delta2') / (2 omega), in which the domain length
+cancels.  On an admissible set no P_n(z) the routes divide by vanishes
+(P_0(0) = alpha^2, P_2(0) = det M_2(beta1) > 0 below the Turing bound,
+and Im P_2(2i omega), Im P_0(2i omega) are +-omega multiples of d1 + d2),
+so every route requires admissibility and nothing else.  ``coeffs``,
+``solve_psi`` and ``coeffs_report`` run the kernel with B = 1; the
+ModeSum algebra of ``modes`` stays the independent reference with which
+``PsiTable.residuals`` and the report's residual orthogonality rebuild
+the vectors.  Constants so extreme that a route's values overflow, or
+that doubles cannot resolve, are an inadmissible regime.
 
-All coefficients depend only on alpha, delta1, delta2 and the domain
-length, never on mu.
+All coefficients depend only on alpha and the rescaled diffusion rates
+delta1', delta2', never on mu.
 """
 
 from __future__ import annotations
@@ -49,22 +50,18 @@ from .errors import InadmissibleRegime
 from .meanzero import zero_mode_content
 from .modes import ModeSum, R01, R20, R30
 from .params import ModelParams, OnsetData, critical_values, onset, validate
-from .spectral import (inner_product, mode_matrix, onset_poly, xi1, xi1_amp,
-                       xi1_star, xi1_star_amp, xi2)
+from .spectral import inner_product, mode_matrix, onset_poly, xi1, xi1_amp, xi1_star, xi2
 
 ROUTES = ("projection", "direct", "closed_form")
 
 _OVERFLOW = "O(2)-Hopf analysis does not apply: the {} route overflows at these constants"
-# beta1 = alpha^2 + (1 + d1 + d2) holds its second part only to a relative
-# 1e-16 m, m = alpha^2 / (1 + d1 + d2), and the projection route errs by about
-# 1e-16 sqrt(m), up to 150 times that near the Turing bound.  On 70 707
-# admissible draws with 1e3 < m < 1e13 it parted from the direct route by more
-# than 1e-10 from m = 5.3e7 on; at m <= _RESOLUTION the worst gap was 2.7e-12.
+# Against an 80-digit evaluation of the direct formula, projection and direct both err
+# by about 1e-16 sqrt(m), m = alpha^2 / (1 + d1 + d2): at worst 2e-13 up to m = 1e6, 2e-11
+# up to 1e10 and 6e-10 up to 1e13.  The limit keeps them within 1e-12 of that evaluation.
 _RESOLUTION = 1e6
 _UNRESOLVED = (f"O(2)-Hopf analysis does not apply: alpha^2 / (1 + d1' + d2') exceeds "
                f"{_RESOLUTION:g}, where doubles do not resolve the coefficients")
 CONSISTENCY_TOL = 1e-8
-_PM = np.array([1.0, -1.0])
 
 # The kernel's resolvent systems: (reduction function, whether the resolvent
 # value is 2i omega rather than 0, wave index of the system).
@@ -155,13 +152,13 @@ class _Batch(NamedTuple):
     finite: np.ndarray     # (B,) bool: a, b and c finite
 
 
-def _projection_kernel(alpha, d1, d2, half_length) -> _Batch:
+def _projection_kernel(alpha, d1, d2) -> _Batch:
     """Projection-route a, b and c for a batch of parameter points.
 
-    alpha, the rescaled diffusion rates d1, d2 and half_length are (B,)
-    float arrays of admissible points.  The scalar route's overflow check
-    becomes the mask finite; the a, b, c and psi of a masked point are
-    meaningless.
+    alpha and the rescaled diffusion rates d1, d2 are (B,) float arrays of
+    admissible points, and the results depend on them alone.  The scalar
+    route's overflow check becomes the mask finite; the a, b, c and psi of
+    a masked point are meaningless.
     """
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):   # masked below
         beta1, omega_sq = critical_values(alpha, d1, d2)
@@ -169,15 +166,13 @@ def _projection_kernel(alpha, d1, d2, half_length) -> _Batch:
         ratio = beta1 / alpha
         x1 = xi1_amp(alpha, d2, w)          # at 1
         x1c = x1.conj()                     # conj xi1 at -1; conj xi2 at 1
-        star = xi1_star_amp(alpha, d2, w, half_length).conj()
 
         def r20(u, v):   # s with R20(u, v) = s (1, -1)
             return (alpha * (_cmul(u[:, 0], v[:, 1]) + _cmul(u[:, 1], v[:, 0]))
                     + _cmul(ratio * u[:, 0], v[:, 0]))
 
-        def project(s):
-            """<s (1, -1), xi1*> at wave index 1."""
-            return 2.0 * half_length * (s[:, None, None] * _PM @ star[:, :, None])[:, 0, 0]
+        def project(s):   # <s (1, -1), xi1*> at wave index 1 = s (omega - i d2) / (2 omega)
+            return _cmul(s, (w - 1j * d2) / (2.0 * w))
 
         s11 = 2.0 * r20(x1, x1c)            # 2 R20(xi1, conj xi2)
         s20 = r20(x1, x1)                   # R20(xi1, xi2)
@@ -233,9 +228,7 @@ def _finite(route: str, compute, *args) -> dict:
 def _project(params: ModelParams) -> _Projection:
     """The projection kernel at B = 1; raises where it overflows."""
     data = _hopf_onset(params)
-    d1, d2 = params.effective_diffusion()
-    k = _projection_kernel(*(np.array([v], dtype=float)
-                             for v in (params.alpha, d1, d2, params.half_length)))
+    k = _projection_kernel(*np.array([[params.alpha, *params.effective_diffusion()]]).T)
     if not k.finite[0]:
         raise InadmissibleRegime(_OVERFLOW.format("projection"))
     amps = {name: ModeSum.single(n, k.psi[name][0]) for name, _, n in _SYSTEMS}
@@ -341,11 +334,11 @@ def closed_form_constants(params: ModelParams) -> dict:
                    data.beta1, data.omega)
 
 
-def coeffs_batch(alpha, d1, d2, half_length):
+def coeffs_batch(alpha, d1, d2):
     """Projection a, b, c and closed-form b, c for arrays of points.
 
-    alpha, the rescaled diffusion rates d1, d2 and half_length are (P,)
-    arrays of admissible points.  Returns (values, errors): values maps
+    alpha and the rescaled diffusion rates d1, d2 are (P,) arrays of
+    admissible points.  Returns (values, errors): values maps
     "a", "b_projection", "c_projection", "b_closed_form" and
     "c_closed_form" to (P,) complex arrays; errors[i] is the error that
     ``coeffs`` and then ``closed_form_constants`` raise for point i, else
@@ -353,7 +346,7 @@ def coeffs_batch(alpha, d1, d2, half_length):
     published constants alone overflow keeps its projection values.
     """
     resolved = _resolved(alpha, d1, d2)
-    k = _projection_kernel(alpha, d1, d2, half_length)
+    k = _projection_kernel(alpha, d1, d2)
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):   # masked below
         closed = _closed_form(alpha, d1, d2, k.beta1, k.omega)
     solved = resolved & k.finite

@@ -49,6 +49,7 @@ from .spectral import mode_eigenvalues
 
 BLOWUP_NORM = 1e6   # a field value beyond this ends a run as NumericalBlowup
 GROWTH_EPS = 1e-5   # size of measure_growth_rate's perturbation
+_MAX_GRID = 2 ** 20  # a run holds about 300 bytes per grid point: 330 MB at this bound
 
 
 _PERTURB_KINDS = ("traveling", "random")
@@ -84,14 +85,17 @@ class SimConfig:
         if not (_isfinite(self.t_max) and self.t_max >= self.dt):
             raise InvalidConfig(f"t_max must be finite and at least one step "
                                 f"(dt = {self.dt:g}), got {self.t_max!r}")
+        if not self.t_max / self.dt < 2.0 ** 63:
+            raise InvalidConfig(f"t_max/dt = {self.t_max / self.dt:.3g} steps is beyond int64")
         if not _isfinite(self.eps):
             raise InvalidConfig(f"eps must be finite, got {self.eps!r}")
         for name in ("n_grid", "perturb_mode", "seed"):
             value = getattr(self, name)
             if not isinstance(value, numbers.Integral):
                 raise InvalidConfig(f"{name} must be an integer, got {value!r}")
-        if self.n_grid < 2:
-            raise InvalidConfig(f"n_grid must be at least 2, got {self.n_grid!r}")
+        if not 2 <= self.n_grid <= _MAX_GRID:
+            raise InvalidConfig(f"n_grid must be at least 2 and at most {_MAX_GRID}, "
+                                f"got {self.n_grid!r}")
         if self.seed < 0:
             raise InvalidConfig(f"seed must be a non-negative integer, got {self.seed!r}")
         if self.perturb_kind not in _PERTURB_KINDS:

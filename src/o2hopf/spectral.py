@@ -28,6 +28,7 @@ from .params import ModelParams, hopf_bound, onset, validate
 
 DEFAULT_IMAG_AXIS_TOL = 1e-10
 DEFAULT_N_MAX = 64
+_MAX_N_MAX = 100_000   # a mode's record takes about 0.5 kB: 1e5 modes scan in 0.5 s and 50 MB
 
 
 @dataclass(frozen=True)
@@ -121,8 +122,8 @@ def mode_eigenvalues(params: ModelParams, n: int) -> ModeRecord:
 
 def onset_scan(params: ModelParams, n_max: int = DEFAULT_N_MAX) -> ScanResult:
     """Classify the spectrum over modes |n| <= n_max at params.beta."""
-    if n_max < 2:
-        raise ValueError("n_max must be at least 2")
+    if not 2 <= n_max <= _MAX_N_MAX:
+        raise ValueError(f"n_max must be at least 2 and at most {_MAX_N_MAX}, got {n_max}")
     validate(params)
     records = _mode_records(params, range(n_max + 1))
     tol = DEFAULT_IMAG_AXIS_TOL
@@ -156,14 +157,6 @@ def xi1_amp(alpha, d2e, omega):
     return np.stack(np.broadcast_arrays(1.0 + 0.0j, second), axis=-1)
 
 
-def xi1_star_amp(alpha, d2e, omega, half_length):
-    """Amplitude of the dual xi1* at wave index 1, normalized so <xi1, xi1*> = 1."""
-    a2 = alpha * alpha
-    pref = 1j * (a2 / (4.0 * half_length * omega))
-    first = pref * ((d2e + a2 - 1j * omega) / a2)
-    return np.stack(np.broadcast_arrays(first, pref * 1.0), axis=-1)
-
-
 def xi1(params: ModelParams) -> ModeSum:
     """Eigenfunction of the critical mode n = 1 for eigenvalue +i omega (admissible sets)."""
     return ModeSum.single(1, xi1_amp(params.alpha, params.effective_diffusion()[1],
@@ -177,8 +170,10 @@ def xi2(params: ModelParams) -> ModeSum:
 
 def xi1_star(params: ModelParams) -> ModeSum:
     """Dual eigenfunction, normalized so <xi1, xi1*> = 1 (admissible sets)."""
-    return ModeSum.single(1, xi1_star_amp(params.alpha, params.effective_diffusion()[1],
-                                          onset(validate(params)).omega, params.half_length))
+    omega = onset(validate(params)).omega
+    a2, d2e = params.alpha * params.alpha, params.effective_diffusion()[1]
+    pref = 1j * (a2 / (4.0 * params.half_length * omega))
+    return ModeSum.single(1, np.array([pref * ((d2e + a2 - 1j * omega) / a2), pref]))
 
 
 def inner_product(params: ModelParams, f: ModeSum, g: ModeSum) -> complex:

@@ -3,6 +3,7 @@ import io
 import json
 import math
 import tempfile
+import time
 import warnings
 from dataclasses import replace
 from pathlib import Path
@@ -596,6 +597,28 @@ def test_bad_invocation_fails_in_one_line(capsys, tmp_path, argv, message):
     assert len(err.strip().splitlines()) == 1
     assert "Traceback" not in err
     assert message in err
+
+
+@pytest.mark.parametrize("argv, message", [
+    (("onset", "--alpha", "2", "--n-max", "100000000"),
+     "validation error: n_max must be at least 2 and at most 100000, got 100000000"),
+    (_SIMULATE + ("--n-grid", "1000000000"),
+     "validation error: n_grid must be at least 2 and at most 1048576, got 1000000000"),
+    (_SIMULATE + ("--tmax", "1e11", "--dt", "1"),
+     "validation error: tmax = 1e+11 gives 100000000000 samples; a run records at most 100000"),
+    (("sweep", "--grid", "alpha=1:2:100000", "--grid", "delta1=1:2:100000"),
+     "--grid gives 10000000000 points; a sweep holds at most 100000"),
+    (("sweep", "--grid", "mu=0:1:1000000000000"),
+     "--grid gives 1000000000000 points; a sweep holds at most 100000"),
+    # round(tmax/dt) is beyond the int64 range that step counts are held in
+    (_SIMULATE + ("--dt", "1e-300"), "validation error: t_max/dt = 1e+300 steps is beyond int64"),
+])
+def test_sizes_that_would_exhaust_memory_are_refused_at_once(capsys, tmp_path, argv, message):
+    start = time.perf_counter()
+    code, _, err = run(capsys, *argv, "--out", str(tmp_path / "out"))
+    assert time.perf_counter() - start < 1.0
+    assert (code, err) == (1, message + "\n")
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_blowup_exits_2_in_one_line(capsys):

@@ -6,7 +6,8 @@ from conftest import random_admissible
 
 from o2hopf import InadmissibleRegime, ModelParams, onset, onset_scan, validate
 from o2hopf.normalform import (ROUTES, _projection_kernel, closed_form_constants,
-                               coeffs, coeffs_report, solve_psi)
+                               coeffs, coeffs_batch, coeffs_report, solve_psi)
+from o2hopf.params import onset_terms
 
 CANON = validate({"alpha": 2.0, "beta": 7.0})
 RT3 = math.sqrt(3.0)
@@ -20,7 +21,7 @@ GOLDEN_C = complex(-11.0 / 4.0, RT3 / 4.0)
 
 def _kernel(sets):
     return _projection_kernel(*(np.array(v) for v in zip(*[
-        (p.alpha, *p.effective_diffusion(), p.half_length) for p in sets])))
+        (p.alpha, *p.effective_diffusion()) for p in sets])))
 
 
 class TestPsi:
@@ -85,8 +86,7 @@ def test_far_side_sets_are_solved(params):
 
 def test_unresolved_constants_are_refused_by_every_route():
     # with delta = 1 and L = 1, m = alpha^2 / (1 + d1' + d2') is 4.8e4 at
-    # alpha = 1e3, and 4.8e10 at alpha = 1e6, where projection and direct
-    # part by 1.3e-10
+    # alpha = 1e3, and 4.8e10 at alpha = 1e6, past the 1e6 limit
     solved = _at_onset(alpha=1e3, half_length=1.0)
     proj, direct = coeffs(solved, "projection"), coeffs(solved, "direct")
     for name in "abc":
@@ -243,3 +243,65 @@ class TestKernel:
                 assert abs(got - want) <= 1e-14 * abs(want)
             assert np.allclose(k.psi["psi_20000"][i], psi.psi_20000.amp(2),
                                rtol=1e-14, atol=0.0)
+
+
+def test_projection_equals_direct_on_log_uniform_sets():
+    # 3 000 admissible sets with alpha, delta1 and delta2 log-uniform, four domain
+    # lengths and m = alpha^2 / (1 + d1' + d2') up to the 1e6 limit
+    rng = np.random.default_rng(22)
+    alpha, delta1, delta2 = (10.0 ** rng.uniform(lo, hi, 20000)
+                             for lo, hi in ((-1.0, 3.5), (-3.0, 3.0), (-3.0, 3.0)))
+    length = rng.choice([1.0, 2.0, math.pi, 7.0], 20000)
+    d1, d2, _, _, admissible = onset_terms(alpha, delta1, delta2, length)
+    keep = np.flatnonzero(admissible & (alpha * alpha <= 1e6 * (1.0 + d1 + d2)))[:3000]
+    assert keep.size == 3000
+    values, errors = coeffs_batch(alpha[keep], d1[keep], d2[keep])
+    assert errors == [None] * keep.size
+    for j, i in enumerate(keep.tolist()):
+        direct = coeffs(ModelParams(alpha=alpha[i], beta=1.0, delta1=delta1[i],
+                                    delta2=delta2[i], half_length=length[i]), "direct")
+        for name, key in (("a", "a"), ("b", "b_projection"), ("c", "c_projection")):
+            want = getattr(direct, name)
+            assert abs(values[key][j] - want) <= 1e-13 * abs(want), (i, name)
+
+
+def _direct_80_digits(mp, alpha, d1, d2):
+    """a, b and c of the direct route's formula, evaluated with 80 digits."""
+    with mp.workdps(80):
+        alpha, d1, d2, i = mp.mpf(alpha), mp.mpf(d1), mp.mpf(d2), mp.mpc(0, 1)
+        a2 = alpha * alpha
+        beta1 = 1 + a2 + d1 + d2
+        w = mp.sqrt(a2 * (1 + d1 - d2) - d2 * d2)
+
+        def poly(n2, z):   # P_n(z) at beta1
+            return (z * z + (n2 - 1) * (d1 + d2) * z + a2 * (1 + n2 * (d1 - d2))
+                    + n2 * (n2 - 1) * d1 * d2 - n2 * d2 * d2)
+
+        brk = -a2 * (2 * i * w + 4 * d1 + 1) - (2 * i * w + 4 * d2) * (i * w - 1 - d1)
+        fac = beta1 - 2 * (a2 + d2) + 2 * i * w
+        b = (w - i * d2) / (2 * w * a2) * (5 * (a2 + d2) - 4 * beta1 + i * w
+                                           + 2 / poly(4, 2 * i * w) * fac * brk)
+        c1 = (4 / poly(4, 0) * (2 * (a2 + d2) - beta1) / alpha
+              * (alpha * (4 * d1 + 1) - 4 * d2 / alpha * (i * w + 1 + d1)))
+        c2 = (4 / poly(0, 2 * i * w) * fac / alpha
+              * (-alpha * (2 * i * w + 1) + 2 * i * w / alpha * (1 + d1 - i * w)))
+        c = -i * (d2 + i * w) / (2 * w) * ((2 * (a2 + d2) - 4 * beta1 + 2 * i * w) / a2 + c1 + c2)
+        return {"a": complex((w - i * d2) / (2 * w)), "b": complex(b), "c": complex(c)}
+
+
+@pytest.mark.parametrize("m", [1e2, 1e4, 1e6])
+@pytest.mark.parametrize("delta1, delta2, half_length",
+                         [(1.0, 1.0, math.pi), (2.0, 0.5, 1.0), (0.3, 0.1, 7.0)])
+def test_both_routes_match_an_80_digit_evaluation(m, delta1, delta2, half_length):
+    # the measurement behind _RESOLUTION: both routes stay within 1e-12 up to m = 1e6
+    mp = pytest.importorskip("mpmath")
+    p = ModelParams(alpha=1.0, beta=1.0, delta1=delta1, delta2=delta2, half_length=half_length)
+    d1, d2 = p.effective_diffusion()
+    # alpha^2 / (1 + d1' + d2') = m, rounded inside the limit
+    p = _at_onset(alpha=math.sqrt(m * (1.0 + d1 + d2)) * (1.0 - 1e-12), delta1=delta1,
+                  delta2=delta2, half_length=half_length)
+    want = _direct_80_digits(mp, p.alpha, *p.effective_diffusion())
+    for route in ("projection", "direct"):
+        nf = coeffs(p, route)
+        for name in "abc":
+            assert abs(getattr(nf, name) - want[name]) <= 1e-12 * abs(want[name]), (route, name)

@@ -75,6 +75,10 @@ class TestInitialize:
     ({"dt": True}, "dt must be a real number, got True"),
     ({"eps": None}, "eps must be a real number, got None"),
     ({"t_max": 10**400}, "t_max must be finite and at least one step"),
+    ({"n_grid": 10**9}, "n_grid must be at least 2 and at most 1048576, got 1000000000"),
+    # round(t_max/dt) has no int64 step count
+    ({"dt": 1e-300, "t_max": 1.0}, r"^t_max/dt = 1e\+300 steps is beyond int64$"),
+    ({"dt": 1e-10, "t_max": 1e300}, r"^t_max/dt = inf steps is beyond int64$"),
 ])
 def test_config_validation(settings, message):
     with pytest.raises(InvalidConfig, match=message):

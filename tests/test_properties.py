@@ -17,7 +17,7 @@ import warnings
 import numpy as np
 import pytest
 from conftest import random_admissible
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from o2hopf import (InadmissibleRegime, ModelParams, ReducedSystem, SimConfig, Simulator,
@@ -80,8 +80,15 @@ def test_far_side_projection_equals_direct_with_small_residuals(p):
     assert max(solve_psi(p).residuals(p).values()) <= 1e-12
 
 
+def _at_onset(**constants):
+    p = ModelParams(beta=1.0, **constants)
+    return p.with_beta(onset(p).beta1)
+
+
 @PROPERTY
 @given(st.one_of(admissible_sets(), far_side_sets()))
+# alpha * alpha = 2.013636429095056, where libm gives alpha ** 2 = 2.0136364290950555
+@example(_at_onset(alpha=1.419026578008691, delta1=1.0, delta2=0.5, half_length=2.0))
 def test_onset_poly_is_the_characteristic_polynomial_at_beta1(p):
     # P_n(z) = z^2 + (beta(n) - beta1) z + gamma(n) - k^2 delta2 beta1 at the
     # four values the routes divide by, to the rounding of its largest term
@@ -93,7 +100,7 @@ def test_onset_poly_is_the_characteristic_polynomial_at_beta1(p):
         size = abs(z) ** 2 + beta_n(p, n) * abs(z) + gamma_n(p, n) + k2d2 * beta1
         assert abs(onset_poly(p.alpha, d1, d2, float(n * n), z) - want) <= 2e-14 * size
     # none of them vanishes below the Turing bound
-    assert onset_poly(p.alpha, d1, d2, 0.0, 0.0) == p.alpha ** 2
+    assert onset_poly(p.alpha, d1, d2, 0.0, 0.0) == p.alpha * p.alpha
     assert onset_poly(p.alpha, d1, d2, 4.0, 0.0) > 0.0
     for n2, im in ((4.0, 6.0 * w * (d1 + d2)), (0.0, -2.0 * w * (d1 + d2))):
         assert abs(onset_poly(p.alpha, d1, d2, n2, 2j * w).imag - im) <= 1e-15 * abs(im)
@@ -124,7 +131,7 @@ def _assert_points_are_a_batch(sets):
     terms = onset_terms(alpha, delta1, delta2, length)
     bound = hopf_bound(alpha, delta1, delta2)
     admissible = terms[-1]
-    values, errors = coeffs_batch(*(v[admissible] for v in (alpha, *terms[:2], length)))
+    values, errors = coeffs_batch(*(v[admissible] for v in (alpha, *terms[:2])))
     j = 0
     for i, p in enumerate(sets):
         assert _bits(*onset_terms(p.alpha, p.delta1, p.delta2, p.half_length),

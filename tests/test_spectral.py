@@ -95,6 +95,13 @@ def test_onset_scan_requires_admissible():
         onset_scan(ModelParams(alpha=1.0, beta=1.0))
 
 
+@pytest.mark.parametrize("n_max", [1, 100_001, 10**8])
+def test_onset_scan_refuses_n_max_out_of_range(n_max):
+    with pytest.raises(ValueError, match=f"^n_max must be at least 2 and at most 100000, "
+                                         f"got {n_max}$"):
+        onset_scan(CANON, n_max=n_max)
+
+
 @pytest.mark.parametrize("helper", [onset_scan, xi1, xi2, xi1_star])
 def test_spectral_helpers_refuse_inadmissible_sets_as_validate_does(helper):
     # omega^2 < 0 here: xi1_star divided by omega = 0 and xi1/xi2 used it
