@@ -66,14 +66,16 @@ def _jsonify(obj):
 
 
 def _emit(ns, record, outputs=()):
-    """Print the JSON record, or write it to --out with a manifest of it and outputs."""
+    """Print the JSON record or write it to --out; a manifest goes next to the first file."""
     text = json.dumps(_jsonify(record), indent=2, sort_keys=True, allow_nan=False)
     if ns.out:
         with open(ns.out, "w") as fh:
             fh.write(text + "\n")
-        _write_manifest(ns, ns.out, [ns.out, *outputs])
+        outputs = [ns.out, *outputs]
     else:
         print(text)
+    if outputs:
+        _write_manifest(ns, outputs[0], outputs)
 
 
 def _write_manifest(ns, path, outputs):
@@ -343,10 +345,9 @@ def _sweep_columns(fixed: dict, axes) -> dict:
     Each point meets the checks of the single-point pipeline in its order
     and stops at the first that fails: a constant that is not finite and
     positive, inadmissibility (no error), beta = beta1 + mu not finite and
-    positive, constants that doubles cannot resolve, then projection
-    overflow.  The error column gets the failure as "<ErrorType>: <message>";
-    cells a point never reaches stay blank.  Closed-form overflow comes
-    last and blanks only the closed-form columns.
+    positive, then projection overflow.  The error column gets the failure
+    as "<ErrorType>: <message>"; cells a point never reaches stay blank.
+    Closed-form overflow comes last and blanks only the closed-form columns.
     """
     cols = _grid_columns(fixed, axes)
     text = _grid_columns({k: str(v) for k, v in fixed.items()},

@@ -32,8 +32,8 @@ so every route requires admissibility and nothing else.  ``coeffs``,
 ``solve_psi`` and ``coeffs_report`` run the kernel with B = 1; the
 ModeSum algebra of ``modes`` stays the independent reference with which
 ``PsiTable.residuals`` and the report's residual orthogonality rebuild
-the vectors.  Constants so extreme that a route's values overflow, or
-that doubles cannot resolve, are an inadmissible regime.
+the vectors.  Constants so extreme that a route's values overflow are an
+inadmissible regime.
 
 All coefficients depend only on alpha and the rescaled diffusion rates
 delta1', delta2', never on mu.
@@ -55,12 +55,6 @@ from .spectral import inner_product, mode_matrix, onset_poly, xi1, xi1_amp, xi1_
 ROUTES = ("projection", "direct", "closed_form")
 
 _OVERFLOW = "O(2)-Hopf analysis does not apply: the {} route overflows at these constants"
-# Against an 80-digit evaluation of the direct formula, projection and direct both err
-# by about 1e-16 sqrt(m), m = alpha^2 / (1 + d1 + d2): at worst 2e-13 up to m = 1e6, 2e-11
-# up to 1e10 and 6e-10 up to 1e13.  The limit keeps them within 1e-12 of that evaluation.
-_RESOLUTION = 1e6
-_UNRESOLVED = (f"O(2)-Hopf analysis does not apply: alpha^2 / (1 + d1' + d2') exceeds "
-               f"{_RESOLUTION:g}, where doubles do not resolve the coefficients")
 CONSISTENCY_TOL = 1e-8
 
 # The kernel's resolvent systems: (reduction function, whether the resolvent
@@ -79,7 +73,13 @@ class PsiTable:
     psi_10010: ModeSum
 
     def residuals(self, params: ModelParams) -> dict:
-        """Relative residual of each defining resolvent equation."""
+        """Relative residual |(z I - L) psi - rhs| / (1 + |rhs|) of each resolvent equation.
+
+        Its floor is about 1e-16 alpha: in psi_20000's equation terms of about
+        alpha^2 cancel to a rhs of about alpha (with delta = L = 1: 9e-14 at
+        alpha = 1e3, 9e-11 at 1e6, 1e-7 at 1e9), while the normwise backward
+        error of the kernel's psi stays below 1e-16.
+        """
         w = onset(params).omega
         x1, x2 = xi1(params), xi2(params)
         checks = {
@@ -129,14 +129,15 @@ def _cmul(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     return out
 
 
-def _solve(s, z, n: int, alpha, d1, d2):
-    """psi with (z I - M_n(beta1)) psi = s (1, -1) for a batch.
+def _solve(s, w, n: int, alpha, d1, d2):
+    """psi with (z I - M_n(beta1)) psi = s (1, -1) for a batch; z = 2i w, or 0 if w is None.
 
     psi = s (z + n^2 d2, -(z + n^2 d1 + 1)) / P_n(z): beta1 has cancelled.
     psi is NaN where P_n(z) overflowed.
     """
     k2 = float(n * n)
-    det = onset_poly(alpha, d1, d2, k2, z)
+    z = 0.0 if w is None else 2j * w
+    det = onset_poly(alpha, d1, d2, k2, w)
     coef = np.where(np.isfinite(det), s, np.nan) / det
     return np.stack([_cmul(coef, z + k2 * d2), _cmul(coef, -(z + k2 * d1 + 1.0))], axis=-1)
 
@@ -177,7 +178,7 @@ def _projection_kernel(alpha, d1, d2) -> _Batch:
         s11 = 2.0 * r20(x1, x1c)            # 2 R20(xi1, conj xi2)
         s20 = r20(x1, x1)                   # R20(xi1, xi2)
         rhs = {"psi_11000": s11, "psi_20000": s20, "psi_10100": 2.0 * s20, "psi_10010": s11}
-        psi = {name: _solve(rhs[name], 2j * w if at_2iw else 0.0, n, alpha, d1, d2)
+        psi = {name: _solve(rhs[name], w if at_2iw else None, n, alpha, d1, d2)
                for name, at_2iw, n in _SYSTEMS}
 
         # cubic = R30(xi1, xi1, conj xi1) = R30(xi1, xi2, conj xi2)
@@ -201,19 +202,6 @@ class _Projection(NamedTuple):
     onset: OnsetData
 
 
-def _resolved(alpha, d1, d2):
-    """Whether doubles resolve the coefficients at these constants; floats or arrays."""
-    return alpha * alpha / _RESOLUTION <= 1.0 + d1 + d2
-
-
-def _hopf_onset(params: ModelParams) -> OnsetData:
-    """onset(params) of an admissible set that doubles resolve; else InadmissibleRegime."""
-    data = onset(validate(params))
-    if not _resolved(params.alpha, *params.effective_diffusion()):
-        raise InadmissibleRegime(_UNRESOLVED)
-    return data
-
-
 def _finite(route: str, compute, *args) -> dict:
     """compute(*args), a dict of numbers, unless one overflows at these constants."""
     try:   # a Python float's / raises where numpy's gives inf
@@ -227,7 +215,7 @@ def _finite(route: str, compute, *args) -> dict:
 
 def _project(params: ModelParams) -> _Projection:
     """The projection kernel at B = 1; raises where it overflows."""
-    data = _hopf_onset(params)
+    data = onset(validate(params))
     k = _projection_kernel(*np.array([[params.alpha, *params.effective_diffusion()]]).T)
     if not k.finite[0]:
         raise InadmissibleRegime(_OVERFLOW.format("projection"))
@@ -262,15 +250,15 @@ def _direct(params: ModelParams) -> dict:
     a2 = alpha * alpha
     data = onset(params)
     beta1, w = data.beta1, data.omega
-    p2w = onset_poly(alpha, d1, d2, 4.0, 2j * w)
+    p2w = onset_poly(alpha, d1, d2, 4.0, w)
     pref = (w - 1j * d2) / (2.0 * w * a2)
     term = 5.0 * (a2 + d2) - 4.0 * beta1 + 1j * w
     fac = -2.0 * (a2 + d2) + beta1 + 2j * w
     brk = -a2 * (2j * w + 4.0 * d1 + 1.0) - (2j * w + 4.0 * d2) * (1j * w - 1.0 - d1)
     b = pref * (term + (2.0 / p2w) * fac * brk)
 
-    p20 = onset_poly(alpha, d1, d2, 4.0, 0.0)
-    p02w = onset_poly(alpha, d1, d2, 0.0, 2j * w)
+    p20 = onset_poly(alpha, d1, d2, 4.0)
+    p02w = onset_poly(alpha, d1, d2, 0.0, w)
     c1 = _c1(alpha, d1, d2, beta1, w, p20)
     c2 = (4.0 / p02w) * ((beta1 - 2.0 * (a2 + d2) + 2j * w) / alpha) \
         * (-alpha * (2j * w + 1.0) + (2j * w / alpha) * (-1j * w + 1.0 + d1))
@@ -283,7 +271,7 @@ def _closed_form(alpha, d1, d2, beta1, w) -> dict:
     """The published constants from rescaled parameters; floats or arrays."""
     a2 = alpha * alpha
     w2 = w * w
-    p20 = onset_poly(alpha, d1, d2, 4.0, 0.0)
+    p20 = onset_poly(alpha, d1, d2, 4.0)
 
     n_common = 2.0 * w2 + 4.0 * d2 + 4.0 * d1 * d2 - a2 - 4.0 * a2 * d1
     m_common = 2.0 + 2.0 * d1 - 4.0 * d2 - 2.0 * a2
@@ -318,8 +306,8 @@ def _closed_form(alpha, d1, d2, beta1, w) -> dict:
         "N_r": nr, "N_i": ni, "B_r": br, "B_i": bi,
         "C_2r": c2r, "C_2i": c2i, "Q_r": qr, "Q_i": qi,
         "P2_0": p20,
-        "P2_2iw": onset_poly(alpha, d1, d2, 4.0, 2j * w),
-        "P0_2iw": onset_poly(alpha, d1, d2, 0.0, 2j * w),
+        "P2_2iw": onset_poly(alpha, d1, d2, 4.0, w),
+        "P0_2iw": onset_poly(alpha, d1, d2, 0.0, w),
         "b": re_b + 1j * im_b,
         "c": re_c + 1j * im_c,
         "C_1": _c1(alpha, d1, d2, beta1, w, p20),
@@ -329,7 +317,7 @@ def _closed_form(alpha, d1, d2, beta1, w) -> dict:
 
 def closed_form_constants(params: ModelParams) -> dict:
     """The published intermediate constants, evaluated literally."""
-    data = _hopf_onset(params)
+    data = onset(validate(params))
     return _finite("closed_form", _closed_form, params.alpha, *params.effective_diffusion(),
                    data.beta1, data.omega)
 
@@ -345,19 +333,16 @@ def coeffs_batch(alpha, d1, d2):
     None.  Values are NaN from a point's first failure on, so a point whose
     published constants alone overflow keeps its projection values.
     """
-    resolved = _resolved(alpha, d1, d2)
     k = _projection_kernel(alpha, d1, d2)
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):   # masked below
         closed = _closed_form(alpha, d1, d2, k.beta1, k.omega)
-    solved = resolved & k.finite
-    closed_ok = solved & np.isfinite(list(closed.values())).all(axis=0)
-    errors = [InadmissibleRegime(_UNRESOLVED) if not ok_r else
-              InadmissibleRegime(_OVERFLOW.format("projection")) if not ok_p else
+    closed_ok = k.finite & np.isfinite(list(closed.values())).all(axis=0)
+    errors = [InadmissibleRegime(_OVERFLOW.format("projection")) if not ok_p else
               InadmissibleRegime(_OVERFLOW.format("closed_form")) if not ok_c else None
-              for ok_r, ok_p, ok_c in zip(resolved.tolist(), solved.tolist(),
-                                          closed_ok.tolist())]
-    return {"a": np.where(solved, k.a, np.nan), "b_projection": np.where(solved, k.b, np.nan),
-            "c_projection": np.where(solved, k.c, np.nan),
+              for ok_p, ok_c in zip(k.finite.tolist(), closed_ok.tolist())]
+    return {"a": np.where(k.finite, k.a, np.nan),
+            "b_projection": np.where(k.finite, k.b, np.nan),
+            "c_projection": np.where(k.finite, k.c, np.nan),
             "b_closed_form": np.where(closed_ok, closed["b"], np.nan),
             "c_closed_form": np.where(closed_ok, closed["c"], np.nan)}, errors
 
@@ -367,7 +352,7 @@ def coeffs(params: ModelParams, route: str = "projection") -> NormalFormCoeffs:
     if route == "projection":
         a, b, c, _, data = _project(params)
     elif route == "direct":
-        data = _hopf_onset(params)
+        data = onset(validate(params))
         a, b, c = _finite("direct", _direct, params).values()
     elif route == "closed_form":
         constants = closed_form_constants(params)

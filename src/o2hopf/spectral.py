@@ -75,18 +75,24 @@ def gamma_n(params: ModelParams, n: int) -> float:
     return _beta_gamma(params.alpha, params.delta1, params.delta2, k * k)[1]
 
 
-def onset_poly(alpha, d1, d2, n2, z):
-    """P_n(z) at beta = beta1, written without beta1; floats or numpy arrays.
+def onset_poly(alpha, d1, d2, n2, w=None):
+    """P_n(0), or P_n(2i w) at the Hopf frequency w, at beta = beta1; floats or arrays.
 
     With the rescaled diffusion rates d1, d2 and n2 = n^2,
     P_n(z) = z^2 + (n^2 - 1)(d1 + d2) z + alpha^2 (1 + n^2 (d1 - d2))
     + n^2 (n^2 - 1) d1 d2 - n^2 d2^2: beta(n) - beta1 and gamma(n) - n^2 d2
     beta1 are formed without subtracting beta1, which a double cannot hold
-    next to alpha^2 when d1 + d2 is far smaller.  The constant is expanded as
-    the published P_2(0) writes it, so the closed form keeps its bits.
+    next to alpha^2 when d1 + d2 is far smaller.  P_n(0) is expanded as the
+    published P_2(0) writes it, so the closed form keeps its bits.  z^2 =
+    -4 w^2 is not formed from the rounded w: its rounding, about 1e-16 alpha^2,
+    would stay in a real part that the alpha^2 terms cancel to (12 d1 d2 -
+    3 alpha^2 for n = 2).  w^2 = alpha^2 (1 + d1 - d2) - d2^2 is substituted.
     """
-    return (z * z + (n2 - 1.0) * (d1 + d2) * z + alpha * alpha * (1.0 + n2 * (d1 - d2))
-            + n2 * (n2 - 1.0) * d1 * d2 - n2 * (d2 * d2))
+    a2 = alpha * alpha
+    if w is None:
+        return a2 * (1.0 + n2 * (d1 - d2)) + n2 * (n2 - 1.0) * d1 * d2 - n2 * (d2 * d2)
+    return (a2 * ((n2 - 4.0) * (d1 - d2) - 3.0) + n2 * (n2 - 1.0) * d1 * d2
+            + (4.0 - n2) * (d2 * d2) + 1j * ((n2 - 1.0) * (d1 + d2) * (2.0 * w)))
 
 
 def mode_matrix(params: ModelParams, n: int, beta: float) -> np.ndarray:

@@ -117,6 +117,22 @@ def test_config_file_and_out(capsys, tmp_path):
     assert str(out_path) in manifest["outputs"][0]
 
 
+@pytest.mark.parametrize("argv, flag", [
+    (("onset", "--alpha", "2"), "--csv"),
+    (("coeffs", "--alpha", "2"), "--csv"),
+    (("simulate", "--alpha", "2", "--mu", "0.05", "--tmax", "1"), "--series"),
+])
+def test_file_output_without_out_gets_a_manifest(capsys, tmp_path, argv, flag):
+    # the record goes to stdout; the manifest goes next to the one file written
+    table = tmp_path / "table.csv"
+    code, out, _ = run(capsys, *argv, flag, str(table))
+    assert code == 0 and json.loads(out)
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["table.csv", "table.csv.manifest.json"]
+    manifest = json.loads((tmp_path / "table.csv.manifest.json").read_text())
+    assert manifest["command"] == argv[0]
+    assert manifest["outputs"] == [str(table)]
+
+
 def test_round_trip_identity(capsys, tmp_path):
     out_path = tmp_path / "coeffs.json"
     code, _, _ = run(capsys, "coeffs", "--alpha", "2", "--out", str(out_path))
@@ -189,16 +205,29 @@ def test_sweep_overflowing_coefficients_are_inadmissible_without_warnings(capsys
         assert (rows[1]["re_b_projection"] == "") == (route == "projection")
 
 
-def test_sweep_unresolved_point_gets_the_single_point_error(capsys, tmp_path):
+_FAR_CORNER = ("--alpha", "4.4e26", "--d1", "1.2e32", "--d2", "10.9", "--half-length", "6.5")
+
+
+def test_sweep_far_corner_rows_carry_the_coeffs_values(capsys, tmp_path):
+    # m = alpha^2 / (1 + d1' + d2') is about 7e21 here, and beta1 holds 1 + d1' + d2'
+    # to about 1e-22 only: the rows are solved, with the values of the single point
     out_csv = tmp_path / "corner.csv"
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        code, _, err = run(capsys, "sweep", *_FAR_CORNER[1:], "--grid", "mu=-0.1:0.1:2",
+        code, _, err = run(capsys, "sweep", *_FAR_CORNER, "--grid", "mu=-0.1:0.1:2",
                            "--out", str(out_csv))
     assert code == 0 and err == ""
     rows = list(csv.DictReader(out_csv.open()))
-    assert [(r["admissible"], r["re_b_projection"], r["error"]) for r in rows] == [
-        ("True", "", f"InadmissibleRegime: {_UNRESOLVED}")] * 2
+    assert len(rows) == 2
+    for row in rows:
+        assert row["error"] == ""
+        params = ModelParams(beta=1.0, **{k: float(row[k]) for k in
+                                          ("alpha", "delta1", "delta2", "half_length")})
+        proj, closed = coeffs(params, "projection"), coeffs(params, "closed_form")
+        want = {"a": proj.a, "b_projection": proj.b, "c_projection": proj.c,
+                "b_closed_form": closed.b, "c_closed_form": closed.c}
+        for key, v in want.items():
+            assert (row[f"re_{key}"], row[f"im_{key}"]) == (str(v.real), str(v.imag)), key
 
 
 _POINT = ("alpha", "delta1", "delta2", "half_length", "mu")
@@ -504,10 +533,6 @@ def test_verify_exits_3_on_a_failed_check(capsys, monkeypatch):
 
 
 _SIMULATE = ("simulate", "--alpha", "2", "--mu", "0.05", "--tmax", "1")
-_FAR_CORNER = ("coeffs", "--alpha", "4.4e26", "--d1", "1.2e32", "--d2", "10.9",
-               "--half-length", "6.5")
-_UNRESOLVED = ("O(2)-Hopf analysis does not apply: alpha^2 / (1 + d1' + d2') exceeds 1e+06, "
-               "where doubles do not resolve the coefficients")
 
 
 @pytest.mark.parametrize("argv, message", [
@@ -574,8 +599,9 @@ _UNRESOLVED = ("O(2)-Hopf analysis does not apply: alpha^2 / (1 + d1' + d2') exc
     # omega^2 overflows to inf: inadmissible, and the scan's bound warns nowhere
     (("onset", "--alpha", "1e100", "--d1", "1e200"),
      "O(2)-Hopf analysis does not apply: omega^2 = inf, beta1 = 2e+200, bound = inf"),
-    # admissible, but beta1 holds 1 + d1' + d2' to about 1e-22 only
-    (_FAR_CORNER, _UNRESOLVED),
+    # m = alpha^2 / (1 + d1' + d2') = 1e130: the projection route solves, the direct one overflows
+    (("coeffs", "--alpha", "1e100", "--d1", "1e70", "--route", "direct"),
+     "O(2)-Hopf analysis does not apply: the direct route overflows"),
     (("sweep", "--grid", "delta1=-inf:1:3", "--out", "{tmp}/ninf.csv"),
      "lo and hi finite numbers and count an integer, got 'delta1=-inf:1:3'"),
     (("sweep", "--grid", "mu=nan:0.1:3", "--out", "{tmp}/nanlo.csv"),

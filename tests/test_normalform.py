@@ -84,21 +84,17 @@ def test_far_side_sets_are_solved(params):
     assert solve_psi(params).psi_00001.is_zero()
 
 
-def test_unresolved_constants_are_refused_by_every_route():
-    # with delta = 1 and L = 1, m = alpha^2 / (1 + d1' + d2') is 4.8e4 at
-    # alpha = 1e3, and 4.8e10 at alpha = 1e6, past the 1e6 limit
-    solved = _at_onset(alpha=1e3, half_length=1.0)
-    proj, direct = coeffs(solved, "projection"), coeffs(solved, "direct")
-    for name in "abc":
-        want = getattr(direct, name)
-        assert abs(getattr(proj, name) - want) <= 1e-10 * (1.0 + abs(want)), name
-    refused = _at_onset(alpha=1e6, half_length=1.0)
-    for compute in (*(lambda p, route=route: coeffs(p, route) for route in ROUTES),
-                    closed_form_constants, coeffs_report, solve_psi):
-        with pytest.raises(InadmissibleRegime,
-                           match=r"^O\(2\)-Hopf analysis does not apply: alpha\^2 / "
-                                 r"\(1 \+ d1' \+ d2'\) exceeds 1e\+06, where doubles"):
-            compute(refused)
+def test_large_m_constants_are_solved_by_every_route():
+    # with delta = 1 and L = 1, m = alpha^2 / (1 + d1' + d2') is 4.8e10 at alpha = 1e6
+    p = _at_onset(alpha=1e6, half_length=1.0)
+    for route in ROUTES:
+        nf = coeffs(p, route)
+        assert np.isfinite([nf.a, nf.b, nf.c]).all(), route
+    report = coeffs_report(p)
+    for values in (*report["routes"].values(), report["constants"]):
+        assert np.isfinite(list(values.values())).all()
+    assert all(np.isfinite(psi.norm()) for psi in vars(solve_psi(p)).values())
+    _assert_routes_match_80_digits(p)
 
 
 class TestCoeffA:
@@ -154,6 +150,13 @@ class TestCoeffBC:
         # characteristic-polynomial values behind the reciprocal discrepancy
         assert abs(cf["P2_2iw"] - 12j * RT3) < 1e-12
         assert abs(cf["P0_2iw"] - (-8.0 - 4j * RT3)) < 1e-12
+
+    def test_onset_poly_at_2iw_has_an_exact_real_part(self):
+        # Re P_2(2i omega) = 12 d1 d2 - 3 alpha^2 = 0 and Re P_0(2i omega) = 4 d2^2 - 3 alpha^2
+        # = -8, with no rounding of omega^2 left in them
+        cf = closed_form_constants(CANON)
+        assert cf["P2_2iw"].real == 0.0
+        assert cf["P0_2iw"].real == -8.0
 
     def test_closed_form_differs_from_direct(self):
         # the published reciprocal of P_2(2i omega) is off by a constant
@@ -246,14 +249,14 @@ class TestKernel:
 
 
 def test_projection_equals_direct_on_log_uniform_sets():
-    # 3 000 admissible sets with alpha, delta1 and delta2 log-uniform, four domain
-    # lengths and m = alpha^2 / (1 + d1' + d2') up to the 1e6 limit
+    # 3 000 admissible sets with alpha, delta1 and delta2 log-uniform and four domain
+    # lengths: m = alpha^2 / (1 + d1' + d2') reaches about 1e16
     rng = np.random.default_rng(22)
     alpha, delta1, delta2 = (10.0 ** rng.uniform(lo, hi, 20000)
-                             for lo, hi in ((-1.0, 3.5), (-3.0, 3.0), (-3.0, 3.0)))
+                             for lo, hi in ((-1.0, 8.0), (-3.0, 3.0), (-3.0, 3.0)))
     length = rng.choice([1.0, 2.0, math.pi, 7.0], 20000)
     d1, d2, _, _, admissible = onset_terms(alpha, delta1, delta2, length)
-    keep = np.flatnonzero(admissible & (alpha * alpha <= 1e6 * (1.0 + d1 + d2)))[:3000]
+    keep = np.flatnonzero(admissible)[:3000]
     assert keep.size == 3000
     values, errors = coeffs_batch(alpha[keep], d1[keep], d2[keep])
     assert errors == [None] * keep.size
@@ -266,8 +269,14 @@ def test_projection_equals_direct_on_log_uniform_sets():
 
 
 def _direct_80_digits(mp, alpha, d1, d2):
-    """a, b and c of the direct route's formula, evaluated with 80 digits."""
-    with mp.workdps(80):
+    """a, b and c of the direct route's formula, to about 80 digits.
+
+    The formula's terms cancel by up to about m = alpha^2 / (1 + d1 + d2), so it
+    is evaluated with 80 digits more than log10 m.
+    """
+    with mp.workdps(30):
+        m = mp.mpf(alpha) * alpha / (1 + mp.mpf(d1) + d2)
+    with mp.workdps(80 + max(0, int(mp.log10(m)))):
         alpha, d1, d2, i = mp.mpf(alpha), mp.mpf(d1), mp.mpf(d2), mp.mpc(0, 1)
         a2 = alpha * alpha
         beta1 = 1 + a2 + d1 + d2
@@ -289,19 +298,32 @@ def _direct_80_digits(mp, alpha, d1, d2):
         return {"a": complex((w - i * d2) / (2 * w)), "b": complex(b), "c": complex(c)}
 
 
-@pytest.mark.parametrize("m", [1e2, 1e4, 1e6])
-@pytest.mark.parametrize("delta1, delta2, half_length",
-                         [(1.0, 1.0, math.pi), (2.0, 0.5, 1.0), (0.3, 0.1, 7.0)])
-def test_both_routes_match_an_80_digit_evaluation(m, delta1, delta2, half_length):
-    # the measurement behind _RESOLUTION: both routes stay within 1e-12 up to m = 1e6
+def _assert_routes_match_80_digits(p):
     mp = pytest.importorskip("mpmath")
-    p = ModelParams(alpha=1.0, beta=1.0, delta1=delta1, delta2=delta2, half_length=half_length)
-    d1, d2 = p.effective_diffusion()
-    # alpha^2 / (1 + d1' + d2') = m, rounded inside the limit
-    p = _at_onset(alpha=math.sqrt(m * (1.0 + d1 + d2)) * (1.0 - 1e-12), delta1=delta1,
-                  delta2=delta2, half_length=half_length)
     want = _direct_80_digits(mp, p.alpha, *p.effective_diffusion())
     for route in ("projection", "direct"):
         nf = coeffs(p, route)
         for name in "abc":
-            assert abs(getattr(nf, name) - want[name]) <= 1e-12 * abs(want[name]), (route, name)
+            assert abs(getattr(nf, name) - want[name]) <= 1e-14 * abs(want[name]), (route, name)
+
+
+@pytest.mark.parametrize("m", [1e2, 1e4, 1e6, 1e9, 1e12, 1e15])
+@pytest.mark.parametrize("delta1, delta2, half_length",
+                         [(1.0, 1.0, math.pi), (2.0, 0.5, 1.0), (0.3, 0.1, 7.0)])
+def test_both_routes_match_an_80_digit_evaluation(m, delta1, delta2, half_length):
+    # P_n(2i omega) must not be formed from -4 omega^2: its rounding, about 1e-16 alpha^2,
+    # would cost both routes about 1e-16 sqrt(m) of relative accuracy
+    d1, d2 = ModelParams(alpha=1.0, beta=1.0, delta1=delta1, delta2=delta2,
+                         half_length=half_length).effective_diffusion()
+    # alpha^2 / (1 + d1' + d2') = m
+    _assert_routes_match_80_digits(_at_onset(alpha=math.sqrt(m * (1.0 + d1 + d2)),
+                                             delta1=delta1, delta2=delta2,
+                                             half_length=half_length))
+
+
+def test_both_routes_match_an_80_digit_evaluation_at_the_turing_corner():
+    # delta1' ~ delta2' = alpha / 2 and m = 1e12: beta1 is within 1e-4 of the Turing
+    # bound; with d1' - d2' = 5e7, forming -4 omega^2 in P_n(2i omega) would cost 2e-13
+    p = _at_onset(alpha=1e12, delta1=5e11 * (1.0 + 1e-4), delta2=5e11)
+    assert onset(p).admissible
+    _assert_routes_match_80_digits(p)

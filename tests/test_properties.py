@@ -19,6 +19,7 @@ import pytest
 from conftest import random_admissible
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
+from test_normalform import _direct_80_digits
 
 from o2hopf import (InadmissibleRegime, ModelParams, ReducedSystem, SimConfig, Simulator,
                     branches, classify_regime, closed_form_constants, coeffs,
@@ -94,16 +95,17 @@ def test_onset_poly_is_the_characteristic_polynomial_at_beta1(p):
     # four values the routes divide by, to the rounding of its largest term
     beta1, w = onset(p).beta1, onset(p).omega
     d1, d2 = p.effective_diffusion()
-    for n, z in ((0, 0.0), (0, 2j * w), (2, 0.0), (2, 2j * w)):
+    for n, at in ((0, None), (0, w), (2, None), (2, w)):
+        z = 0.0 if at is None else 2j * w
         k2d2 = (n * p.k1) ** 2 * p.delta2
         want = z * z + (beta_n(p, n) - beta1) * z + gamma_n(p, n) - k2d2 * beta1
         size = abs(z) ** 2 + beta_n(p, n) * abs(z) + gamma_n(p, n) + k2d2 * beta1
-        assert abs(onset_poly(p.alpha, d1, d2, float(n * n), z) - want) <= 2e-14 * size
+        assert abs(onset_poly(p.alpha, d1, d2, float(n * n), at) - want) <= 2e-14 * size
     # none of them vanishes below the Turing bound
-    assert onset_poly(p.alpha, d1, d2, 0.0, 0.0) == p.alpha * p.alpha
-    assert onset_poly(p.alpha, d1, d2, 4.0, 0.0) > 0.0
+    assert onset_poly(p.alpha, d1, d2, 0.0) == p.alpha * p.alpha
+    assert onset_poly(p.alpha, d1, d2, 4.0) > 0.0
     for n2, im in ((4.0, 6.0 * w * (d1 + d2)), (0.0, -2.0 * w * (d1 + d2))):
-        assert abs(onset_poly(p.alpha, d1, d2, n2, 2j * w).imag - im) <= 1e-15 * abs(im)
+        assert abs(onset_poly(p.alpha, d1, d2, n2, w).imag - im) <= 1e-15 * abs(im)
 
 
 def _quadratic_roots(b, c):
@@ -203,7 +205,8 @@ def extreme_constants(draw):
 @given(extreme_constants())
 def test_extreme_constants_are_solved_or_refused_in_one_line(p):
     # the coefficients do not depend on beta; a route either computes finite
-    # a, b and c or refuses the set in one InadmissibleRegime line
+    # a, b and c or refuses the set in one InadmissibleRegime line, and the
+    # projection and direct routes compute them to 1e-14 where they do
     solved = {}
     for route in ROUTES:
         try:
@@ -218,6 +221,14 @@ def test_extreme_constants_are_solved_or_refused_in_one_line(p):
             want = getattr(solved["direct"], name)
             got = getattr(solved["projection"], name)
             assert abs(got - want) <= 1e-10 * (1.0 + abs(want)), name
+    exact = solved.keys() - {"closed_form"}
+    if exact:
+        mp = pytest.importorskip("mpmath")
+        want = _direct_80_digits(mp, p.alpha, *p.effective_diffusion())
+        for route in exact:
+            for name in "abc":
+                got = getattr(solved[route], name)
+                assert abs(got - want[name]) <= 1e-14 * abs(want[name]), (route, name)
 
 
 @PROPERTY
