@@ -6,12 +6,15 @@ class O2HopfError(Exception):
 
 
 class NonPositiveParameter(O2HopfError):
-    """A model constant that must be strictly positive is not."""
+    """A model constant that must be a strictly positive real number is not."""
 
-    def __init__(self, name, value):
+    def __init__(self, name, value, requirement="strictly positive"):
         self.name = name
         self.value = value
-        super().__init__(f"parameter '{name}' must be strictly positive, got {value!r}")
+        # an integer past the float range is named by its size: its digits may not print
+        shown = (f"an integer of {value.bit_length()} bits"
+                 if isinstance(value, int) and value.bit_length() > 1024 else repr(value))
+        super().__init__(f"parameter '{name}' must be {requirement}, got {shown}")
 
 
 class InadmissibleRegime(O2HopfError):

@@ -16,24 +16,25 @@ Three routes are provided:
   rather than reconciled; the discrepancy against the other two routes is
   part of the coefficient report.
 
-The projection route is one array kernel over a batch of B parameter
-points.  Every function it touches sits at a single wave index: xi1 at 1
-and its conjugate at -1, psi_11000 and psi_10100 at 0, psi_20000 and
-psi_10010 at 2, while psi_00001 vanishes.  Every value of R20 and R30 is a
-multiple s (1, -1).  So each function is held as a (B, 2) complex
-amplitude at its fixed index, the multilinear maps become elementwise
-products, (z I - M_n) psi = s (1, -1) is solved in closed form, with
-P_n(z) from ``spectral.onset_poly``, and the pairing of s (1, -1) with
-xi1* is s (omega - i delta2') / (2 omega), in which the domain length
-cancels.  On an admissible set no P_n(z) the routes divide by vanishes
-(P_0(0) = alpha^2, P_2(0) = det M_2(beta1) > 0 below the Turing bound,
-and Im P_2(2i omega), Im P_0(2i omega) are +-omega multiples of d1 + d2),
-so every route requires admissibility and nothing else.  ``coeffs``,
-``solve_psi`` and ``coeffs_report`` run the kernel with B = 1; the
-ModeSum algebra of ``modes`` stays the independent reference with which
-``PsiTable.residuals`` and the report's residual orthogonality rebuild
-the vectors.  Constants so extreme that a route's values overflow are an
-inadmissible regime.
+Each route is one array function of (alpha, delta1', delta2', beta1,
+omega) over P points, and one pass evaluates the routes a caller names,
+in its order.  A point is its batch of one: ``coeffs``,
+``closed_form_constants``, ``solve_psi`` and ``coeffs_report`` run the
+pass with P = 1, ``coeffs_batch`` over the sweep's grid.  Constants so
+extreme that a route overflows are an inadmissible regime: a point's
+values are NaN from that route on, and a single point raises its refusal.
+
+The projection kernel holds each function as a (2, P) amplitude at its
+single wave index: xi1 at 1, psi_11000 and psi_10100 at 0, psi_20000 and
+psi_10010 at 2, while psi_00001 vanishes.  Every value of R20 and R30 is
+a multiple s (1, -1), so (z I - M_n) psi = s (1, -1) is solved in closed
+form with P_n(z) from ``spectral.onset_poly``, and the pairing with xi1*
+is s (omega - i delta2') / (2 omega).  No P_n(z) the routes divide by
+vanishes on an admissible set (P_0(0) = alpha^2, P_2(0) = det M_2(beta1)
+> 0 below the Turing bound, and Im P_2(2i omega), Im P_0(2i omega) are
++-omega multiples of d1 + d2).  The ModeSum algebra of ``modes`` stays
+the independent reference with which ``PsiTable.residuals`` and the
+report's residual orthogonality rebuild the vectors.
 
 All coefficients depend only on alpha and the rescaled diffusion rates
 delta1', delta2', never on mu.
@@ -42,14 +43,13 @@ delta1', delta2', never on mu.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import NamedTuple
 
 import numpy as np
 
 from .errors import InadmissibleRegime
 from .meanzero import zero_mode_content
 from .modes import ModeSum, R01, R20, R30
-from .params import ModelParams, OnsetData, critical_values, onset, validate
+from .params import ModelParams, critical_values, onset, validate
 from .spectral import inner_product, mode_matrix, onset_poly, xi1, xi1_amp, xi1_star, xi2
 
 ROUTES = ("projection", "direct", "closed_form")
@@ -116,11 +116,10 @@ class NormalFormCoeffs:
 def _cmul(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     """Elementwise product of two complex arrays of one shape, from real parts.
 
-    numpy's array loops may fuse the multiply-adds of a complex product
-    where its scalar arithmetic does not.  Forming the product from the
-    real and imaginary parts rounds it as the scalar arithmetic does, so a
-    kernel point carries the same bits as the ModeSum route run on numpy
-    floats.
+    numpy's array loops may fuse the multiply-adds of a complex product,
+    depending on the instructions the machine offers.  Forming the product
+    from the real and imaginary parts rounds every operation on its own,
+    so a route carries the same bits on every machine.
     """
     xr, xi, yr, yi = x.real, x.imag, y.real, y.imag
     out = np.empty_like(x)
@@ -139,102 +138,43 @@ def _solve(s, w, n: int, alpha, d1, d2):
     z = 0.0 if w is None else 2j * w
     det = onset_poly(alpha, d1, d2, k2, w)
     coef = np.where(np.isfinite(det), s, np.nan) / det
-    return np.stack([_cmul(coef, z + k2 * d2), _cmul(coef, -(z + k2 * d1 + 1.0))], axis=-1)
+    return np.stack([_cmul(coef, z + k2 * d2), _cmul(coef, -(z + k2 * d1 + 1.0))])
 
 
-class _Batch(NamedTuple):
-    """Projection-route results for B parameter points."""
-    a: np.ndarray          # (B,) complex
-    b: np.ndarray
-    c: np.ndarray
-    psi: dict              # name -> (B, 2) amplitude at its wave index (_SYSTEMS)
-    beta1: np.ndarray
-    omega: np.ndarray
-    finite: np.ndarray     # (B,) bool: a, b and c finite
+def _projection_kernel(alpha, d1, d2, beta1, w) -> dict:
+    """Projection-route a, b and c, and the amplitude of each psi of _SYSTEMS at its wave index."""
+    ratio = beta1 / alpha
+    x1 = xi1_amp(alpha, d2, w).T        # at 1
+    x1c = x1.conj()                     # conj xi1 at -1; conj xi2 at 1
+
+    def r20(u, v):   # s with R20(u, v) = s (1, -1)
+        return alpha * (_cmul(u[0], v[1]) + _cmul(u[1], v[0])) + _cmul(ratio * u[0], v[0])
+
+    def project(s):   # <s (1, -1), xi1*> at wave index 1 = s (omega - i d2) / (2 omega)
+        return _cmul(s, (w - 1j * d2) / (2.0 * w))
+
+    s11 = 2.0 * r20(x1, x1c)            # 2 R20(xi1, conj xi2)
+    s20 = r20(x1, x1)                   # R20(xi1, xi2)
+    rhs = {"psi_11000": s11, "psi_20000": s20, "psi_10100": 2.0 * s20, "psi_10010": s11}
+    psi = {name: _solve(rhs[name], w if at_2iw else None, n, alpha, d1, d2)
+           for name, at_2iw, n in _SYSTEMS}
+
+    # cubic = R30(xi1, xi1, conj xi1) = R30(xi1, xi2, conj xi2)
+    u, v, cv = x1[0], x1[1], x1c
+    cubic = (_cmul(_cmul(u, u), cv[1]) + _cmul(_cmul(u, v), cv[0])
+             + _cmul(_cmul(v, u), cv[0])) / 3.0
+    p11 = psi["psi_11000"]              # psi_00110 = S psi_11000: same amplitude at 0
+    a = project(x1[0])                  # R01(xi1); the psi_00001 term vanishes
+    b = project(2.0 * r20(x1, p11) + 2.0 * r20(x1c, psi["psi_20000"]) + 3.0 * cubic)
+    c = project(2.0 * r20(x1, p11) + 2.0 * r20(x1, psi["psi_10010"])
+                + 2.0 * r20(x1c, psi["psi_10100"]) + 6.0 * cubic)
+    return {"a": a, "b": b, "c": c, **psi}
 
 
-def _projection_kernel(alpha, d1, d2) -> _Batch:
-    """Projection-route a, b and c for a batch of parameter points.
-
-    alpha and the rescaled diffusion rates d1, d2 are (B,) float arrays of
-    admissible points, and the results depend on them alone.  The scalar
-    route's overflow check becomes the mask finite; the a, b, c and psi of
-    a masked point are meaningless.
-    """
-    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):   # masked below
-        beta1, omega_sq = critical_values(alpha, d1, d2)
-        w = np.sqrt(omega_sq)
-        ratio = beta1 / alpha
-        x1 = xi1_amp(alpha, d2, w)          # at 1
-        x1c = x1.conj()                     # conj xi1 at -1; conj xi2 at 1
-
-        def r20(u, v):   # s with R20(u, v) = s (1, -1)
-            return (alpha * (_cmul(u[:, 0], v[:, 1]) + _cmul(u[:, 1], v[:, 0]))
-                    + _cmul(ratio * u[:, 0], v[:, 0]))
-
-        def project(s):   # <s (1, -1), xi1*> at wave index 1 = s (omega - i d2) / (2 omega)
-            return _cmul(s, (w - 1j * d2) / (2.0 * w))
-
-        s11 = 2.0 * r20(x1, x1c)            # 2 R20(xi1, conj xi2)
-        s20 = r20(x1, x1)                   # R20(xi1, xi2)
-        rhs = {"psi_11000": s11, "psi_20000": s20, "psi_10100": 2.0 * s20, "psi_10010": s11}
-        psi = {name: _solve(rhs[name], w if at_2iw else None, n, alpha, d1, d2)
-               for name, at_2iw, n in _SYSTEMS}
-
-        # cubic = R30(xi1, xi1, conj xi1) = R30(xi1, xi2, conj xi2)
-        u, v, cv = x1[:, 0], x1[:, 1], x1c
-        cubic = (_cmul(_cmul(u, u), cv[:, 1]) + _cmul(_cmul(u, v), cv[:, 0])
-                 + _cmul(_cmul(v, u), cv[:, 0])) / 3.0
-        p11 = psi["psi_11000"]              # psi_00110 = S psi_11000: same amplitude at 0
-        a = project(x1[:, 0])               # R01(xi1); the psi_00001 term vanishes
-        b = project(2.0 * r20(x1, p11) + 2.0 * r20(x1c, psi["psi_20000"]) + 3.0 * cubic)
-        c = project(2.0 * r20(x1, p11) + 2.0 * r20(x1, psi["psi_10010"])
-                    + 2.0 * r20(x1c, psi["psi_10100"]) + 6.0 * cubic)
-    finite = np.isfinite(a) & np.isfinite(b) & np.isfinite(c)
-    return _Batch(a=a, b=b, c=c, psi=psi, beta1=beta1, omega=w, finite=finite)
-
-
-class _Projection(NamedTuple):
-    a: complex
-    b: complex
-    c: complex
-    psi: PsiTable
-    onset: OnsetData
-
-
-def _finite(route: str, compute, *args) -> dict:
-    """compute(*args), a dict of numbers, unless one overflows at these constants."""
-    try:   # a Python float's / raises where numpy's gives inf
-        values = compute(*args)
-        if np.isfinite(list(values.values())).all():
-            return values
-    except ArithmeticError:
-        pass
-    raise InadmissibleRegime(_OVERFLOW.format(route))
-
-
-def _project(params: ModelParams) -> _Projection:
-    """The projection kernel at B = 1; raises where it overflows."""
-    data = onset(validate(params))
-    k = _projection_kernel(*np.array([[params.alpha, *params.effective_diffusion()]]).T)
-    if not k.finite[0]:
-        raise InadmissibleRegime(_OVERFLOW.format("projection"))
-    amps = {name: ModeSum.single(n, k.psi[name][0]) for name, _, n in _SYSTEMS}
-    psi = PsiTable(psi_00001=ModeSum.zero(), psi_00110=amps["psi_11000"].reflect(),
-                   **amps)
-    return _Projection(complex(k.a[0]), complex(k.b[0]), complex(k.c[0]), psi, data)
-
-
-def solve_psi(params: ModelParams) -> PsiTable:
-    """Quadratic-order reduction functions from the four resolvent systems."""
-    return _project(params).psi
-
-
-def _asymptotic_a(params: ModelParams) -> complex:
-    """a of the direct and closed-form routes, from the critical eigenvalue."""
-    # d/dmu of lambda_+(mu) = mu/2 + i sqrt(omega^2 - d2 mu - mu^2/4) at mu = 0
-    d2 = params.effective_diffusion()[1]
-    return 0.5 - 1j * d2 / (2.0 * onset(params).omega)
+def _asymptotic_a(d2, w):
+    """a of the direct and closed-form routes, d/dmu of the critical eigenvalue
+    mu/2 + i sqrt(omega^2 - d2 mu - mu^2/4) at mu = 0: (omega - i d2) / (2 omega)."""
+    return 0.5 - 1j * (d2 / (2.0 * w))
 
 
 def _c1(alpha, d1, d2, beta1, w, p20):
@@ -244,31 +184,30 @@ def _c1(alpha, d1, d2, beta1, w, p20):
         * (alpha * (4.0 * d1 + 1.0) - (4.0 * d2 / alpha) * (1j * w + 1.0 + d1))
 
 
-def _direct(params: ModelParams) -> dict:
+def _direct(alpha, d1, d2, beta1, w) -> dict:
     """a, b and c with literal complex division by P_2(2i omega), P_2(0) and P_0(2i omega)."""
-    alpha, (d1, d2) = params.alpha, params.effective_diffusion()
     a2 = alpha * alpha
-    data = onset(params)
-    beta1, w = data.beta1, data.omega
+    a = _asymptotic_a(d2, w)
     p2w = onset_poly(alpha, d1, d2, 4.0, w)
-    pref = (w - 1j * d2) / (2.0 * w * a2)
+    den = 2.0 * w * a2
+    # numpy divides a complex by a real through a rounded reciprocal; real quotients do not
+    pref = w / den - 1j * (d2 / den)
     term = 5.0 * (a2 + d2) - 4.0 * beta1 + 1j * w
     fac = -2.0 * (a2 + d2) + beta1 + 2j * w
-    brk = -a2 * (2j * w + 4.0 * d1 + 1.0) - (2j * w + 4.0 * d2) * (1j * w - 1.0 - d1)
-    b = pref * (term + (2.0 / p2w) * fac * brk)
+    brk = -a2 * (2j * w + 4.0 * d1 + 1.0) - _cmul(2j * w + 4.0 * d2, 1j * w - 1.0 - d1)
+    b = _cmul(pref, term + _cmul(_cmul(2.0 / p2w, fac), brk))
 
     p20 = onset_poly(alpha, d1, d2, 4.0)
     p02w = onset_poly(alpha, d1, d2, 0.0, w)
     c1 = _c1(alpha, d1, d2, beta1, w, p20)
-    c2 = (4.0 / p02w) * ((beta1 - 2.0 * (a2 + d2) + 2j * w) / alpha) \
-        * (-alpha * (2j * w + 1.0) + (2j * w / alpha) * (-1j * w + 1.0 + d1))
-    pref = -1j * (d2 + 1j * w) / (2.0 * w)
-    c = pref * ((2.0 * (a2 + d2) - 4.0 * beta1 + 2j * w) / a2 + c1 + c2)
-    return {"a": _asymptotic_a(params), "b": b, "c": c}
+    c2 = _cmul(_cmul(4.0 / p02w, (beta1 - 2.0 * (a2 + d2)) / alpha + 1j * (2.0 * w / alpha)),
+               -alpha * (2j * w + 1.0) + _cmul(1j * (2.0 * w / alpha), -1j * w + 1.0 + d1))
+    c = _cmul(a, (2.0 * (a2 + d2) - 4.0 * beta1) / a2 + 1j * (2.0 * w / a2) + c1 + c2)
+    return {"a": a, "b": b, "c": c}
 
 
 def _closed_form(alpha, d1, d2, beta1, w) -> dict:
-    """The published constants from rescaled parameters; floats or arrays."""
+    """The published constants and the route's a, b and c."""
     a2 = alpha * alpha
     w2 = w * w
     p20 = onset_poly(alpha, d1, d2, 4.0)
@@ -308,18 +247,73 @@ def _closed_form(alpha, d1, d2, beta1, w) -> dict:
         "P2_0": p20,
         "P2_2iw": onset_poly(alpha, d1, d2, 4.0, w),
         "P0_2iw": onset_poly(alpha, d1, d2, 0.0, w),
+        "a": _asymptotic_a(d2, w),
         "b": re_b + 1j * im_b,
         "c": re_c + 1j * im_c,
         "C_1": _c1(alpha, d1, d2, beta1, w, p20),
-        "C_2": -12.0 * (c2r + 1j * c2i) / (a2 * denom),
+        "C_2": -12.0 * c2r / (a2 * denom) + 1j * (-12.0 * c2i / (a2 * denom)),
     }
+
+
+_COMPUTE = {"projection": _projection_kernel, "direct": _direct, "closed_form": _closed_form}
+
+
+def _evaluate(alpha, d1, d2, routes) -> tuple:
+    """The named routes, in the order given, over (P,) arrays of admissible points.
+
+    alpha and the rescaled diffusion rates d1, d2 fix beta1 and omega.
+    Returns (values, refused): values maps each route to its dict of
+    arrays, the point on the last axis, and refused[i] names the first
+    route with a value that is not finite at point i, else None.  A
+    point's values are NaN from that route on.
+    """
+    ok = np.ones(np.shape(alpha), dtype=bool)
+    refused = np.full(ok.shape, None, dtype=object)
+    values = {}
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):   # masked below
+        beta1, omega_sq = critical_values(alpha, d1, d2)
+        w = np.sqrt(omega_sq)
+        for route in routes:
+            out = _COMPUTE[route](alpha, d1, d2, beta1, w)
+            # one row per (P,) value, two per psi
+            finite = ok & np.isfinite(np.vstack(list(out.values()))).all(axis=0)
+            refused[ok & ~finite] = route
+            ok = finite
+            values[route] = out if ok.all() else {name: np.where(ok, v, np.nan)
+                                                  for name, v in out.items()}
+    return values, refused.tolist()
+
+
+def _point(params: ModelParams, routes) -> tuple:
+    """onset(validate(params)) and the named routes' values at params: a batch of one.
+
+    Raises the refusal of the first route with a value that is not finite.
+    """
+    data = onset(validate(params))
+    values, refused = _evaluate(*np.array([[params.alpha, *params.effective_diffusion()]]).T,
+                                routes)
+    if refused[0] is not None:
+        raise InadmissibleRegime(_OVERFLOW.format(refused[0]))
+    return data, {route: {name: v[..., 0].tolist() for name, v in out.items()}
+                  for route, out in values.items()}
+
+
+def _psi_table(kernel: dict) -> PsiTable:
+    """The reduction functions of one point's projection-kernel values."""
+    amps = {name: ModeSum.single(n, kernel[name]) for name, _, n in _SYSTEMS}
+    return PsiTable(psi_00001=ModeSum.zero(), psi_00110=amps["psi_11000"].reflect(),
+                    **amps)
+
+
+def solve_psi(params: ModelParams) -> PsiTable:
+    """Quadratic-order reduction functions from the four resolvent systems."""
+    return _psi_table(_point(params, ("projection",))[1]["projection"])
 
 
 def closed_form_constants(params: ModelParams) -> dict:
     """The published intermediate constants, evaluated literally."""
-    data = onset(validate(params))
-    return _finite("closed_form", _closed_form, params.alpha, *params.effective_diffusion(),
-                   data.beta1, data.omega)
+    constants = _point(params, ("closed_form",))[1]["closed_form"]
+    return {k: v for k, v in constants.items() if k != "a"}
 
 
 def coeffs_batch(alpha, d1, d2):
@@ -333,38 +327,24 @@ def coeffs_batch(alpha, d1, d2):
     None.  Values are NaN from a point's first failure on, so a point whose
     published constants alone overflow keeps its projection values.
     """
-    k = _projection_kernel(alpha, d1, d2)
-    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):   # masked below
-        closed = _closed_form(alpha, d1, d2, k.beta1, k.omega)
-    closed_ok = k.finite & np.isfinite(list(closed.values())).all(axis=0)
-    errors = [InadmissibleRegime(_OVERFLOW.format("projection")) if not ok_p else
-              InadmissibleRegime(_OVERFLOW.format("closed_form")) if not ok_c else None
-              for ok_p, ok_c in zip(k.finite.tolist(), closed_ok.tolist())]
-    return {"a": np.where(k.finite, k.a, np.nan),
-            "b_projection": np.where(k.finite, k.b, np.nan),
-            "c_projection": np.where(k.finite, k.c, np.nan),
-            "b_closed_form": np.where(closed_ok, closed["b"], np.nan),
-            "c_closed_form": np.where(closed_ok, closed["c"], np.nan)}, errors
+    values, refused = _evaluate(alpha, d1, d2, ("projection", "closed_form"))
+    proj, closed = values["projection"], values["closed_form"]
+    errors = [None if route is None else InadmissibleRegime(_OVERFLOW.format(route))
+              for route in refused]
+    return {"a": proj["a"], "b_projection": proj["b"], "c_projection": proj["c"],
+            "b_closed_form": closed["b"], "c_closed_form": closed["c"]}, errors
 
 
 def coeffs(params: ModelParams, route: str = "projection") -> NormalFormCoeffs:
     """a, b and c by one of ROUTES; an unknown route raises ValueError."""
-    if route == "projection":
-        a, b, c, _, data = _project(params)
-    elif route == "direct":
-        data = onset(validate(params))
-        a, b, c = _finite("direct", _direct, params).values()
-    elif route == "closed_form":
-        constants = closed_form_constants(params)
-        data = onset(params)
-        a, b, c = _asymptotic_a(params), constants["b"], constants["c"]
-    else:
+    if route not in ROUTES:
         raise ValueError(f"unknown route {route!r}; expected one of {ROUTES}")
-    return NormalFormCoeffs(a=a, b=b, c=c, route=route,
+    data, values = _point(params, (route,))
+    return NormalFormCoeffs(**{name: values[route][name] for name in "abc"}, route=route,
                             omega=data.omega, beta1=data.beta1)
 
 
-def _orthogonality(params: ModelParams, proj: _Projection) -> dict:
+def _orthogonality(params: ModelParams, proj: dict, psi: PsiTable) -> dict:
     """|<residual, xi1*>| for the three projected residual vectors.
 
     Each residual (the assembled sum minus its coefficient times xi1) must
@@ -373,12 +353,11 @@ def _orthogonality(params: ModelParams, proj: _Projection) -> dict:
     """
     x1, x2 = xi1(params), xi2(params)
     star = xi1_star(params)
-    psi = proj.psi
-    vec_a = -proj.a * x1 + R01(x1) + 2.0 * R20(params, x1, psi.psi_00001)
-    vec_b = (-proj.b * x1 + 2.0 * R20(params, x1, psi.psi_11000)
+    vec_a = -proj["a"] * x1 + R01(x1) + 2.0 * R20(params, x1, psi.psi_00001)
+    vec_b = (-proj["b"] * x1 + 2.0 * R20(params, x1, psi.psi_11000)
              + 2.0 * R20(params, x1.conj(), psi.psi_20000)
              + 3.0 * R30(x1, x1, x1.conj()))
-    vec_c = (-proj.c * x1 + 2.0 * R20(params, x1, psi.psi_00110)
+    vec_c = (-proj["c"] * x1 + 2.0 * R20(params, x1, psi.psi_00110)
              + 2.0 * R20(params, x2, psi.psi_10010)
              + 2.0 * R20(params, x2.conj(), psi.psi_10100)
              + 6.0 * R30(x1, x2, x2.conj()))
@@ -388,14 +367,9 @@ def _orthogonality(params: ModelParams, proj: _Projection) -> dict:
 
 def coeffs_report(params: ModelParams) -> dict:
     """All routes, all intermediate constants, and pairwise discrepancies."""
-    proj = _project(params)
-    data = proj.onset
-    constants = closed_form_constants(params)
-    per_route = {
-        "projection": {"a": proj.a, "b": proj.b, "c": proj.c},
-        "direct": _finite("direct", _direct, params),
-        "closed_form": {"a": _asymptotic_a(params), "b": constants["b"], "c": constants["c"]},
-    }
+    data, values = _point(params, ("projection", "closed_form", "direct"))
+    per_route = {route: {name: values[route][name] for name in "abc"} for route in ROUTES}
+    psi = _psi_table(values["projection"])
 
     discrepancies = {}
     consistent = {}
@@ -413,10 +387,10 @@ def coeffs_report(params: ModelParams) -> dict:
         "beta1": data.beta1,
         "omega": data.omega,
         "routes": per_route,
-        "constants": {k: v for k, v in constants.items() if k not in ("b", "c")},
-        "psi_residuals": proj.psi.residuals(params),
-        "residual_orthogonality": _orthogonality(params, proj),
+        "constants": {k: v for k, v in values["closed_form"].items() if k not in ("a", "b", "c")},
+        "psi_residuals": psi.residuals(params),
+        "residual_orthogonality": _orthogonality(params, per_route["projection"], psi),
         "discrepancies": discrepancies,
         "consistent": consistent,
-        "mean_zero_obstruction": zero_mode_content(params, proj.psi),
+        "mean_zero_obstruction": zero_mode_content(params, psi),
     }

@@ -14,6 +14,7 @@ the half_length = pi case with the diffusion rates rescaled by k1^2.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -61,10 +62,13 @@ def _rescaled(delta1, delta2, half_length):
 def critical_values(alpha, d1e, d2e):
     """beta1 and omega^2 from alpha and the rescaled diffusion rates.
 
-    Pure arithmetic, so it takes floats or numpy arrays alike.
+    Pure arithmetic, so it takes floats or numpy arrays alike.  omega^2 =
+    alpha^2 (1 + d1e - d2e) - d2e^2 is formed as (alpha - d2e)(alpha + d2e) +
+    alpha^2 (d1e - d2e), which does not cancel terms of about alpha^2 where
+    d2e -> alpha and d1e ~ d2e (the Turing bound meets omega = 0).
     """
     alpha2 = alpha * alpha
-    return 1.0 + alpha2 + d1e + d2e, alpha2 * (1.0 + d1e - d2e) - d2e * d2e
+    return 1.0 + alpha2 + d1e + d2e, (alpha - d2e) * (alpha + d2e) + alpha2 * (d1e - d2e)
 
 
 def hopf_bound(alpha, delta1, delta2):
@@ -93,11 +97,30 @@ def is_positive(value):
     return np.isfinite(value) & (value > 0.0)
 
 
+def _as_float(value):
+    """float(value) for a real number, not a bool, within the float range; else value."""
+    if type(value) is float or isinstance(value, bool) or not isinstance(value, numbers.Real):
+        return value
+    try:
+        return float(value)
+    except OverflowError:   # an integer beyond the float range
+        return value
+
+
+def is_finite_real(value) -> bool:
+    """Whether value is a real number, not a bool, that is finite as a float."""
+    value = _as_float(value)
+    return isinstance(value, float) and math.isfinite(value)
+
+
 def check_positive(params: ModelParams) -> ModelParams:
-    """Raise NonPositiveParameter for the first constant that is not finite and > 0."""
+    """Raise NonPositiveParameter for the first constant that is not a finite real > 0."""
     for name in _POSITIVE_FIELDS:
         value = getattr(params, name)
-        if not (math.isfinite(value) and value > 0.0):
+        real = _as_float(value)
+        if not isinstance(real, float):
+            raise NonPositiveParameter(name, value, "a real number within the float range")
+        if not (math.isfinite(real) and real > 0.0):
             raise NonPositiveParameter(name, value)
     return params
 
@@ -105,14 +128,14 @@ def check_positive(params: ModelParams) -> ModelParams:
 def validate(raw) -> ModelParams:
     """Build a validated ModelParams from a mapping or a ModelParams.
 
-    Raises NonPositiveParameter for any nonpositive constant and
-    InadmissibleRegime when the Hopf assumption fails (omega^2 <= 0 or
-    not finite, or beta1 >= hopf_bound).
+    Raises NonPositiveParameter for any constant that is not a finite real
+    number > 0 and InadmissibleRegime when the Hopf assumption fails
+    (omega^2 <= 0 or not finite, or beta1 >= hopf_bound).
     """
     if isinstance(raw, ModelParams):
         params = raw
     else:
-        params = ModelParams(**{k: float(v) for k, v in dict(raw).items()})
+        params = ModelParams(**{k: _as_float(v) for k, v in dict(raw).items()})
     check_positive(params)
     _, _, beta1, w2, admissible = onset_terms(params.alpha, params.delta1, params.delta2,
                                               params.half_length)

@@ -44,7 +44,7 @@ from numpy.fft._pocketfft_umath import rfft_n_even as _rfft_even
 from numpy.fft._pocketfft_umath import rfft_n_odd as _rfft_odd
 
 from .errors import InvalidConfig, NoSaturation, NumericalBlowup, WindowTooShort
-from .params import ModelParams, onset
+from .params import ModelParams, is_finite_real, onset
 from .spectral import mode_eigenvalues
 
 BLOWUP_NORM = 1e6   # a field value beyond this ends a run as NumericalBlowup
@@ -53,14 +53,6 @@ _MAX_GRID = 2 ** 20  # a run holds about 300 bytes per grid point: 330 MB at thi
 
 
 _PERTURB_KINDS = ("traveling", "random")
-
-
-def _isfinite(value) -> bool:
-    """math.isfinite, False for an integer beyond the float range."""
-    try:
-        return math.isfinite(value)
-    except OverflowError:
-        return False
 
 
 @dataclass(frozen=True)
@@ -80,14 +72,14 @@ class SimConfig:
             value = getattr(self, name)
             if isinstance(value, bool) or not isinstance(value, numbers.Real):
                 raise InvalidConfig(f"{name} must be a real number, got {value!r}")
-        if not (_isfinite(self.dt) and self.dt > 0.0):
+        if not (is_finite_real(self.dt) and self.dt > 0.0):
             raise InvalidConfig(f"dt must be finite and > 0, got {self.dt!r}")
-        if not (_isfinite(self.t_max) and self.t_max >= self.dt):
+        if not (is_finite_real(self.t_max) and self.t_max >= self.dt):
             raise InvalidConfig(f"t_max must be finite and at least one step "
                                 f"(dt = {self.dt:g}), got {self.t_max!r}")
         if not self.t_max / self.dt < 2.0 ** 63:
             raise InvalidConfig(f"t_max/dt = {self.t_max / self.dt:.3g} steps is beyond int64")
-        if not _isfinite(self.eps):
+        if not is_finite_real(self.eps):
             raise InvalidConfig(f"eps must be finite, got {self.eps!r}")
         for name in ("n_grid", "perturb_mode", "seed"):
             value = getattr(self, name)

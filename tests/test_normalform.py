@@ -5,9 +5,9 @@ import pytest
 from conftest import random_admissible
 
 from o2hopf import InadmissibleRegime, ModelParams, onset, onset_scan, validate
-from o2hopf.normalform import (ROUTES, _projection_kernel, closed_form_constants,
-                               coeffs, coeffs_batch, coeffs_report, solve_psi)
-from o2hopf.params import onset_terms
+from o2hopf.normalform import (ROUTES, _evaluate, _projection_kernel, closed_form_constants,
+                               coeffs, coeffs_report, solve_psi)
+from o2hopf.params import critical_values, onset_terms
 
 CANON = validate({"alpha": 2.0, "beta": 7.0})
 RT3 = math.sqrt(3.0)
@@ -20,8 +20,10 @@ GOLDEN_C = complex(-11.0 / 4.0, RT3 / 4.0)
 
 
 def _kernel(sets):
-    return _projection_kernel(*(np.array(v) for v in zip(*[
-        (p.alpha, *p.effective_diffusion()) for p in sets])))
+    alpha, d1, d2 = (np.array(v) for v in zip(*[(p.alpha, *p.effective_diffusion())
+                                                for p in sets]))
+    beta1, omega_sq = critical_values(alpha, d1, d2)
+    return _projection_kernel(alpha, d1, d2, beta1, np.sqrt(omega_sq))
 
 
 class TestPsi:
@@ -225,10 +227,11 @@ class TestKernel:
         sets = _random_sets(30)
         assert {p.half_length for p in sets} == {math.pi, math.pi / 2, 2.0, 5.0}
         k = _kernel(sets)
-        assert k.finite.all()
+        assert np.isfinite([k["a"], k["b"], k["c"]]).all()
         for i, p in enumerate(sets):
             direct = coeffs(p, "direct")
-            for got, want in ((k.a[i], direct.a), (k.b[i], direct.b), (k.c[i], direct.c)):
+            for got, want in ((k["a"][i], direct.a), (k["b"][i], direct.b),
+                              (k["c"][i], direct.c)):
                 assert abs(got - want) <= 1e-10 * abs(want)
 
     def test_residuals_on_random_sets(self):
@@ -242,9 +245,9 @@ class TestKernel:
         for i, p in enumerate(sets):
             nf = coeffs(p, "projection")
             psi = solve_psi(p)
-            for got, want in ((k.a[i], nf.a), (k.b[i], nf.b), (k.c[i], nf.c)):
+            for got, want in ((k["a"][i], nf.a), (k["b"][i], nf.b), (k["c"][i], nf.c)):
                 assert abs(got - want) <= 1e-14 * abs(want)
-            assert np.allclose(k.psi["psi_20000"][i], psi.psi_20000.amp(2),
+            assert np.allclose(k["psi_20000"][:, i], psi.psi_20000.amp(2),
                                rtol=1e-14, atol=0.0)
 
 
@@ -258,14 +261,12 @@ def test_projection_equals_direct_on_log_uniform_sets():
     d1, d2, _, _, admissible = onset_terms(alpha, delta1, delta2, length)
     keep = np.flatnonzero(admissible)[:3000]
     assert keep.size == 3000
-    values, errors = coeffs_batch(alpha[keep], d1[keep], d2[keep])
-    assert errors == [None] * keep.size
-    for j, i in enumerate(keep.tolist()):
-        direct = coeffs(ModelParams(alpha=alpha[i], beta=1.0, delta1=delta1[i],
-                                    delta2=delta2[i], half_length=length[i]), "direct")
-        for name, key in (("a", "a"), ("b", "b_projection"), ("c", "c_projection")):
-            want = getattr(direct, name)
-            assert abs(values[key][j] - want) <= 1e-13 * abs(want), (i, name)
+    values, refused = _evaluate(alpha[keep], d1[keep], d2[keep], ROUTES)
+    assert refused == [None] * keep.size
+    for name in "abc":
+        want = values["direct"][name]
+        far = ~(np.abs(values["projection"][name] - want) <= 1e-13 * np.abs(want))
+        assert not far.any(), (keep[far].tolist(), name)
 
 
 def _direct_80_digits(mp, alpha, d1, d2):
@@ -327,3 +328,45 @@ def test_both_routes_match_an_80_digit_evaluation_at_the_turing_corner():
     p = _at_onset(alpha=1e12, delta1=5e11 * (1.0 + 1e-4), delta2=5e11)
     assert onset(p).admissible
     _assert_routes_match_80_digits(p)
+
+
+def _turing_corner_sets(seed, count):
+    """Admissible sets at delta2' = alpha U(0.5, 1), delta1' = delta2' (1 + 10^U(-12, -1)),
+    alpha = 10^U(0, 10): the corner where the Turing bound meets omega = 0."""
+    rng = np.random.default_rng(seed)
+    sets = []
+    while len(sets) < count:
+        alpha = 10.0 ** rng.uniform(0.0, 10.0)
+        delta2 = alpha * rng.uniform(0.5, 1.0)
+        p = _at_onset(alpha=alpha, delta1=delta2 * (1.0 + 10.0 ** rng.uniform(-12.0, -1.0)),
+                      delta2=delta2)
+        if onset(p).admissible:
+            sets.append(p)
+    return sets
+
+
+def test_omega_squared_does_not_cancel_at_the_turing_corner():
+    # expanded, alpha^2 (1 + d1' - d2') - d2'^2 cancels terms of about alpha^2 here and
+    # was up to 2.9e-13 of omega^2 off on these draws
+    mp = pytest.importorskip("mpmath")
+    for p in _turing_corner_sets(40, 2000):
+        d1, d2 = p.effective_diffusion()
+        with mp.workdps(60):
+            alpha, x1, x2 = mp.mpf(p.alpha), mp.mpf(d1), mp.mpf(d2)
+            want = alpha * alpha * (1 + x1 - x2) - x2 * x2
+        assert abs(critical_values(p.alpha, d1, d2)[1] - want) <= 5e-16 * want, p
+
+
+def test_both_routes_match_an_80_digit_evaluation_on_turing_corner_draws():
+    # both routes to 1e-14, times |a| = |omega - i delta2'| / (2 omega) where that exceeds 1:
+    # toward omega = 0 the projection route's b loses up to about 1e-14 |a|, with the exact
+    # omega too.  With omega^2 expanded, a was up to 1.5e-14 and c 2.2e-14 off on these draws.
+    mp = pytest.importorskip("mpmath")
+    for p in _turing_corner_sets(29, 400):
+        want = _direct_80_digits(mp, p.alpha, *p.effective_diffusion())
+        scale = max(1.0, abs(want["a"]))
+        for route in ("projection", "direct"):
+            nf = coeffs(p, route)
+            for name in "abc":
+                got = getattr(nf, name)
+                assert abs(got - want[name]) <= 1e-14 * scale * abs(want[name]), (route, name, p)

@@ -1,10 +1,11 @@
 import math
 
+import numpy as np
 import pytest
 
 from o2hopf import (InadmissibleRegime, ModelParams, NonPositiveParameter,
                     closed_form_constants, onset, validate)
-from o2hopf.params import read_config
+from o2hopf.params import is_finite_real, read_config
 
 
 def test_canonical_onset():
@@ -44,6 +45,41 @@ def test_nonpositive_parameter_named():
         validate({"alpha": -2.0, "beta": 7.0})
     with pytest.raises(NonPositiveParameter):
         validate({"alpha": 2.0, "beta": float("nan")})
+
+
+_NOT_A_REAL = r"must be a real number within the float range, got "
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: validate(ModelParams(alpha=10**400, beta=1.0)),
+     r"^parameter 'alpha' " + _NOT_A_REAL + "an integer of 1329 bits$"),
+    (lambda: validate({"alpha": 10**400, "beta": 1.0}),
+     r"^parameter 'alpha' " + _NOT_A_REAL + "an integer of 1329 bits$"),
+    (lambda: onset(ModelParams(alpha=2, beta=10**400)),
+     r"^parameter 'beta' " + _NOT_A_REAL + "an integer of 1329 bits$"),
+    (lambda: onset(ModelParams(alpha=2.0, beta=7.0, delta2=-10**5000)),
+     r"^parameter 'delta2' " + _NOT_A_REAL + "an integer of 16610 bits$"),
+    (lambda: validate(ModelParams(alpha="2", beta=1.0)),
+     r"^parameter 'alpha' " + _NOT_A_REAL + "'2'$"),
+    (lambda: validate({"alpha": "2", "beta": 1.0}),
+     r"^parameter 'alpha' " + _NOT_A_REAL + "'2'$"),
+    (lambda: validate(ModelParams(alpha=True, beta=1.0)),
+     r"^parameter 'alpha' " + _NOT_A_REAL + "True$"),
+    (lambda: validate({"alpha": 2.0, "beta": 7.0, "half_length": None}),
+     r"^parameter 'half_length' " + _NOT_A_REAL + "None$"),
+], ids=["int_alpha", "int_alpha_mapping", "int_beta", "negative_int", "str_alpha",
+        "str_alpha_mapping", "bool_alpha", "none_half_length"])
+def test_a_constant_that_is_not_a_real_in_float_range_is_named(call, message):
+    # these raised OverflowError or TypeError, or read True as 1 and a mapping's '2' as 2.0
+    with pytest.raises(NonPositiveParameter, match=message):
+        call()
+
+
+def test_is_finite_real():
+    assert all(map(is_finite_real, [1.0, -2.0, 0.0, 3, 10**300, np.float32(2.0),
+                                    np.int64(-4), np.float64(1e308)]))
+    assert not any(map(is_finite_real, [math.inf, -math.inf, math.nan, 10**400, True,
+                                        np.bool_(True), "1", None, 1j, np.float64(math.inf)]))
 
 
 @pytest.mark.parametrize("field, value", [("delta2", 0.0), ("delta1", -1.0)])

@@ -25,7 +25,7 @@ from o2hopf import (InadmissibleRegime, ModelParams, ReducedSystem, SimConfig, S
                     branches, classify_regime, closed_form_constants, coeffs,
                     equivariance_test, initialize, mode_eigenvalues, onset, onset_scan,
                     solve_psi, validate)
-from o2hopf.normalform import ROUTES, coeffs_batch
+from o2hopf.normalform import ROUTES, _evaluate, coeffs_batch
 from o2hopf.params import hopf_bound, onset_terms
 from o2hopf.reduced import regime_batch
 from o2hopf.spectral import beta_n, gamma_n, onset_poly
@@ -126,14 +126,16 @@ def _bits(*values):
 
 
 def _assert_points_are_a_batch(sets):
-    """Each set's scalar admissibility, onset, coefficients and published constants
-    carry the bits of its entry in one array evaluation of all the sets."""
+    """Each set's scalar admissibility, onset, coefficients of every route and published
+    constants carry the bits of its entry in one array evaluation of all the sets."""
     alpha, delta1, delta2, length = (np.array([getattr(p, name) for p in sets])
                                      for name in ("alpha", "delta1", "delta2", "half_length"))
     terms = onset_terms(alpha, delta1, delta2, length)
     bound = hopf_bound(alpha, delta1, delta2)
     admissible = terms[-1]
-    values, errors = coeffs_batch(*(v[admissible] for v in (alpha, *terms[:2])))
+    kept = [v[admissible] for v in (alpha, *terms[:2])]
+    values, errors = coeffs_batch(*kept)
+    routes, refused = _evaluate(*kept, ROUTES)
     j = 0
     for i, p in enumerate(sets):
         assert _bits(*onset_terms(p.alpha, p.delta1, p.delta2, p.half_length),
@@ -147,10 +149,14 @@ def _assert_points_are_a_batch(sets):
             continue
         validate(p)
         assert _bits(data.beta1, data.omega) == _bits(terms[2][i], np.sqrt(terms[3][i]))
-        nf, cf = coeffs(p, "projection"), closed_form_constants(p)
-        assert errors[j] is None
+        point, cf = {route: coeffs(p, route) for route in ROUTES}, closed_form_constants(p)
+        nf = point["projection"]
+        assert errors[j] is None and refused[j] is None
         assert _bits(nf.a, nf.b, nf.c, cf["b"], cf["c"]) == _bits(*(values[name][j] for name in (
             "a", "b_projection", "c_projection", "b_closed_form", "c_closed_form")))
+        for route, nf in point.items():
+            assert _bits(nf.a, nf.b, nf.c) == _bits(*(routes[route][name][j] for name in "abc"))
+        assert _bits(*cf.values()) == _bits(*(routes["closed_form"][key][j] for key in cf))
         j += 1
 
 
