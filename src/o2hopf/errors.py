@@ -5,16 +5,21 @@ class O2HopfError(Exception):
     """Base class for all package errors."""
 
 
+def shown(value) -> str:
+    """value as an error message names it: its repr, or for an integer past the
+    float range its size, since its digits may not print."""
+    if isinstance(value, int) and value.bit_length() > 1024:
+        return f"an integer of {value.bit_length()} bits"
+    return repr(value)
+
+
 class NonPositiveParameter(O2HopfError):
     """A model constant that must be a strictly positive real number is not."""
 
     def __init__(self, name, value, requirement="strictly positive"):
         self.name = name
         self.value = value
-        # an integer past the float range is named by its size: its digits may not print
-        shown = (f"an integer of {value.bit_length()} bits"
-                 if isinstance(value, int) and value.bit_length() > 1024 else repr(value))
-        super().__init__(f"parameter '{name}' must be {requirement}, got {shown}")
+        super().__init__(f"parameter '{name}' must be {requirement}, got {shown(value)}")
 
 
 class InadmissibleRegime(O2HopfError):

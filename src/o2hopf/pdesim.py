@@ -3,8 +3,9 @@
 Strang splitting per step: exact diffusion half-steps in Fourier space
 (multipliers exp(-delta k^2 dt/2)) around one explicit midpoint step of the
 reaction terms.  The cubic product is formed in physical space and
-dealiased with the 2/3 rule.  The scheme is second order in dt and bitwise
-deterministic for a fixed seed and configuration.
+dealiased by the 2/3 rule, by wave index: it keeps j <= 2 floor(N/2)/3
+(SimConfig.cutoff), the same at every half-length.  The scheme is second
+order in dt and bitwise deterministic for a fixed seed and configuration.
 
 A state is the (2, N) array of u1 and u2 on the grid, as ``initialize``
 returns it.  ``Simulator.advance`` is the one stepper: it integrates a
@@ -17,13 +18,11 @@ pocketfft gufuncs, called without the np.fft wrapper, whose cost at these
 sizes is that of a transform; the results are np.fft's bits.  Inside the
 step loop the batch is species-major, spectra (2, B, K) and fields
 (2, B, N), in buffers allocated once per set of running members, with the
-per-member coefficients laid out as full (B, K) blocks: every ufunc call
-of a step is then a same-shape call on contiguous arrays, which numpy runs
-in its contiguous loop instead of its broadcasting or strided iterator, a
-call that costs two to four times as much at these sizes; each element
-gets the same arithmetic as in a member-major layout.  Each step's field
-is checked against the blow-up bound once, when the next step or the last
-forms it.  Batch members are bitwise equal to solo runs; ``rhs`` is the
+per-member coefficients laid out as full (2, B, K) blocks: each operation
+of a step is one ufunc call on contiguous arrays for both species, and
+each element gets the same arithmetic as in a member-major layout.  Each
+step's field is checked against the blow-up bound once, when the next
+step or the last forms it.  Batch members are bitwise equal to solo runs; ``rhs`` is the
 operator the steps integrate.  A traveling start lies along the eigenvector
 (alpha^2, lambda - m11) of its mode's leading root: the +i omega wave at onset.
 """
@@ -43,7 +42,7 @@ from numpy.fft._pocketfft_umath import irfft as _irfft
 from numpy.fft._pocketfft_umath import rfft_n_even as _rfft_even
 from numpy.fft._pocketfft_umath import rfft_n_odd as _rfft_odd
 
-from .errors import InvalidConfig, NoSaturation, NumericalBlowup, WindowTooShort
+from .errors import InvalidConfig, NoSaturation, NumericalBlowup, WindowTooShort, shown
 from .params import ModelParams, is_finite_real, onset
 from .spectral import mode_eigenvalues
 
@@ -66,39 +65,44 @@ class SimConfig:
     seed: int = 0
     pin_mean: bool = False
 
+    @property
+    def cutoff(self) -> int:
+        """Orszag's 2/3 rule: the highest wave index j <= 2 floor(N/2)/3 that the
+        cubic term keeps, the same at every half-length."""
+        return 2 * (self.n_grid // 2) // 3
+
     def __post_init__(self):
         """Raise InvalidConfig for a setting the integrator cannot run."""
         for name in ("dt", "t_max", "eps"):
             value = getattr(self, name)
             if isinstance(value, bool) or not isinstance(value, numbers.Real):
-                raise InvalidConfig(f"{name} must be a real number, got {value!r}")
+                raise InvalidConfig(f"{name} must be a real number, got {shown(value)}")
         if not (is_finite_real(self.dt) and self.dt > 0.0):
-            raise InvalidConfig(f"dt must be finite and > 0, got {self.dt!r}")
+            raise InvalidConfig(f"dt must be finite and > 0, got {shown(self.dt)}")
         if not (is_finite_real(self.t_max) and self.t_max >= self.dt):
             raise InvalidConfig(f"t_max must be finite and at least one step "
-                                f"(dt = {self.dt:g}), got {self.t_max!r}")
+                                f"(dt = {self.dt:g}), got {shown(self.t_max)}")
         if not self.t_max / self.dt < 2.0 ** 63:
             raise InvalidConfig(f"t_max/dt = {self.t_max / self.dt:.3g} steps is beyond int64")
         if not is_finite_real(self.eps):
-            raise InvalidConfig(f"eps must be finite, got {self.eps!r}")
+            raise InvalidConfig(f"eps must be finite, got {shown(self.eps)}")
         for name in ("n_grid", "perturb_mode", "seed"):
             value = getattr(self, name)
             if not isinstance(value, numbers.Integral):
-                raise InvalidConfig(f"{name} must be an integer, got {value!r}")
+                raise InvalidConfig(f"{name} must be an integer, got {shown(value)}")
         if not 2 <= self.n_grid <= _MAX_GRID:
             raise InvalidConfig(f"n_grid must be at least 2 and at most {_MAX_GRID}, "
-                                f"got {self.n_grid!r}")
+                                f"got {shown(self.n_grid)}")
         if self.seed < 0:
-            raise InvalidConfig(f"seed must be a non-negative integer, got {self.seed!r}")
+            raise InvalidConfig(f"seed must be a non-negative integer, got {shown(self.seed)}")
         if self.perturb_kind not in _PERTURB_KINDS:
             raise InvalidConfig(f"unknown perturbation kind {self.perturb_kind!r}; "
                                 f"expected one of {_PERTURB_KINDS}")
         # the highest wave index the perturbation excites ("random": 1..4)
-        mode = 4 if self.perturb_kind == "random" else abs(self.perturb_mode)
-        cutoff = 2 * (self.n_grid // 2) // 3
-        if self.eps != 0.0 and mode > cutoff:
-            raise InvalidConfig(f"perturbed mode {mode} lies above the 2/3 cutoff "
-                                f"(mode {cutoff}) of n_grid = {self.n_grid}")
+        mode = 4 if self.perturb_kind == "random" else abs(int(self.perturb_mode))
+        if self.eps != 0.0 and mode > self.cutoff:
+            raise InvalidConfig(f"perturbed mode {shown(mode)} lies above the 2/3 cutoff "
+                                f"(mode {self.cutoff}) of n_grid = {self.n_grid}")
 
 
 def sampling_steps(dt: float) -> int:
@@ -148,13 +152,12 @@ class _Views(NamedTuple):
     """A species-major spectrum (2, B, K) and its views that a step uses, bound once."""
     whole: np.ndarray
     u1: np.ndarray        # whole[0]
-    u2: np.ndarray        # whole[1]
     mean_u1: np.ndarray   # whole[0, :, 0]
     means: np.ndarray     # whole[..., 0]
 
 
 def _views(X: np.ndarray) -> _Views:
-    return _Views(X, X[0], X[1], X[0, :, 0], X[..., 0])
+    return _Views(X, X[0], X[0, :, 0], X[..., 0])
 
 
 def _block(a: np.ndarray, shape: tuple) -> np.ndarray:
@@ -187,9 +190,9 @@ class Simulator:
         # complex multipliers: the same products without a cast on every use
         self._half = np.exp(self._symbol * (config.dt / 2.0)).astype(complex)
         self._full = np.exp(self._symbol * config.dt).astype(complex)
-        cutoff = (2.0 / 3.0) * np.max(k) if n > 2 else np.inf
-        # the 2/3 rule over N, the unit mean, signed for the two species
-        self._dealias = np.array([[1.0], [-1.0]]) * (k <= cutoff) / n + 0j
+        # the 2/3 rule by wave index over N, the unit mean, signed for the two species
+        kept = np.arange(n // 2 + 1) <= config.cutoff
+        self._dealias = np.array([[1.0], [-1.0]]) * kept / n + 0j
 
     def _coefficients(self, betas: np.ndarray):
         """Per-member lin = (-(beta + 1), beta), (2, B, 1), and the pinned k = 0
@@ -216,19 +219,18 @@ class Simulator:
 
         Species-major: base and F^, the unit-mean spectrum of F, are (2, B, K),
         s1 is that of u1, and u = (u1, u2) holds the fields (B, N); lin and the
-        signed 2/3-rule mask come times h, a pair of arrays, one per species,
-        that broadcast to (B, K).  u1^2 u2, its rfft and that masked go to cube, r
-        and q; out and q are given as their _views."""
-        out, out1, out2, out_mean, _ = out
-        q, q1, q2, _, _ = q
+        signed mask come times h, as arrays that broadcast to (2, B, K).  The
+        mask is the 2/3 rule: the cubic term keeps wave indices
+        j <= 2 floor(N/2)/3 (SimConfig.cutoff), the same at every half-length.
+        u1^2 u2, its rfft and that masked go to cube, r and q (2, B, K); out is
+        given as its _views, and each operation is one call for both species."""
+        out, _, out_mean, _ = out
         u1, u2 = u
         np.multiply(u1, u1, out=cube)
         cube *= u2
         self._rfft(cube, 1.0, out=r)
-        np.multiply(r, mask[0], out=q1)
-        np.multiply(r, mask[1], out=q2)
-        np.multiply(lin[0], s1, out=out1)
-        np.multiply(lin[1], s1, out=out2)
+        np.multiply(r, mask, out=q)
+        np.multiply(lin, s1, out=out)
         out += base
         out += q
         out_mean += h * self.params.alpha
@@ -249,7 +251,7 @@ class Simulator:
         F = np.empty(S.shape, complex)
         self._stage(_views(F), self._symbol[:, None] * S, S[0], U.transpose(1, 0, 2), lin,
                     self._dealias[:, None], 1.0, np.empty(U[:, 0].shape),
-                    np.empty(S[0].shape, complex), _views(np.empty_like(F)))
+                    np.empty(S[0].shape, complex), np.empty_like(F))
         dU = np.empty(U.shape)
         _irfft(F, 1.0, out=dU.transpose(1, 0, 2))
         return dU
@@ -267,13 +269,8 @@ class Simulator:
         sample_every >= 0 has an observer,
         and NumericalBlowup when the field of step i, checked as step i + 1
         or the last step forms it, leaves the bound or is not finite (named
-        as time i * dt).
-
-        The batch is carried species-major, spectra (2, B, K) and fields
-        (2, B, N), with the per-member coefficients laid out as full (B, K)
-        blocks, so that every ufunc of a step is a same-shape call on
-        contiguous buffers; they are allocated once per live set, which is
-        rebuilt when members leave.
+        as time i * dt).  Buffers are allocated once per set of running
+        members, which is rebuilt when members leave.
         """
         dt, n = self.config.dt, self.config.n_grid
         betas = np.asarray(betas, dtype=float)
@@ -307,15 +304,14 @@ class Simulator:
             shape = S.shape
             lin, mean = self._coefficients(betas[live])
             mask = self._dealias[:, None]
-            # (B, K) blocks of u1 and u2, the pairs of views that iterating a block yields
-            half_lin, full_lin, half_mask, full_mask = (
-                tuple(_block(a, shape)) for a in ((0.5 * dt) * lin, dt * lin,
-                                                  (0.5 * dt) * mask, dt * mask))
-            half, full = _block(self._half[:, None], shape), _block(self._full[:, None], shape)
+            half_lin, full_lin, half_mask, full_mask, half, full = (
+                _block(a, shape) for a in ((0.5 * dt) * lin, dt * lin, (0.5 * dt) * mask,
+                                           dt * mask, self._half[:, None], self._full[:, None]))
             # buffers: fields, |fields|, u1^2 u2, its rfft, that masked, midpoint, next S
             U = np.empty(shape[:2] + (n,))
-            absU, cube, r = np.empty_like(U), np.empty_like(U[0]), np.empty_like(S[0])
-            q, mid, S2 = (_views(np.empty_like(S)) for _ in range(3))
+            absU, cube, r, q = (np.empty_like(U), np.empty_like(U[0]), np.empty_like(S[0]),
+                                np.empty_like(S))
+            mid, S2 = _views(np.empty_like(S)), _views(np.empty_like(S))
             Sv, u = _views(S), (U[0], U[1])
             observed = mid.whole.transpose(1, 0, 2)
             observed.flags.writeable = False

@@ -5,10 +5,10 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from o2hopf import (InvalidConfig, NoSaturation, NumericalBlowup, SimConfig, Simulator,
-                    WindowTooShort, equivariance_test, initialize, measure_growth_rate,
-                    mode_eigenvalues, mode_matrix, onset, oscillation_frequency,
-                    timestep_convergence_order, validate)
+from o2hopf import (InvalidConfig, ModelParams, NoSaturation, NumericalBlowup, SimConfig,
+                    Simulator, WindowTooShort, equivariance_test, initialize,
+                    measure_growth_rate, mode_eigenvalues, mode_matrix, onset,
+                    oscillation_frequency, timestep_convergence_order, validate)
 from o2hopf import pdesim
 from o2hopf.cli import dispatch
 from o2hopf.pdesim import amplitude_scaling_experiment
@@ -93,6 +93,23 @@ def test_config_limits_that_pass():
     SimConfig(n_grid=np.int64(64), perturb_mode=np.int32(2), seed=np.uint8(3))
     with pytest.raises(InvalidConfig):
         replace(SimConfig(), dt=0.0)
+
+
+# an integer of more than 4 300 digits has no str: it is named by its bit count
+HUGE = 10 ** 5000
+
+
+@pytest.mark.parametrize("settings, message", [
+    ({"dt": HUGE}, "dt must be finite and > 0"),
+    ({"t_max": HUGE}, "t_max must be finite and at least one step"),
+    ({"eps": HUGE}, "eps must be finite"),
+    ({"n_grid": HUGE}, "n_grid must be at least 2 and at most 1048576"),
+    ({"seed": -HUGE}, "seed must be a non-negative integer"),
+    ({"perturb_mode": HUGE, "n_grid": 64}, "perturbed mode"),
+])
+def test_config_names_a_huge_integer_by_its_size(settings, message):
+    with pytest.raises(InvalidConfig, match=rf"^{message}.*an integer of 16610 bits"):
+        SimConfig(**settings)
 
 
 class TestObservables:
@@ -391,6 +408,27 @@ def test_step_integrates_rhs():
         assert np.max(np.abs(quotient - rhs)) <= 1e4 * dt
     uniform = initialize(CANON, SimConfig(n_grid=n, eps=0.0))
     assert np.max(np.abs(sim.rhs(uniform[None], 7.0))) <= 1e-13
+
+
+@pytest.mark.parametrize("half_length", [math.pi, math.pi / 2, 2.0, 3.0, 5.0, 7.3, 13.0, 100.0])
+def test_dealiasing_keeps_the_cutoff_modes_at_every_length(half_length):
+    """The cubic term keeps wave indices j <= 2 floor(N/2)/3, whatever the half-length.
+
+    With u1 = 1 and alpha = beta + 1, dU1/dt is the dealiased u1^2 u2 = u2, so
+    the modes of u2 that rhs passes to it are the ones the stepper keeps.
+    """
+    params = ModelParams(alpha=2.0, beta=1.0, half_length=half_length)
+    wrong = []
+    for n in range(2, 600):
+        u2 = np.random.default_rng(n).standard_normal(n)
+        sim = Simulator(params, SimConfig(n_grid=n, eps=0.0, t_max=1.0))
+        du1 = sim.rhs(np.stack([np.ones(n), u2])[None], params.beta)[0, 0]
+        V, X = np.fft.rfft(u2) / n, np.fft.rfft(du1) / n
+        kept, dropped = np.abs(X - V) <= 1e-10, np.abs(X) <= 1e-10
+        if not (kept | dropped).all() or np.flatnonzero(kept).tolist() != list(
+                range(2 * (n // 2) // 3 + 1)):
+            wrong.append(n)
+    assert wrong == []
 
 
 def test_mean_identity():

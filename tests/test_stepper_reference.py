@@ -27,6 +27,13 @@ def _coefficients(sim, betas):
     return lin, np.stack([np.full_like(betas, alpha), betas / alpha], axis=-1)
 
 
+def _dealias(n):
+    """The 2/3 rule by wave index, j <= 2 floor(N/2)/3, over N for the unit mean,
+    signed for the two species."""
+    kept = np.arange(n // 2 + 1) <= 2 * (n // 2) // 3
+    return np.array([[1.0], [-1.0]]) * kept / n + 0j
+
+
 def _stage(sim, out, base, S, U, lin, mask, h, cube, r, q):
     np.multiply(U[:, 0], U[:, 0], out=cube)
     cube *= U[:, 1]
@@ -49,7 +56,7 @@ def reference_advance(sim, U, betas, n_steps, sample_every=0, observe=None):
     ends = set(n_steps[live].tolist())
     lin, mean = _coefficients(sim, betas[live])
     half_lin, full_lin = (0.5 * dt) * lin, dt * lin
-    half_mask, full_mask = (0.5 * dt) * sim._dealias, dt * sim._dealias
+    half_mask, full_mask = (0.5 * dt) * _dealias(n), dt * _dealias(n)
     U = out[live]
     S = sim._spectrum(U, 1.0 / n)
     S *= sim._half
