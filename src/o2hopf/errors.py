@@ -1,15 +1,21 @@
 """Exception types shared across the package."""
 
+import numbers
+
 
 class O2HopfError(Exception):
     """Base class for all package errors."""
 
 
 def shown(value) -> str:
-    """value as an error message names it: its repr, or for an integer past the
-    float range its size, since its digits may not print."""
-    if isinstance(value, int) and value.bit_length() > 1024:
-        return f"an integer of {value.bit_length()} bits"
+    """value as an error message names it: its repr, or for an integer or a
+    fraction with a term past the float range the terms' sizes, since their
+    digits may not print."""
+    if isinstance(value, numbers.Rational):
+        top, bottom = int(value.numerator).bit_length(), int(value.denominator).bit_length()
+        if max(top, bottom) > 1024:
+            return (f"an integer of {top} bits" if bottom == 1 else
+                    f"a fraction with a {top}-bit numerator and a {bottom}-bit denominator")
     return repr(value)
 
 

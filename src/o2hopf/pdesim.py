@@ -22,9 +22,12 @@ per-member coefficients laid out as full (2, B, K) blocks: each operation
 of a step is one ufunc call on contiguous arrays for both species, and
 each element gets the same arithmetic as in a member-major layout.  Each
 step's field is checked against the blow-up bound once, when the next
-step or the last forms it.  Batch members are bitwise equal to solo runs; ``rhs`` is the
-operator the steps integrate.  A traveling start lies along the eigenvector
-(alpha^2, lambda - m11) of its mode's leading root: the +i omega wave at onset.
+step or the last forms it.  Batch members are bitwise equal to solo runs.
+A traveling start lies along the eigenvector (alpha^2, lambda - m11) of
+its mode's leading root: the +i omega wave at onset.  ``rhs`` is the
+operator the steps integrate; with SimConfig.pin_mean it is the projected
+system, with no k = 0 reaction: the means hold (alpha, beta/alpha) from
+the start, and pinned runs are second order at any amplitude.
 """
 
 from __future__ import annotations
@@ -77,13 +80,13 @@ class SimConfig:
             value = getattr(self, name)
             if isinstance(value, bool) or not isinstance(value, numbers.Real):
                 raise InvalidConfig(f"{name} must be a real number, got {shown(value)}")
-        if not (is_finite_real(self.dt) and self.dt > 0.0):
+        if not (is_finite_real(self.dt) and float(self.dt) > 0.0):
             raise InvalidConfig(f"dt must be finite and > 0, got {shown(self.dt)}")
         if not (is_finite_real(self.t_max) and self.t_max >= self.dt):
             raise InvalidConfig(f"t_max must be finite and at least one step "
-                                f"(dt = {self.dt:g}), got {shown(self.t_max)}")
-        if not self.t_max / self.dt < 2.0 ** 63:
-            raise InvalidConfig(f"t_max/dt = {self.t_max / self.dt:.3g} steps is beyond int64")
+                                f"(dt = {float(self.dt):g}), got {shown(self.t_max)}")
+        if not (steps := float(self.t_max) / float(self.dt)) < 2.0 ** 63:
+            raise InvalidConfig(f"t_max/dt = {steps:.3g} steps is beyond int64")
         if not is_finite_real(self.eps):
             raise InvalidConfig(f"eps must be finite, got {shown(self.eps)}")
         for name in ("n_grid", "perturb_mode", "seed"):
@@ -153,11 +156,10 @@ class _Views(NamedTuple):
     whole: np.ndarray
     u1: np.ndarray        # whole[0]
     mean_u1: np.ndarray   # whole[0, :, 0]
-    means: np.ndarray     # whole[..., 0]
 
 
 def _views(X: np.ndarray) -> _Views:
-    return _Views(X, X[0], X[0, :, 0], X[..., 0])
+    return _Views(X, X[0], X[0, :, 0])
 
 
 def _block(a: np.ndarray, shape: tuple) -> np.ndarray:
@@ -190,16 +192,16 @@ class Simulator:
         # complex multipliers: the same products without a cast on every use
         self._half = np.exp(self._symbol * (config.dt / 2.0)).astype(complex)
         self._full = np.exp(self._symbol * config.dt).astype(complex)
+        # the modes the reaction moves; pinned means leave out k = 0, where alpha enters
+        self._moving = np.arange(n // 2 + 1) >= config.pin_mean
+        self._source = 0.0 if config.pin_mean else params.alpha
         # the 2/3 rule by wave index over N, the unit mean, signed for the two species
         kept = np.arange(n // 2 + 1) <= config.cutoff
-        self._dealias = np.array([[1.0], [-1.0]]) * kept / n + 0j
+        self._dealias = np.array([[1.0], [-1.0]]) * (kept & self._moving) / n + 0j
 
     def _coefficients(self, betas: np.ndarray):
-        """Per-member lin = (-(beta + 1), beta), (2, B, 1), and the pinned k = 0
-        values, the uniform state (alpha, beta/alpha), (2, B)."""
-        alpha = self.params.alpha
-        lin = np.stack([-(betas + 1.0), betas])[:, :, None] + 0j
-        return lin, np.stack([np.full_like(betas, alpha), betas / alpha])
+        """Per-member lin = (-(beta + 1), beta) on the moving modes, (2, B, K)."""
+        return np.stack([-(betas + 1.0), betas])[:, :, None] * self._moving + 0j
 
     def _spectrum(self, U, f):
         """_rfft(U, f) of fields U (..., N) into a new array."""
@@ -224,7 +226,7 @@ class Simulator:
         j <= 2 floor(N/2)/3 (SimConfig.cutoff), the same at every half-length.
         u1^2 u2, its rfft and that masked go to cube, r and q (2, B, K); out is
         given as its _views, and each operation is one call for both species."""
-        out, _, out_mean, _ = out
+        out, _, out_mean = out
         u1, u2 = u
         np.multiply(u1, u1, out=cube)
         cube *= u2
@@ -233,20 +235,21 @@ class Simulator:
         np.multiply(lin, s1, out=out)
         out += base
         out += q
-        out_mean += h * self.params.alpha
+        out_mean += h * self._source
 
     def rhs(self, U, beta) -> np.ndarray:
         """dU/dt of the semi-discrete system the steps integrate, for U (B, 2, N).
 
         Spectral diffusion plus the dealiased reaction; beta is one number
-        or one per member.  Mean pinning is a constraint of the stepper,
-        not part of this operator.  Raises InvalidConfig unless U is
-        (B, 2, N); a wrong grid is named as by translate.
+        or one per member.  With pin_mean it is the projected system, whose
+        means are zero: pinned runs hold them at (alpha, beta/alpha) from the
+        start, at second order for any amplitude.  Raises InvalidConfig
+        unless U is (B, 2, N); a wrong grid is named as by translate.
         """
         U = np.asarray(U, dtype=float)
         S = self._spectrum(U, 1.0 / self.config.n_grid)
         self._check_batch(U, "rhs")
-        lin, _ = self._coefficients(np.full(len(U), beta, dtype=float))
+        lin = self._coefficients(np.full(len(U), beta, dtype=float))
         S = S.transpose(1, 0, 2)
         F = np.empty(S.shape, complex)
         self._stage(_views(F), self._symbol[:, None] * S, S[0], U.transpose(1, 0, 2), lin,
@@ -294,15 +297,16 @@ class Simulator:
             raise InvalidConfig(f"sample_every must be >= 0, got {sample_every!r}")
         if sample_every and observe is None:
             raise InvalidConfig(f"sample_every = {sample_every} needs an observer")
-        pin = self.config.pin_mean
         live = np.flatnonzero(n_steps > 0)
         S = self._spectrum(out[live].transpose(1, 0, 2), 1.0 / n)
         S *= self._half[:, None]
+        if self.config.pin_mean:   # the projected operator never moves them
+            S[0, :, 0], S[1, :, 0] = self.params.alpha, betas[live] / self.params.alpha
         i = 0
         while live.size:
             live.flags.writeable = False   # observers get it, and it places the fields
             shape = S.shape
-            lin, mean = self._coefficients(betas[live])
+            lin = self._coefficients(betas[live])
             mask = self._dealias[:, None]
             half_lin, full_lin, half_mask, full_mask, half, full = (
                 _block(a, shape) for a in ((0.5 * dt) * lin, dt * lin, (0.5 * dt) * mask,
@@ -325,10 +329,6 @@ class Simulator:
                 self._stage(S2, S, mid.u1, u, full_lin, full_mask, dt, cube, r, q)
                 Sv, S2 = S2, Sv
                 S = Sv.whole
-                if pin:
-                    # k = 0 is linearly unstable at onset and would swamp the pattern;
-                    # pinning resets only it, and every k != 0 mode follows the equations
-                    Sv.means[...] = mean
                 sampled = sample_every and i % sample_every == 0
                 if sampled or i == end:
                     np.multiply(S, half, out=mid.whole)
@@ -475,10 +475,10 @@ def amplitude_scaling_experiment(params: ModelParams, mus,
     Default runs pin the spatial means (SimConfig.pin_mean): the uniform
     mode is linearly unstable at onset, so on the horizons needed for the
     slow mode-1 saturation its deviation would otherwise overwhelm the
-    pattern.  Pinning leaves every k != 0 mode under the unmodified
-    equations; the square-root amplitude law and the limiting frequency of
-    the bifurcating branch are unaffected, though the proportionality
-    constant reflects the pinned cubic coefficients.
+    pattern.  Pinned runs integrate the projected system, second order at
+    any amplitude, with the means held at (alpha, beta/alpha) from the
+    start: the square-root law and the limiting frequency are unaffected,
+    though the law's constant reflects the pinned cubic coefficients.
     """
     mus = list(mus)
     if not mus:

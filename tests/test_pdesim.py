@@ -1,14 +1,16 @@
 import csv
 import math
 from dataclasses import replace
+from fractions import Fraction
 
 import numpy as np
 import pytest
 
-from o2hopf import (InvalidConfig, ModelParams, NoSaturation, NumericalBlowup, SimConfig,
-                    Simulator, WindowTooShort, equivariance_test, initialize,
-                    measure_growth_rate, mode_eigenvalues, mode_matrix, onset,
-                    oscillation_frequency, timestep_convergence_order, validate)
+from o2hopf import (InvalidConfig, ModelParams, NonPositiveParameter, NoSaturation,
+                    NumericalBlowup, SimConfig, Simulator, WindowTooShort,
+                    equivariance_test, initialize, measure_growth_rate,
+                    mode_eigenvalues, mode_matrix, onset, oscillation_frequency,
+                    timestep_convergence_order, validate)
 from o2hopf import pdesim
 from o2hopf.cli import dispatch
 from o2hopf.pdesim import amplitude_scaling_experiment
@@ -110,6 +112,29 @@ HUGE = 10 ** 5000
 def test_config_names_a_huge_integer_by_its_size(settings, message):
     with pytest.raises(InvalidConfig, match=rf"^{message}.*an integer of 16610 bits"):
         SimConfig(**settings)
+
+
+@pytest.mark.parametrize("make, error, message", [
+    (lambda: SimConfig(eps=Fraction(HUGE, 3)), InvalidConfig,
+     "eps must be finite, got a fraction with a 16610-bit numerator and a 2-bit denominator"),
+    (lambda: SimConfig(dt=Fraction(-HUGE, 3)), InvalidConfig,
+     "dt must be finite and > 0, got a fraction with a 16610-bit numerator"),
+    (lambda: SimConfig(t_max=Fraction(HUGE, 3)), InvalidConfig,
+     "t_max must be finite and at least one step .* 16610-bit numerator"),
+    (lambda: validate({"alpha": Fraction(HUGE, 3), "beta": 7.0}), NonPositiveParameter,
+     "'alpha' must be a real number within the float range, got a fraction with a 16610-bit"),
+    # > 0 exactly, but 0.0 as the float the step runs on
+    (lambda: SimConfig(dt=Fraction(1, HUGE)), InvalidConfig,
+     "dt must be finite and > 0, got a fraction with a 1-bit numerator and a 16610-bit"),
+    (lambda: SimConfig(dt=Fraction(1, 3), t_max=0.1), InvalidConfig,
+     r"at least one step \(dt = 0.333333\), got 0.1"),
+    (lambda: SimConfig(dt=Fraction(1, 10 ** 300), t_max=Fraction(1)), InvalidConfig,
+     r"t_max/dt = 1e\+300 steps is beyond int64"),
+], ids=["eps", "dt", "t_max", "alpha", "dt_zero_as_float", "dt_formatted", "steps_formatted"])
+def test_config_names_a_fraction_by_its_terms(make, error, message):
+    """A fraction whose digits do not print, or that is 0.0 as a float, is a typed error."""
+    with pytest.raises(error, match=message):
+        make()
 
 
 class TestObservables:
@@ -389,11 +414,15 @@ class TestLinearRegime:
         assert modes[1] < 1e-5 and modes[2] < 1e-5
 
 
-def test_step_integrates_rhs():
+@pytest.mark.parametrize("pin_mean", [False, True])
+def test_step_integrates_rhs(pin_mean):
     """One step's difference quotient tends to Simulator.rhs at first order in dt.
 
     The field carries modes 1-15 on 32 points, so the cubic term has content
     above the 2/3 cutoff and only the dealiased operator is the one stepped.
+    Its means are the uniform state (alpha, beta/alpha), so a pinned step
+    starts where the field is, and a pinned rhs is the projected operator:
+    its spatial means are zero.
     """
     n = 32
     rng = np.random.default_rng(7)
@@ -402,10 +431,12 @@ def test_step_integrates_rhs():
     U = np.array([[2.0], [3.5]]) + np.real(
         0.05 * (rng.standard_normal((2, 15)) + 1j * rng.standard_normal((2, 15))) @ waves)
     for dt in (1e-4, 1e-5, 1e-6):
-        sim = Simulator(CANON, SimConfig(n_grid=n, dt=dt))
+        sim = Simulator(CANON, SimConfig(n_grid=n, dt=dt, pin_mean=pin_mean))
         quotient = (sim.advance(U[None], [CANON.beta], [1])[0] - U) / dt
         rhs = sim.rhs(U[None], CANON.beta)[0]
         assert np.max(np.abs(quotient - rhs)) <= 1e4 * dt
+        if pin_mean:
+            assert np.max(np.abs(rhs.mean(axis=-1))) <= 1e-13
     uniform = initialize(CANON, SimConfig(n_grid=n, eps=0.0))
     assert np.max(np.abs(sim.rhs(uniform[None], 7.0))) <= 1e-13
 
@@ -461,6 +492,30 @@ def test_equivariance_commutators():
 def test_timestep_convergence_order():
     order = timestep_convergence_order(CANON.with_beta(6.8))
     assert order >= 1.8
+
+
+@pytest.mark.parametrize("raw", [
+    {"alpha": 2.0, "beta": 7.0},
+    # the standing-wave point, where pinned runs settle on standing waves
+    {"alpha": 3.642485, "beta": 7.0, "delta1": 0.957092, "delta2": 0.876726},
+], ids=["canonical", "standing_wave"])
+def test_pinned_runs_are_second_order_at_finite_amplitude(raw):
+    """A pinned run integrates the projected system, whose means never move,
+    so both stages see the pinned means and the order is two at eps = 0.3 too."""
+    params = validate(raw)
+    beta = onset(params).beta1 + 0.05
+    params = params.with_beta(beta)
+
+    def solve(dt):
+        config = SimConfig(n_grid=64, dt=dt, t_max=2.0, eps=0.3, perturb_kind="random",
+                           seed=1, pin_mean=True)
+        return Simulator(params, config).advance(initialize(params, config)[None], [beta],
+                                                 [round(2.0 / dt)])[0]
+
+    reference = solve(0.02 / 16)
+    errors = [np.max(np.abs(solve(dt) - reference)) for dt in (0.02, 0.01, 0.005)]
+    orders = np.log2(np.divide(errors[:-1], errors[1:]))
+    assert orders.min() >= 1.8, orders
 
 
 def test_subcritical_scaling_reports_decay():

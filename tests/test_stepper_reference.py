@@ -47,7 +47,10 @@ def _stage(sim, out, base, S, U, lin, mask, h, cube, r, q):
 
 
 def reference_advance(sim, U, betas, n_steps, sample_every=0, observe=None):
-    """The member-major advance loop, without its input checks."""
+    """The member-major advance loop, without its input checks.
+
+    A pinned run's means are set at the start and after each stage, where
+    the stepper's projected operator leaves them."""
     dt, n = sim.config.dt, sim.config.n_grid
     betas = np.asarray(betas, dtype=float)
     n_steps = np.asarray(n_steps, dtype=int)
@@ -60,6 +63,8 @@ def reference_advance(sim, U, betas, n_steps, sample_every=0, observe=None):
     U = out[live]
     S = sim._spectrum(U, 1.0 / n)
     S *= sim._half
+    if sim.config.pin_mean:
+        S[..., 0] = mean
     absU, cube, r = np.empty_like(U), np.empty_like(U[:, 0]), np.empty_like(S[:, 0])
     q, mid, S2 = np.empty_like(S), np.empty_like(S), np.empty_like(S)
     for i in range(1, int(n_steps.max(initial=0)) + 1):
@@ -67,6 +72,8 @@ def reference_advance(sim, U, betas, n_steps, sample_every=0, observe=None):
         if i > 1:
             _check_bound(U, absU, (i - 1) * dt)
         _stage(sim, mid, S, S, U, half_lin, half_mask, 0.5 * dt, cube, r, q)
+        if sim.config.pin_mean:
+            mid[..., 0] = mean
         irfft(mid, 1.0, out=U)
         S, S2 = _stage(sim, S2, S, mid, U, full_lin, full_mask, dt, cube, r, q), S
         if sim.config.pin_mean:
