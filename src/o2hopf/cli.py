@@ -39,8 +39,8 @@ class BadFlag(O2HopfError):
 class _Parser(argparse.ArgumentParser):
     def __init__(self, *args, **kwargs):
         super().__init__(*args, **kwargs)
-        # argparse's own pattern has no exponent, so "--mu -1e-3" read -1e-3 as a flag
-        self._negative_number_matcher = re.compile(r"^-(\d+\.?\d*|\.\d+)([eE][-+]?\d+)?$")
+        # argparse's own pattern read the values of "--mu -1e-3" and "--perturb -1:1e-4" as flags
+        self._negative_number_matcher = re.compile(r"^-(\d+\.?\d*|\.\d+)([eE][-+]?\d+)?(:.*)?$")
 
     def error(self, message):
         raise BadFlag(message)
@@ -174,7 +174,7 @@ def _params_from(ns) -> ModelParams:
     if "alpha" not in raw:
         raise BadFlag("--alpha (or --config) is required")
     params = validate(ModelParams(beta=1.0, **raw))
-    return validate(params.with_beta(onset(params).beta1 + getattr(ns, "mu", 0.0)))
+    return params.with_beta(onset(params).beta1 + getattr(ns, "mu", 0.0))
 
 
 def cmd_onset(ns) -> int:

@@ -9,6 +9,10 @@ half_length) is
 with uniform equilibrium (alpha, beta/alpha).  The critical wave number is
 k1 = pi/half_length; the analysis for a general half_length is identical to
 the half_length = pi case with the diffusion rates rescaled by k1^2.
+
+A ModelParams holds its five constants as floats, and a pdesim.SimConfig its run
+settings as floats, ints and a bool: each checks and converts its fields once, when
+it is built, and refuses a bad value there with a typed error that names it as given.
 """
 
 from __future__ import annotations
@@ -32,6 +36,16 @@ class ModelParams:
     delta2: float = 1.0
     half_length: float = math.pi
 
+    def __post_init__(self):
+        """Refuse the first constant that is not a finite real > 0, named as given."""
+        for name in _POSITIVE_FIELDS:
+            value = getattr(self, name)
+            if not isinstance(real := _as_float(value), float):
+                raise NonPositiveParameter(name, value, "a real number within the float range")
+            if not (math.isfinite(real) and real > 0.0):
+                raise NonPositiveParameter(name, value)
+            object.__setattr__(self, name, real)
+
     @property
     def k1(self) -> float:
         """Fundamental (critical) wave number of the periodic domain."""
@@ -42,7 +56,7 @@ class ModelParams:
         return _rescaled(self.delta1, self.delta2, self.half_length)
 
     def with_beta(self, beta: float) -> "ModelParams":
-        return replace(self, beta=float(beta))
+        return replace(self, beta=beta)
 
 
 @dataclass(frozen=True)
@@ -113,30 +127,10 @@ def is_finite_real(value) -> bool:
     return isinstance(value, float) and math.isfinite(value)
 
 
-def check_positive(params: ModelParams) -> ModelParams:
-    """Raise NonPositiveParameter for the first constant that is not a finite real > 0."""
-    for name in _POSITIVE_FIELDS:
-        value = getattr(params, name)
-        real = _as_float(value)
-        if not isinstance(real, float):
-            raise NonPositiveParameter(name, value, "a real number within the float range")
-        if not (math.isfinite(real) and real > 0.0):
-            raise NonPositiveParameter(name, value)
-    return params
-
-
 def validate(raw) -> ModelParams:
-    """Build a validated ModelParams from a mapping or a ModelParams.
-
-    Raises NonPositiveParameter for any constant that is not a finite real
-    number > 0 and InadmissibleRegime when the Hopf assumption fails
-    (omega^2 <= 0 or not finite, or beta1 >= hopf_bound).
-    """
-    if isinstance(raw, ModelParams):
-        params = raw
-    else:
-        params = ModelParams(**{k: _as_float(v) for k, v in dict(raw).items()})
-    check_positive(params)
+    """The ModelParams raw is or is built from, if the Hopf analysis applies to it;
+    else InadmissibleRegime (omega^2 <= 0 or not finite, or beta1 >= hopf_bound)."""
+    params = raw if isinstance(raw, ModelParams) else ModelParams(**dict(raw))
     _, _, beta1, w2, admissible = onset_terms(params.alpha, params.delta1, params.delta2,
                                               params.half_length)
     if not admissible:
@@ -151,10 +145,8 @@ def onset(params: ModelParams) -> OnsetData:
     """Critical value beta1, Hopf frequency omega, and offset mu = beta - beta1.
 
     Inadmissibility is reported through the flag, never raised, so that
-    parameter sweeps can chart the admissibility boundary.  A constant that
-    is not finite and positive raises NonPositiveParameter.
+    parameter sweeps can chart the admissibility boundary.
     """
-    check_positive(params)
     _, _, beta1, omega_sq, admissible = onset_terms(
         params.alpha, params.delta1, params.delta2, params.half_length)
     omega = math.sqrt(omega_sq) if omega_sq > 0.0 else 0.0

@@ -106,6 +106,11 @@ class SimConfig:
         if self.eps != 0.0 and mode > self.cutoff:
             raise InvalidConfig(f"perturbed mode {shown(mode)} lies above the 2/3 cutoff "
                                 f"(mode {self.cutoff}) of n_grid = {self.n_grid}")
+        if not isinstance(self.pin_mean, (bool, np.bool_)):
+            raise InvalidConfig(f"pin_mean must be a bool, got {shown(self.pin_mean)}")
+        for name, kind in (("dt", float), ("t_max", float), ("eps", float), ("n_grid", int),
+                           ("perturb_mode", int), ("seed", int), ("pin_mean", bool)):
+            object.__setattr__(self, name, kind(getattr(self, name)))
 
 
 def sampling_steps(dt: float) -> int:
@@ -130,9 +135,12 @@ def initialize(params: ModelParams, config: SimConfig) -> np.ndarray:
             # root lambda, so the tracked mode amplitude evolves as one clean exponential
             k = config.perturb_mode * params.k1
             m11 = -k * k * params.delta1 + params.beta - 1.0
-            v = np.array([params.alpha * params.alpha,
-                          mode_eigenvalues(params, config.perturb_mode).leading - m11])
-            v /= v[np.argmax(np.abs(v))]
+            with np.errstate(invalid="ignore"):   # the leading root overflows at a huge beta
+                v = np.array([params.alpha * params.alpha,
+                              mode_eigenvalues(params, config.perturb_mode).leading - m11])
+                v /= v[np.argmax(np.abs(v))]
+            if not np.all(np.isfinite(v)):
+                raise NumericalBlowup(f"no finite traveling start at beta = {params.beta:g}")
             wave = config.eps * np.real(np.exp(1j * k * x)[None, :] * v[:, None])
         else:   # "random"
             rng = np.random.default_rng(config.seed)

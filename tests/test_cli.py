@@ -655,6 +655,25 @@ def test_blowup_exits_2_in_one_line(capsys):
         "numerical failure: field norm exceeded 1e+06 at t = 13"]
 
 
+def test_huge_beta_start_exits_2_in_one_line(capsys):
+    code, _, err = run(capsys, "simulate", "--alpha", "2", "--mu", "1e300", "--n-grid", "8",
+                       "--tmax", "1", "--dt", "0.01")
+    assert code == 2
+    assert err.strip().splitlines() == [
+        "numerical failure: no finite traveling start at beta = 1e+300"]
+
+
+def test_negative_perturb_mode_is_a_value(capsys):
+    # argparse read "-1:1e-4" as a flag: "expected one argument", exit 1
+    assert build_parser().parse_args(["simulate", "--perturb", "-1:1e-4"]).perturb == "-1:1e-4"
+    args = ("simulate", "--alpha", "2", "--mu", "0.05", "--tmax", "1", "--dt", "0.01",
+            "--n-grid", "16")
+    spaced, joined = (run(capsys, *args, *perturb)
+                      for perturb in (("--perturb", "-1:1e-4"), ("--perturb=-1:1e-4",)))
+    assert spaced == joined and spaced[0] == 0
+    assert json.loads(spaced[1])["config"]["perturb_mode"] == -1
+
+
 def test_sweep_nonpositive_axes_are_point_errors(capsys, tmp_path):
     cases = [("delta1=-1:1:3", "delta1", [-1.0, 0.0]),
              ("delta2=0:1:3", "delta2", [0.0]),

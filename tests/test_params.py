@@ -1,11 +1,16 @@
 import math
+import sys
+from dataclasses import fields
+from fractions import Fraction
 
 import numpy as np
 import pytest
 
-from o2hopf import (InadmissibleRegime, ModelParams, NonPositiveParameter,
-                    closed_form_constants, onset, validate)
-from o2hopf.params import is_finite_real, read_config
+from o2hopf import (InadmissibleRegime, ModelParams, NonPositiveParameter, SimConfig,
+                    Simulator, closed_form_constants, coeffs, coeffs_report, initialize,
+                    onset, onset_scan, validate)
+from o2hopf.normalform import ROUTES
+from o2hopf.params import is_finite_real, onset_terms, read_config
 
 
 def test_canonical_onset():
@@ -84,13 +89,46 @@ def test_is_finite_real():
 
 @pytest.mark.parametrize("field, value", [("delta2", 0.0), ("delta1", -1.0)])
 def test_onset_rejects_nonpositive_constant(field, value):
-    # these reached a ZeroDivisionError and a math domain error
-    p = ModelParams(alpha=2.0, beta=1.0, **{field: value})
+    # onset and closed_form_constants reached a ZeroDivisionError and a math domain
+    # error on these; the record refuses them when it is built
     with pytest.raises(NonPositiveParameter) as exc:
-        onset(p)
+        ModelParams(alpha=2.0, beta=1.0, **{field: value})
     assert exc.value.name == field
-    with pytest.raises(NonPositiveParameter):
-        closed_form_constants(p)
+
+
+def _entry_points(p):
+    """Every entry point's output at p, each float printed to its last bit."""
+    config = SimConfig(n_grid=16, dt=0.01, t_max=0.03, eps=1e-3)
+    U = Simulator(p, config).advance(initialize(p, config)[None], [p.beta], [3])
+    outputs = [validate(p), onset(p), onset_scan(p), *(coeffs(p, route) for route in ROUTES),
+               closed_form_constants(p), coeffs_report(p), U]
+    with np.printoptions(floatmode="unique", threshold=sys.maxsize):
+        return repr(outputs)
+
+
+@pytest.mark.parametrize("kind", [Fraction, np.float32, np.int64, int])
+def test_constants_of_any_real_type_give_the_bits_of_their_floats(kind):
+    # a Fraction reached numpy as an object and failed in coeffs, onset_scan and the
+    # stepper, and a float32 or an integer was computed on as given
+    constants = {"alpha": 3, "beta": 12, "delta1": 2, "delta2": 1, "half_length": 4}
+    p = ModelParams(**{name: kind(value) for name, value in constants.items()})
+    assert all(type(getattr(p, field.name)) is float for field in fields(p))
+    floats = ModelParams(**{name: float(value) for name, value in constants.items()})
+    assert _entry_points(p) == _entry_points(floats)
+
+
+def test_a_large_integer_constant_is_the_float_a_batch_computes_on():
+    # onset computed alpha^2 on the exact integer and parted from the sweep's value
+    alpha = 2 ** 53 + 1
+    batch = onset_terms(np.array([float(alpha)]), np.ones(1), np.ones(1), np.array([math.pi]))
+    assert onset(ModelParams(alpha=alpha, beta=1.0)).beta1 == batch[2][0]
+
+
+def test_with_beta_refuses_a_beta_beyond_the_float_range():
+    # float(10**400) raised an untyped OverflowError
+    with pytest.raises(NonPositiveParameter, match="'beta' must be a real number within "
+                                                   "the float range, got an integer of 1329"):
+        ModelParams(alpha=2.0, beta=7.0).with_beta(10 ** 400)
 
 
 def test_onset_reports_inadmissible_without_raising():

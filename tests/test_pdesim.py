@@ -137,6 +137,40 @@ def test_config_names_a_fraction_by_its_terms(make, error, message):
         make()
 
 
+@pytest.mark.parametrize("settings", [{"eps": Fraction(1, 3)},
+                                      {"dt": Fraction(1, 100), "t_max": 1}])
+def test_fraction_settings_run_as_their_floats(settings):
+    # these passed SimConfig, then initialize or Simulator met an object array
+    config = SimConfig(n_grid=16, **settings)
+    floats = SimConfig(n_grid=16, **{name: float(value) for name, value in settings.items()})
+    assert config == floats
+    runs = [Simulator(CANON, c).advance(initialize(CANON, c)[None], [CANON.beta], [3])
+            for c in (config, floats)]
+    assert runs[0].tobytes() == runs[1].tobytes()
+
+
+def test_config_holds_plain_numbers():
+    config = SimConfig(n_grid=np.int64(16), dt=np.float32(0.5), t_max=np.int64(2),
+                       eps=Fraction(1, 4), perturb_mode=np.int32(2), seed=np.uint8(3),
+                       pin_mean=np.bool_(True))
+    kinds = {"dt": float, "t_max": float, "eps": float, "n_grid": int, "perturb_mode": int,
+             "seed": int, "pin_mean": bool}
+    assert {name: type(getattr(config, name)) for name in kinds} == kinds
+
+
+@pytest.mark.parametrize("pin_mean", [2, "no", None])
+def test_pin_mean_must_be_a_bool(pin_mean):
+    # 2 ran with the reaction off at wave index 1 as well; "no" and None reached a TypeError
+    with pytest.raises(InvalidConfig, match=rf"^pin_mean must be a bool, got {pin_mean!r}$"):
+        SimConfig(pin_mean=pin_mean)
+
+
+def test_traveling_start_at_a_huge_beta_is_a_blowup():
+    # the eigenvector was inf/inf: a NaN u2 row, with numpy's RuntimeWarning
+    with pytest.raises(NumericalBlowup, match=r"^no finite traveling start at beta = 1e\+300$"):
+        initialize(CANON.with_beta(1e300), SimConfig(n_grid=8, dt=0.01, t_max=1.0))
+
+
 class TestObservables:
     def test_uniform_mode_amplitude(self):
         modes = np.fft.rfft(initialize(CANON, SimConfig(n_grid=64, eps=0.0))[0]) / 64
