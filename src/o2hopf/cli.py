@@ -27,7 +27,7 @@ from .normalform import (ROUTES, closed_form_constants, coeffs, coeffs_batch,
                          coeffs_report)
 from .params import (ModelParams, is_positive, onset, onset_terms, read_config,
                      validate)
-from .pdesim import SimConfig, Simulator, initialize, sampling_steps, tail_fit
+from .pdesim import SimConfig, Simulator, initialize, tail_fit
 from .reduced import ReducedSystem, branches, classify_regime, regime_batch
 from .spectral import onset_scan, turing_check
 
@@ -247,22 +247,18 @@ def cmd_simulate(ns) -> int:
     if config.n_grid // 2 < tracked[-1]:
         raise InvalidConfig(f"n_grid = {config.n_grid} cannot resolve the tracked mode "
                             f"{tracked[-1]}; need n_grid >= {2 * tracked[-1]}")
-    sample_every = sampling_steps(config.dt)
-    n_steps = round(config.t_max / config.dt)
-    if n_steps < sample_every:
-        raise InvalidConfig(f"tmax = {config.t_max:g} is shorter than one sample "
-                            f"interval ({sample_every * config.dt:g})")
-    if n_steps // sample_every > _MAX_SAMPLES:
-        raise InvalidConfig(f"tmax = {config.t_max:g} gives {n_steps // sample_every} samples; "
+    if (count := config.n_steps // config.sample_every) > _MAX_SAMPLES:
+        raise InvalidConfig(f"tmax = {config.t_max:g} gives {count} samples; "
                             f"a run records at most {_MAX_SAMPLES}")
-    times = config.dt * np.arange(sample_every, n_steps + 1, sample_every)
+    times = config.sample_times()
     samples = []   # modes 0-3 of u1, then the means: the k = 0 coefficients
 
     def observe(_i, _members, spectrum):
         samples.append(spectrum[0, 0, tracked].tolist() + spectrum[0, :, 0].real.tolist())
 
     Simulator(params, config).advance(initialize(params, config)[None], [params.beta],
-                                      [n_steps], sample_every=sample_every, observe=observe)
+                                      [config.n_steps], sample_every=config.sample_every,
+                                      observe=observe)
 
     header = ["t", *(f"{part}_mode{k}" for k in tracked for part in ("re", "im")),
               "mean_u1", "mean_u2"]
@@ -276,7 +272,7 @@ def cmd_simulate(ns) -> int:
     amplitude, frequency, note, settled = tail_fit(times, mode1)
     summary = {
         "params": params, "beta": params.beta, "mu": onset(params).mu,
-        "config": config, "final_time": n_steps * config.dt,
+        "config": config, "final_time": config.n_steps * config.dt,
         "saturated_amplitude": amplitude, "settled": settled,
         "frequency": frequency, "mode1_final": samples[-1][1],
     }

@@ -74,6 +74,23 @@ class SimConfig:
         cubic term keeps, the same at every half-length."""
         return 2 * (self.n_grid // 2) // 3
 
+    @property
+    def n_steps(self) -> int:
+        """The run's step count: t_max/dt to the nearest integer."""
+        return round(self.t_max / self.dt)
+
+    @property
+    def sample_every(self) -> int:
+        """Steps between samples 0.1 time units apart: 0.1/dt to the nearest, at least 1."""
+        return max(round(0.1 / self.dt), 1)
+
+    def sample_times(self) -> np.ndarray:
+        """Times of the samples, every sample_every steps to n_steps; InvalidConfig if none."""
+        if (every := self.sample_every) > self.n_steps:
+            raise InvalidConfig(f"t_max = {self.t_max:g} is shorter than one sample "
+                                f"interval ({every * self.dt:g})")
+        return self.dt * np.arange(every, self.n_steps + 1, every)
+
     def __post_init__(self):
         """Raise InvalidConfig for a setting the integrator cannot run."""
         for name in ("dt", "t_max", "eps"):
@@ -91,7 +108,7 @@ class SimConfig:
             raise InvalidConfig(f"eps must be finite, got {shown(self.eps)}")
         for name in ("n_grid", "perturb_mode", "seed"):
             value = getattr(self, name)
-            if not isinstance(value, numbers.Integral):
+            if isinstance(value, bool) or not isinstance(value, numbers.Integral):
                 raise InvalidConfig(f"{name} must be an integer, got {shown(value)}")
         if not 2 <= self.n_grid <= _MAX_GRID:
             raise InvalidConfig(f"n_grid must be at least 2 and at most {_MAX_GRID}, "
@@ -111,11 +128,6 @@ class SimConfig:
         for name, kind in (("dt", float), ("t_max", float), ("eps", float), ("n_grid", int),
                            ("perturb_mode", int), ("seed", int), ("pin_mean", bool)):
             object.__setattr__(self, name, kind(getattr(self, name)))
-
-
-def sampling_steps(dt: float) -> int:
-    """Steps between samples 0.1 time units apart: 0.1/dt to the nearest, at least 1."""
-    return max(round(0.1 / dt), 1)
 
 
 def grid(params: ModelParams, n_grid: int) -> np.ndarray:
@@ -385,31 +397,31 @@ def measure_growth_rate(params: ModelParams, beta: float, k: int,
 
     The perturbation, of size GROWTH_EPS, is placed along the leading
     eigenvector of the mode matrix, so log |mode amplitude| is linear from
-    the start; the first tenth of the window is still discarded.  A k above
-    SimConfig's 2/3 cutoff is an InvalidConfig.
+    the start; the first tenth of the window is still discarded.  The settings are checked
+    as a SimConfig's: a k above its 2/3 cutoff or a t_end below one step is InvalidConfig.
     """
     params = params.with_beta(beta)
+    config = SimConfig(n_grid=n_grid, dt=dt, t_max=dt, perturb_kind="traveling",
+                       perturb_mode=k, eps=GROWTH_EPS)
     lead = mode_eigenvalues(params, k).max_real_part
     if t_end is None:
         # a few e-foldings of the predicted rate, capped because the uniform
         # mode (seeded at O(eps^2) by the quadratic terms) grows at an O(1)
         # rate near onset and contaminates long windows
         t_end = min(10.0, max(2.0, 3.0 / max(abs(lead), 0.3)))
-    config = SimConfig(n_grid=n_grid, dt=dt, t_max=t_end, perturb_kind="traveling",
-                       perturb_mode=k, eps=GROWTH_EPS)
+    config = replace(config, t_max=t_end)
     base = params.alpha if k == 0 else 0.0  # uniform background of u1
-    n_steps = int(round(t_end / dt))
     amps = []
     Simulator(params, config).advance(
-        initialize(params, config)[None], [beta], [n_steps], sample_every=5,
+        initialize(params, config)[None], [params.beta], [config.n_steps], sample_every=5,
         observe=lambda _i, _members, spec: amps.append(abs(spec[0, 0, abs(k)] - base)))
-    times = dt * np.arange(5, n_steps + 1, 5)
+    times = config.dt * np.arange(5, config.n_steps + 1, 5)
     amps = np.asarray(amps, dtype=float)
-    window = 0.1 * t_end
+    window = 0.1 * config.t_max
     keep = (times >= window) & (amps > 1e-14)
     if np.count_nonzero(keep) < 2:
         raise WindowTooShort(
-            f"growth fit window [{window:g}, {t_end:g}] keeps "
+            f"growth fit window [{window:g}, {config.t_max:g}] keeps "
             f"{np.count_nonzero(keep)} samples with amplitude > 1e-14; need 2")
     slope = np.polyfit(times[keep], np.log(amps[keep]), 1)[0]
     return float(slope), lead
@@ -423,20 +435,22 @@ def _reflect(U: np.ndarray) -> np.ndarray:
 
 def equivariance_test(params: ModelParams, config: SimConfig, phi: float,
                       t_end: float = 1.0) -> dict:
-    """Commutator of the flow with translation R(phi) and reflection S.
+    """Commutator of the flow with translation R(phi), phi finite and real, and reflection S.
 
-    The start and its two images are integrated as one batch of three.
+    The start and its two images run as one batch over t_end, checked as config's t_max.
     """
+    if not is_finite_real(phi):
+        raise InvalidConfig(f"phi must be a finite real number, got {shown(phi)}")
+    config = replace(config, t_max=t_end)
     sim = Simulator(params, config)
     ops = {
-        "translation": lambda U: sim.translate(U, phi),
+        "translation": lambda U: sim.translate(U, float(phi)),
         "reflection": _reflect,
     }
     start = initialize(params, config)
     batch = np.stack([start] + [op(start) for op in ops.values()])
-    n_steps = int(round(t_end / config.dt))
-    final = sim.advance(batch, [params.beta] * len(batch), [n_steps] * len(batch))
-    report = {"phi": phi, "t_end": t_end}
+    final = sim.advance(batch, [params.beta] * len(batch), [config.n_steps] * len(batch))
+    report = {"phi": float(phi), "t_end": config.t_max}
     for j, (name, op) in enumerate(ops.items(), start=1):
         report[name] = float(np.max(np.abs(op(final[0]) - final[j])))
     return report
@@ -493,9 +507,9 @@ def amplitude_scaling_experiment(params: ModelParams, mus,
         raise InvalidConfig("amplitude_scaling_experiment needs at least one mu; "
                             "the mu list is empty")
     for mu in mus:
-        if not math.isfinite(mu):
+        if not is_finite_real(mu):
             raise InvalidConfig(f"amplitude_scaling_experiment needs finite mu values, "
-                                f"got mu = {mu!r}")
+                                f"got mu = {shown(mu)}")
     base = onset(params)
     betas = [base.beta1 + mu for mu in mus]
     if config is None:
@@ -505,9 +519,6 @@ def amplitude_scaling_experiment(params: ModelParams, mus,
                 for mu in mus]
     else:
         cfgs = [config] * len(mus)
-    dt = config.dt
-    n_steps = [int(round(cfg.t_max / dt)) for cfg in cfgs]
-    sample_every = sampling_steps(dt)
     series = [[] for _ in mus]
 
     def observe(_i, members, spectrum):
@@ -515,12 +526,11 @@ def amplitude_scaling_experiment(params: ModelParams, mus,
             series[b].append(z)
 
     starts = [initialize(params.with_beta(beta), cfg) for cfg, beta in zip(cfgs, betas)]
-    Simulator(params, config).advance(np.stack(starts), betas, n_steps,
-                                      sample_every=sample_every, observe=observe)
+    Simulator(params, config).advance(np.stack(starts), betas, [cfg.n_steps for cfg in cfgs],
+                                      sample_every=config.sample_every, observe=observe)
     rows = []
-    for mu, cfg, steps, amps in zip(mus, cfgs, n_steps, series):
-        times = dt * np.arange(sample_every, steps + 1, sample_every)
-        tail_amp, freq, note, settled = tail_fit(times, amps)
+    for mu, cfg, amps in zip(mus, cfgs, series):
+        tail_amp, freq, note, settled = tail_fit(cfg.sample_times(), amps)
         if mu > 0:
             if not settled:
                 raise NoSaturation(f"mu = {mu}: amplitude not settled by t = {cfg.t_max}")
@@ -555,7 +565,7 @@ def timestep_convergence_order(params: ModelParams, dt: float = 0.02,
         cfg = SimConfig(n_grid=n_grid, dt=step, t_max=t_end, eps=1e-2,
                         perturb_kind="random", seed=3)
         return Simulator(params, cfg).advance(initialize(params, cfg)[None],
-                                              [params.beta], [round(t_end / step)])[0]
+                                              [params.beta], [cfg.n_steps])[0]
 
     ref = solve(dt / 8.0)
     e = [np.max(np.abs(solve(step) - ref)) for step in (dt, dt / 2.0)]

@@ -23,8 +23,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InvalidConfig, StepSizeUnderflow
-from .params import ModelParams, onset
+from .errors import InvalidConfig, StepSizeUnderflow, shown
+from .params import ModelParams, is_finite_real, onset
 from .pdesim import grid
 from .spectral import xi1, xi2
 
@@ -252,8 +252,8 @@ def integrate_truncated(sys: ReducedSystem, z1_0: complex, z2_0: complex,
     Returns (t, z1, z2) arrays; deterministic for fixed inputs.
     """
     for name, value in (("t_max", t_max), ("dt", dt)):
-        if not (math.isfinite(value) and value > 0.0):
-            raise InvalidConfig(f"{name} must be finite and > 0, got {value!r}")
+        if not (is_finite_real(value) and value > 0.0):
+            raise InvalidConfig(f"{name} must be finite and > 0, got {shown(value)}")
     for name, value in (("mu", sys.mu), ("omega", sys.omega), ("a", sys.a),
                         ("b", sys.b), ("c", sys.c), ("z1_0", z1_0), ("z2_0", z2_0)):
         if not cmath.isfinite(value):

@@ -81,6 +81,10 @@ class TestInitialize:
     # round(t_max/dt) has no int64 step count
     ({"dt": 1e-300, "t_max": 1.0}, r"^t_max/dt = 1e\+300 steps is beyond int64$"),
     ({"dt": 1e-10, "t_max": 1e300}, r"^t_max/dt = inf steps is beyond int64$"),
+    # a bool is no integer setting, as it is no real one: True built 1
+    ({"n_grid": True}, r"^n_grid must be an integer, got True$"),
+    ({"perturb_mode": True}, r"^perturb_mode must be an integer, got True$"),
+    ({"seed": False, "perturb_kind": "random"}, r"^seed must be an integer, got False$"),
 ])
 def test_config_validation(settings, message):
     with pytest.raises(InvalidConfig, match=message):
@@ -597,22 +601,74 @@ def test_decay_verdict_reads_the_config_eps():
 
 
 def test_simulate_and_scaling_sample_alike(tmp_path, monkeypatch):
-    # at dt = 0.015, 0.1 / dt = 6.67: both sample every 7 steps
+    """Every PDE entry point steps and samples as its run's SimConfig says.
+
+    At dt = 0.015 no horizon is a whole number of steps: 3.01/dt = 200.67
+    and 1/dt = 66.67; 0.1/dt = 6.67, so simulate and scaling sample every 7
+    steps.  The growth fit samples every 5 steps; the others do not sample.
+    """
     dt = 0.015
-    spacing = []
+    calls = []
     advance = Simulator.advance
 
     def spy(self, U, betas, n_steps, sample_every=0, observe=None):
-        spacing.append(sample_every)
+        calls.append((self.config, list(n_steps), sample_every))
         return advance(self, U, betas, n_steps, sample_every, observe)
 
     monkeypatch.setattr(Simulator, "advance", spy)
-    config = SimConfig(n_grid=32, dt=dt, t_max=3.0, eps=1e-3, pin_mean=True)
+    config = SimConfig(n_grid=32, dt=dt, t_max=3.01, eps=1e-3, pin_mean=True)
     amplitude_scaling_experiment(CANON, [-0.05], config=config)
     series = tmp_path / "series.csv"
     assert dispatch(["simulate", "--alpha", "2", "--mu", "-0.05", "--dt", repr(dt),
-                     "--tmax", "3", "--n-grid", "32", "--series", str(series),
+                     "--tmax", "3.01", "--n-grid", "32", "--series", str(series),
                      "--out", str(tmp_path / "sim.json")]) == 0
+    measure_growth_rate(CANON, 7.05, 1, t_end=1.0, dt=dt, n_grid=16)
+    equivariance_test(CANON, SimConfig(n_grid=16, dt=dt, perturb_kind="random", eps=1e-2),
+                      phi=0.3, t_end=1.0)
+    timestep_convergence_order(CANON, dt=dt, t_end=1.0, n_grid=16)
+    for run, steps, _ in calls:
+        assert steps == [run.n_steps] * len(steps)
+    assert [steps[0] for _, steps, _ in calls] == [201, 201, 67, 67, 533, 67, 133]
+    assert [every for _, _, every in calls] == [7, 7, 5, 0, 0, 0, 0]
+    assert all(every == run.sample_every for run, _, every in calls[:2])
     times = [float(row["t"]) for row in csv.DictReader(series.open())]
-    assert spacing == [7, 7]
+    assert times == calls[1][0].sample_times().tolist()
     assert abs(times[1] - times[0] - 7 * dt) < 1e-12
+
+
+@pytest.mark.parametrize("run, message", [
+    # tail_fit met no sample: numpy's zero-size reduction error
+    (lambda: amplitude_scaling_experiment(CANON, [0.05],
+                                          SimConfig(n_grid=16, dt=0.02, t_max=0.05)),
+     r"^t_max = 0\.05 is shorter than one sample interval \(0\.1\)$"),
+    # mode_eigenvalues raised an untyped OverflowError before the cutoff was checked
+    (lambda: measure_growth_rate(CANON, 7.05, 10 ** 400, n_grid=16),
+     r"^perturbed mode an integer of 1329 bits lies above the 2/3 cutoff \(mode 5\)"),
+    # advance named the float steps it could not take
+    (lambda: equivariance_test(CANON, SimConfig(n_grid=16, dt=0.01), phi=0.3, t_end=1e30),
+     r"^t_max/dt = 1e\+32 steps is beyond int64$"),
+    # ran 0 steps and reported commutators of 0.0
+    (lambda: equivariance_test(CANON, SimConfig(n_grid=16, dt=0.01), phi=0.3, t_end=1e-3),
+     r"^t_max must be finite and at least one step \(dt = 0\.01\), got 0\.001$"),
+    # reported as a blow-up at t = 0.01
+    (lambda: equivariance_test(CANON, SimConfig(n_grid=16, dt=0.01), phi=math.nan),
+     r"^phi must be a finite real number, got nan$"),
+    # math.isfinite raised an untyped OverflowError
+    (lambda: amplitude_scaling_experiment(CANON, [10 ** 400]),
+     r"^amplitude_scaling_experiment needs finite mu values, got mu = an integer of 1329 bits$"),
+], ids=["scaling_without_a_sample", "growth_mode_beyond_floats", "equivariance_steps_beyond_int64",
+        "equivariance_below_one_step", "equivariance_nan_phi", "scaling_mu_beyond_floats"])
+def test_experiments_check_their_settings(run, message):
+    with pytest.raises(InvalidConfig, match=message):
+        run()
+
+
+def test_experiments_run_fractions_as_their_floats():
+    # the growth fit's times were an object array (numpy's ValueError from polyfit),
+    # and a Fraction phi met np.exp (an untyped TypeError)
+    assert (measure_growth_rate(CANON, 7.05, 1, t_end=Fraction(2), dt=Fraction(1, 100),
+                                n_grid=16)
+            == measure_growth_rate(CANON, 7.05, 1, t_end=2.0, dt=0.01, n_grid=16))
+    config = SimConfig(n_grid=16, dt=0.01, perturb_kind="random", eps=1e-2, seed=1)
+    assert (equivariance_test(CANON, config, phi=Fraction(1, 3), t_end=Fraction(1, 10))
+            == equivariance_test(CANON, config, phi=1 / 3, t_end=0.1))

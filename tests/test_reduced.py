@@ -399,9 +399,12 @@ class TestTrajectories:
         with pytest.raises(ValueError):
             integrate_truncated(projection_system(0.1), 0.1, 0.1, -1.0, 0.1)
 
-    @pytest.mark.parametrize("t_max", [math.nan, math.inf])
-    def test_nonfinite_horizon_is_invalid_config(self, t_max):
-        with pytest.raises(InvalidConfig, match=f"t_max must be finite and > 0, got {t_max}"):
+    # an integer beyond the float range raised math.isfinite's OverflowError
+    @pytest.mark.parametrize("t_max, named", [(math.nan, "nan"), (math.inf, "inf"),
+                                              (10 ** 5000, "an integer of 16610 bits")],
+                             ids=["nan", "inf", "huge"])
+    def test_nonfinite_horizon_is_invalid_config(self, t_max, named):
+        with pytest.raises(InvalidConfig, match=f"t_max must be finite and > 0, got {named}"):
             integrate_truncated(projection_system(0.1), 0.1, 0.1, t_max, 0.1)
 
 
