@@ -150,7 +150,8 @@ def _add_param_flags(p, mu=None):
 
 
 _CONSTANTS = ("alpha", "delta1", "delta2", "half_length")
-_MAX_SAMPLES = 100_000   # a simulate sample takes about 1.6 kB: 160 MB at this bound
+# a simulate sample takes about 1.4 kB, most of it the CSV's text: 140 MB at this bound
+_MAX_SAMPLES = 100_000
 
 
 def _raw_params(ns) -> dict:
@@ -251,30 +252,24 @@ def cmd_simulate(ns) -> int:
         raise InvalidConfig(f"tmax = {config.t_max:g} gives {count} samples; "
                             f"a run records at most {_MAX_SAMPLES}")
     times = config.sample_times()
-    samples = []   # modes 0-3 of u1, then the means: the k = 0 coefficients
-
-    def observe(_i, _members, spectrum):
-        samples.append(spectrum[0, 0, tracked].tolist() + spectrum[0, :, 0].real.tolist())
-
-    Simulator(params, config).advance(initialize(params, config)[None], [params.beta],
-                                      [config.n_steps], sample_every=config.sample_every,
-                                      observe=observe)
+    # modes 0-3 of u1, then the mean of u2; the means are the k = 0 columns
+    _, (series,) = Simulator(params, config).advance(
+        initialize(params, config)[None], [params.beta], [config.n_steps],
+        sample_every=config.sample_every, modes=[(0, k) for k in tracked] + [(1, 0)])
 
     header = ["t", *(f"{part}_mode{k}" for k in tracked for part in ("re", "im")),
               "mean_u1", "mean_u2"]
-    series = np.array(samples)
     columns = [times, *(part for z in series[:, :len(tracked)].T for part in (z.real, z.imag)),
-               *series[:, len(tracked):].real.T]
+               series[:, 0].real, series[:, -1].real]
     outputs = _write_csv(ns.series or (ns.out + ".series.csv" if ns.out else None),
                          header, [c.tolist() for c in columns])
 
-    mode1 = np.array([row[1] for row in samples])
-    amplitude, frequency, note, settled = tail_fit(times, mode1)
+    amplitude, frequency, note, settled = tail_fit(times, series[:, 1])
     summary = {
         "params": params, "beta": params.beta, "mu": onset(params).mu,
         "config": config, "final_time": config.n_steps * config.dt,
         "saturated_amplitude": amplitude, "settled": settled,
-        "frequency": frequency, "mode1_final": samples[-1][1],
+        "frequency": frequency, "mode1_final": series[-1, 1],
     }
     if note:
         summary["frequency_note"] = note

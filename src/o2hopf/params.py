@@ -127,6 +127,11 @@ def is_finite_real(value) -> bool:
     return isinstance(value, float) and math.isfinite(value)
 
 
+def is_integer(value) -> bool:
+    """Whether value is an integer, not a bool: the rule for counts and indices."""
+    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
+
+
 def validate(raw) -> ModelParams:
     """The ModelParams raw is or is built from, if the Hopf analysis applies to it;
     else InadmissibleRegime (omega^2 <= 0 or not finite, or beta1 >= hopf_bound)."""

@@ -12,7 +12,7 @@ returns it.  ``Simulator.advance`` is the one stepper: it integrates a
 batch of B runs, given and returned as fields (B, 2, N), and a single run
 is a batch of one.  It carries each run as its unit-mean spectrum
 rfft(U)/N (coefficient 0 is the spatial mean) half a diffusion step into
-the step, and hands observers that spectrum as a read-only view: a step
+the step, and a sample copies coefficients out of that spectrum: a step
 takes four transforms and a sample none.  The transforms are numpy's
 pocketfft gufuncs, called without the np.fft wrapper, whose cost at these
 sizes is that of a transform; the results are np.fft's bits.  Inside the
@@ -46,7 +46,7 @@ from numpy.fft._pocketfft_umath import rfft_n_even as _rfft_even
 from numpy.fft._pocketfft_umath import rfft_n_odd as _rfft_odd
 
 from .errors import InvalidConfig, NoSaturation, NumericalBlowup, WindowTooShort, shown
-from .params import ModelParams, is_finite_real, onset
+from .params import ModelParams, is_finite_real, is_integer, onset
 from .spectral import mode_eigenvalues
 
 BLOWUP_NORM = 1e6   # a field value beyond this ends a run as NumericalBlowup
@@ -107,8 +107,7 @@ class SimConfig:
         if not is_finite_real(self.eps):
             raise InvalidConfig(f"eps must be finite, got {shown(self.eps)}")
         for name in ("n_grid", "perturb_mode", "seed"):
-            value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+            if not is_integer(value := getattr(self, name)):
                 raise InvalidConfig(f"{name} must be an integer, got {shown(value)}")
         if not 2 <= self.n_grid <= _MAX_GRID:
             raise InvalidConfig(f"n_grid must be at least 2 and at most {_MAX_GRID}, "
@@ -264,11 +263,14 @@ class Simulator:
         or one per member.  With pin_mean it is the projected system, whose
         means are zero: pinned runs hold them at (alpha, beta/alpha) from the
         start, at second order for any amplitude.  Raises InvalidConfig
-        unless U is (B, 2, N); a wrong grid is named as by translate.
+        unless U is (B, 2, N) and each beta a finite real number; a wrong
+        grid is named as by translate.
         """
         U = np.asarray(U, dtype=float)
         S = self._spectrum(U, 1.0 / self.config.n_grid)
         self._check_batch(U, "rhs")
+        if not all(map(is_finite_real, np.asarray(beta, dtype=object).flat)):
+            raise InvalidConfig(f"rhs needs finite betas, got {shown(beta)}")
         lin = self._coefficients(np.full(len(U), beta, dtype=float))
         S = S.transpose(1, 0, 2)
         F = np.empty(S.shape, complex)
@@ -279,44 +281,50 @@ class Simulator:
         _irfft(F, 1.0, out=dU.transpose(1, 0, 2))
         return dU
 
-    def advance(self, U, betas, n_steps, sample_every=0, observe=None):
+    def advance(self, U, betas, n_steps, sample_every=0, modes=()):
         """Advance member b of U (B, 2, N) by n_steps[b] steps of dt.
 
-        When sample_every > 0, observe(i, members, spectrum) is called after
-        every step i that is a multiple of it, with the indices of the
-        members still running and their unit-mean spectra rfft(U)/N,
-        (len(members), 2, N//2+1), at time i * dt: a read-only view of a
-        buffer the next step overwrites; members is read-only too.  Returns the final fields, a new
-        array.  Raises InvalidConfig unless U is (B, 2, N) with one finite
-        beta and one integer step count >= 0 per member and an integer
-        sample_every >= 0 has an observer,
-        and NumericalBlowup when the field of step i, checked as step i + 1
-        or the last step forms it, leaves the bound or is not finite (named
-        as time i * dt).  Buffers are allocated once per set of running
-        members, which is rebuilt when members leave.
+        Returns the final fields, a new array, or with sample_every > 0
+        (fields, samples): samples[b] is complex (n_steps[b] // sample_every,
+        len(modes)), its row j the coefficients of member b's unit-mean
+        spectrum rfft(U)/N at the (species, wave index) pairs of modes at time
+        (j + 1) * sample_every * dt.  Raises InvalidConfig unless U is
+        (B, 2, N) with one finite beta and one integer step count >= 0 per
+        member and an integer sample_every >= 0 has one mode or more, each a
+        pair of integers in 0..1 and 0..N//2; NumericalBlowup when the field
+        of step i, checked as step i + 1 or the last step forms it, leaves the
+        bound or is not finite (named as time i * dt).  Buffers are allocated
+        once per set of running members, which is rebuilt when members leave.
         """
         dt, n = self.config.dt, self.config.n_grid
-        betas = np.asarray(betas, dtype=float)
         steps = np.asarray(n_steps)
         out = np.array(U, dtype=float)
         self._check_batch(out, "advance")
-        if betas.shape != steps.shape or betas.shape != (len(out),):
+        if np.shape(betas) != steps.shape or steps.shape != (len(out),):
             raise InvalidConfig(f"advance needs one beta and one step count per member; got "
-                                f"{betas.size} betas and {steps.size} for {len(out)} members")
+                                f"{np.size(betas)} betas and {steps.size} for {len(out)} members")
         # no floats or objects, and no bools, which an integer array would absorb
         if steps.size and (steps.dtype.kind not in "iu"
                            or any(isinstance(s, (bool, np.bool_)) for s in n_steps)):
             raise InvalidConfig(f"advance needs integer step counts, got {n_steps!r}")
         n_steps = steps.astype(int)
-        if not (np.isfinite(betas).all() and (n_steps >= 0).all()):
+        if not (all(map(is_finite_real, betas)) and (n_steps >= 0).all()):
+            given = ", ".join(map(shown, np.asarray(betas, dtype=object).tolist()))
             raise InvalidConfig(f"advance needs finite betas and step counts >= 0; got "
-                                f"betas {betas.tolist()} and steps {n_steps.tolist()}")
-        if isinstance(sample_every, bool) or not isinstance(sample_every, numbers.Integral):
+                                f"betas [{given}] and steps {n_steps.tolist()}")
+        betas = np.asarray(betas, dtype=float)
+        if not is_integer(sample_every):
             raise InvalidConfig(f"sample_every must be an integer, got {sample_every!r}")
         if sample_every < 0:
             raise InvalidConfig(f"sample_every must be >= 0, got {sample_every!r}")
-        if sample_every and observe is None:
-            raise InvalidConfig(f"sample_every = {sample_every} needs an observer")
+        if sample_every:   # the (species, wave index) pairs, as two index arrays
+            modes = list(modes)
+            if not modes or not all(np.shape(m) == (2,) and all(map(is_integer, m))
+                                    and m[0] in (0, 1) and 0 <= m[1] <= n // 2 for m in modes):
+                raise InvalidConfig(f"sampling needs modes, pairs of integers: species 0 or 1 "
+                                    f"and wave index 0..{n // 2}; got {shown(modes)}")
+            species, index = np.array(modes, dtype=np.intp).T[:, :, None]
+            samples = [np.empty((c // sample_every, len(modes)), complex) for c in n_steps]
         live = np.flatnonzero(n_steps > 0)
         S = self._spectrum(out[live].transpose(1, 0, 2), 1.0 / n)
         S *= self._half[:, None]
@@ -324,7 +332,6 @@ class Simulator:
             S[0, :, 0], S[1, :, 0] = self.params.alpha, betas[live] / self.params.alpha
         i = 0
         while live.size:
-            live.flags.writeable = False   # observers get it, and it places the fields
             shape = S.shape
             lin = self._coefficients(betas[live])
             mask = self._dealias[:, None]
@@ -337,9 +344,12 @@ class Simulator:
                                 np.empty_like(S))
             mid, S2 = _views(np.empty_like(S)), _views(np.empty_like(S))
             Sv, u = _views(S), (U[0], U[1])
-            observed = mid.whole.transpose(1, 0, 2)
-            observed.flags.writeable = False
             end = int(n_steps[live].min())
+            if sample_every:   # this set's samples, (modes, members) each, and their places
+                first, last = i // sample_every, end // sample_every
+                seen = np.empty((last - first, len(modes), live.size), complex)
+                at = np.ravel_multi_index((species, np.arange(live.size), index), shape)
+                rows = iter(seen)
             for i in range(i + 1, end + 1):
                 _irfft(S, 1.0, out=U)
                 if i > 1:
@@ -352,16 +362,19 @@ class Simulator:
                 sampled = sample_every and i % sample_every == 0
                 if sampled or i == end:
                     np.multiply(S, half, out=mid.whole)
-                if sampled:
-                    observe(i, live, observed)
+                if sampled:   # mode "clip" writes into out unbuffered; each place is in range
+                    mid.whole.take(at, out=next(rows), mode="clip")
                 S *= full
+            if sample_every:
+                for b, member in zip(live.tolist(), seen.transpose(2, 0, 1)):
+                    samples[b][first:last] = member
             done = n_steps[live] == end
             fields = np.empty((2, np.count_nonzero(done), n))
             _irfft(mid.whole[:, done], 1.0, out=fields)
             _check_bound(fields, np.empty_like(fields), end * dt)
             out[live[done]] = fields.transpose(1, 0, 2)
             S, live = S[:, ~done], live[~done]
-        return out
+        return (out, samples) if sample_every else out
 
     def translate(self, U: np.ndarray, phi: float) -> np.ndarray:
         """R(phi): v(x) -> v(x - phi) on fields (..., N), via a spectral phase shift."""
@@ -411,12 +424,11 @@ def measure_growth_rate(params: ModelParams, beta: float, k: int,
         t_end = min(10.0, max(2.0, 3.0 / max(abs(lead), 0.3)))
     config = replace(config, t_max=t_end)
     base = params.alpha if k == 0 else 0.0  # uniform background of u1
-    amps = []
-    Simulator(params, config).advance(
+    _, (samples,) = Simulator(params, config).advance(
         initialize(params, config)[None], [params.beta], [config.n_steps], sample_every=5,
-        observe=lambda _i, _members, spec: amps.append(abs(spec[0, 0, abs(k)] - base)))
+        modes=[(0, abs(k))])
     times = config.dt * np.arange(5, config.n_steps + 1, 5)
-    amps = np.asarray(amps, dtype=float)
+    amps = np.abs(samples[:, 0] - base)
     window = 0.1 * config.t_max
     keep = (times >= window) & (amps > 1e-14)
     if np.count_nonzero(keep) < 2:
@@ -510,6 +522,7 @@ def amplitude_scaling_experiment(params: ModelParams, mus,
         if not is_finite_real(mu):
             raise InvalidConfig(f"amplitude_scaling_experiment needs finite mu values, "
                                 f"got mu = {shown(mu)}")
+    mus = [float(mu) for mu in mus]
     base = onset(params)
     betas = [base.beta1 + mu for mu in mus]
     if config is None:
@@ -519,18 +532,13 @@ def amplitude_scaling_experiment(params: ModelParams, mus,
                 for mu in mus]
     else:
         cfgs = [config] * len(mus)
-    series = [[] for _ in mus]
-
-    def observe(_i, members, spectrum):
-        for b, z in zip(members, spectrum[:, 0, 1].tolist()):
-            series[b].append(z)
-
     starts = [initialize(params.with_beta(beta), cfg) for cfg, beta in zip(cfgs, betas)]
-    Simulator(params, config).advance(np.stack(starts), betas, [cfg.n_steps for cfg in cfgs],
-                                      sample_every=config.sample_every, observe=observe)
+    _, series = Simulator(params, config).advance(
+        np.stack(starts), betas, [cfg.n_steps for cfg in cfgs],
+        sample_every=config.sample_every, modes=[(0, 1)])
     rows = []
-    for mu, cfg, amps in zip(mus, cfgs, series):
-        tail_amp, freq, note, settled = tail_fit(cfg.sample_times(), amps)
+    for mu, cfg, mode1 in zip(mus, cfgs, series):
+        tail_amp, freq, note, settled = tail_fit(cfg.sample_times(), mode1[:, 0])
         if mu > 0:
             if not settled:
                 raise NoSaturation(f"mu = {mu}: amplitude not settled by t = {cfg.t_max}")

@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import cmath
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -31,15 +32,43 @@ from .spectral import xi1, xi2
 DEGENERACY_TOL = 1e-10
 
 
+def _is_finite_number(value, kind=numbers.Complex) -> bool:
+    """Whether value is a number of kind, not a bool, whose parts are finite floats."""
+    return (isinstance(value, kind) and not isinstance(value, bool)
+            and is_finite_real(value.real) and is_finite_real(value.imag))
+
+
+def _held(name, value, kind):
+    """value as kind, float or complex, or a (P,) array as a kind array; InvalidConfig
+    unless each number in it is finite (not NaN, inf, a bool or beyond the float range)."""
+    if np.ndim(value):
+        array = np.asarray(value)
+        if array.dtype.kind in ("iuf" if kind is float else "iufc") and np.isfinite(array).all():
+            return array.astype(kind, copy=False)
+    elif _is_finite_number(value, numbers.Real if kind is float else numbers.Complex):
+        return kind(value)
+    raise InvalidConfig(f"{name} must be finite, got {shown(value)}")
+
+
 @dataclass(frozen=True)
 class ReducedSystem:
-    """The truncation at one mu; regime_batch also takes (P,) arrays as fields."""
+    """The truncation at one mu; regime_batch also takes (P,) arrays as fields.
+
+    mu and omega are held as floats and a, b and c as complex numbers, or as
+    arrays of them: each field is checked and converted once, when the record
+    is built, and one that is not finite is InvalidConfig.
+    """
 
     mu: float
     omega: float
     a: complex
     b: complex
     c: complex
+
+    def __post_init__(self):
+        for name, kind in (("mu", float), ("omega", float), ("a", complex), ("b", complex),
+                           ("c", complex)):
+            object.__setattr__(self, name, _held(name, getattr(self, name), kind))
 
     @classmethod
     def from_coeffs(cls, nf, mu: float) -> "ReducedSystem":
@@ -254,10 +283,9 @@ def integrate_truncated(sys: ReducedSystem, z1_0: complex, z2_0: complex,
     for name, value in (("t_max", t_max), ("dt", dt)):
         if not (is_finite_real(value) and value > 0.0):
             raise InvalidConfig(f"{name} must be finite and > 0, got {shown(value)}")
-    for name, value in (("mu", sys.mu), ("omega", sys.omega), ("a", sys.a),
-                        ("b", sys.b), ("c", sys.c), ("z1_0", z1_0), ("z2_0", z2_0)):
-        if not cmath.isfinite(value):
-            raise InvalidConfig(f"{name} must be finite, got {value!r}")
+    for name, value in (("z1_0", z1_0), ("z2_0", z2_0)):
+        if not _is_finite_number(value):
+            raise InvalidConfig(f"{name} must be finite, got {shown(value)}")
 
     t_eval = np.arange(0.0, t_max + 0.5 * dt, dt)
     z1_0, z2_0 = complex(z1_0), complex(z2_0)
@@ -304,6 +332,9 @@ def reconstruct_wave(params: ModelParams, sys: ReducedSystem, branch: BranchPoin
     """
     if branch.kind == "trivial":
         raise ValueError("reconstruct_wave requires a nontrivial branch")
+    for name, value in (("phi1", phi1), ("phi2", phi2), ("t", t)):
+        if not is_finite_real(value):
+            raise InvalidConfig(f"{name} must be a finite real number, got {shown(value)}")
     w_star = branch_frequency(branch)
     z1 = branch.r1 * np.exp(1j * (w_star * t + phi1))
     z2 = branch.r2 * np.exp(1j * (w_star * t + phi2))

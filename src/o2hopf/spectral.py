@@ -22,9 +22,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainMismatch
+from .errors import DomainMismatch, InvalidConfig, shown
 from .modes import ModeSum
-from .params import ModelParams, hopf_bound, onset, validate
+from .params import ModelParams, hopf_bound, is_integer, onset, validate
 
 DEFAULT_IMAG_AXIS_TOL = 1e-10
 DEFAULT_N_MAX = 64
@@ -128,8 +128,10 @@ def mode_eigenvalues(params: ModelParams, n: int) -> ModeRecord:
 
 def onset_scan(params: ModelParams, n_max: int = DEFAULT_N_MAX) -> ScanResult:
     """Classify the spectrum over modes |n| <= n_max at params.beta."""
+    if not is_integer(n_max):
+        raise InvalidConfig(f"n_max must be an integer, got {shown(n_max)}")
     if not 2 <= n_max <= _MAX_N_MAX:
-        raise ValueError(f"n_max must be at least 2 and at most {_MAX_N_MAX}, got {n_max}")
+        raise InvalidConfig(f"n_max must be at least 2 and at most {_MAX_N_MAX}, got {n_max}")
     validate(params)
     records = _mode_records(params, range(n_max + 1))
     tol = DEFAULT_IMAG_AXIS_TOL

@@ -233,29 +233,19 @@ class TestEngine:
 
     def test_batch_members_equal_solo_runs(self):
         # members leave at different horizons, one between two sample points;
-        # the observed samples are the members' spectra, compared bitwise
+        # the samples are the members' coefficients, compared bitwise
         betas, n_steps = [6.9, 7.05, 7.1], [40, 23, 60]
         starts = initialize(CANON, self.CONFIG) + [[[0.0], [0.01 * j]] for j in range(3)]
         engine = Simulator(CANON, self.CONFIG)
-
-        def collect(store):
-            def observe(i, members, spectra):
-                for b, spectrum in zip(members, spectra):
-                    store.setdefault(int(b), []).append((i, spectrum.copy()))
-            return observe
-
-        batch_samples = {}
-        batch = engine.advance(starts, betas, n_steps, sample_every=5,
-                               observe=collect(batch_samples))
+        modes = [(0, 1), (1, 0), (1, 3)]
+        batch, batch_samples = engine.advance(starts, betas, n_steps, sample_every=5,
+                                              modes=modes)
         for b in range(3):
-            solo_samples = {}
-            solo = engine.advance(starts[b:b + 1], betas[b:b + 1], n_steps[b:b + 1],
-                                  sample_every=5, observe=collect(solo_samples))
+            solo, (solo_samples,) = engine.advance(starts[b:b + 1], betas[b:b + 1],
+                                                   n_steps[b:b + 1], sample_every=5, modes=modes)
             assert np.array_equal(batch[b], solo[0])
-            assert ([i for i, _ in batch_samples[b]] == [i for i, _ in solo_samples[0]]
-                    == list(range(5, n_steps[b] + 1, 5)))
-            assert all(np.array_equal(a, c) for (_, a), (_, c)
-                       in zip(batch_samples[b], solo_samples[0]))
+            assert batch_samples[b].shape == (n_steps[b] // 5, len(modes))
+            assert batch_samples[b].tobytes() == solo_samples.tobytes()
             # the betas passed are the ones stepped, not the Simulator's params.beta
             other = Simulator(CANON.with_beta(betas[b]), self.CONFIG)
             assert np.array_equal(other.advance(starts[b:b + 1], betas[b:b + 1],
@@ -271,12 +261,11 @@ class TestEngine:
         assert np.max(np.abs(ran - stepped)) <= 1e-12
 
     def test_sample_times(self):
-        seen = []
-        Simulator(CANON, self.CONFIG).advance(
-            initialize(CANON, self.CONFIG)[None], [7.0], [50], sample_every=7,
-            observe=lambda i, members, spectrum: seen.append((i, members.tolist(),
-                                                              spectrum.shape)))
-        assert seen == [(i, [0], (1, 2, 33)) for i in range(7, 51, 7)]
+        fields, samples = Simulator(CANON, self.CONFIG).advance(
+            initialize(CANON, self.CONFIG)[None], [7.0], [50], sample_every=7, modes=[(0, 1)])
+        assert fields.shape == (1, 2, 64)
+        assert len(samples) == 1 and samples[0].shape == (7, 1)
+        assert samples[0].dtype == complex
 
     @pytest.mark.parametrize("pin_mean", [True, False])
     def test_sampling_leaves_the_run_unchanged(self, pin_mean):
@@ -285,28 +274,9 @@ class TestEngine:
         start = initialize(CANON, config)[None]
         plain = sim.advance(start, [7.05], [500])
         for every in (1, 3, 7):
-            sampled = sim.advance(start, [7.05], [500], sample_every=every,
-                                  observe=lambda *_: None)
+            sampled, _ = sim.advance(start, [7.05], [500], sample_every=every,
+                                     modes=[(0, 1), (1, 2)])
             assert np.array_equal(sampled, plain)
-
-    def test_observed_spectrum_is_read_only(self):
-        """A write into the observed spectrum or members raises; reading them changes no bit."""
-        config = SimConfig(n_grid=32, dt=0.01, eps=1e-2)
-        sim = Simulator(CANON, config)
-        start = initialize(CANON, config)[None]
-        for write in (lambda members, spectrum: spectrum.fill(0),
-                      lambda members, spectrum: members.fill(0)):
-            with pytest.raises(ValueError, match="read-only"):
-                sim.advance(start, [7.0], [10], sample_every=5,
-                            observe=lambda i, members, spectrum: write(members, spectrum))
-        plain = sim.advance(start, [7.0], [10])
-        assert np.max(plain) > 3.5
-        peaks = []
-        observed = sim.advance(start, [7.0], [10], sample_every=5,
-                               observe=lambda i, members, spectrum: peaks.append(
-                                   np.max(np.abs(spectrum))))
-        assert observed.tobytes() == plain.tobytes()
-        assert len(peaks) == 2
 
     @pytest.mark.parametrize("sample_every", [0, 1, 5, 7])
     def test_fft_budget(self, monkeypatch, sample_every):
@@ -320,30 +290,26 @@ class TestEngine:
         n = 100
         starts = np.stack([initialize(CANON, self.CONFIG)] * 3)
         Simulator(CANON, self.CONFIG).advance(starts, [6.9, 7.0, 7.1], [n] * 3,
-                                              sample_every=sample_every,
-                                              observe=lambda *_: None)
+                                              sample_every=sample_every, modes=[(0, 1)])
         assert len(calls) == 4 * n + 2
 
     @pytest.mark.parametrize("pin_mean", [True, False])
     def test_observed_spectrum_is_the_fields(self, pin_mean):
-        """The spectrum observed at step i is that of the fields advance returns at i."""
+        """The spectrum sampled at step i is that of the fields advance returns at i."""
         config = replace(self.CONFIG, pin_mean=pin_mean)
         n = config.n_grid
         sim = Simulator(CANON, config)
         start = initialize(CANON, config)[None]
-        spectra = {}
-
-        def observe(i, _members, spectrum):
-            spectra[i] = spectrum[0].copy()
-
-        sim.advance(start, [7.05], [200], sample_every=3, observe=observe)
-        stops = sorted(spectra)
-        assert stops == list(range(3, 201, 3))
+        every_mode = [(s, k) for s in (0, 1) for k in range(n // 2 + 1)]
+        _, (samples,) = sim.advance(start, [7.05], [200], sample_every=3, modes=every_mode)
+        stops = list(range(3, 201, 3))
+        assert len(samples) == len(stops)
         # one member stopped at each sample point
         stopped = sim.advance(np.repeat(start, len(stops), axis=0), [7.05] * len(stops), stops)
-        for i, fields in zip(stops, stopped):
-            assert np.array_equal(np.fft.irfft(spectra[i], n=n, norm="forward"), fields)
-            assert np.max(np.abs(spectra[i] - np.fft.rfft(fields) / n)) <= 1e-14
+        for row, fields in zip(samples, stopped):
+            spectrum = row.reshape(2, n // 2 + 1)
+            assert np.array_equal(np.fft.irfft(spectrum, n=n, norm="forward"), fields)
+            assert np.max(np.abs(spectrum - np.fft.rfft(fields) / n)) <= 1e-14
 
 
 @pytest.mark.parametrize("n", [16, 17])
@@ -376,7 +342,9 @@ def test_bound_transforms_are_numpy_fft(n):
                                     "and 2 for 2 members"),
     ((2, 2, 16), [7.0, 7.0], [5], {}, "got 2 betas and 1 for 2 members"),
     ((1, 2, 16), [7.0], [5], {"sample_every": -1}, "sample_every must be >= 0, got -1"),
-    ((1, 2, 16), [7.0], [5], {"sample_every": 2}, "sample_every = 2 needs an observer"),
+    ((1, 2, 16), [7.0], [5], {"sample_every": 2}, r"sampling needs modes, pairs of integers: "
+                                                    r"species 0 or 1 and wave index 0\.\.8; "
+                                                    r"got \[\]$"),
     ((1, 2, 32), [7.0], [5], {}, r"fields of shape \(B, 2, 16\), got \(1, 2, 32\)$"),
     ((2, 16), [7.0], [5], {}, r"fields of shape \(B, 2, 16\), got \(2, 16\)$"),
     ((1, 2, 16), [7.0], [-3], {}, r"finite betas and step counts >= 0; got betas \[7\.0\] "
@@ -385,13 +353,37 @@ def test_bound_transforms_are_numpy_fft(n):
     ((1, 2, 16), [7.0], [2.5], {}, r"integer step counts, got \[2\.5\]$"),
     ((1, 2, 16), [7.0], [True], {}, r"integer step counts, got \[True\]$"),
     ((2, 2, 16), [7.0, 7.0], [True, 3], {}, r"integer step counts, got \[True, 3\]$"),
-    ((1, 2, 16), [7.0], [5], {"sample_every": 2.5, "observe": print},
+    ((1, 2, 16), [7.0], [5], {"sample_every": 2.5, "modes": [(0, 1)]},
      "sample_every must be an integer, got 2.5"),
-    ((1, 2, 16), [7.0], [5], {"sample_every": True, "observe": print},
+    ((1, 2, 16), [7.0], [5], {"sample_every": True, "modes": [(0, 1)]},
      "sample_every must be an integer, got True"),
-], ids=["betas", "n_steps", "negative_sampling", "no_observer", "grid", "no_batch_axis",
+    ((1, 2, 16), [7.0], [5], {"sample_every": 1, "modes": [(2, 1)]}, r"got \[\(2, 1\)\]$"),
+    ((1, 2, 16), [7.0], [5], {"sample_every": 1, "modes": [(0, 1), (-1, 1)]},
+     r"got \[\(0, 1\), \(-1, 1\)\]$"),
+    ((1, 2, 16), [7.0], [5], {"sample_every": 1, "modes": [(0, 9)]}, r"got \[\(0, 9\)\]$"),
+    ((1, 2, 16), [7.0], [5], {"sample_every": 1, "modes": [(1, -1)]}, r"got \[\(1, -1\)\]$"),
+    ((1, 2, 16), [7.0], [5], {"sample_every": 1, "modes": [(0, 1.0)]},
+     r"got \[\(0, 1\.0\)\]$"),
+    ((1, 2, 16), [7.0], [5], {"sample_every": 1, "modes": [(0, True)]},
+     r"got \[\(0, True\)\]$"),
+    ((1, 2, 16), [7.0], [5], {"sample_every": 1, "modes": [(np.True_, 1)]},
+     r"got \[\(np\.True_, 1\)\]$"),
+    ((1, 2, 16), [7.0], [5], {"sample_every": 1, "modes": [1]}, r"got \[1\]$"),
+    ((1, 2, 16), [7.0], [5], {"sample_every": 1, "modes": [(0, 1, 2)]},
+     r"got \[\(0, 1, 2\)\]$"),
+    ((1, 2, 16), [7.0], [5], {"sample_every": 1, "modes": [(0, "1")]},
+     r"got \[\(0, '1'\)\]$"),
+    # the betas were parsed by np.asarray(betas, dtype=float): "7" and True ran as 7 and 1
+    ((1, 2, 16), ["7"], [5], {}, r"got betas \['7'\] and steps \[5\]$"),
+    ((1, 2, 16), [True], [5], {}, r"got betas \[True\] and steps \[5\]$"),
+    ((2, 2, 16), [7.0, None], [5, 5], {}, r"got betas \[7\.0, None\] and steps \[5, 5\]$"),
+    ((1, 2, 16), [10 ** 400], [5], {}, r"got betas \[an integer of 1329 bits\] and steps"),
+], ids=["betas", "n_steps", "negative_sampling", "no_modes", "grid", "no_batch_axis",
         "negative_steps", "nan_beta", "fractional_steps", "bool_steps", "bool_among_steps",
-        "fractional_sampling", "bool_sampling"])
+        "fractional_sampling", "bool_sampling", "species_2", "negative_species",
+        "index_above_half", "negative_index", "fractional_index", "bool_index",
+        "numpy_bool_species", "not_a_pair", "triple", "text_index", "text_beta", "bool_beta",
+        "none_beta", "huge_beta"])
 def test_advance_input_errors(shape, betas, n_steps, settings, message):
     config = SimConfig(n_grid=16, dt=1e-2)
     U = np.broadcast_to(initialize(CANON, replace(config, n_grid=shape[-1])), shape)
@@ -418,6 +410,20 @@ def test_rhs_needs_the_batch_axis():
     with pytest.raises(InvalidConfig, match=r"rhs needs fields of shape \(B, 2, 32\), "
                                             r"got \(4, 3, 32\)$"):
         sim.rhs(np.zeros((4, 3, 32)), 7.0)
+
+
+@pytest.mark.parametrize("beta, named", [
+    (None, "None"),                          # an all-NaN dU/dt
+    (10 ** 400, "an integer of 1329 bits"),  # an untyped OverflowError
+    (True, "True"),
+    ("7", "'7'"),
+    ([7.0, math.nan], r"\[7\.0, nan\]"),
+], ids=["none", "huge", "bool", "text", "nan_member"])
+def test_rhs_needs_finite_betas(beta, named):
+    config = SimConfig(n_grid=32, dt=1e-2)
+    fields = np.stack([initialize(CANON, config)] * 2)
+    with pytest.raises(InvalidConfig, match=f"^rhs needs finite betas, got {named}$"):
+        Simulator(CANON, config).rhs(fields, beta)
 
 
 class TestLinearRegime:
@@ -611,9 +617,9 @@ def test_simulate_and_scaling_sample_alike(tmp_path, monkeypatch):
     calls = []
     advance = Simulator.advance
 
-    def spy(self, U, betas, n_steps, sample_every=0, observe=None):
+    def spy(self, U, betas, n_steps, sample_every=0, modes=()):
         calls.append((self.config, list(n_steps), sample_every))
-        return advance(self, U, betas, n_steps, sample_every, observe)
+        return advance(self, U, betas, n_steps, sample_every, modes)
 
     monkeypatch.setattr(Simulator, "advance", spy)
     config = SimConfig(n_grid=32, dt=dt, t_max=3.01, eps=1e-3, pin_mean=True)
@@ -672,3 +678,7 @@ def test_experiments_run_fractions_as_their_floats():
     config = SimConfig(n_grid=16, dt=0.01, perturb_kind="random", eps=1e-2, seed=1)
     assert (equivariance_test(CANON, config, phi=Fraction(1, 3), t_end=Fraction(1, 10))
             == equivariance_test(CANON, config, phi=1 / 3, t_end=0.1))
+    # Fraction mus ran the whole batch and then met the log-log fit (numpy's TypeError)
+    config = SimConfig(n_grid=16, dt=0.05, t_max=150.0, eps=1e-2, pin_mean=True)
+    assert (amplitude_scaling_experiment(CANON, [Fraction(3, 10), Fraction(2, 5)], config)
+            == amplitude_scaling_experiment(CANON, [0.3, 0.4], config))

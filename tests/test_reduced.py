@@ -1,5 +1,6 @@
 import math
 import re
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -38,6 +39,53 @@ def cartesian_reference(sys, z0, t_end, t_eval=None):
         return np.concatenate([f.real, f.imag])
     return solve_ivp(rhs, (0.0, t_end), np.concatenate([z0.real, z0.imag]),
                      t_eval=t_eval, method="DOP853", rtol=1e-13, atol=1e-15)
+
+
+FIELDS = {"mu": 0.1, "omega": NF.omega, "a": NF.a, "b": NF.b, "c": NF.c}
+
+
+@pytest.mark.parametrize("field, value, named", [
+    ("mu", math.nan, "nan"),         # branches listed the trivial branch as "unstable"
+    ("b", math.nan, "nan"),          # classify_regime: cannot convert float NaN to integer
+    ("mu", 10 ** 400, "an integer of 1329 bits"),   # an untyped OverflowError
+    ("mu", True, "True"),            # integrate_truncated ran it as mu = 1
+    ("omega", -math.inf, "-inf"),
+    ("a", complex(0.5, math.inf), r"\(0\.5\+infj\)"),
+    ("c", "1", "'1'"),
+    ("a", None, "None"),
+    ("omega", 1j, "1j"),             # a real field
+    ("mu", np.array([0.1, math.nan]), r"array\(\[0\.1, nan\]\)"),
+    ("b", np.array([-1.0, math.inf]), r"array\(\[-1\., inf\]\)"),
+    ("c", np.array([True, False]), r"array\(\[ True, False\]\)"),
+    ("omega", np.array([1.0, 2j]), r"array\(\[1\.\+0\.j, 0\.\+2\.j\]\)"),
+    ("a", np.array([0.5, None]), r"array\(\[0\.5, None\], dtype=object\)"),
+], ids=["nan_mu", "nan_b", "huge_mu", "bool_mu", "inf_omega", "inf_a", "text_c", "none_a",
+        "complex_omega", "nan_in_batch", "inf_in_batch", "bool_batch", "complex_batch_omega",
+        "object_batch"])
+def test_record_fields_are_checked_when_built(field, value, named):
+    with pytest.raises(InvalidConfig, match=f"^{field} must be finite, got {named}$"):
+        ReducedSystem(**{**FIELDS, field: value})
+
+
+def test_record_holds_floats_and_complex_numbers():
+    """A Fraction, numpy or int field or start gives the float-built record's bits."""
+    want = ReducedSystem(mu=0.25, omega=2.0, a=0.5 + 0.25j, b=-1.0 + 0.5j, c=-2.0 + 0j)
+    trajectory = integrate_truncated(want, 0.25 + 0j, 0.5j, t_max=5.0, dt=1.0)
+    for got in (ReducedSystem(mu=Fraction(1, 4), omega=2, a=complex(0.5, 0.25),
+                              b=np.complex128(-1.0 + 0.5j), c=Fraction(-2)),
+                ReducedSystem(mu=np.float32(0.25), omega=np.int64(2),
+                              a=np.complex64(0.5 + 0.25j), b=-1.0 + 0.5j, c=-2)):
+        assert got == want
+        assert [type(getattr(got, name)) for name in FIELDS] == [float, float] + [complex] * 3
+        assert branches(got) == branches(want)
+        assert classify_regime(got) == classify_regime(want)
+        assert all(x.tobytes() == y.tobytes() for x, y in zip(
+            integrate_truncated(got, Fraction(1, 4), np.complex64(0.5j), t_max=5.0, dt=1.0),
+            trajectory))
+    batch = ReducedSystem(mu=np.array([1, -2]), omega=1.0, a=np.array([0.5, 1.0]),
+                          b=np.array([-1.0 + 0.5j, 2.0]), c=np.array([-2.0, 0.5j]))
+    assert [getattr(batch, name).dtype for name in ("mu", "a", "b", "c")] == [
+        np.dtype(float)] + [np.dtype(complex)] * 3
 
 
 class TestVectorField:
@@ -407,6 +455,16 @@ class TestTrajectories:
         with pytest.raises(InvalidConfig, match=f"t_max must be finite and > 0, got {named}"):
             integrate_truncated(projection_system(0.1), 0.1, 0.1, t_max, 0.1)
 
+    @pytest.mark.parametrize("z1_0, z2_0, message", [
+        # cmath.isfinite raised an untyped OverflowError
+        (10 ** 400, 0.0, "^z1_0 must be finite, got an integer of 1329 bits$"),
+        (0.1, True, "^z2_0 must be finite, got True$"),
+        (0.1, "0.1", "^z2_0 must be finite, got '0.1'$"),
+    ], ids=["huge", "bool", "text"])
+    def test_start_must_be_a_finite_number(self, z1_0, z2_0, message):
+        with pytest.raises(InvalidConfig, match=message):
+            integrate_truncated(projection_system(0.1), z1_0, z2_0, t_max=1.0, dt=0.5)
+
 
 class TestReconstruction:
     def test_field_is_real(self):
@@ -415,6 +473,18 @@ class TestReconstruction:
         _, u, residue = reconstruct_wave(CANON, sys, bp, 0.3, 1.1, t=0.7)
         assert residue <= 1e-13
         assert u.shape == (2, 256)
+
+    @pytest.mark.parametrize("phases, named", [
+        ((0.0, 0.0, math.nan), "t must be a finite real number, got nan"),   # a NaN field
+        ((math.inf, 0.0, 0.0), "phi1 must be a finite real number, got inf"),
+        ((0.0, 1j, 0.0), "phi2 must be a finite real number, got 1j"),
+        ((0.0, 0.0, True), "t must be a finite real number, got True"),
+    ], ids=["nan_t", "inf_phi1", "complex_phi2", "bool_t"])
+    def test_phases_and_time_are_checked(self, phases, named):
+        sys = projection_system(0.05)
+        bp = {b.kind: b for b in branches(sys)}["standing_wave"]
+        with pytest.raises(InvalidConfig, match=f"^{named}$"):
+            reconstruct_wave(CANON, sys, bp, *phases)
 
     def test_trivial_branch_rejected(self):
         sys = projection_system(0.05)

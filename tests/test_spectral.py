@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from conftest import random_admissible
 
-from o2hopf import InadmissibleRegime, ModelParams, onset, validate
+from o2hopf import InadmissibleRegime, InvalidConfig, ModelParams, onset, validate
 from o2hopf.spectral import (beta_n, gamma_n, inner_product, mode_eigenvalues,
                              mode_matrix, onset_scan, turing_check, xi1, xi1_star, xi2)
 
@@ -100,6 +100,15 @@ def test_onset_scan_refuses_n_max_out_of_range(n_max):
     with pytest.raises(ValueError, match=f"^n_max must be at least 2 and at most 100000, "
                                          f"got {n_max}$"):
         onset_scan(CANON, n_max=n_max)
+
+
+@pytest.mark.parametrize("n_max, named", [(64.0, "64.0"), (True, "True"), ("8", "'8'")],
+                         ids=["float", "bool", "text"])
+def test_onset_scan_needs_an_integer_n_max(n_max, named):
+    # 64.0 and "8" raised untyped TypeErrors, from range and from the comparison
+    with pytest.raises(InvalidConfig, match=f"^n_max must be an integer, got {named}$"):
+        onset_scan(CANON, n_max=n_max)
+    assert onset_scan(CANON, n_max=np.int64(8)) == onset_scan(CANON, n_max=8)
 
 
 @pytest.mark.parametrize("helper", [onset_scan, xi1, xi2, xi1_star])

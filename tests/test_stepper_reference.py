@@ -3,7 +3,8 @@
 The stepper carries its batch species-major so that every ufunc of a step
 is a same-shape contiguous call; each element gets the same arithmetic in
 the same order as in the loop below, which carries the batch as (B, 2, K)
-spectra, so the fields and every observed spectrum must be the same bits.
+spectra and hands each sample's spectra to an observer, so the fields and
+every sampled coefficient must be the same bits.
 """
 
 import numpy as np
@@ -108,15 +109,18 @@ MEMBERS = {
 }
 
 
-def _run(stepper, starts, betas, n_steps, sample_every):
-    samples = []
+def _reference_samples(sim, starts, betas, n_steps, sample_every):
+    """The reference loop's fields and, per member, its observed spectra as rows
+    of every (species, wave index) coefficient, species 0 first."""
+    rows = {b: [] for b in range(len(starts))}
 
     def observe(i, members, spectrum):
-        samples.append((i, members.tolist(), spectrum.shape, spectrum.tobytes()))
+        for b, member in zip(members.tolist(), spectrum):
+            rows[b].append(member.flatten())
 
-    fields = stepper(starts, betas, n_steps, sample_every=sample_every,
-                     observe=observe if sample_every else None)
-    return fields, samples
+    fields = reference_advance(sim, starts, betas, n_steps, sample_every, observe)
+    width = 2 * (sim.config.n_grid // 2 + 1)
+    return fields, [np.array(rows[b], dtype=complex).reshape(-1, width) for b in rows]
 
 
 @pytest.mark.parametrize("sample_every", [0, 1, 7])
@@ -127,17 +131,22 @@ def test_advance_is_the_reference_loop(pin_mean, n, sample_every):
                        pin_mean=pin_mean)
     sim = Simulator(CANON, config)
     start = initialize(CANON, config)
+    every_mode = [(s, k) for s in (0, 1) for k in range(n // 2 + 1)]
     for name, (betas, n_steps) in MEMBERS.items():
         offsets = 0.02 * np.arange(len(betas))[:, None, None] * [[0.0], [1.0]]
         starts = start + offsets
-        reference = _run(lambda *a, **k: reference_advance(sim, *a, **k),
-                         starts, betas, n_steps, sample_every)
-        fields, samples = _run(sim.advance, starts, betas, n_steps, sample_every)
-        assert fields.shape == starts.shape, name
-        assert fields.tobytes() == reference[0].tobytes(), name
-        assert samples == reference[1], name
+        reference, reference_samples = _reference_samples(sim, starts, betas, n_steps,
+                                                          sample_every)
         if sample_every:
-            assert len(samples) == max(n_steps, default=0) // sample_every, name
+            fields, samples = sim.advance(starts, betas, n_steps, sample_every, every_mode)
+            assert len(samples) == len(betas), name
+            for steps, got, want in zip(n_steps, samples, reference_samples):
+                assert got.shape == want.shape == (steps // sample_every, len(every_mode)), name
+                assert got.tobytes() == want.tobytes(), name
+        else:
+            fields = sim.advance(starts, betas, n_steps)
+        assert fields.shape == starts.shape, name
+        assert fields.tobytes() == reference.tobytes(), name
 
 
 def test_blowup_is_named_as_in_the_reference():
