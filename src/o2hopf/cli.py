@@ -254,7 +254,7 @@ def cmd_simulate(ns) -> int:
     times = config.sample_times()
     # modes 0-3 of u1, then the mean of u2; the means are the k = 0 columns
     _, (series,) = Simulator(params, config).advance(
-        initialize(params, config)[None], [params.beta], [config.n_steps],
+        initialize(params, config)[None], [params.beta], config.n_steps,
         sample_every=config.sample_every, modes=[(0, k) for k in tracked] + [(1, 0)])
 
     header = ["t", *(f"{part}_mode{k}" for k in tracked for part in ("re", "im")),

@@ -9,20 +9,20 @@ order in dt and bitwise deterministic for a fixed seed and configuration.
 
 A state is the (2, N) array of u1 and u2 on the grid, as ``initialize``
 returns it.  ``Simulator.advance`` is the one stepper: it integrates a
-batch of B runs, given and returned as fields (B, 2, N), and a single run
-is a batch of one.  It carries each run as its unit-mean spectrum
-rfft(U)/N (coefficient 0 is the spatial mean) half a diffusion step into
-the step, and a sample copies coefficients out of that spectrum: a step
-takes four transforms and a sample none.  The transforms are numpy's
+batch of B runs by one step count, given and returned as fields (B, 2, N),
+and a single run is a batch of one.  It carries each run as its unit-mean
+spectrum rfft(U)/N (coefficient 0 is the spatial mean) half a diffusion
+step into the step, and a sample copies coefficients out of that spectrum:
+a step takes four transforms and a sample none.  The transforms are numpy's
 pocketfft gufuncs, called without the np.fft wrapper, whose cost at these
 sizes is that of a transform; the results are np.fft's bits.  Inside the
 step loop the batch is species-major, spectra (2, B, K) and fields
-(2, B, N), in buffers allocated once per set of running members, with the
-per-member coefficients laid out as full (2, B, K) blocks: each operation
-of a step is one ufunc call on contiguous arrays for both species, and
-each element gets the same arithmetic as in a member-major layout.  Each
-step's field is checked against the blow-up bound once, when the next
-step or the last forms it.  Batch members are bitwise equal to solo runs.
+(2, B, N), in buffers allocated once per call, with the per-member
+coefficients laid out as full (2, B, K) blocks: each operation of a step
+is one ufunc call on contiguous arrays for both species, and each element
+gets the same arithmetic as in a member-major layout.  Each step's field
+is checked against the blow-up bound once, when the next step or the last
+forms it.  Batch members are bitwise equal to solo runs.
 A traveling start lies along the eigenvector (alpha^2, lambda - m11) of
 its mode's leading root: the +i omega wave at onset.  ``rhs`` is the
 operator the steps integrate; with SimConfig.pin_mean it is the projected
@@ -166,7 +166,8 @@ def initialize(params: ModelParams, config: SimConfig) -> np.ndarray:
 
 def _check_bound(U: np.ndarray, buf: np.ndarray, t: float) -> None:
     """Raise NumericalBlowup when a value of U at time t leaves the bound or is NaN."""
-    if not np.maximum.reduce(np.abs(U, out=buf), axis=None) <= BLOWUP_NORM:   # False for NaN
+    # False for NaN; an empty batch reduces to the initial 0
+    if not np.maximum.reduce(np.abs(U, out=buf), axis=None, initial=0.0) <= BLOWUP_NORM:
         raise NumericalBlowup(f"field norm exceeded {BLOWUP_NORM:g} at t = {t:g}")
 
 
@@ -189,9 +190,9 @@ def _block(a: np.ndarray, shape: tuple) -> np.ndarray:
 class Simulator:
     """Strang-split pseudospectral stepper for a fixed params/config pair.
 
-    ``advance`` steps a (B, 2, N) batch whose members share the grid, dt
-    and mean pinning; each has its own beta and step count.  One run is
-    ``advance(U[None], [beta], [n_steps])[0]`` for a (2, N) state U.
+    ``advance`` steps a (B, 2, N) batch whose members share the grid, dt,
+    mean pinning and step count; each has its own beta.  One run is
+    ``advance(U[None], [beta], n_steps)[0]`` for a (2, N) state U.
     """
 
     def __init__(self, params: ModelParams, config: SimConfig):
@@ -254,7 +255,8 @@ class Simulator:
         np.multiply(lin, s1, out=out)
         out += base
         out += q
-        out_mean += h * self._source
+        if self._source:   # pinned runs have none
+            out_mean += h * self._source
 
     def rhs(self, U, beta) -> np.ndarray:
         """dU/dt of the semi-discrete system the steps integrate, for U (B, 2, N).
@@ -282,99 +284,81 @@ class Simulator:
         return dU
 
     def advance(self, U, betas, n_steps, sample_every=0, modes=()):
-        """Advance member b of U (B, 2, N) by n_steps[b] steps of dt.
+        """Advance every member of U (B, 2, N) by n_steps steps of dt.
 
         Returns the final fields, a new array, or with sample_every > 0
-        (fields, samples): samples[b] is complex (n_steps[b] // sample_every,
-        len(modes)), its row j the coefficients of member b's unit-mean
+        (fields, samples): samples is complex (B, n_steps // sample_every,
+        len(modes)), its row [b, j] the coefficients of member b's unit-mean
         spectrum rfft(U)/N at the (species, wave index) pairs of modes at time
         (j + 1) * sample_every * dt.  Raises InvalidConfig unless U is
-        (B, 2, N) with one finite beta and one integer step count >= 0 per
-        member and an integer sample_every >= 0 has one mode or more, each a
-        pair of integers in 0..1 and 0..N//2; NumericalBlowup when the field
-        of step i, checked as step i + 1 or the last step forms it, leaves the
-        bound or is not finite (named as time i * dt).  Buffers are allocated
-        once per set of running members, which is rebuilt when members leave.
+        (B, 2, N) with one finite beta per member, n_steps is one integer >= 0
+        and an integer sample_every >= 0 has one mode or more, each a pair of
+        integers in 0..1 and 0..N//2; NumericalBlowup when the field of step
+        i, checked as step i + 1 or the last step forms it, leaves the bound or
+        is not finite (named as time i * dt).
         """
         dt, n = self.config.dt, self.config.n_grid
-        steps = np.asarray(n_steps)
         out = np.array(U, dtype=float)
         self._check_batch(out, "advance")
-        if np.shape(betas) != steps.shape or steps.shape != (len(out),):
-            raise InvalidConfig(f"advance needs one beta and one step count per member; got "
-                                f"{np.size(betas)} betas and {steps.size} for {len(out)} members")
-        # no floats or objects, and no bools, which an integer array would absorb
-        if steps.size and (steps.dtype.kind not in "iu"
-                           or any(isinstance(s, (bool, np.bool_)) for s in n_steps)):
-            raise InvalidConfig(f"advance needs integer step counts, got {n_steps!r}")
-        n_steps = steps.astype(int)
-        if not (all(map(is_finite_real, betas)) and (n_steps >= 0).all()):
+        if np.shape(betas) != (len(out),):
+            raise InvalidConfig(f"advance needs one beta per member; got {np.size(betas)} "
+                                f"betas for {len(out)} members")
+        if not all(map(is_finite_real, betas)):
             given = ", ".join(map(shown, np.asarray(betas, dtype=object).tolist()))
-            raise InvalidConfig(f"advance needs finite betas and step counts >= 0; got "
-                                f"betas [{given}] and steps {n_steps.tolist()}")
+            raise InvalidConfig(f"advance needs finite betas, got [{given}]")
         betas = np.asarray(betas, dtype=float)
+        if not (is_integer(n_steps) and n_steps >= 0):
+            raise InvalidConfig(f"advance needs one integer step count >= 0 for the batch, "
+                                f"got {shown(n_steps)}")
         if not is_integer(sample_every):
             raise InvalidConfig(f"sample_every must be an integer, got {sample_every!r}")
         if sample_every < 0:
             raise InvalidConfig(f"sample_every must be >= 0, got {sample_every!r}")
-        if sample_every:   # the (species, wave index) pairs, as two index arrays
+        S = self._spectrum(out.transpose(1, 0, 2), 1.0 / n)
+        shape = S.shape
+        if sample_every:   # the (species, wave index) pairs, as places in the spectrum
             modes = list(modes)
             if not modes or not all(np.shape(m) == (2,) and all(map(is_integer, m))
                                     and m[0] in (0, 1) and 0 <= m[1] <= n // 2 for m in modes):
                 raise InvalidConfig(f"sampling needs modes, pairs of integers: species 0 or 1 "
                                     f"and wave index 0..{n // 2}; got {shown(modes)}")
             species, index = np.array(modes, dtype=np.intp).T[:, :, None]
-            samples = [np.empty((c // sample_every, len(modes)), complex) for c in n_steps]
-        live = np.flatnonzero(n_steps > 0)
-        S = self._spectrum(out[live].transpose(1, 0, 2), 1.0 / n)
+            at = np.ravel_multi_index((species, np.arange(len(out)), index), shape)
+            samples = np.empty((n_steps // sample_every, len(modes), len(out)), complex)
         S *= self._half[:, None]
         if self.config.pin_mean:   # the projected operator never moves them
-            S[0, :, 0], S[1, :, 0] = self.params.alpha, betas[live] / self.params.alpha
-        i = 0
-        while live.size:
-            shape = S.shape
-            lin = self._coefficients(betas[live])
-            mask = self._dealias[:, None]
-            half_lin, full_lin, half_mask, full_mask, half, full = (
-                _block(a, shape) for a in ((0.5 * dt) * lin, dt * lin, (0.5 * dt) * mask,
-                                           dt * mask, self._half[:, None], self._full[:, None]))
-            # buffers: fields, |fields|, u1^2 u2, its rfft, that masked, midpoint, next S
-            U = np.empty(shape[:2] + (n,))
-            absU, cube, r, q = (np.empty_like(U), np.empty_like(U[0]), np.empty_like(S[0]),
-                                np.empty_like(S))
-            mid, S2 = _views(np.empty_like(S)), _views(np.empty_like(S))
-            Sv, u = _views(S), (U[0], U[1])
-            end = int(n_steps[live].min())
-            if sample_every:   # this set's samples, (modes, members) each, and their places
-                first, last = i // sample_every, end // sample_every
-                seen = np.empty((last - first, len(modes), live.size), complex)
-                at = np.ravel_multi_index((species, np.arange(live.size), index), shape)
-                rows = iter(seen)
-            for i in range(i + 1, end + 1):
-                _irfft(S, 1.0, out=U)
-                if i > 1:
-                    _check_bound(U, absU, (i - 1) * dt)
-                self._stage(mid, S, Sv.u1, u, half_lin, half_mask, 0.5 * dt, cube, r, q)
-                _irfft(mid.whole, 1.0, out=U)
-                self._stage(S2, S, mid.u1, u, full_lin, full_mask, dt, cube, r, q)
-                Sv, S2 = S2, Sv
-                S = Sv.whole
-                sampled = sample_every and i % sample_every == 0
-                if sampled or i == end:
-                    np.multiply(S, half, out=mid.whole)
-                if sampled:   # mode "clip" writes into out unbuffered; each place is in range
-                    mid.whole.take(at, out=next(rows), mode="clip")
-                S *= full
-            if sample_every:
-                for b, member in zip(live.tolist(), seen.transpose(2, 0, 1)):
-                    samples[b][first:last] = member
-            done = n_steps[live] == end
-            fields = np.empty((2, np.count_nonzero(done), n))
-            _irfft(mid.whole[:, done], 1.0, out=fields)
-            _check_bound(fields, np.empty_like(fields), end * dt)
-            out[live[done]] = fields.transpose(1, 0, 2)
-            S, live = S[:, ~done], live[~done]
-        return (out, samples) if sample_every else out
+            S[0, :, 0], S[1, :, 0] = self.params.alpha, betas / self.params.alpha
+        lin = self._coefficients(betas)
+        mask = self._dealias[:, None]
+        half_lin, full_lin, half_mask, full_mask, half, full = (
+            _block(a, shape) for a in ((0.5 * dt) * lin, dt * lin, (0.5 * dt) * mask,
+                                       dt * mask, self._half[:, None], self._full[:, None]))
+        # buffers: fields, |fields|, u1^2 u2, its rfft, that masked, midpoint, next S
+        U = np.empty(shape[:2] + (n,))
+        absU, cube, r, q = (np.empty_like(U), np.empty_like(U[0]), np.empty_like(S[0]),
+                            np.empty_like(S))
+        mid, S2 = _views(np.empty_like(S)), _views(np.empty_like(S))
+        Sv, u = _views(S), (U[0], U[1])
+        for i in range(1, n_steps + 1):
+            _irfft(S, 1.0, out=U)
+            if i > 1:
+                _check_bound(U, absU, (i - 1) * dt)
+            self._stage(mid, S, Sv.u1, u, half_lin, half_mask, 0.5 * dt, cube, r, q)
+            _irfft(mid.whole, 1.0, out=U)
+            self._stage(S2, S, mid.u1, u, full_lin, full_mask, dt, cube, r, q)
+            Sv, S2 = S2, Sv
+            S = Sv.whole
+            sampled = sample_every and i % sample_every == 0
+            if sampled or i == n_steps:
+                np.multiply(S, half, out=mid.whole)
+            if sampled:   # mode "clip" writes into out unbuffered; each place is in range
+                mid.whole.take(at, out=samples[i // sample_every - 1], mode="clip")
+            S *= full
+        if n_steps:
+            _irfft(mid.whole, 1.0, out=U)
+            _check_bound(U, absU, n_steps * dt)
+            out[:] = U.transpose(1, 0, 2)
+        return (out, samples.transpose(2, 0, 1)) if sample_every else out
 
     def translate(self, U: np.ndarray, phi: float) -> np.ndarray:
         """R(phi): v(x) -> v(x - phi) on fields (..., N), via a spectral phase shift."""
@@ -425,7 +409,7 @@ def measure_growth_rate(params: ModelParams, beta: float, k: int,
     config = replace(config, t_max=t_end)
     base = params.alpha if k == 0 else 0.0  # uniform background of u1
     _, (samples,) = Simulator(params, config).advance(
-        initialize(params, config)[None], [params.beta], [config.n_steps], sample_every=5,
+        initialize(params, config)[None], [params.beta], config.n_steps, sample_every=5,
         modes=[(0, abs(k))])
     times = config.dt * np.arange(5, config.n_steps + 1, 5)
     amps = np.abs(samples[:, 0] - base)
@@ -461,7 +445,7 @@ def equivariance_test(params: ModelParams, config: SimConfig, phi: float,
     }
     start = initialize(params, config)
     batch = np.stack([start] + [op(start) for op in ops.values()])
-    final = sim.advance(batch, [params.beta] * len(batch), [config.n_steps] * len(batch))
+    final = sim.advance(batch, [params.beta] * len(batch), config.n_steps)
     report = {"phi": float(phi), "t_end": config.t_max}
     for j, (name, op) in enumerate(ops.items(), start=1):
         report[name] = float(np.max(np.abs(op(final[0]) - final[j])))
@@ -505,11 +489,14 @@ def amplitude_scaling_experiment(params: ModelParams, mus,
     the envelope-settling criterion, and reports a plain decay verdict when
     every amplitude dies out instead (subcritical sweeps): a row decays when
     its tail amplitude falls below 5 % of the perturbation size config.eps.
+    Every mu runs as one batch to config's horizon.
 
-    Default runs pin the spatial means (SimConfig.pin_mean): the uniform
-    mode is linearly unstable at onset, so on the horizons needed for the
-    slow mode-1 saturation its deviation would otherwise overwhelm the
-    pattern.  Pinned runs integrate the projected system, second order at
+    Without a config every mu runs at dt = 0.02 to one horizon, the one its
+    slowest saturation needs: max(400, 16/|mu|) over the nonzero mu, or 400
+    when every mu is 0.  Default runs pin the spatial means
+    (SimConfig.pin_mean): the uniform mode is linearly unstable at onset, so
+    on the horizons needed for the slow mode-1 saturation its deviation would
+    otherwise overwhelm the pattern.  Pinned runs integrate the projected system, second order at
     any amplitude, with the means held at (alpha, beta/alpha) from the
     start: the square-root law and the limiting frequency are unaffected,
     though the law's constant reflects the pinned cubic coefficients.
@@ -526,22 +513,20 @@ def amplitude_scaling_experiment(params: ModelParams, mus,
     base = onset(params)
     betas = [base.beta1 + mu for mu in mus]
     if config is None:
-        config = SimConfig(dt=0.02, eps=1e-2, perturb_kind="traveling", perturb_mode=1,
-                           pin_mean=True)
-        cfgs = [replace(config, t_max=max(400.0, 16.0 / abs(mu)) if mu != 0 else 400.0)
-                for mu in mus]
-    else:
-        cfgs = [config] * len(mus)
-    starts = [initialize(params.with_beta(beta), cfg) for cfg, beta in zip(cfgs, betas)]
+        slowest = min((abs(mu) for mu in mus if mu != 0), default=math.inf)
+        config = SimConfig(dt=0.02, t_max=max(400.0, 16.0 / slowest), eps=1e-2,
+                           perturb_kind="traveling", perturb_mode=1, pin_mean=True)
+    starts = [initialize(params.with_beta(beta), config) for beta in betas]
     _, series = Simulator(params, config).advance(
-        np.stack(starts), betas, [cfg.n_steps for cfg in cfgs],
-        sample_every=config.sample_every, modes=[(0, 1)])
+        np.stack(starts), betas, config.n_steps, sample_every=config.sample_every,
+        modes=[(0, 1)])
+    times = config.sample_times()
     rows = []
-    for mu, cfg, mode1 in zip(mus, cfgs, series):
-        tail_amp, freq, note, settled = tail_fit(cfg.sample_times(), mode1[:, 0])
+    for mu, mode1 in zip(mus, series):
+        tail_amp, freq, note, settled = tail_fit(times, mode1[:, 0])
         if mu > 0:
             if not settled:
-                raise NoSaturation(f"mu = {mu}: amplitude not settled by t = {cfg.t_max}")
+                raise NoSaturation(f"mu = {mu}: amplitude not settled by t = {config.t_max}")
             if freq is None:
                 raise WindowTooShort(note)
             rows.append({"mu": mu, "amplitude": tail_amp, "frequency": freq})
@@ -573,7 +558,7 @@ def timestep_convergence_order(params: ModelParams, dt: float = 0.02,
         cfg = SimConfig(n_grid=n_grid, dt=step, t_max=t_end, eps=1e-2,
                         perturb_kind="random", seed=3)
         return Simulator(params, cfg).advance(initialize(params, cfg)[None],
-                                              [params.beta], [cfg.n_steps])[0]
+                                              [params.beta], cfg.n_steps)[0]
 
     ref = solve(dt / 8.0)
     e = [np.max(np.abs(solve(step) - ref)) for step in (dt, dt / 2.0)]

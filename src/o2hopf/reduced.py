@@ -75,6 +75,14 @@ class ReducedSystem:
         return cls(mu=mu, omega=nf.omega, a=nf.a, b=nf.b, c=nf.c)
 
 
+def _check_point(sys: ReducedSystem, caller: str) -> None:
+    """Raise InvalidConfig unless every field of sys is a number: the batch record
+    of (P,) arrays is regime_batch's alone."""
+    if any(np.ndim(getattr(sys, name)) for name in ("mu", "omega", "a", "b", "c")):
+        raise InvalidConfig(f"{caller} takes a ReducedSystem of numbers, got one of arrays; "
+                            f"regime_batch reads a batch")
+
+
 @dataclass(frozen=True)
 class BranchPoint:
     kind: str            # "trivial" | "rotating_wave_1" | "rotating_wave_2" | "standing_wave"
@@ -181,6 +189,7 @@ def branches(sys: ReducedSystem) -> list:
     (0, r) and standing_wave (r, r) where the family exists; a flat family
     is listed at the origin as degenerate.
     """
+    _check_point(sys, "branches")
     record = regime_batch(sys)
     out = []
     for name in ("trivial", "rotating_wave", "standing_wave"):
@@ -201,6 +210,7 @@ def classify_regime(sys: ReducedSystem) -> dict:
     Both are ``regime_batch``'s, of the batch of one; (A, B) = (c, b - c)
     gives the quadrant report.
     """
+    _check_point(sys, "classify_regime")
     record = regime_batch(sys)
     relations = {name: bool(holds) for name, holds in record["relations"].items()}
     A = sys.c
@@ -280,6 +290,7 @@ def integrate_truncated(sys: ReducedSystem, z1_0: complex, z2_0: complex,
 
     Returns (t, z1, z2) arrays; deterministic for fixed inputs.
     """
+    _check_point(sys, "integrate_truncated")
     for name, value in (("t_max", t_max), ("dt", dt)):
         if not (is_finite_real(value) and value > 0.0):
             raise InvalidConfig(f"{name} must be finite and > 0, got {shown(value)}")
@@ -330,6 +341,7 @@ def reconstruct_wave(params: ModelParams, sys: ReducedSystem, branch: BranchPoin
     z_j = r_j e^{i(w* t + phi_j)}, and imag_residue is the largest |Im| of
     that sum, zero up to round-off when the conjugate pairs cancel.
     """
+    _check_point(sys, "reconstruct_wave")
     if branch.kind == "trivial":
         raise ValueError("reconstruct_wave requires a nontrivial branch")
     for name, value in (("phi1", phi1), ("phi2", phi2), ("t", t)):

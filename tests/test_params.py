@@ -99,7 +99,7 @@ def test_onset_rejects_nonpositive_constant(field, value):
 def _entry_points(p):
     """Every entry point's output at p, each float printed to its last bit."""
     config = SimConfig(n_grid=16, dt=0.01, t_max=0.03, eps=1e-3)
-    U = Simulator(p, config).advance(initialize(p, config)[None], [p.beta], [3])
+    U = Simulator(p, config).advance(initialize(p, config)[None], [p.beta], 3)
     outputs = [validate(p), onset(p), onset_scan(p), *(coeffs(p, route) for route in ROUTES),
                closed_form_constants(p), coeffs_report(p), U]
     with np.printoptions(floatmode="unique", threshold=sys.maxsize):

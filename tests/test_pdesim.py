@@ -26,7 +26,7 @@ class TestInitialize:
         assert U.shape == (2, 64)
         sim = Simulator(CANON, config)
         assert np.max(np.abs(sim.rhs(U[None], CANON.beta))) <= 1e-13
-        stepped = sim.advance(U[None], [CANON.beta], [1])[0]
+        stepped = sim.advance(U[None], [CANON.beta], 1)[0]
         assert np.max(np.abs(stepped - U)) <= 1e-13
 
     def test_perturbation_amplitude(self):
@@ -148,7 +148,7 @@ def test_fraction_settings_run_as_their_floats(settings):
     config = SimConfig(n_grid=16, **settings)
     floats = SimConfig(n_grid=16, **{name: float(value) for name, value in settings.items()})
     assert config == floats
-    runs = [Simulator(CANON, c).advance(initialize(CANON, c)[None], [CANON.beta], [3])
+    runs = [Simulator(CANON, c).advance(initialize(CANON, c)[None], [CANON.beta], 3)
             for c in (config, floats)]
     assert runs[0].tobytes() == runs[1].tobytes()
 
@@ -206,14 +206,14 @@ class TestDeterminismAndSafety:
         config = SimConfig(n_grid=64, dt=1e-2, perturb_kind="random",
                            seed=5, eps=1e-3)
         outs = [Simulator(CANON, config).advance(initialize(CANON, config)[None],
-                                                 [CANON.beta], [200])
+                                                 [CANON.beta], 200)
                 for _ in range(2)]
         assert np.array_equal(outs[0], outs[1])
 
     def test_blowup_detection(self):
         sim = Simulator(CANON, SimConfig(n_grid=64, dt=1e-2))
         with pytest.raises(NumericalBlowup):
-            sim.advance(np.full((1, 2, 64), 1e7), [CANON.beta], [1])
+            sim.advance(np.full((1, 2, 64), 1e7), [CANON.beta], 1)
 
     def test_nan_in_u2_is_a_blowup(self):
         # the field of step 1 carries the NaN: a one-step run checks it at its
@@ -224,7 +224,7 @@ class TestDeterminismAndSafety:
         bad[0, 1, 10] = np.nan
         for n_steps in (1, 5):
             with pytest.raises(NumericalBlowup, match=r"at t = 0\.01$"):
-                sim.advance(bad, [CANON.beta], [n_steps])
+                sim.advance(bad, [CANON.beta], n_steps)
 
 
 class TestEngine:
@@ -232,49 +232,58 @@ class TestEngine:
                        eps=1e-2, pin_mean=True)
 
     def test_batch_members_equal_solo_runs(self):
-        # members leave at different horizons, one between two sample points;
+        # members differ in beta and start and stop between two sample points;
         # the samples are the members' coefficients, compared bitwise
-        betas, n_steps = [6.9, 7.05, 7.1], [40, 23, 60]
+        betas, n_steps = [6.9, 7.05, 7.1], 43
         starts = initialize(CANON, self.CONFIG) + [[[0.0], [0.01 * j]] for j in range(3)]
         engine = Simulator(CANON, self.CONFIG)
         modes = [(0, 1), (1, 0), (1, 3)]
         batch, batch_samples = engine.advance(starts, betas, n_steps, sample_every=5,
                                               modes=modes)
+        assert batch_samples.shape == (3, n_steps // 5, len(modes))
         for b in range(3):
             solo, (solo_samples,) = engine.advance(starts[b:b + 1], betas[b:b + 1],
-                                                   n_steps[b:b + 1], sample_every=5, modes=modes)
+                                                   n_steps, sample_every=5, modes=modes)
             assert np.array_equal(batch[b], solo[0])
-            assert batch_samples[b].shape == (n_steps[b] // 5, len(modes))
             assert batch_samples[b].tobytes() == solo_samples.tobytes()
             # the betas passed are the ones stepped, not the Simulator's params.beta
             other = Simulator(CANON.with_beta(betas[b]), self.CONFIG)
             assert np.array_equal(other.advance(starts[b:b + 1], betas[b:b + 1],
-                                                n_steps[b:b + 1])[0], batch[b])
+                                                n_steps)[0], batch[b])
+
+    @pytest.mark.parametrize("sample_every", [0, 3])
+    def test_zero_steps_return_the_fields(self, sample_every):
+        starts = np.stack([initialize(CANON, self.CONFIG)] * 2)
+        got = Simulator(CANON, self.CONFIG).advance(starts, [6.9, 7.1], 0,
+                                                    sample_every=sample_every, modes=[(0, 1)])
+        fields, samples = got if sample_every else (got, None)
+        assert fields is not starts and fields.tobytes() == starts.tobytes()
+        if sample_every:
+            assert samples.shape == (2, 0, 1) and samples.dtype == complex
 
     def test_run_matches_repeated_steps(self):
         sim = Simulator(CANON, self.CONFIG)
         start = initialize(CANON, self.CONFIG)[None]
         stepped = start
         for _ in range(50):
-            stepped = sim.advance(stepped, [7.05], [1])
-        ran = sim.advance(start, [7.05], [50])
+            stepped = sim.advance(stepped, [7.05], 1)
+        ran = sim.advance(start, [7.05], 50)
         assert np.max(np.abs(ran - stepped)) <= 1e-12
 
     def test_sample_times(self):
         fields, samples = Simulator(CANON, self.CONFIG).advance(
-            initialize(CANON, self.CONFIG)[None], [7.0], [50], sample_every=7, modes=[(0, 1)])
+            initialize(CANON, self.CONFIG)[None], [7.0], 50, sample_every=7, modes=[(0, 1)])
         assert fields.shape == (1, 2, 64)
-        assert len(samples) == 1 and samples[0].shape == (7, 1)
-        assert samples[0].dtype == complex
+        assert samples.shape == (1, 7, 1) and samples.dtype == complex
 
     @pytest.mark.parametrize("pin_mean", [True, False])
     def test_sampling_leaves_the_run_unchanged(self, pin_mean):
         config = replace(self.CONFIG, pin_mean=pin_mean)
         sim = Simulator(CANON, config)
         start = initialize(CANON, config)[None]
-        plain = sim.advance(start, [7.05], [500])
+        plain = sim.advance(start, [7.05], 500)
         for every in (1, 3, 7):
-            sampled, _ = sim.advance(start, [7.05], [500], sample_every=every,
+            sampled, _ = sim.advance(start, [7.05], 500, sample_every=every,
                                      modes=[(0, 1), (1, 2)])
             assert np.array_equal(sampled, plain)
 
@@ -289,7 +298,7 @@ class TestEngine:
             monkeypatch.setattr(pdesim, name, counted)
         n = 100
         starts = np.stack([initialize(CANON, self.CONFIG)] * 3)
-        Simulator(CANON, self.CONFIG).advance(starts, [6.9, 7.0, 7.1], [n] * 3,
+        Simulator(CANON, self.CONFIG).advance(starts, [6.9, 7.0, 7.1], n,
                                               sample_every=sample_every, modes=[(0, 1)])
         assert len(calls) == 4 * n + 2
 
@@ -301,11 +310,11 @@ class TestEngine:
         sim = Simulator(CANON, config)
         start = initialize(CANON, config)[None]
         every_mode = [(s, k) for s in (0, 1) for k in range(n // 2 + 1)]
-        _, (samples,) = sim.advance(start, [7.05], [200], sample_every=3, modes=every_mode)
+        _, (samples,) = sim.advance(start, [7.05], 200, sample_every=3, modes=every_mode)
         stops = list(range(3, 201, 3))
         assert len(samples) == len(stops)
-        # one member stopped at each sample point
-        stopped = sim.advance(np.repeat(start, len(stops), axis=0), [7.05] * len(stops), stops)
+        # one run stopped at each sample point
+        stopped = [sim.advance(start, [7.05], stop)[0] for stop in stops]
         for row, fields in zip(samples, stopped):
             spectrum = row.reshape(2, n // 2 + 1)
             assert np.array_equal(np.fft.irfft(spectrum, n=n, norm="forward"), fields)
@@ -338,52 +347,57 @@ def test_bound_transforms_are_numpy_fft(n):
 
 
 @pytest.mark.parametrize("shape, betas, n_steps, settings, message", [
-    ((2, 2, 16), [7.0], [5, 5], {}, "one beta and one step count per member; got 1 betas "
-                                    "and 2 for 2 members"),
-    ((2, 2, 16), [7.0, 7.0], [5], {}, "got 2 betas and 1 for 2 members"),
-    ((1, 2, 16), [7.0], [5], {"sample_every": -1}, "sample_every must be >= 0, got -1"),
-    ((1, 2, 16), [7.0], [5], {"sample_every": 2}, r"sampling needs modes, pairs of integers: "
-                                                    r"species 0 or 1 and wave index 0\.\.8; "
-                                                    r"got \[\]$"),
-    ((1, 2, 32), [7.0], [5], {}, r"fields of shape \(B, 2, 16\), got \(1, 2, 32\)$"),
-    ((2, 16), [7.0], [5], {}, r"fields of shape \(B, 2, 16\), got \(2, 16\)$"),
-    ((1, 2, 16), [7.0], [-3], {}, r"finite betas and step counts >= 0; got betas \[7\.0\] "
-                                  r"and steps \[-3\]$"),
-    ((1, 2, 16), [math.nan], [5], {}, r"got betas \[nan\] and steps \[5\]$"),
-    ((1, 2, 16), [7.0], [2.5], {}, r"integer step counts, got \[2\.5\]$"),
-    ((1, 2, 16), [7.0], [True], {}, r"integer step counts, got \[True\]$"),
-    ((2, 2, 16), [7.0, 7.0], [True, 3], {}, r"integer step counts, got \[True, 3\]$"),
-    ((1, 2, 16), [7.0], [5], {"sample_every": 2.5, "modes": [(0, 1)]},
+    ((2, 2, 16), [7.0], 5, {}, r"one beta per member; got 1 betas for 2 members$"),
+    # one step count steps the whole batch: a list of them is refused
+    ((2, 2, 16), [7.0, 7.0], [5, 5], {}, r"one integer step count >= 0 for the batch, "
+                                         r"got \[5, 5\]$"),
+    ((1, 2, 16), [7.0], 5, {"sample_every": -1}, "sample_every must be >= 0, got -1"),
+    ((1, 2, 16), [7.0], 5, {"sample_every": 2}, r"sampling needs modes, pairs of integers: "
+                                                  r"species 0 or 1 and wave index 0\.\.8; "
+                                                  r"got \[\]$"),
+    ((1, 2, 32), [7.0], 5, {}, r"fields of shape \(B, 2, 16\), got \(1, 2, 32\)$"),
+    ((2, 16), [7.0], 5, {}, r"fields of shape \(B, 2, 16\), got \(2, 16\)$"),
+    ((1, 2, 16), [7.0], -3, {}, r"one integer step count >= 0 for the batch, got -3$"),
+    ((1, 2, 16), [math.nan], 5, {}, r"advance needs finite betas, got \[nan\]$"),
+    ((1, 2, 16), [7.0], 2.5, {}, r"step count >= 0 for the batch, got 2\.5$"),
+    ((1, 2, 16), [7.0], True, {}, r"step count >= 0 for the batch, got True$"),
+    ((2, 2, 16), [7.0, 7.0], [True, 3], {}, r"for the batch, got \[True, 3\]$"),
+    ((1, 2, 16), [7.0], 5, {"sample_every": 2.5, "modes": [(0, 1)]},
      "sample_every must be an integer, got 2.5"),
-    ((1, 2, 16), [7.0], [5], {"sample_every": True, "modes": [(0, 1)]},
+    ((1, 2, 16), [7.0], 5, {"sample_every": True, "modes": [(0, 1)]},
      "sample_every must be an integer, got True"),
-    ((1, 2, 16), [7.0], [5], {"sample_every": 1, "modes": [(2, 1)]}, r"got \[\(2, 1\)\]$"),
-    ((1, 2, 16), [7.0], [5], {"sample_every": 1, "modes": [(0, 1), (-1, 1)]},
+    ((1, 2, 16), [7.0], 5, {"sample_every": 1, "modes": [(2, 1)]}, r"got \[\(2, 1\)\]$"),
+    ((1, 2, 16), [7.0], 5, {"sample_every": 1, "modes": [(0, 1), (-1, 1)]},
      r"got \[\(0, 1\), \(-1, 1\)\]$"),
-    ((1, 2, 16), [7.0], [5], {"sample_every": 1, "modes": [(0, 9)]}, r"got \[\(0, 9\)\]$"),
-    ((1, 2, 16), [7.0], [5], {"sample_every": 1, "modes": [(1, -1)]}, r"got \[\(1, -1\)\]$"),
-    ((1, 2, 16), [7.0], [5], {"sample_every": 1, "modes": [(0, 1.0)]},
+    ((1, 2, 16), [7.0], 5, {"sample_every": 1, "modes": [(0, 9)]}, r"got \[\(0, 9\)\]$"),
+    ((1, 2, 16), [7.0], 5, {"sample_every": 1, "modes": [(1, -1)]}, r"got \[\(1, -1\)\]$"),
+    ((1, 2, 16), [7.0], 5, {"sample_every": 1, "modes": [(0, 1.0)]},
      r"got \[\(0, 1\.0\)\]$"),
-    ((1, 2, 16), [7.0], [5], {"sample_every": 1, "modes": [(0, True)]},
+    ((1, 2, 16), [7.0], 5, {"sample_every": 1, "modes": [(0, True)]},
      r"got \[\(0, True\)\]$"),
-    ((1, 2, 16), [7.0], [5], {"sample_every": 1, "modes": [(np.True_, 1)]},
+    ((1, 2, 16), [7.0], 5, {"sample_every": 1, "modes": [(np.True_, 1)]},
      r"got \[\(np\.True_, 1\)\]$"),
-    ((1, 2, 16), [7.0], [5], {"sample_every": 1, "modes": [1]}, r"got \[1\]$"),
-    ((1, 2, 16), [7.0], [5], {"sample_every": 1, "modes": [(0, 1, 2)]},
+    ((1, 2, 16), [7.0], 5, {"sample_every": 1, "modes": [1]}, r"got \[1\]$"),
+    ((1, 2, 16), [7.0], 5, {"sample_every": 1, "modes": [(0, 1, 2)]},
      r"got \[\(0, 1, 2\)\]$"),
-    ((1, 2, 16), [7.0], [5], {"sample_every": 1, "modes": [(0, "1")]},
+    ((1, 2, 16), [7.0], 5, {"sample_every": 1, "modes": [(0, "1")]},
      r"got \[\(0, '1'\)\]$"),
     # the betas were parsed by np.asarray(betas, dtype=float): "7" and True ran as 7 and 1
-    ((1, 2, 16), ["7"], [5], {}, r"got betas \['7'\] and steps \[5\]$"),
-    ((1, 2, 16), [True], [5], {}, r"got betas \[True\] and steps \[5\]$"),
-    ((2, 2, 16), [7.0, None], [5, 5], {}, r"got betas \[7\.0, None\] and steps \[5, 5\]$"),
-    ((1, 2, 16), [10 ** 400], [5], {}, r"got betas \[an integer of 1329 bits\] and steps"),
+    ((1, 2, 16), ["7"], 5, {}, r"finite betas, got \['7'\]$"),
+    ((1, 2, 16), [True], 5, {}, r"finite betas, got \[True\]$"),
+    ((2, 2, 16), [7.0, None], 5, {}, r"finite betas, got \[7\.0, None\]$"),
+    ((1, 2, 16), [10 ** 400], 5, {}, r"finite betas, got \[an integer of 1329 bits\]$"),
+    ((2, 2, 16), [7.0, 7.0], np.array([5, 5]), {}, r"for the batch, got array\(\[5, 5\]\)$"),
+    ((1, 2, 16), [7.0], np.array(5), {}, r"for the batch, got array\(5\)$"),
+    ((1, 2, 16), [7.0], np.float64(5.0), {}, r"for the batch, got np\.float64\(5\.0\)$"),
+    ((1, 2, 16), [7.0], -10 ** 400, {}, r"for the batch, got an integer of 1329 bits$"),
 ], ids=["betas", "n_steps", "negative_sampling", "no_modes", "grid", "no_batch_axis",
         "negative_steps", "nan_beta", "fractional_steps", "bool_steps", "bool_among_steps",
         "fractional_sampling", "bool_sampling", "species_2", "negative_species",
         "index_above_half", "negative_index", "fractional_index", "bool_index",
         "numpy_bool_species", "not_a_pair", "triple", "text_index", "text_beta", "bool_beta",
-        "none_beta", "huge_beta"])
+        "none_beta", "huge_beta", "array_of_steps", "zero_dim_steps", "numpy_float_steps",
+        "steps_beyond_floats"])
 def test_advance_input_errors(shape, betas, n_steps, settings, message):
     config = SimConfig(n_grid=16, dt=1e-2)
     U = np.broadcast_to(initialize(CANON, replace(config, n_grid=shape[-1])), shape)
@@ -453,7 +467,7 @@ class TestLinearRegime:
         config = SimConfig(n_grid=64, dt=5e-3, perturb_kind="random",
                            eps=1e-3, seed=2, pin_mean=True)
         U = Simulator(CANON, config).advance(initialize(CANON.with_beta(beta), config)[None],
-                                             [beta], [8000])[0]
+                                             [beta], 8000)[0]
         modes = np.abs(np.fft.rfft(U[0])) / config.n_grid
         assert modes[1] < 1e-5 and modes[2] < 1e-5
 
@@ -476,7 +490,7 @@ def test_step_integrates_rhs(pin_mean):
         0.05 * (rng.standard_normal((2, 15)) + 1j * rng.standard_normal((2, 15))) @ waves)
     for dt in (1e-4, 1e-5, 1e-6):
         sim = Simulator(CANON, SimConfig(n_grid=n, dt=dt, pin_mean=pin_mean))
-        quotient = (sim.advance(U[None], [CANON.beta], [1])[0] - U) / dt
+        quotient = (sim.advance(U[None], [CANON.beta], 1)[0] - U) / dt
         rhs = sim.rhs(U[None], CANON.beta)[0]
         assert np.max(np.abs(quotient - rhs)) <= 1e4 * dt
         if pin_mean:
@@ -512,11 +526,11 @@ def test_mean_identity():
                        eps=5e-2, seed=9)
     sim = Simulator(CANON, config)
     # let the quadratic terms build up a genuine mean deviation first
-    U = sim.advance(initialize(CANON, config)[None], [CANON.beta], [1000])
+    U = sim.advance(initialize(CANON, config)[None], [CANON.beta], 1000)
     means = []
     for _ in range(3):
         means.append((np.mean(U[0, 0]) - CANON.alpha, np.mean(U[0, 1]) - 7.0 / CANON.alpha))
-        U = sim.advance(U, [CANON.beta], [1])
+        U = sim.advance(U, [CANON.beta], 1)
     lhs = ((means[2][0] + means[2][1]) - (means[0][0] + means[0][1])) \
         / (2.0 * config.dt)
     rhs = -means[1][0]
@@ -554,7 +568,7 @@ def test_pinned_runs_are_second_order_at_finite_amplitude(raw):
         config = SimConfig(n_grid=64, dt=dt, t_max=2.0, eps=0.3, perturb_kind="random",
                            seed=1, pin_mean=True)
         return Simulator(params, config).advance(initialize(params, config)[None], [beta],
-                                                 [round(2.0 / dt)])[0]
+                                                 round(2.0 / dt))[0]
 
     reference = solve(0.02 / 16)
     errors = [np.max(np.abs(solve(dt) - reference)) for dt in (0.02, 0.01, 0.005)]
@@ -618,7 +632,7 @@ def test_simulate_and_scaling_sample_alike(tmp_path, monkeypatch):
     advance = Simulator.advance
 
     def spy(self, U, betas, n_steps, sample_every=0, modes=()):
-        calls.append((self.config, list(n_steps), sample_every))
+        calls.append((self.config, n_steps, sample_every))
         return advance(self, U, betas, n_steps, sample_every, modes)
 
     monkeypatch.setattr(Simulator, "advance", spy)
@@ -633,8 +647,8 @@ def test_simulate_and_scaling_sample_alike(tmp_path, monkeypatch):
                       phi=0.3, t_end=1.0)
     timestep_convergence_order(CANON, dt=dt, t_end=1.0, n_grid=16)
     for run, steps, _ in calls:
-        assert steps == [run.n_steps] * len(steps)
-    assert [steps[0] for _, steps, _ in calls] == [201, 201, 67, 67, 533, 67, 133]
+        assert steps == run.n_steps
+    assert [steps for _, steps, _ in calls] == [201, 201, 67, 67, 533, 67, 133]
     assert [every for _, _, every in calls] == [7, 7, 5, 0, 0, 0, 0]
     assert all(every == run.sample_every for run, _, every in calls[:2])
     times = [float(row["t"]) for row in csv.DictReader(series.open())]
@@ -682,3 +696,29 @@ def test_experiments_run_fractions_as_their_floats():
     config = SimConfig(n_grid=16, dt=0.05, t_max=150.0, eps=1e-2, pin_mean=True)
     assert (amplitude_scaling_experiment(CANON, [Fraction(3, 10), Fraction(2, 5)], config)
             == amplitude_scaling_experiment(CANON, [0.3, 0.4], config))
+
+
+def test_default_scaling_runs_every_mu_to_the_slowest_horizon():
+    # 16/0.035 = 457.14 > 400: both mu run to that horizon, as with this explicit config
+    config = SimConfig(dt=0.02, t_max=16.0 / 0.035, eps=1e-2, perturb_kind="traveling",
+                       perturb_mode=1, pin_mean=True)
+    default = amplitude_scaling_experiment(CANON, [0.035, 0.2])
+    assert default == amplitude_scaling_experiment(CANON, [0.035, 0.2], config)
+    assert len(default["rows"]) == 2
+
+
+@pytest.mark.parametrize("mus, t_max", [([0.0], 400.0), ([-0.5, 0.0, 0.1], 400.0),
+                                        ([0.2, -0.02, 0.05], 800.0)])
+def test_default_scaling_horizon(monkeypatch, mus, t_max):
+    class Stepped(Exception):
+        pass
+
+    def spy(self, U, betas, n_steps, sample_every=0, modes=()):
+        raise Stepped(self.config, n_steps)
+
+    monkeypatch.setattr(Simulator, "advance", spy)
+    with pytest.raises(Stepped) as info:
+        amplitude_scaling_experiment(CANON, mus)
+    config, n_steps = info.value.args
+    assert config.t_max == t_max and config.dt == 0.02
+    assert n_steps == config.n_steps == round(t_max / 0.02)

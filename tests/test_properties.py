@@ -283,17 +283,19 @@ def short_runs(draw):
 
 
 @PDE_PROPERTY
-@given(admissible_sets(), short_runs(),
-       st.lists(st.tuples(st.floats(-0.2, 0.2), st.integers(30, 50)), min_size=2, max_size=3))
-def test_batch_member_equals_solo_run(p, config, members):
-    # each member runs at its own beta offset; alone it is a Simulator at that beta
-    betas = [p.beta + offset for offset, _ in members]
-    n_steps = [steps for _, steps in members]
+@given(admissible_sets(), short_runs(), st.lists(st.floats(-0.2, 0.2), min_size=2, max_size=3),
+       st.integers(30, 50), st.integers(1, 7))
+def test_batch_member_equals_solo_run(p, config, offsets, n_steps, sample_every):
+    # each member runs at its own beta offset and start; alone it is a Simulator at that beta
+    betas = [p.beta + offset for offset in offsets]
     starts = np.stack([initialize(p.with_beta(beta), config) for beta in betas])
-    batch = Simulator(p, config).advance(starts, betas, n_steps)
-    for beta, steps, start, fields in zip(betas, n_steps, starts, batch):
-        solo = Simulator(p.with_beta(beta), config).advance(start[None], [beta], [steps])
-        assert np.array_equal(solo[0], fields)
+    modes = [(0, 1), (1, 0), (1, 2)]
+    batch, samples = Simulator(p, config).advance(starts, betas, n_steps, sample_every, modes)
+    for beta, start, fields, sampled in zip(betas, starts, batch, samples):
+        solo, (solo_sampled,) = Simulator(p.with_beta(beta), config).advance(
+            start[None], [beta], n_steps, sample_every, modes)
+        assert solo[0].tobytes() == fields.tobytes()
+        assert solo_sampled.tobytes() == sampled.tobytes()
 
 
 @PDE_PROPERTY

@@ -88,6 +88,28 @@ def test_record_holds_floats_and_complex_numbers():
         np.dtype(float)] + [np.dtype(complex)] * 3
 
 
+POINT_BRANCH = branches(ReducedSystem(mu=0.1, omega=1.0, a=0.5, b=-1.0, c=-2.0))[1]
+
+
+@pytest.mark.parametrize("caller, run", [
+    ("branches", branches),
+    ("classify_regime", classify_regime),
+    ("integrate_truncated", lambda sys: integrate_truncated(sys, 0.1, 0.1, t_max=1.0, dt=0.5)),
+    ("reconstruct_wave", lambda sys: reconstruct_wave(CANON, sys, POINT_BRANCH, 0.0, 0.0, 0.0)),
+])
+@pytest.mark.parametrize("batch", [
+    {"mu": np.array([0.1, 0.2])},
+    {"c": np.array([-2.0, -3.0])},
+], ids=["mu", "c"])
+def test_point_functions_refuse_a_batch_record(caller, run, batch):
+    # numpy's untyped ValueError: an ambiguous truth value, or an array element set to a sequence
+    sys = ReducedSystem(**{"mu": 0.1, "omega": 1.0, "a": 0.5, "b": -1.0, "c": -2.0, **batch})
+    with pytest.raises(InvalidConfig, match=f"^{caller} takes a ReducedSystem of numbers, "
+                                            f"got one of arrays; regime_batch reads a batch$"):
+        run(sys)
+    assert len(regime_batch(sys)["rotating_wave"]["radius"]) == 2
+
+
 class TestVectorField:
     def test_origin(self):
         sys = projection_system(0.2)
