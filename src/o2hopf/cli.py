@@ -25,8 +25,7 @@ from .errors import (InadmissibleRegime, InvalidConfig, NonPositiveParameter,
                      NoSaturation, NumericalBlowup, O2HopfError)
 from .normalform import (ROUTES, closed_form_constants, coeffs, coeffs_batch,
                          coeffs_report)
-from .params import (ModelParams, is_positive, onset, onset_terms, read_config,
-                     validate)
+from .params import ModelParams, is_positive, onset, onset_terms, read_config
 from .pdesim import SimConfig, Simulator, initialize, tail_fit
 from .reduced import ReducedSystem, branches, classify_regime, regime_batch
 from .spectral import onset_scan, turing_check
@@ -174,7 +173,7 @@ def _params_from(ns) -> ModelParams:
     raw = _raw_params(ns)
     if "alpha" not in raw:
         raise BadFlag("--alpha (or --config) is required")
-    params = validate(ModelParams(beta=1.0, **raw))
+    params = ModelParams(beta=1.0, **raw)
     return params.with_beta(onset(params).beta1 + getattr(ns, "mu", 0.0))
 
 
@@ -427,7 +426,7 @@ def cmd_sweep(ns) -> int:
 
 def _verify_checks(quick: bool):
     """Golden self-checks; yields (name, passed, detail)."""
-    canonical = validate({"alpha": 2.0, "beta": 7.0})
+    canonical = ModelParams(alpha=2.0, beta=7.0)
     data = onset(canonical)
     cf = closed_form_constants(canonical)
     rt3 = math.sqrt(3.0)

@@ -49,7 +49,7 @@ import numpy as np
 from .errors import InadmissibleRegime
 from .meanzero import zero_mode_content
 from .modes import ModeSum, R01, R20, R30
-from .params import ModelParams, critical_values, onset, validate
+from .params import ModelParams, critical_values, onset
 from .spectral import inner_product, mode_matrix, onset_poly, xi1, xi1_amp, xi1_star, xi2
 
 ROUTES = ("projection", "direct", "closed_form")
@@ -285,11 +285,12 @@ def _evaluate(alpha, d1, d2, routes) -> tuple:
 
 
 def _point(params: ModelParams, routes) -> tuple:
-    """onset(validate(params)) and the named routes' values at params: a batch of one.
+    """onset(params) and the named routes' values at params: a batch of one.
 
-    Raises the refusal of the first route with a value that is not finite.
+    Raises onset's refusal of an inadmissible set, then the refusal of the
+    first route with a value that is not finite.
     """
-    data = onset(validate(params))
+    data = onset(params)
     values, refused = _evaluate(*np.array([[params.alpha, *params.effective_diffusion()]]).T,
                                 routes)
     if refused[0] is not None:
@@ -392,5 +393,5 @@ def coeffs_report(params: ModelParams) -> dict:
         "residual_orthogonality": _orthogonality(params, per_route["projection"], psi),
         "discrepancies": discrepancies,
         "consistent": consistent,
-        "mean_zero_obstruction": zero_mode_content(params, psi),
+        "mean_zero_obstruction": zero_mode_content(psi),
     }

@@ -13,6 +13,8 @@ the half_length = pi case with the diffusion rates rescaled by k1^2.
 A ModelParams holds its five constants as floats, and a pdesim.SimConfig its run
 settings as floats, ints and a bool: each checks and converts its fields once, when
 it is built, and refuses a bad value there with a typed error that names it as given.
+``onset`` is the one gate for a point: it refuses a set where the Hopf analysis does
+not apply with InadmissibleRegime, and ``validate`` builds the record and calls it.
 """
 
 from __future__ import annotations
@@ -62,9 +64,8 @@ class ModelParams:
 @dataclass(frozen=True)
 class OnsetData:
     beta1: float       # critical control value, 1 + alpha^2 + k1^2(delta1+delta2)
-    omega: float       # Hopf frequency (0.0 when inadmissible)
+    omega: float       # Hopf frequency, sqrt(omega^2) > 0
     mu: float          # beta - beta1
-    admissible: bool
 
 
 def _rescaled(delta1, delta2, half_length):
@@ -94,8 +95,8 @@ def hopf_bound(alpha, delta1, delta2):
 def onset_terms(alpha, delta1, delta2, half_length):
     """(d1e, d2e, beta1, omega^2, admissible) of positive model constants.
 
-    The constants may be floats or numpy arrays; ``onset``, ``validate``
-    and the vectorised sweep share this one definition of admissibility.
+    The constants may be floats or numpy arrays; ``onset`` and the
+    vectorised sweep share this one definition of admissibility.
     """
     with np.errstate(over="ignore", invalid="ignore"):   # an overflow is inadmissible
         d1e, d2e = _rescaled(delta1, delta2, half_length)
@@ -134,29 +135,27 @@ def is_integer(value) -> bool:
 
 def validate(raw) -> ModelParams:
     """The ModelParams raw is or is built from, if the Hopf analysis applies to it;
-    else InadmissibleRegime (omega^2 <= 0 or not finite, or beta1 >= hopf_bound)."""
+    else the InadmissibleRegime of ``onset``."""
     params = raw if isinstance(raw, ModelParams) else ModelParams(**dict(raw))
-    _, _, beta1, w2, admissible = onset_terms(params.alpha, params.delta1, params.delta2,
-                                              params.half_length)
-    if not admissible:
-        with np.errstate(over="ignore"):
-            bound = hopf_bound(params.alpha, params.delta1, params.delta2)
-        raise InadmissibleRegime(f"O(2)-Hopf analysis does not apply: omega^2 = {w2:.6g}, "
-                                 f"beta1 = {beta1:.6g}, bound = {bound:.6g}")
+    onset(params)
     return params
 
 
 def onset(params: ModelParams) -> OnsetData:
-    """Critical value beta1, Hopf frequency omega, and offset mu = beta - beta1.
+    """Critical value beta1, Hopf frequency omega and offset mu = beta - beta1.
 
-    Inadmissibility is reported through the flag, never raised, so that
-    parameter sweeps can chart the admissibility boundary.
+    The one gate for a point: InadmissibleRegime where the Hopf analysis does
+    not apply (omega^2 <= 0 or not finite, or beta1 >= hopf_bound).  The
+    sweep charts that boundary with ``onset_terms``.
     """
     _, _, beta1, omega_sq, admissible = onset_terms(
         params.alpha, params.delta1, params.delta2, params.half_length)
-    omega = math.sqrt(omega_sq) if omega_sq > 0.0 else 0.0
-    return OnsetData(beta1=beta1, omega=omega, mu=params.beta - beta1,
-                     admissible=bool(admissible))
+    if not admissible:
+        with np.errstate(over="ignore"):
+            bound = hopf_bound(params.alpha, params.delta1, params.delta2)
+        raise InadmissibleRegime(f"O(2)-Hopf analysis does not apply: omega^2 = "
+                                 f"{omega_sq:.6g}, beta1 = {beta1:.6g}, bound = {bound:.6g}")
+    return OnsetData(beta1=beta1, omega=math.sqrt(omega_sq), mu=params.beta - beta1)
 
 
 def read_config(path) -> dict:

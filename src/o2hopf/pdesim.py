@@ -291,11 +291,11 @@ class Simulator:
         len(modes)), its row [b, j] the coefficients of member b's unit-mean
         spectrum rfft(U)/N at the (species, wave index) pairs of modes at time
         (j + 1) * sample_every * dt.  Raises InvalidConfig unless U is
-        (B, 2, N) with one finite beta per member, n_steps is one integer >= 0
-        and an integer sample_every >= 0 has one mode or more, each a pair of
-        integers in 0..1 and 0..N//2; NumericalBlowup when the field of step
-        i, checked as step i + 1 or the last step forms it, leaves the bound or
-        is not finite (named as time i * dt).
+        (B, 2, N) with one finite beta per member, n_steps is one integer in
+        0..2**63 - 1 and an integer sample_every >= 0 has one mode or more, each
+        a pair of integers in 0..1 and 0..N//2, in a block numpy can shape;
+        NumericalBlowup when the field of step i, checked as step i + 1 or the
+        last step forms it, leaves the bound or is not finite (named as time i * dt).
         """
         dt, n = self.config.dt, self.config.n_grid
         out = np.array(U, dtype=float)
@@ -310,6 +310,8 @@ class Simulator:
         if not (is_integer(n_steps) and n_steps >= 0):
             raise InvalidConfig(f"advance needs one integer step count >= 0 for the batch, "
                                 f"got {shown(n_steps)}")
+        if n_steps >= 2 ** 63:   # SimConfig's bound on t_max/dt
+            raise InvalidConfig(f"advance takes fewer than 2**63 steps, got {shown(n_steps)}")
         if not is_integer(sample_every):
             raise InvalidConfig(f"sample_every must be an integer, got {sample_every!r}")
         if sample_every < 0:
@@ -324,7 +326,11 @@ class Simulator:
                                     f"and wave index 0..{n // 2}; got {shown(modes)}")
             species, index = np.array(modes, dtype=np.intp).T[:, :, None]
             at = np.ravel_multi_index((species, np.arange(len(out)), index), shape)
-            samples = np.empty((n_steps // sample_every, len(modes), len(out)), complex)
+            try:
+                samples = np.empty((n_steps // sample_every, len(modes), len(out)), complex)
+            except ValueError:   # numpy cannot shape the block
+                raise InvalidConfig(f"{n_steps // sample_every} samples of {len(modes)} modes "
+                                    f"for {len(out)} members exceed numpy's array size") from None
         S *= self._half[:, None]
         if self.config.pin_mean:   # the projected operator never moves them
             S[0, :, 0], S[1, :, 0] = self.params.alpha, betas / self.params.alpha

@@ -24,7 +24,7 @@ import numpy as np
 
 from .errors import DomainMismatch, InvalidConfig, shown
 from .modes import ModeSum
-from .params import ModelParams, hopf_bound, is_integer, onset, validate
+from .params import ModelParams, hopf_bound, is_integer, onset
 
 DEFAULT_IMAG_AXIS_TOL = 1e-10
 DEFAULT_N_MAX = 64
@@ -63,16 +63,6 @@ def _beta_gamma(alpha, d1, d2, k2):
     a2 = alpha * alpha
     return (1.0 + a2 + k2 * (d1 + d2),
             k2 * d2 + k2 * d1 * a2 + k2 * k2 * d1 * d2 + a2)
-
-
-def beta_n(params: ModelParams, n: int) -> float:
-    k = n * params.k1
-    return _beta_gamma(params.alpha, params.delta1, params.delta2, k * k)[0]
-
-
-def gamma_n(params: ModelParams, n: int) -> float:
-    k = n * params.k1
-    return _beta_gamma(params.alpha, params.delta1, params.delta2, k * k)[1]
 
 
 def onset_poly(alpha, d1, d2, n2, w=None):
@@ -132,7 +122,7 @@ def onset_scan(params: ModelParams, n_max: int = DEFAULT_N_MAX) -> ScanResult:
         raise InvalidConfig(f"n_max must be an integer, got {shown(n_max)}")
     if not 2 <= n_max <= _MAX_N_MAX:
         raise InvalidConfig(f"n_max must be at least 2 and at most {_MAX_N_MAX}, got {n_max}")
-    validate(params)
+    onset(params)   # refuses an inadmissible set
     records = _mode_records(params, range(n_max + 1))
     tol = DEFAULT_IMAG_AXIS_TOL
     critical = [r.n for r in records[1:] if max(abs(z.real) for z in r.roots) <= tol]
@@ -168,7 +158,7 @@ def xi1_amp(alpha, d2e, omega):
 def xi1(params: ModelParams) -> ModeSum:
     """Eigenfunction of the critical mode n = 1 for eigenvalue +i omega (admissible sets)."""
     return ModeSum.single(1, xi1_amp(params.alpha, params.effective_diffusion()[1],
-                                     onset(validate(params)).omega))
+                                     onset(params).omega))
 
 
 def xi2(params: ModelParams) -> ModeSum:
@@ -178,7 +168,7 @@ def xi2(params: ModelParams) -> ModeSum:
 
 def xi1_star(params: ModelParams) -> ModeSum:
     """Dual eigenfunction, normalized so <xi1, xi1*> = 1 (admissible sets)."""
-    omega = onset(validate(params)).omega
+    omega = onset(params).omega
     a2, d2e = params.alpha * params.alpha, params.effective_diffusion()[1]
     pref = 1j * (a2 / (4.0 * params.half_length * omega))
     return ModeSum.single(1, np.array([pref * ((d2e + a2 - 1j * omega) / a2), pref]))

@@ -5,6 +5,13 @@ import math
 import numpy as np
 
 from o2hopf import ModelParams, onset
+from o2hopf.params import onset_terms
+from o2hopf.spectral import _beta_gamma
+
+
+def admissible(p):
+    """Whether the Hopf analysis applies to p, charted as the sweep charts it."""
+    return bool(onset_terms(p.alpha, p.delta1, p.delta2, p.half_length)[-1])
 
 
 def random_admissible(rng, vary_domain=False):
@@ -16,9 +23,20 @@ def random_admissible(rng, vary_domain=False):
                         delta1=float(rng.uniform(0.2, 2.0)),
                         delta2=float(rng.uniform(0.1, 1.5)),
                         half_length=float(rng.choice(lengths)))
-        data = onset(p)
-        if data.admissible:
-            return p.with_beta(data.beta1)
+        if admissible(p):
+            return p.with_beta(onset(p).beta1)
+
+
+def beta_n(params, n):
+    """beta(n) of mode n, from spectral's one definition."""
+    k = n * params.k1
+    return _beta_gamma(params.alpha, params.delta1, params.delta2, k * k)[0]
+
+
+def gamma_n(params, n):
+    """gamma(n) of mode n, from spectral's one definition."""
+    k = n * params.k1
+    return _beta_gamma(params.alpha, params.delta1, params.delta2, k * k)[1]
 
 
 def evaluate_on_grid(mode_sum, params, x):

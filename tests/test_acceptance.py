@@ -126,7 +126,7 @@ def test_criterion_5_spectral_onset():
         n = int(rng.integers(0, 9))
         beta = float(rng.uniform(0.5, 12.0))
         rec = mode_eigenvalues(p.with_beta(beta), n)
-        from o2hopf.spectral import beta_n, gamma_n
+        from conftest import beta_n, gamma_n
         bn, gn = beta_n(p, n), gamma_n(p, n)
         scale = 1.0 + abs(bn) + abs(gn)
         vieta_worst = max(

@@ -17,6 +17,7 @@ from o2hopf import (ModelParams, O2HopfError, ReducedSystem, branches,
                     classify_regime, closed_form_constants, coeffs, onset,
                     turing_check, validate)
 from o2hopf.cli import _write_csv, build_parser, dispatch
+from o2hopf.params import onset_terms
 
 
 def run(capsys, *argv):
@@ -697,11 +698,12 @@ def _reference_row(values):
     try:
         probe = ModelParams(beta=1.0, **{k: values[k] for k in
                                          ("alpha", "delta1", "delta2", "half_length")})
-        data = onset(probe)
-        row.update(admissible=str(data.admissible), beta1=data.beta1, omega=data.omega)
-        if not data.admissible:
+        _, _, beta1, omega_sq, admissible = onset_terms(
+            probe.alpha, probe.delta1, probe.delta2, probe.half_length)
+        row.update(admissible=str(admissible), beta1=beta1, omega=math.sqrt(max(omega_sq, 0.0)))
+        if not admissible:
             return row
-        params = validate(probe.with_beta(data.beta1 + values["mu"]))
+        params = probe.with_beta(onset(probe).beta1 + values["mu"])
         nf = coeffs(params, "projection")
         sys_ = ReducedSystem.from_coeffs(nf, values["mu"])
         kinds = {b.kind for b in branches(sys_) if b.stability != "degenerate"}

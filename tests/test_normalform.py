@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from conftest import random_admissible
+from conftest import admissible, random_admissible
 
 from o2hopf import InadmissibleRegime, ModelParams, onset, onset_scan, validate
 from o2hopf.normalform import (ROUTES, _evaluate, _projection_kernel, closed_form_constants,
@@ -55,8 +55,9 @@ class TestPsi:
         # omega^2 = 9/7 > 0, but beta1 = 46/7 is past the Turing bound 6.3094,
         # so no route solves there
         past = ModelParams(alpha=2.0, beta=1.0, delta1=4.0 / 7.0, delta2=1.0)
-        past = past.with_beta(onset(past).beta1)
-        assert not onset(past).admissible
+        past = past.with_beta(onset_terms(past.alpha, past.delta1, past.delta2,
+                                          past.half_length)[2])
+        assert not admissible(past)
         for route in ROUTES:
             with pytest.raises(InadmissibleRegime,
                                match=r"^O\(2\)-Hopf analysis does not apply: omega\^2 = 1\.28571, "
@@ -258,8 +259,8 @@ def test_projection_equals_direct_on_log_uniform_sets():
     alpha, delta1, delta2 = (10.0 ** rng.uniform(lo, hi, 20000)
                              for lo, hi in ((-1.0, 8.0), (-3.0, 3.0), (-3.0, 3.0)))
     length = rng.choice([1.0, 2.0, math.pi, 7.0], 20000)
-    d1, d2, _, _, admissible = onset_terms(alpha, delta1, delta2, length)
-    keep = np.flatnonzero(admissible)[:3000]
+    d1, d2, _, _, mask = onset_terms(alpha, delta1, delta2, length)
+    keep = np.flatnonzero(mask)[:3000]
     assert keep.size == 3000
     values, refused = _evaluate(alpha[keep], d1[keep], d2[keep], ROUTES)
     assert refused == [None] * keep.size
@@ -325,8 +326,7 @@ def test_both_routes_match_an_80_digit_evaluation(m, delta1, delta2, half_length
 def test_both_routes_match_an_80_digit_evaluation_at_the_turing_corner():
     # delta1' ~ delta2' = alpha / 2 and m = 1e12: beta1 is within 1e-4 of the Turing
     # bound; with d1' - d2' = 5e7, forming -4 omega^2 in P_n(2i omega) would cost 2e-13
-    p = _at_onset(alpha=1e12, delta1=5e11 * (1.0 + 1e-4), delta2=5e11)
-    assert onset(p).admissible
+    p = _at_onset(alpha=1e12, delta1=5e11 * (1.0 + 1e-4), delta2=5e11)   # admissible
     _assert_routes_match_80_digits(p)
 
 
@@ -338,10 +338,10 @@ def _turing_corner_sets(seed, count):
     while len(sets) < count:
         alpha = 10.0 ** rng.uniform(0.0, 10.0)
         delta2 = alpha * rng.uniform(0.5, 1.0)
-        p = _at_onset(alpha=alpha, delta1=delta2 * (1.0 + 10.0 ** rng.uniform(-12.0, -1.0)),
-                      delta2=delta2)
-        if onset(p).admissible:
-            sets.append(p)
+        p = ModelParams(alpha=alpha, beta=1.0, delta2=delta2,
+                        delta1=delta2 * (1.0 + 10.0 ** rng.uniform(-12.0, -1.0)))
+        if admissible(p):
+            sets.append(p.with_beta(onset(p).beta1))
     return sets
 
 

@@ -16,7 +16,6 @@ from o2hopf.params import is_finite_real, onset_terms, read_config
 def test_canonical_onset():
     p = validate({"alpha": 2.0, "beta": 7.0, "delta1": 1.0, "delta2": 1.0})
     data = onset(p)
-    assert data.admissible
     assert data.beta1 == 7.0
     assert abs(data.omega - math.sqrt(3.0)) < 1e-15
     assert data.mu == 0.0
@@ -121,7 +120,8 @@ def test_a_large_integer_constant_is_the_float_a_batch_computes_on():
     # onset computed alpha^2 on the exact integer and parted from the sweep's value
     alpha = 2 ** 53 + 1
     batch = onset_terms(np.array([float(alpha)]), np.ones(1), np.ones(1), np.array([math.pi]))
-    assert onset(ModelParams(alpha=alpha, beta=1.0)).beta1 == batch[2][0]
+    p = ModelParams(alpha=alpha, beta=1.0)   # beta1 rounds onto the bound: onset refuses it
+    assert onset_terms(p.alpha, p.delta1, p.delta2, p.half_length)[2] == batch[2][0]
 
 
 def test_with_beta_refuses_a_beta_beyond_the_float_range():
@@ -131,11 +131,14 @@ def test_with_beta_refuses_a_beta_beyond_the_float_range():
         ModelParams(alpha=2.0, beta=7.0).with_beta(10 ** 400)
 
 
-def test_onset_reports_inadmissible_without_raising():
+def test_onset_refuses_inadmissible_sets():
+    # onset answered this set with admissible=False and omega = 0.0 in place of a refusal
     p = ModelParams(alpha=1.0, beta=1.0)
-    data = onset(p)
-    assert not data.admissible
-    assert data.omega == 0.0
+    message = r"^O\(2\)-Hopf analysis does not apply: omega\^2 = 0, beta1 = 4, bound = 4$"
+    with pytest.raises(InadmissibleRegime, match=message):
+        onset(p)
+    with pytest.raises(InadmissibleRegime, match=message):
+        validate(p)
 
 
 @pytest.mark.parametrize("field, value", [("half_length", 1e-200), ("half_length", 1e-100),
@@ -143,11 +146,9 @@ def test_onset_reports_inadmissible_without_raising():
 def test_onset_of_an_overflowing_constant_is_inadmissible(field, value):
     # k1^2 or alpha^2 overflows to inf: inadmissible, not an OverflowError
     p = ModelParams(**{"alpha": 2.0, "beta": 7.0, field: value})
-    data = onset(p)
-    assert not data.admissible
-    assert data.omega == 0.0 or not math.isfinite(data.omega)
-    with pytest.raises(InadmissibleRegime):
-        validate(p)
+    with pytest.raises(InadmissibleRegime, match=r"^O\(2\)-Hopf analysis does not apply: "
+                                                 r"omega\^2 = "):
+        onset(p)
 
 
 def test_onset_is_deterministic():

@@ -6,8 +6,8 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from o2hopf import (InvalidConfig, ModelParams, NonPositiveParameter, NoSaturation,
-                    NumericalBlowup, SimConfig, Simulator, WindowTooShort,
+from o2hopf import (InadmissibleRegime, InvalidConfig, ModelParams, NonPositiveParameter,
+                    NoSaturation, NumericalBlowup, SimConfig, Simulator, WindowTooShort,
                     equivariance_test, initialize, measure_growth_rate,
                     mode_eigenvalues, mode_matrix, onset, oscillation_frequency,
                     timestep_convergence_order, validate)
@@ -391,13 +391,22 @@ def test_bound_transforms_are_numpy_fft(n):
     ((1, 2, 16), [7.0], np.array(5), {}, r"for the batch, got array\(5\)$"),
     ((1, 2, 16), [7.0], np.float64(5.0), {}, r"for the batch, got np\.float64\(5\.0\)$"),
     ((1, 2, 16), [7.0], -10 ** 400, {}, r"for the batch, got an integer of 1329 bits$"),
+    # numpy's untyped "Maximum allowed dimension exceeded" and "array is too big" from
+    # the sample block, and unsampled a loop of 2**70 steps
+    ((1, 2, 16), [7.0], 2 ** 70, {"sample_every": 1, "modes": [(0, 1)]},
+     r"^advance takes fewer than 2\*\*63 steps, got 1180591620717411303424$"),
+    ((1, 2, 16), [7.0], 2 ** 62, {"sample_every": 1, "modes": [(0, 1)]},
+     r"^4611686018427387904 samples of 1 modes for 1 members exceed numpy's array size$"),
+    ((1, 2, 16), [7.0], 2 ** 70, {},
+     r"^advance takes fewer than 2\*\*63 steps, got 1180591620717411303424$"),
 ], ids=["betas", "n_steps", "negative_sampling", "no_modes", "grid", "no_batch_axis",
         "negative_steps", "nan_beta", "fractional_steps", "bool_steps", "bool_among_steps",
         "fractional_sampling", "bool_sampling", "species_2", "negative_species",
         "index_above_half", "negative_index", "fractional_index", "bool_index",
         "numpy_bool_species", "not_a_pair", "triple", "text_index", "text_beta", "bool_beta",
         "none_beta", "huge_beta", "array_of_steps", "zero_dim_steps", "numpy_float_steps",
-        "steps_beyond_floats"])
+        "steps_beyond_floats", "steps_beyond_int64_sampled", "sample_block_beyond_numpy",
+        "steps_beyond_int64"])
 def test_advance_input_errors(shape, betas, n_steps, settings, message):
     config = SimConfig(n_grid=16, dt=1e-2)
     U = np.broadcast_to(initialize(CANON, replace(config, n_grid=shape[-1])), shape)
@@ -609,6 +618,17 @@ def test_no_saturation_names_first_failing_mu():
                        perturb_kind="traveling", pin_mean=True)
     with pytest.raises(NoSaturation, match=r"mu = 0\.3:"):
         amplitude_scaling_experiment(CANON, [-0.05, 0.3, 0.2], config=config)
+
+
+def test_scaling_refuses_an_inadmissible_set_before_stepping(monkeypatch):
+    # omega^2 = 0: the whole batch was stepped, then NoSaturation was raised
+    def spy(self, *args, **kwargs):
+        raise AssertionError("advance was called")
+
+    monkeypatch.setattr(Simulator, "advance", spy)
+    config = SimConfig(n_grid=8, dt=0.02, t_max=40.0, eps=1e-2, pin_mean=True)
+    with pytest.raises(InadmissibleRegime, match=r"omega\^2 = 0, beta1 = 4, bound = 4$"):
+        amplitude_scaling_experiment(ModelParams(alpha=1.0, beta=1.0), [0.2, 0.3], config)
 
 
 def test_decay_verdict_reads_the_config_eps():

@@ -16,7 +16,7 @@ import warnings
 
 import numpy as np
 import pytest
-from conftest import random_admissible
+from conftest import admissible, beta_n, gamma_n, random_admissible
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from test_normalform import _direct_80_digits
@@ -24,11 +24,11 @@ from test_normalform import _direct_80_digits
 from o2hopf import (InadmissibleRegime, ModelParams, ReducedSystem, SimConfig, Simulator,
                     branches, classify_regime, closed_form_constants, coeffs,
                     equivariance_test, initialize, mode_eigenvalues, onset, onset_scan,
-                    solve_psi, validate)
+                    solve_psi)
 from o2hopf.normalform import ROUTES, _evaluate, coeffs_batch
 from o2hopf.params import hopf_bound, onset_terms
 from o2hopf.reduced import regime_batch
-from o2hopf.spectral import beta_n, gamma_n, onset_poly
+from o2hopf.spectral import onset_poly
 
 PROPERTY = settings(max_examples=50, deadline=None, database=None)
 PDE_PROPERTY = settings(max_examples=8, deadline=None, database=None)
@@ -39,9 +39,8 @@ def admissible_sets(draw):
     p = ModelParams(alpha=draw(st.floats(0.5, 3.0)), beta=1.0,
                     delta1=draw(st.floats(0.2, 2.0)), delta2=draw(st.floats(0.1, 1.5)),
                     half_length=draw(st.floats(1.0, 6.0)))
-    data = onset(p)
-    assume(data.admissible)
-    return p.with_beta(data.beta1)
+    assume(admissible(p))
+    return p.with_beta(onset(p).beta1)
 
 
 @PROPERTY
@@ -66,9 +65,8 @@ def far_side_sets(draw):
                     delta1=10.0 ** draw(st.floats(-1.0, 12.0)),
                     delta2=10.0 ** draw(st.floats(-3.0, math.log10(1.5))),
                     half_length=draw(st.floats(1.0, 6.0)))
-    data = onset(p)
-    assume(data.admissible)
-    return p.with_beta(data.beta1)
+    assume(admissible(p))
+    return p.with_beta(onset(p).beta1)
 
 
 @PROPERTY
@@ -132,8 +130,8 @@ def _assert_points_are_a_batch(sets):
                                      for name in ("alpha", "delta1", "delta2", "half_length"))
     terms = onset_terms(alpha, delta1, delta2, length)
     bound = hopf_bound(alpha, delta1, delta2)
-    admissible = terms[-1]
-    kept = [v[admissible] for v in (alpha, *terms[:2])]
+    mask = terms[-1]
+    kept = [v[mask] for v in (alpha, *terms[:2])]
     values, errors = coeffs_batch(*kept)
     routes, refused = _evaluate(*kept, ROUTES)
     j = 0
@@ -141,13 +139,11 @@ def _assert_points_are_a_batch(sets):
         assert _bits(*onset_terms(p.alpha, p.delta1, p.delta2, p.half_length),
                      hopf_bound(p.alpha, p.delta1, p.delta2)) == \
             _bits(*(t[i] for t in terms), bound[i])
-        data = onset(p)
-        assert data.admissible == admissible[i]
-        if not admissible[i]:
+        if not mask[i]:
             with pytest.raises(InadmissibleRegime):
-                validate(p)
+                onset(p)
             continue
-        validate(p)
+        data = onset(p)
         assert _bits(data.beta1, data.omega) == _bits(terms[2][i], np.sqrt(terms[3][i]))
         point, cf = {route: coeffs(p, route) for route in ROUTES}, closed_form_constants(p)
         nf = point["projection"]
@@ -169,9 +165,9 @@ def test_a_point_is_a_batch_of_one_on_seeded_draws():
                         delta1=float(rng.uniform(0.2, 2.0)),
                         delta2=float(rng.uniform(0.1, 1.5)),
                         half_length=float(rng.uniform(1.0, 6.0)))
-        data = onset(p)
-        n_admissible += data.admissible
-        sets.append(p.with_beta(data.beta1) if data.admissible else p)
+        ok = admissible(p)
+        n_admissible += ok
+        sets.append(p.with_beta(onset(p).beta1) if ok else p)
     assert len(sets) > n_admissible
     _assert_points_are_a_batch(sets)
 

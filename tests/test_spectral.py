@@ -3,11 +3,11 @@ import time
 
 import numpy as np
 import pytest
-from conftest import random_admissible
+from conftest import beta_n, gamma_n, random_admissible
 
 from o2hopf import InadmissibleRegime, InvalidConfig, ModelParams, onset, validate
-from o2hopf.spectral import (beta_n, gamma_n, inner_product, mode_eigenvalues,
-                             mode_matrix, onset_scan, turing_check, xi1, xi1_star, xi2)
+from o2hopf.spectral import (inner_product, mode_eigenvalues, mode_matrix, onset_scan,
+                             turing_check, xi1, xi1_star, xi2)
 
 CANON = validate({"alpha": 2.0, "beta": 7.0})
 RT3 = math.sqrt(3.0)
@@ -111,9 +111,10 @@ def test_onset_scan_needs_an_integer_n_max(n_max, named):
     assert onset_scan(CANON, n_max=np.int64(8)) == onset_scan(CANON, n_max=8)
 
 
-@pytest.mark.parametrize("helper", [onset_scan, xi1, xi2, xi1_star])
+@pytest.mark.parametrize("helper", [onset_scan, xi1, xi2, xi1_star, turing_check])
 def test_spectral_helpers_refuse_inadmissible_sets_as_validate_does(helper):
-    # omega^2 < 0 here: xi1_star divided by omega = 0 and xi1/xi2 used it
+    # omega^2 < 0 here: xi1_star divided by omega = 0, xi1/xi2 used it and
+    # turing_check returned a TuringReport
     p = ModelParams(alpha=0.5, beta=3.0, delta1=0.1, delta2=2.0)
     with pytest.raises(InadmissibleRegime) as want:
         validate(p)
@@ -138,8 +139,7 @@ def test_onset_certificate_of_an_overflowing_bound():
     # beta1 ~ 1e200 is finite, the bound (1 + alpha sqrt(delta1/delta2))^2 is
     # not: the margin is +inf without a warning
     p = ModelParams(alpha=1e100, beta=1.0, delta1=1e10, delta2=1e-200)
-    p = p.with_beta(onset(p).beta1)
-    assert onset(p).admissible
+    p = p.with_beta(onset(p).beta1)   # admissible: onset raises otherwise
     assert onset_scan(p, n_max=2).certificate_margin == math.inf
 
 
