@@ -382,9 +382,8 @@ def _sweep_columns(fixed: dict, axes) -> dict:
         put(f"im_{name}", live[ok], v.imag[ok].tolist())
     solved = np.isfinite(values["a"])
     live = live[solved]
-    regime = regime_batch(ReducedSystem(
-        mu=mu[solved], omega=omega[solved], a=values["a"][solved],
-        b=values["b_projection"][solved], c=values["c_projection"][solved]))
+    regime = regime_batch(mu[solved], omega[solved], values["a"][solved],
+                          values["b_projection"][solved], values["c_projection"][solved])
     rw, sw = regime["rotating_wave"], regime["standing_wave"]
     for name, family in (("tw_exists", rw), ("sw_exists", sw)):
         put(name, live, (family["exists"] & (family["stability"] != "degenerate")).tolist())

@@ -96,14 +96,19 @@ def onset_terms(alpha, delta1, delta2, half_length):
     """(d1e, d2e, beta1, omega^2, admissible) of positive model constants.
 
     The constants may be floats or numpy arrays; ``onset`` and the
-    vectorised sweep share this one definition of admissibility.
+    vectorised sweep share this one definition of admissibility.  beta1 <
+    hopf_bound is the sign of bound - beta1 = 2 alpha sqrt(r) + alpha^2 (r - 1)
+    - (d1e + d2e), r = delta1/delta2, with r - 1 formed as (delta1 - delta2)/delta2:
+    a few roundings of its own terms, none of the 1 + alpha^2 both sides share.
     """
     with np.errstate(over="ignore", invalid="ignore"):   # an overflow is inadmissible
         d1e, d2e = _rescaled(delta1, delta2, half_length)
         beta1, omega_sq = critical_values(alpha, d1e, d2e)
-        # beta1 below the bound is finite; omega^2 = inf is an overflow too
-        admissible = ((omega_sq > 0.0) & np.isfinite(omega_sq)
-                      & (beta1 < hopf_bound(alpha, delta1, delta2)))
+        margin = (2.0 * alpha * np.sqrt(delta1 / delta2)
+                  + alpha * alpha * ((delta1 - delta2) / delta2) - (d1e + d2e))
+        # omega^2 = inf or beta1 = inf is an overflow too; a NaN margin is not > 0
+        admissible = ((omega_sq > 0.0) & np.isfinite(omega_sq) & np.isfinite(beta1)
+                      & (margin > 0.0))
     return d1e, d2e, beta1, omega_sq, admissible
 
 

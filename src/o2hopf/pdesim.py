@@ -35,7 +35,6 @@ from __future__ import annotations
 import math
 import numbers
 from dataclasses import dataclass, replace
-from typing import NamedTuple
 
 import numpy as np
 # The gufuncs np.fft.rfft/irfft call, bound once: the wrapper (asarray, result_type,
@@ -171,17 +170,6 @@ def _check_bound(U: np.ndarray, buf: np.ndarray, t: float) -> None:
         raise NumericalBlowup(f"field norm exceeded {BLOWUP_NORM:g} at t = {t:g}")
 
 
-class _Views(NamedTuple):
-    """A species-major spectrum (2, B, K) and its views that a step uses, bound once."""
-    whole: np.ndarray
-    u1: np.ndarray        # whole[0]
-    mean_u1: np.ndarray   # whole[0, :, 0]
-
-
-def _views(X: np.ndarray) -> _Views:
-    return _Views(X, X[0], X[0, :, 0])
-
-
 def _block(a: np.ndarray, shape: tuple) -> np.ndarray:
     """a broadcast to shape, as a new contiguous array."""
     return np.ascontiguousarray(np.broadcast_to(a, shape))
@@ -236,17 +224,17 @@ class Simulator:
         if U.ndim != 3 or U.shape[1:] != (2, n):
             raise InvalidConfig(f"{caller} needs fields of shape (B, 2, {n}), got {U.shape}")
 
-    def _stage(self, out, base, s1, u, lin, mask, h, cube, r, q):
+    def _stage(self, out, base, s1, u, lin, mask, source, cube, r, q):
         """out = base + h F^ for F = (alpha + lin_1 u1 + u1^2 u2, lin_2 u1 - u1^2 u2).
 
-        Species-major: base and F^, the unit-mean spectrum of F, are (2, B, K),
+        Species-major: out, base and F^, the unit-mean spectrum of F, are (2, B, K),
         s1 is that of u1, and u = (u1, u2) holds the fields (B, N); lin and the
-        signed mask come times h, as arrays that broadcast to (2, B, K).  The
-        mask is the 2/3 rule: the cubic term keeps wave indices
-        j <= 2 floor(N/2)/3 (SimConfig.cutoff), the same at every half-length.
-        u1^2 u2, its rfft and that masked go to cube, r and q (2, B, K); out is
-        given as its _views, and each operation is one call for both species."""
-        out, _, out_mean = out
+        signed mask come times h, as arrays that broadcast to (2, B, K), and the
+        source h alpha goes to the u1 means out[0, :, 0] (advance passes it as a
+        complex 0-d array, which numpy adds faster than a float).  The mask is the
+        2/3 rule: the cubic term keeps wave indices j <= 2 floor(N/2)/3
+        (SimConfig.cutoff), the same at every half-length.  u1^2 u2, its rfft and
+        that masked go to cube, r and q; each operation is one call for both species."""
         u1, u2 = u
         np.multiply(u1, u1, out=cube)
         cube *= u2
@@ -256,7 +244,7 @@ class Simulator:
         out += base
         out += q
         if self._source:   # pinned runs have none
-            out_mean += h * self._source
+            out[0, :, 0] += source
 
     def rhs(self, U, beta) -> np.ndarray:
         """dU/dt of the semi-discrete system the steps integrate, for U (B, 2, N).
@@ -276,8 +264,8 @@ class Simulator:
         lin = self._coefficients(np.full(len(U), beta, dtype=float))
         S = S.transpose(1, 0, 2)
         F = np.empty(S.shape, complex)
-        self._stage(_views(F), self._symbol[:, None] * S, S[0], U.transpose(1, 0, 2), lin,
-                    self._dealias[:, None], 1.0, np.empty(U[:, 0].shape),
+        self._stage(F, self._symbol[:, None] * S, S[0], U.transpose(1, 0, 2), lin,
+                    self._dealias[:, None], self._source, np.empty(U[:, 0].shape),
                     np.empty(S[0].shape, complex), np.empty_like(F))
         dU = np.empty(U.shape)
         _irfft(F, 1.0, out=dU.transpose(1, 0, 2))
@@ -343,25 +331,25 @@ class Simulator:
         U = np.empty(shape[:2] + (n,))
         absU, cube, r, q = (np.empty_like(U), np.empty_like(U[0]), np.empty_like(S[0]),
                             np.empty_like(S))
-        mid, S2 = _views(np.empty_like(S)), _views(np.empty_like(S))
-        Sv, u = _views(S), (U[0], U[1])
+        mid, S2 = np.empty_like(S), np.empty_like(S)
+        half_source, full_source = (np.array(h * self._source + 0j) for h in (0.5 * dt, dt))
+        u = (U[0], U[1])
         for i in range(1, n_steps + 1):
             _irfft(S, 1.0, out=U)
             if i > 1:
                 _check_bound(U, absU, (i - 1) * dt)
-            self._stage(mid, S, Sv.u1, u, half_lin, half_mask, 0.5 * dt, cube, r, q)
-            _irfft(mid.whole, 1.0, out=U)
-            self._stage(S2, S, mid.u1, u, full_lin, full_mask, dt, cube, r, q)
-            Sv, S2 = S2, Sv
-            S = Sv.whole
+            self._stage(mid, S, S[0], u, half_lin, half_mask, half_source, cube, r, q)
+            _irfft(mid, 1.0, out=U)
+            self._stage(S2, S, mid[0], u, full_lin, full_mask, full_source, cube, r, q)
+            S, S2 = S2, S
             sampled = sample_every and i % sample_every == 0
             if sampled or i == n_steps:
-                np.multiply(S, half, out=mid.whole)
+                np.multiply(S, half, out=mid)
             if sampled:   # mode "clip" writes into out unbuffered; each place is in range
-                mid.whole.take(at, out=samples[i // sample_every - 1], mode="clip")
+                mid.take(at, out=samples[i // sample_every - 1], mode="clip")
             S *= full
         if n_steps:
-            _irfft(mid.whole, 1.0, out=U)
+            _irfft(mid, 1.0, out=U)
             _check_bound(U, absU, n_steps * dt)
             out[:] = U.transpose(1, 0, 2)
         return (out, samples.transpose(2, 0, 1)) if sample_every else out

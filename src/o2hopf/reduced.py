@@ -10,9 +10,11 @@ decouples into a planar radial system and two phase equations,
 
 Nontrivial radial equilibria are the rotating waves (one radius zero) and
 the standing waves (equal radii); stability is always read off the radial
-Jacobian, never transcribed from a diagram.  One record, regime_batch,
-holds the wave families of a batch of systems; branches and
-classify_regime read it for a batch of one.
+Jacobian, never transcribed from a diagram.  A ReducedSystem is one
+truncation.  A batch is plain arrays, as for normalform.coeffs_batch:
+regime_batch takes the five fields as floats or (P,) arrays and returns
+the wave families of each system, and branches and classify_regime read
+it for a batch of one.
 """
 
 from __future__ import annotations
@@ -27,7 +29,7 @@ import numpy as np
 from .errors import InvalidConfig, StepSizeUnderflow, shown
 from .params import ModelParams, is_finite_real, onset
 from .pdesim import grid
-from .spectral import xi1, xi2
+from .spectral import xi1_amp
 
 DEGENERACY_TOL = 1e-10
 
@@ -39,24 +41,21 @@ def _is_finite_number(value, kind=numbers.Complex) -> bool:
 
 
 def _held(name, value, kind):
-    """value as kind, float or complex, or a (P,) array as a kind array; InvalidConfig
-    unless each number in it is finite (not NaN, inf, a bool or beyond the float range)."""
-    if np.ndim(value):
-        array = np.asarray(value)
-        if array.dtype.kind in ("iuf" if kind is float else "iufc") and np.isfinite(array).all():
-            return array.astype(kind, copy=False)
-    elif _is_finite_number(value, numbers.Real if kind is float else numbers.Complex):
+    """value as kind, float or complex; InvalidConfig unless it is a finite number
+    (not NaN, inf, a bool, an array or beyond the float range)."""
+    if _is_finite_number(value, numbers.Real if kind is float else numbers.Complex):
         return kind(value)
     raise InvalidConfig(f"{name} must be finite, got {shown(value)}")
 
 
 @dataclass(frozen=True)
 class ReducedSystem:
-    """The truncation at one mu; regime_batch also takes (P,) arrays as fields.
+    """The truncation at one mu: one system, whose fields are numbers.
 
-    mu and omega are held as floats and a, b and c as complex numbers, or as
-    arrays of them: each field is checked and converted once, when the record
-    is built, and one that is not finite is InvalidConfig.
+    mu and omega are held as floats and a, b and c as complex numbers: each
+    field is checked and converted once, when the record is built, and one
+    that is not a finite number, an array included, is InvalidConfig.  A
+    batch of systems is regime_batch's arrays.
     """
 
     mu: float
@@ -75,14 +74,6 @@ class ReducedSystem:
         return cls(mu=mu, omega=nf.omega, a=nf.a, b=nf.b, c=nf.c)
 
 
-def _check_point(sys: ReducedSystem, caller: str) -> None:
-    """Raise InvalidConfig unless every field of sys is a number: the batch record
-    of (P,) arrays is regime_batch's alone."""
-    if any(np.ndim(getattr(sys, name)) for name in ("mu", "omega", "a", "b", "c")):
-        raise InvalidConfig(f"{caller} takes a ReducedSystem of numbers, got one of arrays; "
-                            f"regime_batch reads a batch")
-
-
 @dataclass(frozen=True)
 class BranchPoint:
     kind: str            # "trivial" | "rotating_wave_1" | "rotating_wave_2" | "standing_wave"
@@ -92,15 +83,17 @@ class BranchPoint:
     frequencies: tuple   # (th1', th2') at the equilibrium
 
 
-def _polar_vector_field(sys: ReducedSystem, r1: float, r2: float):
-    """(r1', r2', th1', th2'); by O(2) symmetry they do not depend on the phases."""
-    aR, bR, cR = sys.a.real, sys.b.real, sys.c.real
-    aI, bI, cI = sys.a.imag, sys.b.imag, sys.c.imag
+def _polar_vector_field(fields: tuple, r1, r2):
+    """(r1', r2', th1', th2') of the truncation whose fields are (mu, omega, a, b, c),
+    floats or arrays; by O(2) symmetry they do not depend on the phases."""
+    mu, omega, a, b, c = fields
+    aR, bR, cR = a.real, b.real, c.real
+    aI, bI, cI = a.imag, b.imag, c.imag
     s1, s2 = r1 * r1, r2 * r2
-    dr1 = r1 * (aR * sys.mu + bR * s1 + cR * s2)
-    dr2 = r2 * (aR * sys.mu + bR * s2 + cR * s1)
-    dth1 = sys.omega + aI * sys.mu + bI * s1 + cI * s2
-    dth2 = sys.omega + aI * sys.mu + bI * s2 + cI * s1
+    dr1 = r1 * (aR * mu + bR * s1 + cR * s2)
+    dr2 = r2 * (aR * mu + bR * s2 + cR * s1)
+    dth1 = omega + aI * mu + bI * s1 + cI * s2
+    dth2 = omega + aI * mu + bI * s2 + cI * s1
     return dr1, dr2, dth1, dth2
 
 
@@ -118,8 +111,12 @@ def _radial_eigenvalues(aR, bR, cR, mu, r1, r2):
             aR * mu + 3.0 * bR * s2 + cR * s1 - q)
 
 
-def regime_batch(sys: ReducedSystem) -> dict:
-    """The wave-family record of sys, whose fields are floats or (P,) arrays.
+def regime_batch(mu, omega, a, b, c) -> dict:
+    """The wave-family record of the truncations with these fields, floats or
+    (P,) arrays (a, b and c as normalform.coeffs_batch gives them): mu and
+    omega real, a, b and c complex.  A field holding a value that is not a
+    finite number of its kind (NaN, inf, a bool, an object) is InvalidConfig,
+    with ReducedSystem's message.
 
     "relations" holds the three non-degeneracy relations, with (A, B) =
     (c, b - c).  "trivial" (radii (0, 0)), "rotating_wave" (cubic
@@ -140,7 +137,14 @@ def regime_batch(sys: ReducedSystem) -> dict:
     family exists and every branch is degenerate; the probe offset there is
     -sign(Re b), just off onset.
     """
-    a, b, c, mu = (np.asarray(v) for v in (sys.a, sys.b, sys.c, sys.mu))
+    fields = []
+    for name, value, kinds in (("mu", mu, "iuf"), ("omega", omega, "iuf"), ("a", a, "iufc"),
+                               ("b", b, "iufc"), ("c", c, "iufc")):
+        array = np.asarray(value)
+        if array.dtype.kind not in kinds or not np.isfinite(array).all():
+            raise InvalidConfig(f"{name} must be finite, got {shown(value)}")
+        fields.append(array.astype(complex if "c" in kinds else float, copy=False))
+    mu, omega, a, b, c = fields
     aR, bR, cR = a.real, b.real, c.real
     live = mu != 0.0
     unit = np.where(live, np.sign(mu), -np.copysign(1.0, bR))
@@ -177,7 +181,7 @@ def regime_batch(sys: ReducedSystem) -> dict:
                 "stability": np.where(degenerate | ~live, "degenerate",
                                       np.where(negative, "stable", "unstable")),
                 "stable": exists & ~degenerate & negative & regular,
-                "frequencies": _polar_vector_field(sys, r, r2)[2:],
+                "frequencies": _polar_vector_field((mu, omega, a, b, c), r, r2)[2:],
             }
     return record
 
@@ -189,8 +193,7 @@ def branches(sys: ReducedSystem) -> list:
     (0, r) and standing_wave (r, r) where the family exists; a flat family
     is listed at the origin as degenerate.
     """
-    _check_point(sys, "branches")
-    record = regime_batch(sys)
+    record = regime_batch(sys.mu, sys.omega, sys.a, sys.b, sys.c)
     out = []
     for name in ("trivial", "rotating_wave", "standing_wave"):
         family = record[name]
@@ -210,8 +213,7 @@ def classify_regime(sys: ReducedSystem) -> dict:
     Both are ``regime_batch``'s, of the batch of one; (A, B) = (c, b - c)
     gives the quadrant report.
     """
-    _check_point(sys, "classify_regime")
-    record = regime_batch(sys)
+    record = regime_batch(sys.mu, sys.omega, sys.a, sys.b, sys.c)
     relations = {name: bool(holds) for name, holds in record["relations"].items()}
     A = sys.c
     B = sys.b - sys.c
@@ -240,31 +242,32 @@ E1, E3, E4, E5, E6, E7 = (71 / 57600, -71 / 16695, 71 / 1920, -17253 / 339200,
 RTOL, ATOL = 1e-10, 1e-12
 
 
-def _dp54_step(sys: ReducedSystem, y: tuple, k1: tuple, h: float):
+def _dp54_step(fields: tuple, y: tuple, k1: tuple, h: float):
     """One Dormand-Prince step of size h from y = (r1, r2, th1, th2).
 
-    k1 is the vector field at y.  Returns the fifth-order point, the vector
-    field there (the next step's k1) and the RMS of the error estimate in
-    units of atol + rtol |y|, which is not finite when a stage is not.  The
-    phases do not enter the vector field, so only the radii are staged.
+    fields are the system's (mu, omega, a, b, c) and k1 the vector field at
+    y.  Returns the fifth-order point, the vector field there (the next
+    step's k1) and the RMS of the error estimate in units of atol + rtol |y|,
+    which is not finite when a stage is not.  The phases do not enter the
+    vector field, so only the radii are staged.
     """
     f = _polar_vector_field
     r1, r2, th1, th2 = y
     u1, v1, p1, q1 = k1
-    u2, v2, p2, q2 = f(sys, r1 + h * A21 * u1, r2 + h * A21 * v1)
-    u3, v3, p3, q3 = f(sys, r1 + h * (A31 * u1 + A32 * u2),
+    u2, v2, p2, q2 = f(fields, r1 + h * A21 * u1, r2 + h * A21 * v1)
+    u3, v3, p3, q3 = f(fields, r1 + h * (A31 * u1 + A32 * u2),
                        r2 + h * (A31 * v1 + A32 * v2))
-    u4, v4, p4, q4 = f(sys, r1 + h * (A41 * u1 + A42 * u2 + A43 * u3),
+    u4, v4, p4, q4 = f(fields, r1 + h * (A41 * u1 + A42 * u2 + A43 * u3),
                        r2 + h * (A41 * v1 + A42 * v2 + A43 * v3))
-    u5, v5, p5, q5 = f(sys, r1 + h * (A51 * u1 + A52 * u2 + A53 * u3 + A54 * u4),
+    u5, v5, p5, q5 = f(fields, r1 + h * (A51 * u1 + A52 * u2 + A53 * u3 + A54 * u4),
                        r2 + h * (A51 * v1 + A52 * v2 + A53 * v3 + A54 * v4))
-    u6, v6, p6, q6 = f(sys, r1 + h * (A61 * u1 + A62 * u2 + A63 * u3 + A64 * u4 + A65 * u5),
+    u6, v6, p6, q6 = f(fields, r1 + h * (A61 * u1 + A62 * u2 + A63 * u3 + A64 * u4 + A65 * u5),
                        r2 + h * (A61 * v1 + A62 * v2 + A63 * v3 + A64 * v4 + A65 * v5))
     new = (r1 + h * (B1 * u1 + B3 * u3 + B4 * u4 + B5 * u5 + B6 * u6),
            r2 + h * (B1 * v1 + B3 * v3 + B4 * v4 + B5 * v5 + B6 * v6),
            th1 + h * (B1 * p1 + B3 * p3 + B4 * p4 + B5 * p5 + B6 * p6),
            th2 + h * (B1 * q1 + B3 * q3 + B4 * q4 + B5 * q5 + B6 * q6))
-    k7 = u7, v7, p7, q7 = f(sys, new[0], new[1])
+    k7 = u7, v7, p7, q7 = f(fields, new[0], new[1])
     err = (h * (E1 * u1 + E3 * u3 + E4 * u4 + E5 * u5 + E6 * u6 + E7 * u7),
            h * (E1 * v1 + E3 * v3 + E4 * v4 + E5 * v5 + E6 * v6 + E7 * v7),
            h * (E1 * p1 + E3 * p3 + E4 * p4 + E5 * p5 + E6 * p6 + E7 * p7),
@@ -290,7 +293,6 @@ def integrate_truncated(sys: ReducedSystem, z1_0: complex, z2_0: complex,
 
     Returns (t, z1, z2) arrays; deterministic for fixed inputs.
     """
-    _check_point(sys, "integrate_truncated")
     for name, value in (("t_max", t_max), ("dt", dt)):
         if not (is_finite_real(value) and value > 0.0):
             raise InvalidConfig(f"{name} must be finite and > 0, got {shown(value)}")
@@ -301,14 +303,15 @@ def integrate_truncated(sys: ReducedSystem, z1_0: complex, z2_0: complex,
     t_eval = np.arange(0.0, t_max + 0.5 * dt, dt)
     z1_0, z2_0 = complex(z1_0), complex(z2_0)
     y = (abs(z1_0), abs(z2_0), cmath.phase(z1_0), cmath.phase(z2_0))
-    k = _polar_vector_field(sys, y[0], y[1])
+    fields = (sys.mu, sys.omega, sys.a, sys.b, sys.c)
+    k = _polar_vector_field(fields, y[0], y[1])
     samples = [y]
     t, h = 0.0, dt
     for t_next in t_eval[1:].tolist():
         while t < t_next:
             land = t + 1.01 * h >= t_next   # no sliver of a step before a sample
             step = t_next - t if land else h
-            y_new, k_new, err = _dp54_step(sys, y, k, step)
+            y_new, k_new, err = _dp54_step(fields, y, k, step)
             if err <= 1.0:                 # never true for a NaN estimate
                 t, y, k = (t_next if land else t + step), y_new, k_new
                 h = step * (5.0 if err == 0.0 else min(5.0, 0.9 * err ** -0.2))
@@ -341,7 +344,6 @@ def reconstruct_wave(params: ModelParams, sys: ReducedSystem, branch: BranchPoin
     z_j = r_j e^{i(w* t + phi_j)}, and imag_residue is the largest |Im| of
     that sum, zero up to round-off when the conjugate pairs cancel.
     """
-    _check_point(sys, "reconstruct_wave")
     if branch.kind == "trivial":
         raise ValueError("reconstruct_wave requires a nontrivial branch")
     for name, value in (("phi1", phi1), ("phi2", phi2), ("t", t)):
@@ -353,13 +355,14 @@ def reconstruct_wave(params: ModelParams, sys: ReducedSystem, branch: BranchPoin
 
     x = grid(params, n_grid)
     k1 = params.k1
-    amp1 = next(iter(xi1(params).terms.values()))
-    amp2 = next(iter(xi2(params).terms.values()))
-    wave = (z1 * np.exp(1j * k1 * x)[None, :] * amp1[:, None]
-            + z2 * np.exp(-1j * k1 * x)[None, :] * amp2[:, None])
+    data = onset(params)
+    # xi1 at wave index 1; xi2 = S xi1 carries the same amplitude at index -1
+    amp = xi1_amp(params.alpha, params.effective_diffusion()[1], data.omega)[:, None]
+    wave = (z1 * np.exp(1j * k1 * x)[None, :] * amp
+            + z2 * np.exp(-1j * k1 * x)[None, :] * amp)
     field = wave + np.conj(wave)
 
-    beta = onset(params).beta1 + sys.mu
+    beta = data.beta1 + sys.mu
     uniform = np.array([params.alpha, beta / params.alpha])
     u = uniform[:, None] + field.real
     imag_residue = float(np.max(np.abs(field.imag)))

@@ -120,8 +120,40 @@ def test_a_large_integer_constant_is_the_float_a_batch_computes_on():
     # onset computed alpha^2 on the exact integer and parted from the sweep's value
     alpha = 2 ** 53 + 1
     batch = onset_terms(np.array([float(alpha)]), np.ones(1), np.ones(1), np.array([math.pi]))
-    p = ModelParams(alpha=alpha, beta=1.0)   # beta1 rounds onto the bound: onset refuses it
-    assert onset_terms(p.alpha, p.delta1, p.delta2, p.half_length)[2] == batch[2][0]
+    p = ModelParams(alpha=alpha, beta=1.0)
+    assert batch[4][0] and onset(p).beta1 == batch[2][0]
+
+
+def test_admissibility_is_the_sign_of_the_exact_margin():
+    # beta1 < hopf_bound compared two roundings of about (1 + alpha sqrt(r))^2 and refused
+    # sets that exact arithmetic admits, alpha = 2**53 + 1 with delta1 = delta2 among them
+    assert onset(ModelParams(alpha=2 ** 53 + 1, beta=1.0)).omega > 0.0
+    rng = np.random.default_rng(11)
+    graded = 0
+    for _ in range(1500):
+        alpha = 10.0 ** rng.uniform(-1.0, 8.0)
+        r = 1.0 if rng.uniform() < 0.5 else 10.0 ** rng.uniform(-1.0, 1.0)
+        length = float(rng.choice([math.pi, 1.0, 2.0, 5.0]))
+        # d1' + d2' on the bound, moved off it by 1e-16 to 1e-12 of the bound
+        bound = (1.0 + alpha * math.sqrt(r)) ** 2
+        total = (2.0 * alpha * math.sqrt(r) + alpha * alpha * (r - 1.0)
+                 + rng.choice([-1.0, 1.0]) * 10.0 ** rng.uniform(-16.0, -12.0) * bound)
+        if total <= 0.0:
+            continue
+        delta2 = total / ((math.pi / length) ** 2 * (1.0 + r))
+        delta1 = r * delta2
+        d1e, d2e, _, omega_sq, admissible = onset_terms(alpha, delta1, delta2, length)
+        # exactly, on the float inputs: beta1 - 1 - alpha^2 r < 2 alpha sqrt(r), squared
+        a, ratio = Fraction(alpha), Fraction(delta1) / Fraction(delta2)
+        lhs = Fraction(d1e) + Fraction(d2e) + a * a * (1 - ratio)
+        below = lhs < 0 or lhs * lhs < 4 * a * a * ratio
+        # the float margin is off by a few roundings of its own terms: a set within
+        # them of the bound is not graded
+        terms = 2.0 * alpha * math.sqrt(ratio) + float(a * a * abs(ratio - 1)) + d1e + d2e
+        if abs(2 * a * Fraction(math.sqrt(ratio)) - lhs) > 16 * 2.0 ** -53 * terms:
+            assert bool(admissible) == (omega_sq > 0.0 and below), (alpha, delta1, delta2)
+            graded += 1
+    assert graded > 1000
 
 
 def test_with_beta_refuses_a_beta_beyond_the_float_range():

@@ -30,6 +30,11 @@ def projection_system(mu):
     return ReducedSystem.from_coeffs(NF, mu)
 
 
+def fields(sys):
+    """The five fields of a ReducedSystem, in regime_batch's order."""
+    return sys.mu, sys.omega, sys.a, sys.b, sys.c
+
+
 def cartesian_reference(sys, z0, t_end, t_eval=None):
     """Independent DOP853 solution of the Cartesian form z' = (i omega + ...) z."""
     def rhs(_, y):
@@ -63,8 +68,20 @@ FIELDS = {"mu": 0.1, "omega": NF.omega, "a": NF.a, "b": NF.b, "c": NF.c}
         "complex_omega", "nan_in_batch", "inf_in_batch", "bool_batch", "complex_batch_omega",
         "object_batch"])
 def test_record_fields_are_checked_when_built(field, value, named):
-    with pytest.raises(InvalidConfig, match=f"^{field} must be finite, got {named}$"):
+    # the record refuses every array; regime_batch checks a batch number by number
+    for build in (ReducedSystem, regime_batch):
+        with pytest.raises(InvalidConfig, match=f"^{field} must be finite, got {named}$"):
+            build(**{**FIELDS, field: value})
+
+
+@pytest.mark.parametrize("field", FIELDS)
+def test_record_refuses_a_finite_array(field):
+    # a record of arrays was built, and only four guards kept it from the point functions
+    value = np.array([FIELDS[field], FIELDS[field]])
+    with pytest.raises(InvalidConfig, match=f"^{field} must be finite, got array\\("):
         ReducedSystem(**{**FIELDS, field: value})
+    batch = regime_batch(**{**FIELDS, field: value})
+    assert batch["rotating_wave"]["frequencies"][0].shape == (2,)
 
 
 def test_record_holds_floats_and_complex_numbers():
@@ -82,38 +99,21 @@ def test_record_holds_floats_and_complex_numbers():
         assert all(x.tobytes() == y.tobytes() for x, y in zip(
             integrate_truncated(got, Fraction(1, 4), np.complex64(0.5j), t_max=5.0, dt=1.0),
             trajectory))
-    batch = ReducedSystem(mu=np.array([1, -2]), omega=1.0, a=np.array([0.5, 1.0]),
-                          b=np.array([-1.0 + 0.5j, 2.0]), c=np.array([-2.0, 0.5j]))
-    assert [getattr(batch, name).dtype for name in ("mu", "a", "b", "c")] == [
-        np.dtype(float)] + [np.dtype(complex)] * 3
-
-
-POINT_BRANCH = branches(ReducedSystem(mu=0.1, omega=1.0, a=0.5, b=-1.0, c=-2.0))[1]
-
-
-@pytest.mark.parametrize("caller, run", [
-    ("branches", branches),
-    ("classify_regime", classify_regime),
-    ("integrate_truncated", lambda sys: integrate_truncated(sys, 0.1, 0.1, t_max=1.0, dt=0.5)),
-    ("reconstruct_wave", lambda sys: reconstruct_wave(CANON, sys, POINT_BRANCH, 0.0, 0.0, 0.0)),
-])
-@pytest.mark.parametrize("batch", [
-    {"mu": np.array([0.1, 0.2])},
-    {"c": np.array([-2.0, -3.0])},
-], ids=["mu", "c"])
-def test_point_functions_refuse_a_batch_record(caller, run, batch):
-    # numpy's untyped ValueError: an ambiguous truth value, or an array element set to a sequence
-    sys = ReducedSystem(**{"mu": 0.1, "omega": 1.0, "a": 0.5, "b": -1.0, "c": -2.0, **batch})
-    with pytest.raises(InvalidConfig, match=f"^{caller} takes a ReducedSystem of numbers, "
-                                            f"got one of arrays; regime_batch reads a batch$"):
-        run(sys)
-    assert len(regime_batch(sys)["rotating_wave"]["radius"]) == 2
+    # an integer or float batch gives the float-built batch's bits
+    want = regime_batch(np.array([1.0, -2.0]), 1.0, np.array([0.5 + 0j, 1.0 + 0j]),
+                        np.array([-1.0 + 0.5j, 2.0 + 0j]), np.array([-2.0 + 0j, 0.5j]))
+    got = regime_batch(np.array([1, -2]), 1, np.array([0.5, 1.0]),
+                       np.array([-1.0 + 0.5j, 2.0]), np.array([-2.0, 0.5j]))
+    for name, family in want.items():
+        for key, value in family.items():
+            x, y = np.asarray(got[name][key]), np.asarray(value)
+            assert x.dtype == y.dtype and x.tobytes() == y.tobytes(), (name, key)
 
 
 class TestVectorField:
     def test_origin(self):
         sys = projection_system(0.2)
-        dr1, dr2, dth1, dth2 = _polar_vector_field(sys, 0.0, 0.0)
+        dr1, dr2, dth1, dth2 = _polar_vector_field(fields(sys), 0.0, 0.0)
         assert dr1 == 0.0 and dr2 == 0.0
         expected = RT3 + sys.a.imag * 0.2
         assert abs(dth1 - expected) < 1e-14 and dth1 == dth2
@@ -123,8 +123,8 @@ class TestVectorField:
         rng = np.random.default_rng(0)
         for _ in range(5):
             r1, r2 = rng.uniform(0, 0.5, 2)
-            f = _polar_vector_field(sys, r1, r2)
-            g = _polar_vector_field(sys, r2, r1)
+            f = _polar_vector_field(fields(sys), r1, r2)
+            g = _polar_vector_field(fields(sys), r2, r1)
             assert abs(f[0] - g[1]) < 1e-14 and abs(f[1] - g[0]) < 1e-14
             assert abs(f[2] - g[3]) < 1e-14 and abs(f[3] - g[2]) < 1e-14
 
@@ -132,7 +132,7 @@ class TestVectorField:
         mu = 0.17
         sys = closed_form_system(mu)
         r_star = math.sqrt(4.0 * mu / 17.0)   # -mu/(2 Re b), Re b = -17/8
-        dr1, _, _, _ = _polar_vector_field(sys, r_star, 0.0)
+        dr1, _, _, _ = _polar_vector_field(fields(sys), r_star, 0.0)
         assert abs(dr1) < 1e-14
 
 
@@ -240,7 +240,7 @@ class TestClassification:
         b[:20] = 1j * b[:20].imag
         c[20:40] = -b[20:40].real + 1j * c[20:40].imag
         c[40:60] = b[40:60].real + 1j * c[40:60].imag
-        got = regime_batch(ReducedSystem(mu=mu, omega=omega, a=a, b=b, c=c))
+        got = regime_batch(mu, omega, a, b, c)
         layouts = {"trivial": [("trivial", False)],
                    "rotating_wave": [("rotating_wave_1", False), ("rotating_wave_2", True)],
                    "standing_wave": [("standing_wave", False)]}
@@ -287,7 +287,7 @@ class TestClassification:
         aR = rng.choice([-1.0, 1.0], m) * 10.0 ** rng.uniform(-6, 6, m)
         mu = rng.choice([-1.0, 1.0], m) * 10.0 ** rng.uniform(-6, 2, m)
         a = aR + 1j * rng.uniform(-1, 1, m)
-        got = regime_batch(ReducedSystem(mu=mu, omega=1.0, a=a, b=b, c=c))
+        got = regime_batch(mu, 1.0, a, b, c)
         supercritical = aR * mu > 0.0
         bR, cR = b.real, c.real
         want = {"rotating_wave": supercritical & (bR < 0.0) & (cR < bR),
@@ -306,8 +306,8 @@ class TestClassification:
         # Re b < 0 and Re(b + c) < 0 bound the radial flow
         def jacobian_eigenvalues(sys, r1, r2, h=1e-6):
             cols = [[(u - d) / (2.0 * h) for u, d in
-                     zip(_polar_vector_field(sys, r1 + e1, r2 + e2)[:2],
-                         _polar_vector_field(sys, r1 - e1, r2 - e2)[:2])]
+                     zip(_polar_vector_field(fields(sys), r1 + e1, r2 + e2)[:2],
+                         _polar_vector_field(fields(sys), r1 - e1, r2 - e2)[:2])]
                     for e1, e2 in ((h, 0.0), (0.0, h))]
             return np.linalg.eigvals(np.array(cols).T)
 
@@ -461,7 +461,8 @@ class TestTrajectories:
         # finite inputs whose vector field overflows give a NaN error
         # estimate at every step size; the step shrinks to underflow at t = 0
         y0 = (z1_0, 0.0, 0.0, 0.0)
-        assert math.isnan(_dp54_step(sys, y0, _polar_vector_field(sys, z1_0, 0.0), 1e-3)[2])
+        k1 = _polar_vector_field(fields(sys), z1_0, 0.0)
+        assert math.isnan(_dp54_step(fields(sys), y0, k1, 1e-3)[2])
         with pytest.raises(StepSizeUnderflow, match="at t = 0:"):
             integrate_truncated(sys, z1_0, 0.0, t_max=10.0, dt=1.0)
 
