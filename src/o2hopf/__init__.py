@@ -13,8 +13,7 @@ from .errors import (DomainMismatch, InadmissibleRegime, InvalidConfig,
                      O2HopfError, StepSizeUnderflow, WindowTooShort)
 from .meanzero import zero_mode_content
 from .modes import ModeSum, R01, R20, R30
-from .normalform import (NormalFormCoeffs, PsiTable, closed_form_constants, coeffs,
-                         coeffs_report, solve_psi)
+from .normalform import NormalFormCoeffs, PsiTable, coeffs, coeffs_report, solve_psi
 from .params import ModelParams, OnsetData, onset, validate
 from .pdesim import (SimConfig, Simulator, amplitude_scaling_experiment,
                      equivariance_test, grid, initialize, measure_growth_rate,
@@ -38,8 +37,8 @@ __all__ = [
     # mode sums and the nonlinearity
     "ModeSum", "R01", "R20", "R30",
     # normal-form coefficients
-    "NormalFormCoeffs", "PsiTable", "closed_form_constants", "coeffs",
-    "coeffs_report", "solve_psi", "zero_mode_content",
+    "NormalFormCoeffs", "PsiTable", "coeffs", "coeffs_report", "solve_psi",
+    "zero_mode_content",
     # reduced dynamics
     "BranchPoint", "ReducedSystem", "branch_frequency", "branches",
     "classify_regime", "integrate_truncated", "reconstruct_wave",

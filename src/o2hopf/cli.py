@@ -23,8 +23,7 @@ import numpy as np
 from . import __version__
 from .errors import (InadmissibleRegime, InvalidConfig, NonPositiveParameter,
                      NoSaturation, NumericalBlowup, O2HopfError)
-from .normalform import (ROUTES, closed_form_constants, coeffs, coeffs_batch,
-                         coeffs_report)
+from .normalform import ROUTES, coeffs, coeffs_batch, coeffs_report
 from .params import ModelParams, is_positive, onset, onset_terms, read_config
 from .pdesim import SimConfig, Simulator, initialize, tail_fit
 from .reduced import ReducedSystem, branches, classify_regime, regime_batch
@@ -426,24 +425,23 @@ def cmd_sweep(ns) -> int:
 def _verify_checks(quick: bool):
     """Golden self-checks; yields (name, passed, detail)."""
     canonical = ModelParams(alpha=2.0, beta=7.0)
-    data = onset(canonical)
-    cf = closed_form_constants(canonical)
+    report = coeffs_report(canonical)
+    cf, closed = report["constants"], report["routes"]["closed_form"]
     rt3 = math.sqrt(3.0)
 
     def close(x, y, tol=1e-12):
         return abs(x - y) <= tol * (1.0 + abs(y))
 
-    yield ("beta1", close(data.beta1, 7.0), f"{data.beta1}")
-    yield ("omega", close(data.omega, rt3), f"{data.omega}")
+    yield ("beta1", close(report["beta1"], 7.0), f"{report['beta1']}")
+    yield ("omega", close(report["omega"], rt3), f"{report['omega']}")
     golden = {"N_r": 66.0, "N_i": 12.0, "B_r": 18.0, "B_i": -33.0,
               "C_2r": -192.0, "C_2i": 72.0 * rt3, "P2_0": 12.0,
               "Q_r": 42.0, "Q_i": -20.0 * rt3}
     for key, want in golden.items():
         yield (key, close(cf[key], want), f"{cf[key]} vs {want}")
-    yield ("re_b_closed_form", close(cf["b"].real, -17.0 / 8.0), f"{cf['b'].real}")
-    yield ("re_c_closed_form", close(cf["c"].real, 11.0 / 4.0), f"{cf['c'].real}")
+    yield ("re_b_closed_form", close(closed["b"].real, -17.0 / 8.0), f"{closed['b'].real}")
+    yield ("re_c_closed_form", close(closed["c"].real, 11.0 / 4.0), f"{closed['c'].real}")
 
-    report = coeffs_report(canonical)
     proj, direct = report["routes"]["projection"], report["routes"]["direct"]
     yield ("re_a_half", proj["a"].real == 0.5, f"{proj['a']}")
     for name in ("a", "b", "c"):

@@ -18,11 +18,12 @@ Three routes are provided:
 
 Each route is one array function of (alpha, delta1', delta2', beta1,
 omega) over P points, and one pass evaluates the routes a caller names,
-in its order.  A point is its batch of one: ``coeffs``,
-``closed_form_constants``, ``solve_psi`` and ``coeffs_report`` run the
-pass with P = 1, ``coeffs_batch`` over the sweep's grid.  Constants so
-extreme that a route overflows are an inadmissible regime: a point's
-values are NaN from that route on, and a single point raises its refusal.
+in its order.  A point is its batch of one: ``coeffs``, ``solve_psi`` and
+``coeffs_report`` run the pass with P = 1, ``coeffs_batch`` over the
+sweep's grid; a point's published constants are ``coeffs_report``'s
+"constants".  Constants so extreme that a route overflows are an
+inadmissible regime: a point's values are NaN from that route on, and a
+single point raises its refusal.
 
 The projection kernel holds each function as a (2, P) amplitude at its
 single wave index: xi1 at 1, psi_11000 and psi_10100 at 0, psi_20000 and
@@ -311,12 +312,6 @@ def solve_psi(params: ModelParams) -> PsiTable:
     return _psi_table(_point(params, ("projection",))[1]["projection"])
 
 
-def closed_form_constants(params: ModelParams) -> dict:
-    """The published intermediate constants, evaluated literally."""
-    constants = _point(params, ("closed_form",))[1]["closed_form"]
-    return {k: v for k, v in constants.items() if k != "a"}
-
-
 def coeffs_batch(alpha, d1, d2):
     """Projection a, b, c and closed-form b, c for arrays of points.
 
@@ -324,9 +319,10 @@ def coeffs_batch(alpha, d1, d2):
     admissible points.  Returns (values, errors): values maps
     "a", "b_projection", "c_projection", "b_closed_form" and
     "c_closed_form" to (P,) complex arrays; errors[i] is the error that
-    ``coeffs`` and then ``closed_form_constants`` raise for point i, else
-    None.  Values are NaN from a point's first failure on, so a point whose
-    published constants alone overflow keeps its projection values.
+    ``coeffs(p, "projection")`` and then ``coeffs(p, "closed_form")`` raise
+    for point i, else None.  Values are NaN from a point's first failure
+    on, so a point whose published constants alone overflow keeps its
+    projection values.
     """
     values, refused = _evaluate(alpha, d1, d2, ("projection", "closed_form"))
     proj, closed = values["projection"], values["closed_form"]
@@ -367,7 +363,7 @@ def _orthogonality(params: ModelParams, proj: dict, psi: PsiTable) -> dict:
 
 
 def coeffs_report(params: ModelParams) -> dict:
-    """All routes, all intermediate constants, and pairwise discrepancies."""
+    """All routes, the published constants ("constants"), and pairwise discrepancies."""
     data, values = _point(params, ("projection", "closed_form", "direct"))
     per_route = {route: {name: values[route][name] for name in "abc"} for route in ROUTES}
     psi = _psi_table(values["projection"])

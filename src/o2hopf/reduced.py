@@ -116,7 +116,8 @@ def regime_batch(mu, omega, a, b, c) -> dict:
     (P,) arrays (a, b and c as normalform.coeffs_batch gives them): mu and
     omega real, a, b and c complex.  A field holding a value that is not a
     finite number of its kind (NaN, inf, a bool, an object) is InvalidConfig,
-    with ReducedSystem's message.
+    with ReducedSystem's message, and so are arrays of more than one
+    dimension or of unequal lengths.
 
     "relations" holds the three non-degeneracy relations, with (A, B) =
     (c, b - c).  "trivial" (radii (0, 0)), "rotating_wave" (cubic
@@ -137,13 +138,18 @@ def regime_batch(mu, omega, a, b, c) -> dict:
     family exists and every branch is degenerate; the probe offset there is
     -sign(Re b), just off onset.
     """
-    fields = []
+    fields, shapes = [], {}
     for name, value, kinds in (("mu", mu, "iuf"), ("omega", omega, "iuf"), ("a", a, "iufc"),
                                ("b", b, "iufc"), ("c", c, "iufc")):
         array = np.asarray(value)
         if array.dtype.kind not in kinds or not np.isfinite(array).all():
             raise InvalidConfig(f"{name} must be finite, got {shown(value)}")
         fields.append(array.astype(complex if "c" in kinds else float, copy=False))
+        if array.ndim:
+            shapes[name] = array.shape
+    if len(set(shapes.values())) > 1 or any(len(shape) > 1 for shape in shapes.values()):
+        got = ", ".join(f"{name} {shape}" for name, shape in shapes.items())
+        raise InvalidConfig(f"regime_batch needs floats or (P,) arrays of one length; got {got}")
     mu, omega, a, b, c = fields
     aR, bR, cR = a.real, b.real, c.real
     live = mu != 0.0

@@ -13,8 +13,7 @@ from conftest import random_admissible
 from o2hopf import (ReducedSystem, SimConfig, equivariance_test,
                     measure_growth_rate, onset, timestep_convergence_order,
                     validate)
-from o2hopf.normalform import (closed_form_constants, coeffs, coeffs_report,
-                               solve_psi)
+from o2hopf.normalform import coeffs, coeffs_report, solve_psi
 from o2hopf.pdesim import amplitude_scaling_experiment
 from o2hopf.reduced import (branch_frequency, branches, classify_regime,
                             integrate_truncated, reconstruct_wave)
@@ -43,7 +42,8 @@ def _rel(x, y):
 def test_criterion_1_closed_form_values():
     start = time.time()
     data = onset(CANON)
-    cf = closed_form_constants(CANON)
+    report = coeffs_report(CANON)
+    cf = {**report["constants"], **report["routes"]["closed_form"]}
     expected = {"N_r": 66.0, "N_i": 12.0, "B_r": 18.0, "B_i": -33.0,
                 "C_2r": -192.0, "C_2i": 72.0 * RT3, "P2_0": 12.0,
                 "Q_r": 42.0, "Q_i": -20.0 * RT3}

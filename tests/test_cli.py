@@ -2,6 +2,7 @@ import csv
 import io
 import json
 import math
+import re
 import tempfile
 import time
 import warnings
@@ -14,8 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from o2hopf import (ModelParams, O2HopfError, ReducedSystem, branches,
-                    classify_regime, closed_form_constants, coeffs, onset,
-                    turing_check, validate)
+                    classify_regime, coeffs, onset, turing_check, validate)
 from o2hopf.cli import _write_csv, build_parser, dispatch
 from o2hopf.params import onset_terms
 
@@ -142,11 +142,19 @@ def test_round_trip_identity(capsys, tmp_path):
     assert json.loads(out_path.read_text()) == json.loads(stdout)
 
 
+_VERIFY_QUICK_ROWS = ["beta1", "omega", "N_r", "N_i", "B_r", "B_i", "C_2r", "C_2i", "P2_0",
+                      "Q_r", "Q_i", "re_b_closed_form", "re_c_closed_form", "re_a_half",
+                      "route_agreement_a", "route_agreement_b", "route_agreement_c",
+                      "psi_residuals", "mean_zero_obstruction", "hopf_onset", "no_turing"]
+
+
 def test_verify_quick(capsys):
     code, out, _ = run(capsys, "verify", "--quick")
     assert code == 0
-    assert "all checks passed" in out
-    assert "[FAIL]" not in out
+    *rows, last = out.strip().splitlines()
+    assert last == "all checks passed"
+    assert [re.match(r"^\[PASS\] (\w+)(  \(.*\))?$", row)[1] for row in rows] == \
+        _VERIFY_QUICK_ROWS
 
 
 def test_sweep_matches_coeffs(capsys, tmp_path):
@@ -712,8 +720,8 @@ def _reference_row(values):
         row["stable_families"] = "|".join(classify_regime(sys_)["stable_families"])
         for name, v in (("a", nf.a), ("b_projection", nf.b), ("c_projection", nf.c)):
             row[f"re_{name}"], row[f"im_{name}"] = v.real, v.imag
-        cf = closed_form_constants(params)   # its overflow blanks only its own columns
-        for name, v in (("b_closed_form", cf["b"]), ("c_closed_form", cf["c"])):
+        cf = coeffs(params, "closed_form")   # its overflow blanks only its own columns
+        for name, v in (("b_closed_form", cf.b), ("c_closed_form", cf.c)):
             row[f"re_{name}"], row[f"im_{name}"] = v.real, v.imag
     except O2HopfError as exc:
         row["error"] = f"{type(exc).__name__}: {exc}"

@@ -5,8 +5,8 @@ import pytest
 from conftest import admissible, random_admissible
 
 from o2hopf import InadmissibleRegime, ModelParams, onset, onset_scan, validate
-from o2hopf.normalform import (ROUTES, _evaluate, _projection_kernel, closed_form_constants,
-                               coeffs, coeffs_report, solve_psi)
+from o2hopf.normalform import (ROUTES, _evaluate, _point, _projection_kernel, coeffs,
+                               coeffs_report, solve_psi)
 from o2hopf.params import critical_values, onset_terms
 
 CANON = validate({"alpha": 2.0, "beta": 7.0})
@@ -17,6 +17,12 @@ RT3 = math.sqrt(3.0)
 # written; exact forms b = -11/24 - 7i/(8 sqrt 3), c = -11/4 + i sqrt(3)/4.
 GOLDEN_B = complex(-11.0 / 24.0, -7.0 / (8.0 * RT3))
 GOLDEN_C = complex(-11.0 / 4.0, RT3 / 4.0)
+
+
+def _published(p):
+    """The report's published constants with the closed-form route's a, b and c."""
+    report = coeffs_report(p)
+    return {**report["constants"], **report["routes"]["closed_form"]}
 
 
 def _kernel(sets):
@@ -141,7 +147,7 @@ class TestCoeffBC:
                 assert abs(vp - vd) <= 1e-10 * (1.0 + abs(vd))
 
     def test_closed_form_canonical_constants(self):
-        cf = closed_form_constants(CANON)
+        cf = _published(CANON)
         expected = {"N_r": 66.0, "N_i": 12.0, "B_r": 18.0, "B_i": -33.0,
                     "C_2r": -192.0, "C_2i": 72.0 * RT3, "P2_0": 12.0,
                     "Q_r": 42.0, "Q_i": -20.0 * RT3}
@@ -157,7 +163,7 @@ class TestCoeffBC:
     def test_onset_poly_at_2iw_has_an_exact_real_part(self):
         # Re P_2(2i omega) = 12 d1 d2 - 3 alpha^2 = 0 and Re P_0(2i omega) = 4 d2^2 - 3 alpha^2
         # = -8, with no rounding of omega^2 left in them
-        cf = closed_form_constants(CANON)
+        cf = _published(CANON)
         assert cf["P2_2iw"].real == 0.0
         assert cf["P0_2iw"].real == -8.0
 
@@ -203,19 +209,34 @@ def test_coeffs_report_structure():
         assert key in rep["constants"]
 
 
+def test_the_report_holds_the_published_constants_of_its_pass():
+    # the report's constants are the closed-form route's values, a, b and c aside, and a
+    # route alone (coeffs) gives the bits it has in the pass over every route
+    for p in [CANON, *_random_sets(34, count=5)]:
+        rep, point = coeffs_report(p), _point(p, ROUTES)[1]
+        closed = point["closed_form"]
+        want = {key: v for key, v in closed.items() if key not in ("a", "b", "c")}
+        assert list(rep["constants"]) == list(want)
+        assert np.array(list(rep["constants"].values())).tobytes() == \
+            np.array(list(want.values())).tobytes()
+        for route in ROUTES:
+            nf = coeffs(p, route)
+            abc = [point[route][name] for name in "abc"]
+            assert np.array([nf.a, nf.b, nf.c]).tobytes() == np.array(abc).tobytes()
+            assert np.array(list(rep["routes"][route].values())).tobytes() == \
+                np.array(abc).tobytes()
+
+
 # omega^2 = 0.25 (1 + 0.1 - 2) - 4 < 0: no Hopf frequency
 NO_OMEGA = ModelParams(alpha=0.5, beta=3.0, delta1=0.1, delta2=2.0)
 
 
-@pytest.mark.parametrize("compute", [
-    *(lambda p, route=route: coeffs(p, route) for route in ROUTES),
-    closed_form_constants,
-], ids=[*ROUTES, "closed_form_constants"])
-def test_every_route_needs_a_hopf_frequency(compute):
+@pytest.mark.parametrize("route", ROUTES)
+def test_every_route_needs_a_hopf_frequency(route):
     # the direct and closed-form routes divided by omega = 0
     with pytest.raises(InadmissibleRegime,
                        match=r"^O\(2\)-Hopf analysis does not apply: omega\^2 = -4\.225, "):
-        compute(NO_OMEGA)
+        coeffs(NO_OMEGA, route)
 
 
 def _random_sets(seed, count=120):

@@ -7,8 +7,8 @@ import numpy as np
 import pytest
 
 from o2hopf import (InadmissibleRegime, ModelParams, NonPositiveParameter, SimConfig,
-                    Simulator, closed_form_constants, coeffs, coeffs_report, initialize,
-                    onset, onset_scan, validate)
+                    Simulator, coeffs, coeffs_report, initialize, onset, onset_scan,
+                    validate)
 from o2hopf.normalform import ROUTES
 from o2hopf.params import is_finite_real, onset_terms, read_config
 
@@ -88,7 +88,7 @@ def test_is_finite_real():
 
 @pytest.mark.parametrize("field, value", [("delta2", 0.0), ("delta1", -1.0)])
 def test_onset_rejects_nonpositive_constant(field, value):
-    # onset and closed_form_constants reached a ZeroDivisionError and a math domain
+    # onset and the published constants reached a ZeroDivisionError and a math domain
     # error on these; the record refuses them when it is built
     with pytest.raises(NonPositiveParameter) as exc:
         ModelParams(alpha=2.0, beta=1.0, **{field: value})
@@ -100,7 +100,7 @@ def _entry_points(p):
     config = SimConfig(n_grid=16, dt=0.01, t_max=0.03, eps=1e-3)
     U = Simulator(p, config).advance(initialize(p, config)[None], [p.beta], 3)
     outputs = [validate(p), onset(p), onset_scan(p), *(coeffs(p, route) for route in ROUTES),
-               closed_form_constants(p), coeffs_report(p), U]
+               coeffs_report(p), U]
     with np.printoptions(floatmode="unique", threshold=sys.maxsize):
         return repr(outputs)
 

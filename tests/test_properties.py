@@ -22,10 +22,9 @@ from hypothesis import strategies as st
 from test_normalform import _direct_80_digits
 
 from o2hopf import (InadmissibleRegime, ModelParams, ReducedSystem, SimConfig, Simulator,
-                    branches, classify_regime, closed_form_constants, coeffs,
-                    equivariance_test, initialize, mode_eigenvalues, onset, onset_scan,
-                    solve_psi)
-from o2hopf.normalform import ROUTES, _evaluate, coeffs_batch
+                    branches, classify_regime, coeffs, equivariance_test, initialize,
+                    mode_eigenvalues, onset, onset_scan, solve_psi)
+from o2hopf.normalform import ROUTES, _evaluate, _point, coeffs_batch
 from o2hopf.params import hopf_bound, onset_terms
 from o2hopf.reduced import regime_batch
 from o2hopf.spectral import onset_poly
@@ -145,14 +144,14 @@ def _assert_points_are_a_batch(sets):
             continue
         data = onset(p)
         assert _bits(data.beta1, data.omega) == _bits(terms[2][i], np.sqrt(terms[3][i]))
-        point, cf = {route: coeffs(p, route) for route in ROUTES}, closed_form_constants(p)
-        nf = point["projection"]
+        point = _point(p, ROUTES)[1]   # every route in one pass, as coeffs_report runs them
+        nf, cf = point["projection"], point["closed_form"]
         assert errors[j] is None and refused[j] is None
-        assert _bits(nf.a, nf.b, nf.c, cf["b"], cf["c"]) == _bits(*(values[name][j] for name in (
-            "a", "b_projection", "c_projection", "b_closed_form", "c_closed_form")))
-        for route, nf in point.items():
-            assert _bits(nf.a, nf.b, nf.c) == _bits(*(routes[route][name][j] for name in "abc"))
-        assert _bits(*cf.values()) == _bits(*(routes["closed_form"][key][j] for key in cf))
+        assert _bits(*(nf[name] for name in "abc"), cf["b"], cf["c"]) == _bits(*(
+            values[name][j] for name in (
+                "a", "b_projection", "c_projection", "b_closed_form", "c_closed_form")))
+        for route, out in point.items():
+            assert _bits(*out.values()) == _bits(*(routes[route][key][..., j] for key in out))
         j += 1
 
 

@@ -84,6 +84,20 @@ def test_record_refuses_a_finite_array(field):
     assert batch["rotating_wave"]["frequencies"][0].shape == (2,)
 
 
+def test_batch_refuses_fields_of_unequal_lengths():
+    # numpy's untyped "operands could not be broadcast together"
+    with pytest.raises(InvalidConfig, match=r"^regime_batch needs floats or \(P,\) arrays of "
+                                            r"one length; got mu \(2,\), a \(3,\)$"):
+        regime_batch(np.array([0.1, 0.2]), 1.0, np.array([0.5, 0.5, 0.5]), -1.0, -2.0)
+
+
+def test_batch_refuses_a_field_of_more_than_one_dimension():
+    # a (2, 2) field gave a 2-D record
+    with pytest.raises(InvalidConfig, match=r"^regime_batch needs floats or \(P,\) arrays of "
+                                            r"one length; got b \(2, 2\), c \(2, 2\)$"):
+        regime_batch(0.1, 1.0, 0.5, np.full((2, 2), -1.0), np.full((2, 2), -2.0))
+
+
 def test_record_holds_floats_and_complex_numbers():
     """A Fraction, numpy or int field or start gives the float-built record's bits."""
     want = ReducedSystem(mu=0.25, omega=2.0, a=0.5 + 0.25j, b=-1.0 + 0.5j, c=-2.0 + 0j)
